@@ -501,11 +501,6 @@ def matrix_group_order(spec):
     return 2 * omega
 
 
-def natural_degree(spec):
-    F = spec.matrix_field()
-    return F.q ** spec.d - 1
-
-
 def induced_on_nonzero_vectors(spec):
     """The permutation group induced on the nonzero vectors of the natural
     module (a faithful action of the matrix-plus-Frobenius group)."""

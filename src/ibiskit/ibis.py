@@ -3,17 +3,19 @@ exhaustive search over base lengths, the IBIS decision with witnesses,
 minimal-base sizes, witness-chain verification, and the big-integer
 parabolic bound for E7.
 
-Two engines back the searches.  Groups whose order fits the element
-cap run on the full element table (vectorized stabilizer masks); larger
-groups fall back to stabilizer chains.  An IBIS verdict is only ever
-produced by a complete enumeration; randomized evidence can certify
-NotIBIS (two irredundant bases of different lengths) but never IBIS.
+Every search runs on stabilizer chains.  A step from a stabilizer H to
+H_p rebuilds H's chain based at p with the certified |H| as its target
+(perm.PermGroup.stabilizer), and a pointwise stabilizer is named by its
+fixed points, since G_(S) = G_(fix(G_(S))): a point is redundant exactly
+when the stabilizer of its predecessors fixes it.  An IBIS verdict is
+only ever produced by a complete enumeration; randomized evidence can
+certify NotIBIS (two irredundant bases of different lengths) but never
+IBIS.
 
 The depth-first enumeration prunes to one representative point per
 orbit of the current stabilizer: extending by points in the same orbit
 yields conjugate stabilizers, hence identical sets of reachable chain
-lengths.  A slow unpruned mode (memoized on the stabilizer subgroup)
-exists as the pruning oracle for small degrees.
+lengths.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .perm import ELEMENT_CAP, PermError, orbit
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -86,70 +86,19 @@ class EnumerationResult:
     nodes: int
 
 
-# -- engines -----------------------------------------------------------------
-
-class _TableEngine:
-    """Pointwise stabilizers as row masks over the full element table."""
-
-    def __init__(self, G):
-        self.T = G.elements()
-        self.degree = G.degree
-        self.root = np.arange(len(self.T))
-
-    def stab(self, rows, pt):
-        return rows[self.T[rows, pt] == pt]
-
-    def pointwise(self, seq):
-        rows = self.root
-        orders = [len(rows)]
-        for p in seq:
-            rows = self.stab(rows, int(p))
-            orders.append(len(rows))
-        return rows, orders
-
-    def moved_mask(self, rows):
-        return (self.T[rows] != np.arange(self.degree)).any(axis=0)
-
-    def orbit_of(self, rows, pt):
-        seen = {int(pt)}
-        frontier = [int(pt)]
-        while frontier:
-            new = set(np.unique(self.T[np.ix_(rows, frontier)]).tolist()) - seen
-            seen |= new
-            frontier = sorted(new)
-        return seen
-
-
-def _engine_for(G):
-    try:
-        if G.order() <= ELEMENT_CAP:
-            return _TableEngine(G)
-    except PermError:
-        pass
-    return None
-
-
-def chain_orders(G, seq):
-    """[|G|, |G_p1|, ...] for the sequence, through the best engine."""
-    eng = _engine_for(G)
-    if eng is not None:
-        return eng.pointwise(seq)[1]
-    return G.chain_orders(seq)
-
-
 def base_report(G, seq):
     seq = tuple(int(p) for p in seq)
-    return BaseReport(seq, tuple(chain_orders(G, seq)))
+    return BaseReport(seq, tuple(G.chain_orders(seq)))
 
 
 def is_base(G, seq):
     """Pointwise stabilizer trivial (GAP: Size(Stabilizer(G,base,OnTuples))=1)."""
-    return chain_orders(G, seq)[-1] == 1
+    return G.chain_orders(seq)[-1] == 1
 
 
 def is_irredundant(G, seq):
     """Each successive stabilizer strictly smaller."""
-    orders = chain_orders(G, seq)
+    orders = G.chain_orders(seq)
     return all(a > b for a, b in zip(orders, orders[1:]))
 
 
@@ -159,20 +108,12 @@ def extend_to_irredundant_base(G, prefix=()):
     prefix = tuple(int(p) for p in prefix)
     if prefix and not is_irredundant(G, prefix):
         raise IbisError("prefix is not irredundant")
-    eng = _engine_for(G)
     points = list(prefix)
-    if eng is not None:
-        rows, _ = eng.pointwise(points)
-        while len(rows) > 1:
-            moved = np.nonzero(eng.moved_mask(rows))[0]
-            points.append(int(moved[0]))
-            rows = eng.stab(rows, int(moved[0]))
-    else:
-        H = G.pointwise_stabilizer(points) if points else G
-        while H.order() > 1:
-            moved = min(min(g.moved_points()) for g in H.generators)
-            points.append(int(moved))
-            H = G.pointwise_stabilizer(points)
+    H = G.pointwise_stabilizer(points)
+    while H.order() > 1:
+        p = int(np.flatnonzero(~H.fixed_points())[0])
+        points.append(p)
+        H = H.stabilizer(p)
     return base_report(G, points)
 
 
@@ -203,77 +144,17 @@ def find_random_irredundant_base(G, size, budget=1000, seed=0):
 
 # -- exhaustive enumeration ----------------------------------------------------
 
-def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET, pruned=True):
+def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET):
     """The set of lengths of all irredundant bases, by depth-first search
     over irredundant extensions.
 
-    pruned=True explores one representative per orbit of the current
-    stabilizer (conjugate subtrees realize the same length sets) and
-    records the first witness chain found per length; pruned=False is the
-    brute-force oracle (all moved points, memoized on the stabilizer).
-    Returns EnumerationResult with complete=False when the node budget is
-    exhausted.
+    Explores one representative per orbit of the current stabilizer
+    (conjugate subtrees realize the same length sets) and records the
+    first witness chain found per length.  Returns EnumerationResult with
+    complete=False when the node budget is exhausted.
     """
     if G.degree > 10**4:
         raise IbisError("degree too large for a completeness guarantee")
-    eng = _engine_for(G)
-    if eng is None:
-        return _enumerate_chain_engine(G, node_budget)
-    lengths = set()
-    witnesses = {}
-    nodes = 0
-    complete = True
-
-    if pruned:
-        def dfs(rows, chain):
-            nonlocal nodes, complete
-            if len(rows) == 1:
-                L = len(chain)
-                lengths.add(L)
-                witnesses.setdefault(L, tuple(chain))
-                return
-            moved = np.nonzero(eng.moved_mask(rows))[0]
-            seen = set()
-            for p in moved:
-                p = int(p)
-                if p in seen:
-                    continue
-                seen |= eng.orbit_of(rows, p)
-                nodes += 1
-                if nodes > node_budget:
-                    complete = False
-                    return
-                chain.append(p)
-                dfs(eng.stab(rows, p), chain)
-                chain.pop()
-        dfs(eng.root, [])
-    else:
-        memo = {}
-
-        def depths(rows):
-            nonlocal nodes, complete
-            if len(rows) == 1:
-                return frozenset([0])
-            key = rows.tobytes()
-            if key in memo:
-                return memo[key]
-            out = set()
-            moved = np.nonzero(eng.moved_mask(rows))[0]
-            for p in moved:
-                nodes += 1
-                if nodes > node_budget:
-                    complete = False
-                    break
-                out |= {d + 1 for d in depths(eng.stab(rows, int(p)))}
-            memo[key] = frozenset(out)
-            return memo[key]
-
-        lengths = set(depths(eng.root))
-    return EnumerationResult(frozenset(lengths), complete, witnesses, nodes)
-
-
-def _enumerate_chain_engine(G, node_budget):
-    """Pruned DFS with stabilizer-chain subgroups (large-order fallback)."""
     lengths = set()
     witnesses = {}
     nodes = 0
@@ -285,18 +166,15 @@ def _enumerate_chain_engine(G, node_budget):
             lengths.add(len(chain))
             witnesses.setdefault(len(chain), tuple(chain))
             return
-        moved = sorted({int(p) for g in H.generators for p in g.moved_points()})
-        seen = set()
-        for p in moved:
-            if p in seen:
+        for ob in H.orbits():
+            if len(ob) == 1:
                 continue
-            seen |= set(orbit(H, p).points)
             nodes += 1
             if nodes > node_budget:
                 complete = False
                 return
-            chain.append(p)
-            dfs(G.pointwise_stabilizer(tuple(chain)), chain)
+            chain.append(ob[0])
+            dfs(H.stabilizer(ob[0]), chain)
             chain.pop()
 
     dfs(G, [])
@@ -307,53 +185,53 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     """Sizes of minimal bases (bases no proper subset of which is a base).
 
     Ascending-set DFS over *independent* sets: a set is independent when
-    deleting any member changes its pointwise stabilizer.  A point made
-    redundant once stays redundant in every superset, so only independent
-    sets extend to minimal bases, and an independent base is itself
-    minimal.  Conjugation preserves minimality, so the least point of the
-    set may be restricted to orbit minima.
+    deleting any member changes its pointwise stabilizer, that is, when
+    the stabilizer of the others moves it.  A point made redundant once
+    stays redundant in every superset, so only independent sets extend to
+    minimal bases, and an independent base is itself minimal.
+    Conjugation preserves minimality, so the least point of the set may
+    be restricted to orbit minima.
     """
     if G.degree > 10**3:
         raise IbisError("degree too large for minimal-base completeness")
-    eng = _engine_for(G)
-    if eng is None:
-        raise IbisError("minimal_base_sizes needs the element-table engine")
     sizes = set()
     nodes = 0
     complete = True
+    memo = {frozenset(): G}
 
-    def independent_with(points, rows_with_p):
+    def stab(points):
+        """G_(points), memoised on the point set."""
+        key = frozenset(points)
+        if key not in memo:
+            memo[key] = stab(points[:-1]).stabilizer(points[-1])
+        return memo[key]
+
+    def independent(points):
         """All earlier members still matter after the newest point joined."""
-        n = len(rows_with_p)
-        for i in range(len(points) - 1):
-            rest = points[:i] + points[i + 1:]
-            if eng.pointwise(rest)[0].shape[0] == n:
-                return False
-        return True
+        return all(not stab(points[:i] + points[i + 1:]).fixed_points()[points[i]]
+                   for i in range(len(points) - 1))
 
-    def dfs(rows, points, startpt):
+    def dfs(H, points, startpt):
         nonlocal nodes, complete
-        if len(rows) == 1:
+        if H.order() == 1:
             sizes.add(len(points))
             return
+        fixed = H.fixed_points()
         for p in range(startpt, G.degree):
-            sub = eng.stab(rows, p)
-            if len(sub) == len(rows):
+            if fixed[p]:
                 continue
             nodes += 1
             if nodes > node_budget:
                 complete = False
                 return
             cand = points + (p,)
-            if independent_with(cand, sub):
-                dfs(sub, cand, p + 1)
+            if independent(cand):
+                dfs(stab(cand), cand, p + 1)
 
-    first_points = [ob[0] for ob in G.orbits()] if G.degree else []
-    for p0 in first_points:
-        sub = eng.stab(eng.root, p0)
-        if len(sub) < len(eng.root):
+    for ob in G.orbits():
+        if len(ob) > 1:
             nodes += 1
-            dfs(sub, (p0,), p0 + 1)
+            dfs(stab((ob[0],)), (ob[0],), ob[0] + 1)
     if G.order() == 1:
         sizes = {0}
     return EnumerationResult(frozenset(sizes), complete, {}, nodes)
@@ -399,18 +277,12 @@ def decide_ibis(G, budget=DEFAULT_BUDGET, seed=0):
 
 
 def same_pointwise_stabilizer(G, seq_a, seq_b):
-    """Equality of the two pointwise stabilizers as subgroups (orders
-    compared, then generators sifted across)."""
-    eng = _engine_for(G)
-    if eng is not None:
-        rows_a, _ = eng.pointwise(seq_a)
-        rows_b, _ = eng.pointwise(seq_b)
-        return np.array_equal(rows_a, rows_b)
-    A = G.pointwise_stabilizer(tuple(seq_a))
-    B = G.pointwise_stabilizer(tuple(seq_b))
-    if A.order() != B.order():
-        return False
-    return all(B.is_member(g) for g in A.generators)
+    """Equality of the two pointwise stabilizers as subgroups: each is
+    G_(F) for its own fixed-point set F, so they agree iff their
+    fixed-point sets do."""
+    A = G.pointwise_stabilizer(seq_a)
+    B = G.pointwise_stabilizer(seq_b)
+    return bool(np.array_equal(A.fixed_points(), B.fixed_points()))
 
 
 def verify_witness_chain(G, chain_a, chain_b):

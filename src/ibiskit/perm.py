@@ -5,14 +5,18 @@ point images compose as q.images[p.images[i]].
 
 PermGroup keeps a base and strong generating set built by a
 deterministic Schreier-Sims pass.  A seeded random "rattle" warm-up
-shortens construction, but the chain is always finished by a
+shortens construction.  A chain is certified in one of two ways: by a
 deterministic closure in which every Schreier generator sifts to the
-identity, so the resulting order and membership tests are certified,
-not Monte Carlo.  Orders are exact big integers.
+identity, or by reaching an order already certified for the group,
+since the product of the basic orbit lengths never exceeds the true
+order.  Orders are exact big integers, never Monte Carlo.
 
-Small groups (order up to ELEMENT_CAP) can additionally materialize the
-full element table as a numpy matrix; the backtracking searches in the
-ibis module run on that representation.
+The second way makes point stabilizers cheap: H.stabilizer(p) rebuilds
+H's chain based at p with |H| as its target, and the stabilizer it
+returns carries its certified order.  The searches in the ibis module
+step from a stabilizer to the next this way, and name a pointwise
+stabilizer by its fixed points.  The full element table survives for
+small groups as an independent oracle.
 """
 
 from __future__ import annotations
@@ -81,9 +85,6 @@ class Permutation:
     def is_identity(self):
         return bool(np.array_equal(self.images, np.arange(self.degree)))
 
-    def moved_points(self):
-        return np.nonzero(self.images != np.arange(self.degree))[0]
-
     def cycles(self):
         seen = set()
         out = []
@@ -121,9 +122,6 @@ class Orbit:
         self.reps = reps        # point -> Permutation mapping start to point
         self.words = words      # point -> tuple of generator indices
 
-    def __contains__(self, pt):
-        return pt in self.reps
-
     def __len__(self):
         return len(self.points)
 
@@ -136,8 +134,7 @@ def orbit(G, pt):
     reps = {pt: Permutation.identity(G.degree)}
     words = {pt: ()}
     queue = [pt]
-    while queue:
-        p = queue.pop(0)
+    for p in queue:
         u = reps[p]
         for gi, g in enumerate(gens):
             r = int(g[p])
@@ -151,42 +148,69 @@ def orbit(G, pt):
 # -- stabilizer chain --------------------------------------------------------
 
 class _Level:
-    __slots__ = ("beta", "gens", "transversal", "inv_transversal")
+    """A base point, its strong generators and its basic orbit.  The orbit
+    is a Schreier vector; a transversal element and its inverse are
+    composed from it on first use."""
 
-    def __init__(self, beta):
+    __slots__ = ("beta", "gens", "images", "orbit", "_u", "_inv")
+
+    def __init__(self, beta, degree):
+        ident = np.arange(degree, dtype=np.int32)
         self.beta = beta
         self.gens = []            # raw int32 image arrays
-        self.transversal = {}     # point -> raw array u with u[beta] = point
-        self.inv_transversal = {} # point -> inverse of transversal[point]
+        self.images = []          # the same images as lists, for point lookups
+        self.orbit = {beta: None}  # point -> (previous point, generator index)
+        self._u = {beta: ident}    # point -> raw array u with u[beta] = point
+        self._inv = {beta: ident}  # point -> inverse of _u[point]
 
-    def rebuild(self, degree):
-        ident = np.arange(degree, dtype=np.int32)
-        self.transversal = {self.beta: ident}
-        self.inv_transversal = {self.beta: ident}
-        queue = [self.beta]
-        while queue:
-            p = queue.pop(0)
-            u = self.transversal[p]
-            for g in self.gens:
-                r = int(g[p])
-                if r not in self.transversal:
-                    w = g[u]
-                    self.transversal[r] = w
-                    inv = np.empty(degree, dtype=np.int32)
-                    inv[w] = ident
-                    self.inv_transversal[r] = inv
+    def add_generator(self, g):
+        """Append a generator and extend the orbit: points already in it
+        need only the new generator, points it reaches need all of them."""
+        k = len(self.gens)
+        self.gens.append(g)
+        self.images.append(g.tolist())
+        orbit = self.orbit
+        queue = []
+        for p in list(orbit):
+            r = self.images[k][p]
+            if r not in orbit:
+                orbit[r] = (p, k)
+                queue.append(r)
+        for p in queue:
+            for i, img in enumerate(self.images):
+                r = img[p]
+                if r not in orbit:
+                    orbit[r] = (p, i)
                     queue.append(r)
+
+    def transversal(self, p):
+        """The element u with u[beta] = p, along the Schreier vector."""
+        path = []
+        while p not in self._u:
+            path.append(p)
+            p = self.orbit[p][0]
+        u = self._u[p]
+        for q in reversed(path):
+            u = self.gens[self.orbit[q][1]][u]
+            self._u[q] = u
+        return u
+
+    def inverse(self, p):
+        inv = self._inv.get(p)
+        if inv is None:
+            u = self.transversal(p)
+            inv = self._inv[p] = np.empty_like(u)
+            inv[u] = np.arange(len(u), dtype=np.int32)
+        return inv
 
 
 class _Chain:
-    """A base and strong generating set with verified Schreier closure."""
+    """A base and strong generating set, certified by Schreier closure or
+    by reaching a known order."""
 
     def __init__(self, degree, gens, base_prefix=(), known_order=None, rattle=50):
         self.degree = degree
-        self.levels = []
-        for b in base_prefix:
-            self.levels.append(_Level(int(b)))
-            self.levels[-1].rebuild(degree)
+        self.levels = [_Level(int(b), degree) for b in base_prefix]
         self._target = known_order
         arrays = [np.asarray(g.images, dtype=np.int32) for g in gens]
         for a in arrays:
@@ -201,7 +225,7 @@ class _Chain:
     def order(self):
         n = 1
         for lvl in self.levels:
-            n *= len(lvl.transversal)
+            n *= len(lvl.orbit)
         return n
 
     def _target_reached(self):
@@ -213,7 +237,7 @@ class _Chain:
         """Order of the stabilizer of the first k base points, k = 0..len."""
         out = [1]
         for lvl in reversed(self.levels):
-            out.append(out[-1] * len(lvl.transversal))
+            out.append(out[-1] * len(lvl.orbit))
         return out[::-1]
 
     def base(self):
@@ -227,10 +251,9 @@ class _Chain:
             p = int(a[lvl.beta])
             if p == lvl.beta:
                 continue
-            inv = lvl.inv_transversal.get(p)
-            if inv is None:
+            if p not in lvl.orbit:
                 return a, idx
-            a = inv[a]
+            a = lvl.inverse(p)[a]
         return a, len(self.levels)
 
     def _insert(self, a, from_level):
@@ -241,13 +264,12 @@ class _Chain:
             return False
         if lev == len(self.levels):
             moved = np.nonzero(r != ident)[0]
-            self.levels.append(_Level(int(moved[0])))
+            self.levels.append(_Level(int(moved[0]), self.degree))
         # the residue fixes every base point above lev, so it is a valid
         # strong generator for every level in (from_level, lev]
         for j in range(from_level, lev + 1):
             if j < len(self.levels):
-                self.levels[j].gens.append(r)
-                self.levels[j].rebuild(self.degree)
+                self.levels[j].add_generator(r)
         return True
 
     def _rattle(self, arrays, count):
@@ -273,12 +295,11 @@ class _Chain:
             lvl = self.levels[i]
             changed = False
             seen = set()
-            for p in sorted(lvl.transversal):
-                u = lvl.transversal[p]
+            for p in sorted(lvl.orbit):
+                u = lvl.transversal(p)
                 for g in lvl.gens:
                     w = g[u]                       # u * g
-                    inv = lvl.inv_transversal[int(w[lvl.beta])]
-                    s = inv[w]                     # Schreier generator
+                    s = lvl.inverse(int(w[lvl.beta]))[w]   # Schreier generator
                     key = s.tobytes()
                     if key in seen:
                         continue
@@ -300,13 +321,6 @@ class _Chain:
     def sifts_to_identity(self, perm):
         r, _ = self._sift_raw(np.asarray(perm.images, dtype=np.int32))
         return bool(np.array_equal(r, np.arange(self.degree)))
-
-    def strong_generators(self):
-        seen = {}
-        for lvl in self.levels:
-            for g in lvl.gens:
-                seen[g.tobytes()] = g
-        return [Permutation(g, _trusted=True) for g in seen.values()]
 
     def level_generators(self, k):
         """Generators of the stabilizer of the first k base points."""
@@ -337,36 +351,33 @@ class PermGroup:
         self.generators = gens
         self.name = name
         self._chain = None
-        self._chain_cache = {}
+        self._order = None        # certified order, once known
         self._elements = None
 
     # -- chains ---------------------------------------------------------------
 
-    def chain(self, base_prefix=(), known_order=None):
-        key = tuple(base_prefix)
-        if key == () and self._chain is not None:
+    def chain(self, base_prefix=()):
+        """A verified chain whose base starts with base_prefix.
+
+        The chain with no prefix is kept.  A prefix chain is built afresh
+        with |G| as its target: reaching that order certifies it without
+        the closure pass.
+        """
+        key = tuple(int(b) for b in base_prefix)
+        if not key and self._chain is not None:
             return self._chain
-        if key in self._chain_cache:
-            return self._chain_cache[key]
         ch = _Chain(self.degree, self.generators, base_prefix=key,
-                    known_order=known_order)
+                    known_order=self.order() if key else self._order)
         if ch.order().bit_length() > ORDER_BITS_CAP:
             raise PermError("order exceeds the 2^512 cap")
-        if key == ():
+        if not key:
             self._chain = ch
-        if len(self._chain_cache) > 32:
-            self._chain_cache.clear()
-        self._chain_cache[key] = ch
         return ch
 
     def order(self):
-        if self._elements is not None:
-            return len(self._elements)
-        known = self._known_order if hasattr(self, "_known_order") else None
-        return self.chain(known_order=known).order()
-
-    def is_trivial(self):
-        return not self.generators
+        if self._order is None:
+            self._order = self.chain().order()
+        return self._order
 
     def is_member(self, g):
         if g.degree != self.degree:
@@ -376,39 +387,59 @@ class PermGroup:
     def base(self):
         return self.chain().base()
 
-    def strong_generators(self):
-        return self.chain().strong_generators()
-
     def orbits(self):
-        """All orbits, as sorted lists of points."""
-        seen = np.zeros(self.degree, dtype=bool)
+        """All orbits, as sorted lists of points, ordered by least point."""
+        gens = [g.images.tolist() for g in self.generators]
+        seen = [False] * self.degree
         out = []
         for p in range(self.degree):
-            if not seen[p]:
-                ob = orbit(self, p)
-                out.append(ob.points)
-                seen[ob.points] = True
+            if seen[p]:
+                continue
+            seen[p] = True
+            ob = [p]
+            for x in ob:
+                for g in gens:
+                    y = g[x]
+                    if not seen[y]:
+                        seen[y] = True
+                        ob.append(y)
+            out.append(sorted(ob))
         return out
 
+    def fixed_points(self):
+        """Mask of the points that every element fixes.
+
+        A pointwise stabilizer is determined by this mask, because
+        G_(S) = G_(fix(G_(S))).
+        """
+        ident = np.arange(self.degree, dtype=np.int32)
+        mask = np.ones(self.degree, dtype=bool)
+        for g in self.generators:
+            mask &= g.images == ident
+        return mask
+
     def stabilizer(self, pt):
-        return self.pointwise_stabilizer((pt,))
+        """The point stabilizer, read off a chain based at the point; its
+        order comes certified with it."""
+        pt = int(pt)
+        if not 0 <= pt < self.degree:
+            raise PermError("point out of range")
+        ch = self.chain(base_prefix=(pt,))
+        sub = PermGroup(self.degree, ch.level_generators(1))
+        sub._order = ch.suffix_orders()[1]
+        return sub
 
     def pointwise_stabilizer(self, points):
-        """The exact pointwise stabilizer, via a chain based at the points."""
-        pts = tuple(int(p) for p in points)
-        for p in pts:
-            if not 0 <= p < self.degree:
-                raise PermError("point out of range")
-        ch = self.chain(base_prefix=pts)
-        sub = PermGroup(self.degree, ch.level_generators(len(pts)))
-        sub._known_order = ch.suffix_orders()[len(pts)]
-        return sub
+        """The pointwise stabilizer, one point stabilizer at a time."""
+        H = self
+        for p in points:
+            H = H.stabilizer(p)
+        return H
 
     def chain_orders(self, points):
         """[|G|, |G_p1|, |G_p1,p2|, ...] along the given point sequence."""
         pts = tuple(int(p) for p in points)
-        ch = self.chain(base_prefix=pts)
-        return ch.suffix_orders()[: len(pts) + 1]
+        return self.chain(base_prefix=pts).suffix_orders()[: len(pts) + 1]
 
     # -- element table ----------------------------------------------------------
 
@@ -455,13 +486,10 @@ class PermGroup:
         ch = self.chain()
         g = np.arange(self.degree, dtype=np.int32)
         for lvl in reversed(ch.levels):
-            pts = sorted(lvl.transversal)
-            u = lvl.transversal[pts[rng.randrange(len(pts))]]
+            pts = sorted(lvl.orbit)
+            u = lvl.transversal(pts[rng.randrange(len(pts))])
             g = u[g]
         return Permutation(g, _trusted=True)
-
-    def conjugate_subgroup_member(self, g, h):
-        return h.inverse() * g * h
 
     def serialize(self):
         return {
@@ -474,28 +502,6 @@ class PermGroup:
     def __repr__(self):
         label = self.name or "PermGroup"
         return f"{label}(degree={self.degree}, gens={len(self.generators)})"
-
-
-def schreier_sims(G):
-    """Force construction of the verified BSGS; returns the group."""
-    G.chain()
-    return G
-
-
-def is_member(g, G):
-    return G.is_member(g)
-
-
-def order(G):
-    return G.order()
-
-
-def stabilizer(G, pt):
-    return G.stabilizer(pt)
-
-
-def pointwise_stabilizer(G, points):
-    return G.pointwise_stabilizer(points)
 
 
 def derived_subgroup(G):

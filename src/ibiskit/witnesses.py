@@ -237,7 +237,6 @@ def witness_nondegenerate_pair(d=4, q=3):
     w3 = _sub(dom, F.add(e1, F.mul(lam, e2)), F.add(f1, F.mul(lam, f2)))
     W1, W2, W3 = (dom.points[i] for i in (w1, w2, w3))
     checks = []
-    pg = form.gram
     perp = all(linalg.eval_form(form, a, b) == 0
                for a in W1.basis for b in W2.basis)
     _check(checks, "W1 and W2 are perpendicular", perp)
@@ -258,7 +257,7 @@ def witness_nondegenerate_pair(d=4, q=3):
     pg_perm = induce_permutation(g, dom)
     _check(checks, "g fixes W1 and W2 but moves W3",
            pg_perm[w1] == w1 and pg_perm[w2] == w2 and pg_perm[w3] != w3)
-    orders = ibis.chain_orders(G, (w1, w2, w3))
+    orders = G.chain_orders((w1, w2, w3))
     _check(checks, "G_{W1,W2} > G_{W1,W2,W3} (strict)",
            orders[2] > orders[3], detail=[str(n) for n in orders])
     _check(checks, "G_{W1,W2,W3} = G_{W1,W3}",
@@ -285,11 +284,11 @@ def witness_quadratic_forms(m=2, q=4):
     G = build_group_action(GroupSpec("Sp", 2 * m, q), plus)
     zero = plus.index_of(QuadFormPoint(np.zeros(d, dtype=int)))
     th = lambda dom, v: dom.index_of(QuadFormPoint(np.asarray(v, dtype=np.int64)))
-    orders = ibis.chain_orders(G, (zero, th(plus, e[1])))
+    orders = G.chain_orders((zero, th(plus, e[1])))
     _check(checks, "|G_theta0 ^ G_theta_e2| = 2(q-1)q^2",
            orders[2] == 2 * (q - 1) * q**2,
            detail={"got": str(orders[2]), "expected": 2 * (q - 1) * q**2})
-    orders3 = ibis.chain_orders(G, (zero, th(plus, e[1]), th(plus, e[0])))
+    orders3 = G.chain_orders((zero, th(plus, e[1]), th(plus, e[0])))
     _check(checks, "|G_theta0 ^ G_theta_e2 ^ G_theta_e1| = q",
            orders3[3] == q, detail={"got": str(orders3[3]), "expected": q})
     base4 = [zero, th(plus, e[1]), th(plus, e[0]), th(plus, lam * e[3])]
@@ -332,7 +331,7 @@ def witness_quadratic_forms(m=2, q=4):
     twisted = F.add(epsv, F.mul(one_plus_eps, e[2]))
     prefix = [i_eps, th(minus, F.add(epsv, e[1])), th(minus, F.add(epsv, e[3])),
               th(minus, twisted)]
-    orders_m = ibis.chain_orders(Gm, prefix)
+    orders_m = Gm.chain_orders(prefix)
     _check(checks, "the four-term minus chain has stabilizer of order 2",
            orders_m[-1] == 2, detail=[str(n) for n in orders_m])
     rep5m = extend_to_irredundant_base(Gm, prefix)
@@ -356,7 +355,7 @@ def witness_quadratic_forms(m=2, q=4):
 
 
 def _is_generator(F, c):
-    seen, x, n = set(), 1, 0
+    x, n = 1, 0
     while True:
         x = int(F.mul(x, c))
         n += 1

@@ -11,6 +11,7 @@ from ibiskit.actions import (
 )
 from ibiskit.gf import field_of_order
 from ibiskit.groups import GroupSpec
+from ibiskit.ibis import EnumerationResult
 from ibiskit.linalg import canonicalize, quadratic_minus, quadratic_plus, symplectic_form
 
 
@@ -102,3 +103,35 @@ def pair_point(dom, small_vectors, big_vectors):
 
 def form_point(dom, a):
     return dom.index_of(actions.QuadFormPoint(np.array(a)))
+
+
+def unpruned_enumeration(G, node_budget=2_000_000):
+    """Brute-force oracle for the pruned enumeration: irredundant base
+    lengths over the full element table, branching on every moved point
+    and memoised on the stabilizer's rows."""
+    table = G.elements()
+    ident = np.arange(G.degree)
+    memo = {}
+    nodes = 0
+    complete = True
+
+    def depths(rows):
+        nonlocal nodes, complete
+        if len(rows) == 1:
+            return frozenset([0])
+        key = rows.tobytes()
+        if key in memo:
+            return memo[key]
+        out = set()
+        moved = np.nonzero((table[rows] != ident).any(axis=0))[0]
+        for p in moved:
+            nodes += 1
+            if nodes > node_budget:
+                complete = False
+                break
+            out |= {d + 1 for d in depths(rows[table[rows, p] == p])}
+        memo[key] = frozenset(out)
+        return memo[key]
+
+    lengths = depths(np.arange(len(table)))
+    return EnumerationResult(lengths, complete, {}, nodes)

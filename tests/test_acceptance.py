@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from conftest import named_case
+from conftest import named_case, unpruned_enumeration
 
 from ibiskit import linalg
 from ibiskit.actions import (
@@ -259,8 +259,8 @@ def test_criterion_7_property_suite():
     for name in ALL_SMALL_DOMAINS:
         G, dom = named_case(name)
         assert dom.N <= 40
-        a = enumerate_irredundant_base_sizes(G, pruned=True)
-        b = enumerate_irredundant_base_sizes(G, pruned=False)
+        a = enumerate_irredundant_base_sizes(G)
+        b = unpruned_enumeration(G)
         assert a.complete and b.complete and a.lengths == b.lengths, name
     announce(7, t0, "property suite (orbit-stabilizer, sifting, reorder, "
                     "monotonicity, pruning oracle)")

@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from conftest import named_case, subspace_point
+from conftest import named_case, subspace_point, unpruned_enumeration
 
 from ibiskit.ibis import (
     IbisError, base_report, decide_ibis, e7_bound_check,
     enumerate_irredundant_base_sizes, extend_to_irredundant_base,
     find_random_irredundant_base, is_base, is_irredundant, minimal_base_sizes,
-    verify_witness_chain,
+    same_pointwise_stabilizer, verify_witness_chain,
 )
-from ibiskit.perm import PermGroup
+from ibiskit.perm import PermGroup, Permutation
 
 
 def test_is_base_empty_sequence():
@@ -133,6 +133,13 @@ def test_enumerate_gl42_two_subspaces():
     assert res.lengths == frozenset([4, 5]) and res.complete
 
 
+def test_enumerate_sp44_forms_complete():
+    # Sp4(4), of order 979200, on the 136 plus-type forms
+    G, _ = named_case("Sp4_4/omega_plus136")
+    res = enumerate_irredundant_base_sizes(G)
+    assert res.lengths == frozenset([4, 5]) and res.complete
+
+
 def test_enumerate_budget_exhaustion_flagged():
     G, _ = named_case("PSp4_3/proj40")
     res = enumerate_irredundant_base_sizes(G, node_budget=3)
@@ -145,8 +152,8 @@ def test_enumerate_budget_exhaustion_flagged():
 ])
 def test_pruned_vs_unpruned_agreement_small(name):
     G, _ = named_case(name)
-    a = enumerate_irredundant_base_sizes(G, pruned=True)
-    b = enumerate_irredundant_base_sizes(G, pruned=False)
+    a = enumerate_irredundant_base_sizes(G)
+    b = unpruned_enumeration(G)
     assert a.complete and b.complete
     assert a.lengths == b.lengths
 
@@ -193,6 +200,25 @@ def test_minimal_base_sizes_trivial_and_ibis():
     # minimal bases realize the same size
     G, _ = named_case("SL3_2/proj7")
     assert minimal_base_sizes(G).lengths == frozenset([3])
+
+
+def test_minimal_base_sizes_above_element_cap():
+    # Sym(9) on 9 points, of order 362880 > ELEMENT_CAP: its minimal bases
+    # are the 8-subsets of the points
+    G = PermGroup(9, [Permutation([1, 0, 2, 3, 4, 5, 6, 7, 8]),
+                      Permutation([1, 2, 3, 4, 5, 6, 7, 8, 0])])
+    assert G.order() == 362880
+    res = minimal_base_sizes(G)
+    assert res.lengths == frozenset([8]) and res.complete
+
+
+def test_same_pointwise_stabilizer_distinguishes_equal_orders():
+    # two point stabilizers of PSp4(3) on 40 points share the order 648
+    # but are different subgroups
+    G, _ = named_case("PSp4_3/proj40")
+    assert G.chain_orders((0,))[1] == G.chain_orders((1,))[1] == 648
+    assert not same_pointwise_stabilizer(G, (0,), (1,))
+    assert same_pointwise_stabilizer(G, (0, 1), (1, 0))
 
 
 def test_minimal_base_sizes_against_subset_oracle():
@@ -246,22 +272,30 @@ def test_sandwich_consistency_psp43():
     assert decide_ibis(G).status != "IBIS"
 
 
+def _table_chain_orders(G, seq):
+    rows = G.elements()
+    orders = [len(rows)]
+    for p in seq:
+        rows = rows[rows[:, p] == p]
+        orders.append(len(rows))
+    return orders
+
+
 def test_engines_agree_on_chain_orders():
-    # the element-table engine and the stabilizer-chain engine compute
-    # identical order chains for random point sequences, repeats included
+    # the stabilizer chain and the element table filtered point by point
+    # give identical order chains for random point sequences, repeats
+    # included
     rng = random.Random(21)
     for name in ("PSp4_3/proj40", "GL4_2/sub35", "Om6p2/ns28"):
         G, _ = named_case(name)
-        from ibiskit.ibis import _TableEngine
-        eng = _TableEngine(G)
         for _ in range(8):
             seq = rng.sample(range(G.degree), rng.randrange(1, 5))
-            assert eng.pointwise(seq)[1] == G.chain_orders(seq), (name, seq)
+            assert _table_chain_orders(G, seq) == G.chain_orders(seq), (name, seq)
         for _ in range(8):
             seq = [rng.randrange(G.degree) for _ in range(rng.randrange(2, 7))]
             if rng.random() < 0.7:
                 seq[rng.randrange(len(seq))] = seq[0]  # force a repeat
-            assert eng.pointwise(seq)[1] == G.chain_orders(seq), (name, seq)
+            assert _table_chain_orders(G, seq) == G.chain_orders(seq), (name, seq)
 
 
 def test_pointwise_stabilizer_generators_fix_points():
