@@ -17,12 +17,12 @@ import numpy as np
 
 from . import gf, linalg
 from .gf import trace_bit
-from .groups import GroupSpec, classical_generators, derived_subgroup_perm
+from .groups import GroupSpec, classical_generators
 from .linalg import (
     Subspace, canonicalize, eval_form, is_nondegenerate, is_totally_singular,
     quadratic_theta0, subspace_meet, subspace_sum, symplectic_form,
 )
-from .perm import PermGroup, Permutation
+from .perm import PermGroup, Permutation, derived_subgroup
 
 SIZE_CAP = 10**6
 
@@ -337,16 +337,26 @@ def induce_group(elements, dom, name=None):
 
 def build_group_action(spec, dom):
     """classical_generators -> induced permutation group, applying the
-    derived-subgroup flag at the permutation level."""
+    derived-subgroup flag at the permutation level.  The group's matrix
+    field and dimension must be the domain's."""
     if not isinstance(spec, GroupSpec):
         spec = GroupSpec.deserialize(spec)
+    F = spec.matrix_field()
+    if F != dom.field:
+        raise ActionError(f"group {spec.family}({spec.d},{spec.q}) has matrices "
+                          f"over {F!r} but the domain lives over {dom.field!r}")
+    d = dom.form.dim if dom.form is not None else dom.params["d"]
+    if spec.d != d:
+        raise ActionError(f"group {spec.family}({spec.d},{spec.q}) acts on "
+                          f"dimension {spec.d} but the domain's ambient "
+                          f"dimension is {d}")
     gens, _ = classical_generators(spec)
     name = f"{spec.family}({spec.d},{spec.q})"
     if spec.extensions:
         name += "." + "+".join(spec.extensions)
     G = induce_group(gens, dom, name=name)
     if spec.derived:
-        G = derived_subgroup_perm(G)
+        G = derived_subgroup(G)
         G.name = name + "'"
     return G
 
@@ -365,28 +375,39 @@ def theta_value(dom, pt, u):
 
 def build_domain(desc):
     """Build a domain from a JSON-style descriptor {kind, params...}."""
-    desc = dict(desc)
-    kind = desc.pop("kind")
-    desc.pop("N", None)
+    if not isinstance(desc, dict):
+        raise ActionError("action descriptor must be a JSON object")
+    if "kind" not in desc:
+        raise ActionError("action descriptor is missing 'kind'")
+    kind = desc["kind"]
+
+    def need(key):
+        if key not in desc:
+            raise ActionError(f"action descriptor {kind!r} is missing {key!r}")
+        if key != "form" and not isinstance(desc[key], int):
+            raise ActionError(f"action descriptor {kind!r} needs an integer {key!r}")
+        return desc[key]
+
     if kind == "projective_points":
-        return build_projective_points(desc["d"], desc["q"])
+        return build_projective_points(need("d"), need("q"))
     if kind == "subspaces_k":
-        return build_subspace_domain(desc["d"], desc["q"], desc["k"])
+        return build_subspace_domain(need("d"), need("q"), need("k"))
     if kind in ("totally_singular_k", "max_isotropic_family"):
-        form = _form_from_name(desc["form"], desc["d"], desc["q"])
-        return build_totally_singular(form, desc["k"], desc.get("family"))
+        form = _form_from_name(need("form"), need("d"), need("q"))
+        return build_totally_singular(form, need("k"), desc.get("family"))
     if kind == "nonsingular_1":
         form = _form_from_name(desc.get("form", desc.get("sign", "+")),
-                               desc["d"], desc["q"])
+                               need("d"), need("q"))
         return build_nonsingular_points(form)
     if kind in ("pair_complement", "pair_incident"):
-        return build_pair_domain(desc["d"], desc["q"], desc["k"], kind.split("_")[1])
+        return build_pair_domain(need("d"), need("q"), need("k"),
+                                 kind.split("_")[1])
     if kind in ("quad_forms_plus", "quad_forms_minus"):
-        return build_quad_forms_domain(desc["m"], desc["q"],
+        return build_quad_forms_domain(need("m"), need("q"),
                                        "+" if kind.endswith("plus") else "-")
     if kind == "nondegenerate_k":
-        form = _form_from_name(desc["form"], desc["d"], desc["q"])
-        return build_nondegenerate_domain(form, desc["k"])
+        form = _form_from_name(need("form"), need("d"), need("q"))
+        return build_nondegenerate_domain(form, need("k"))
     raise ActionError(f"unknown domain kind {kind!r}")
 
 

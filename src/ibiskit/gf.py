@@ -7,9 +7,13 @@ wire format for serialization.
 
 The modulus is the monic irreducible polynomial of degree f over GF(p)
 with the least integer encoding (irreducibility certified by trial
-division), so field construction is reproducible across runs.  Fields of
-size up to 2**16 get log/exp tables for multiplication; larger fields
-(allowed up to the 2**20 desk cap) fall back to polynomial arithmetic.
+division), so field construction is reproducible across runs.  Every
+field has one representation: q x q addition and multiplication tables
+and length-q negation and inversion vectors on codes, so each
+arithmetic operation is one lookup.  The addition table comes from the
+base-p digits of the codes; the multiplication table from the powers of
+a generator whose order q - 1 is certified.  SIZE_CAP bounds q so that
+each table stays within 8 MiB.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import functools
 
 import numpy as np
 
-SIZE_CAP = 2**20
-TABLE_CAP = 2**16
+SIZE_CAP = 2**10
 
 
 class GFError(ValueError):
@@ -98,15 +101,7 @@ def _is_irreducible(m, p):
         return True
     for deg in range(1, f // 2 + 1):
         for d in _monic_polys(deg, p):
-            # long division: m mod d
-            r = list(m)
-            while len(r) >= len(d):
-                lead = r[-1]
-                if lead:
-                    for i in range(len(d)):
-                        r[len(r) - len(d) + i] = (r[len(r) - len(d) + i] - lead * d[i]) % p
-                r.pop()
-            if not _poly_trim(r):
+            if not _poly_mod(m, d, p):
                 return False
     return True
 
@@ -129,8 +124,9 @@ class FiniteField:
         self.q = p**f
 
         self.modulus = self._least_irreducible()
-        self._build_tables()
         self.generator_code = self._find_generator()
+        self._build_tables()
+        self._frob_tables = None     # built on first use of frob
         self._embeddings = {}
 
     # -- construction ----------------------------------------------------
@@ -158,54 +154,40 @@ class FiniteField:
         return self._poly_to_code(
             _poly_mulmod(self._code_to_poly(a), self._code_to_poly(b), self.modulus, self.p))
 
-    def _build_tables(self):
-        p, q = self.p, self.q
-        if q > TABLE_CAP:
-            self._exp = self._log = None
-        else:
-            self._exp = np.zeros(2 * (q - 1), dtype=np.int64)
-            self._log = np.zeros(q, dtype=np.int64)
-        if p > 2 and q <= 1024:
-            a = np.arange(q)
-            digits_a = []
-            rest = a.copy()
-            for _ in range(self.f):
-                digits_a.append(rest % p)
-                rest //= p
-            add = np.zeros((q, q), dtype=np.int64)
-            for b in range(q):
-                db, rest = [], b
-                for _ in range(self.f):
-                    db.append(rest % p)
-                    rest //= p
-                acc = np.zeros(q, dtype=np.int64)
-                for i in reversed(range(self.f)):
-                    acc = acc * p + (digits_a[i] + db[i]) % p
-                add[:, b] = acc
-            self._add_table = add
-        else:
-            self._add_table = None
-        # frobenius tables built lazily after the generator is known
-        self._frob_tables = None
-
     def _find_generator(self):
         q = self.q
         rs = _prime_factors(q - 1)
         for g in range(1, q):
             if all(self._pow_code(g, (q - 1) // r) != 1 for r in rs):
-                gen = g
-                break
-        else:
-            raise GFError("no generator found")  # unreachable
-        if self._exp is not None:
-            x = 1
-            for k in range(q - 1):
-                self._exp[k] = x
-                self._log[x] = k
-                x = self._mul_code(x, gen)
-            assert x == 1, "generator order certification failed"
-            self._exp[q - 1:] = self._exp[: q - 1]
-        return gen
+                return g
+        raise GFError("no generator found")  # unreachable
+
+    def _build_tables(self):
+        p, q = self.p, self.q
+        codes = np.arange(q, dtype=np.int64)
+        self._add = np.zeros((q, q), dtype=np.int64)
+        self._neg = np.zeros(q, dtype=np.int64)
+        rest, place = codes, 1
+        for _ in range(self.f):
+            digit = rest % p
+            self._add += place * ((digit[:, None] + digit[None, :]) % p)
+            self._neg += place * (-digit % p)
+            rest, place = rest // p, place * p
+
+        # exp[k] = g^k for k in [0, q - 1); reaching 1 again only after
+        # q - 1 steps certifies the generator's order
+        exp = np.zeros(q - 1, dtype=np.int64)
+        x = 1
+        for k in range(q - 1):
+            exp[k] = x
+            x = self._mul_code(x, self.generator_code)
+        assert x == 1, "generator order certification failed"
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self._mul = np.zeros((q, q), dtype=np.int64)
+        self._mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+        self._inv = np.zeros(q, dtype=np.int64)
+        self._inv[exp] = exp[-np.arange(q - 1) % (q - 1)]
 
     def _pow_code(self, a, e):
         r, b = 1, a
@@ -219,55 +201,25 @@ class FiniteField:
     # -- vectorized arithmetic on integer-code arrays ---------------------
 
     def add(self, a, b):
-        a = np.asarray(a)
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        if self._add_table is not None:
-            return self._add_table[a, b]
-        p = self.p
-        out = np.zeros_like(a + b)
-        ra, rb, mult = a.copy(), np.asarray(b).copy(), 1
-        for _ in range(self.f):
-            out = out + mult * ((ra + rb) % p)
-            ra, rb, mult = ra // p, rb // p, mult * p
-        return out
+        return self._add[a, b]
 
     def neg(self, a):
-        a = np.asarray(a)
-        if self.p == 2:
-            return a
-        p = self.p
-        out = np.zeros_like(a)
-        ra, mult = a.copy(), 1
-        for _ in range(self.f):
-            out = out + mult * ((-ra) % p)
-            ra, mult = ra // p, mult * p
-        return out
+        return self._neg[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self._add[a, self._neg[b]]
 
     def mul(self, a, b):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if self._exp is not None:
-            out = self._exp[self._log[a] + self._log[b]]
-            return np.where((a == 0) | (b == 0), 0, out)
-        flat = np.broadcast(a, b)
-        out = np.fromiter((self._mul_code(x, y) for x, y in flat), dtype=np.int64,
-                          count=flat.size)
-        return out.reshape(np.broadcast_shapes(a.shape, b.shape))
+        return self._mul[a, b]
 
     def inv(self, a):
-        a = np.asarray(a)
-        if np.any(a == 0):
+        out = self._inv[a]
+        if not np.all(out):
             raise ZeroDivisionError("division by zero in GF")
-        if self._exp is not None:
-            return self._exp[(self.q - 1) - self._log[a]]
-        return self.power(a, self.q - 2)
+        return out
 
     def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        return self._mul[a, self.inv(b)]
 
     def power(self, a, e):
         a = np.asarray(a)
@@ -429,14 +381,6 @@ def field_of_order(q):
                 f += 1
             return make_field(p, f)
     raise GFError(f"{q} is not a prime power")
-
-
-def arith(x, y, kind):
-    """Dispatch form of element arithmetic: kind in {add, sub, mul, div}."""
-    ops = {"add": x.__add__, "sub": x.__sub__, "mul": x.__mul__, "div": x.__truediv__}
-    if kind not in ops:
-        raise GFError(f"unknown arithmetic kind {kind!r}")
-    return ops[kind](y)
 
 
 def frobenius(x, k):

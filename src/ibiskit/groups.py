@@ -28,7 +28,7 @@ from .linalg import (
     canonicalize, complement_dual, hermitian_form, inverse, mat_mul,
     quadratic_minus, quadratic_plus, symplectic_form,
 )
-from .perm import PermGroup, Permutation, derived_subgroup
+from .perm import PermGroup, Permutation
 
 
 class GroupError(ValueError):
@@ -72,6 +72,14 @@ class GroupSpec:
 
     @classmethod
     def deserialize(cls, data):
+        if not isinstance(data, dict):
+            raise GroupError("group descriptor must be a JSON object")
+        for key in ("family", "d", "q"):
+            if key not in data:
+                raise GroupError(f"group descriptor is missing {key!r}")
+        for key in ("d", "q"):
+            if not isinstance(data[key], int):
+                raise GroupError(f"group descriptor needs an integer {key!r}")
         return cls(data["family"], data["d"], data["q"],
                    tuple(data.get("extensions", ())), data.get("derived", False))
 
@@ -534,7 +542,3 @@ def certified_order(spec):
             f"{spec.family}({spec.d},{spec.q}) order {n} != formula {expect}")
     return n
 
-
-def derived_subgroup_perm(G):
-    """Derived subgroup at the permutation level (e.g. Sp4(2)')."""
-    return derived_subgroup(G)

@@ -9,11 +9,7 @@ subspaces is equality of their canonical bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from . import gf
 
 
 class LinalgError(ValueError):
@@ -128,36 +124,6 @@ def det(F, A):
             if R[j, c]:
                 R[j] = F.sub(R[j], F.mul(F.mul(R[j, c], inv), R[c]))
     return d
-
-
-@dataclass(frozen=True)
-class MatrixGF:
-    """A matrix over a finite field; entries are integer codes."""
-
-    field: gf.FiniteField
-    entries: tuple
-
-    @classmethod
-    def from_array(cls, field, arr):
-        arr = np.asarray(arr, dtype=np.int64)
-        return cls(field, tuple(map(tuple, arr.tolist())))
-
-    @property
-    def array(self):
-        return np.array(self.entries, dtype=np.int64)
-
-    @property
-    def rows(self):
-        return len(self.entries)
-
-    @property
-    def cols(self):
-        return len(self.entries[0]) if self.entries else 0
-
-    def __mul__(self, other):
-        if self.field != other.field:
-            raise LinalgError("fields differ")
-        return MatrixGF.from_array(self.field, mat_mul(self.field, self.array, other.array))
 
 
 # -- subspaces -------------------------------------------------------------

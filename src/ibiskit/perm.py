@@ -114,37 +114,6 @@ class Permutation:
         return "Perm(id)" if not cyc else "Perm" + "".join(str(c) for c in cyc)
 
 
-class Orbit:
-    """An orbit with Schreier transversal reps and recoverable words."""
-
-    def __init__(self, points, reps, words):
-        self.points = points    # sorted list of ints
-        self.reps = reps        # point -> Permutation mapping start to point
-        self.words = words      # point -> tuple of generator indices
-
-    def __len__(self):
-        return len(self.points)
-
-
-def orbit(G, pt):
-    """Orbit of a point under the group, with a Schreier vector."""
-    if pt >= G.degree:
-        raise PermError("point out of range")
-    gens = [g.images for g in G.generators]
-    reps = {pt: Permutation.identity(G.degree)}
-    words = {pt: ()}
-    queue = [pt]
-    for p in queue:
-        u = reps[p]
-        for gi, g in enumerate(gens):
-            r = int(g[p])
-            if r not in reps:
-                reps[r] = Permutation(g[u.images], _trusted=True)
-                words[r] = words[p] + (gi,)
-                queue.append(r)
-    return Orbit(sorted(reps), reps, words)
-
-
 # -- stabilizer chain --------------------------------------------------------
 
 class _Level:
@@ -476,20 +445,6 @@ class PermGroup:
         table.setflags(write=False)
         self._elements = table
         return table
-
-    def random_element(self, rng):
-        """A uniform random element drawn through the stabilizer chain.
-
-        Every element factors uniquely as u_k * ... * u_0 with u_i in the
-        level-i transversal, deepest level applied first.
-        """
-        ch = self.chain()
-        g = np.arange(self.degree, dtype=np.int32)
-        for lvl in reversed(ch.levels):
-            pts = sorted(lvl.orbit)
-            u = lvl.transversal(pts[rng.randrange(len(pts))])
-            g = u[g]
-        return Permutation(g, _trusted=True)
 
     def serialize(self):
         return {

@@ -164,3 +164,33 @@ def test_reports_byte_identical(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("group,action,message", [
+    ('{"family":"SL"}', '{"kind":"projective_points","d":2,"q":2}',
+     "missing 'd'"),
+    ('{"family":"SL","d":2,"q":2}', '{"kind":"projective_points","d":2}',
+     "missing 'q'"),
+    ('{"family":"SL","d":2,"q":2}', '{"kind":"projective_points","d":2,"q":4}',
+     "over GF(2) but the domain lives over GF(2^2)"),
+    ('{"family":"SL","d":3,"q":3}', '{"kind":"projective_points","d":3,"q":2}',
+     "over GF(3) but the domain lives over GF(2)"),
+    ('{"family":"SL","d":3,"q":2}', '{"kind":"projective_points","d":2,"q":2}',
+     "dimension 3 but the domain's ambient dimension is 2"),
+    ('{"family":"SL","d":"3","q":2}', '{"kind":"projective_points","d":3,"q":2}',
+     "needs an integer 'd'"),
+    ('{"family":"SL","d":3,"q":2}', '{"kind":"projective_points","d":3,"q":2.0}',
+     "needs an integer 'q'"),
+    ('{"family":"SL","d":2,"q":2048}',
+     '{"kind":"projective_points","d":2,"q":2048}',
+     "field size 2^11 exceeds cap 1024"),
+])
+def test_bad_descriptor_one_line_error(capsys, group, action, message):
+    code = main(["analyze", "--group", group, "--action", action,
+                 "--task", "order"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ibiskit.gf import (
-    GFError, arith, field_of_order, find_special_alpha, frobenius, make_field,
+    GFError, field_of_order, find_special_alpha, frobenius, make_field,
     sqrt_char2, trace, trace_bit,
 )
 
@@ -44,7 +44,6 @@ def test_arith_gf4():
     F = make_field(2, 2)
     a = F.element(2)  # the class of x
     assert (a * a).code == 3  # x^2 = x + 1 mod x^2+x+1
-    assert arith(a, a, "mul").code == 3
 
 
 def test_arith_gf2_add():
@@ -63,11 +62,9 @@ def test_arith_div_identity_gf9():
 def test_arith_errors():
     F, K = make_field(2, 2), make_field(3, 1)
     with pytest.raises(GFError):
-        arith(F.one(), K.one(), "add")
+        F.one() + K.one()
     with pytest.raises(ZeroDivisionError):
-        arith(F.one(), F.zero(), "div")
-    with pytest.raises(GFError):
-        arith(F.one(), F.one(), "xor")
+        F.one() / F.zero()
 
 
 def test_frobenius_gf4():
@@ -246,3 +243,77 @@ def test_vectorized_ops_match_elementwise():
             assert int(F.mul(a, b)[i]) == (x * y).code
             assert int(F.sub(a, b)[i]) == (x - y).code
             assert int(F.div(a, b)[i]) == (x / y).code
+
+
+# -- the arithmetic tables against an independent polynomial oracle -----------
+
+# every field size up to 81, the largest the rest of the suite builds
+TIER1_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+            37, 41, 43, 47, 49, 53, 59, 61, 64, 67, 71, 73, 79, 81]
+
+
+def _poly(F, code):
+    """A code as a sympy galoistools polynomial: coefficients, leading first."""
+    digits = []
+    for _ in range(F.f):
+        digits.append(code % F.p)
+        code //= F.p
+    return list(reversed(digits))
+
+
+def _oracle_mul(F, a, b):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_mul, gf_rem
+    m = list(reversed(F.modulus))
+    r = gf_rem(gf_mul(_poly(F, a), _poly(F, b), F.p, ZZ), m, F.p, ZZ)
+    code = 0
+    for c in r:
+        code = code * F.p + int(c)
+    return code
+
+
+@pytest.mark.parametrize("q", TIER1_QS)
+def test_mul_matches_polynomial_oracle_all_pairs(q):
+    pytest.importorskip("sympy")
+    import numpy as np
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+    F = field_of_order(q)
+    assert gf_irreducible_p(list(reversed(F.modulus)), F.p, ZZ)
+    a, b = np.divmod(np.arange(q * q), q)
+    expect = [_oracle_mul(F, int(x), int(y)) for x, y in zip(a, b)]
+    assert F.mul(a, b).tolist() == expect
+
+
+@pytest.mark.parametrize("p,f", [(3, 6), (31, 2), (2, 10)])
+def test_mul_matches_polynomial_oracle_sampled(p, f):
+    pytest.importorskip("sympy")
+    import numpy as np
+    F = make_field(p, f)
+    rng = np.random.default_rng(p * 100 + f)
+    a = rng.integers(0, F.q, 3000)
+    b = rng.integers(0, F.q, 3000)
+    expect = [_oracle_mul(F, int(x), int(y)) for x, y in zip(a, b)]
+    assert F.mul(a, b).tolist() == expect
+
+
+@pytest.mark.parametrize("q", TIER1_QS + [729, 961, 1024])
+def test_field_axioms_on_tables(q):
+    import numpy as np
+    F = field_of_order(q)
+    a = np.arange(q)
+    assert not F.add(a, F.neg(a)).any()
+    assert (F.mul(a[1:], F.inv(a[1:])) == 1).all()
+    assert (F.sub(F.add(a, q - 1), q - 1) == a).all()
+    if q <= 81:
+        x, y, z = (t.ravel() for t in np.meshgrid(a, a, a, indexing="ij"))
+    else:
+        rng = np.random.default_rng(q)
+        x, y, z = (rng.integers(0, q, 20000) for _ in range(3))
+    assert (F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))).all()
+
+
+def test_size_cap_is_the_table_cap():
+    assert make_field(2, 10).q == 1024
+    with pytest.raises(GFError, match="exceeds cap 1024"):
+        make_field(2, 11)

@@ -7,10 +7,11 @@ from ibiskit import linalg
 from ibiskit.gf import field_of_order, make_field
 from ibiskit.groups import (
     GroupError, GroupSpec, certified_order, classical_generators,
-    derived_subgroup_perm, induced_on_nonzero_vectors, matrix_group_order,
+    induced_on_nonzero_vectors, matrix_group_order,
     outer_element, preserves_form, transvection_symplectic,
 )
 from ibiskit.linalg import eval_form, symplectic_form
+from ibiskit.perm import derived_subgroup
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -97,13 +98,13 @@ def test_transvection_rejects_zero_and_odd_char():
 def test_derived_subgroup_sp42():
     G = induced_on_nonzero_vectors(GroupSpec("Sp", 4, 2))
     assert G.order() == 720
-    D = derived_subgroup_perm(G)
+    D = derived_subgroup(G)
     assert D.order() == 360
 
 
 def test_derived_subgroup_perfect_sl32():
     G = induced_on_nonzero_vectors(GroupSpec("SL", 3, 2))
-    assert derived_subgroup_perm(G).order() == 168
+    assert derived_subgroup(G).order() == 168
 
 
 def test_semilinear_composition_associative():

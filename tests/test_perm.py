@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ibiskit.perm import (
-    PermError, PermGroup, Permutation, derived_subgroup, orbit,
+    PermError, PermGroup, Permutation, derived_subgroup,
 )
 
 
@@ -43,21 +43,11 @@ def test_composition_order():
 
 def test_orbit_trivial_group():
     G = PermGroup(5, [])
-    assert orbit(G, 3).points == [3]
+    assert G.orbits() == [[0], [1], [2], [3], [4]]
 
 
 def test_orbit_transitive_and_words():
-    G = sym(6)
-    ob = orbit(G, 0)
-    assert ob.points == list(range(6))
-    for pt in ob.points:
-        rep = ob.reps[pt]
-        assert rep[0] == pt
-        # words rebuild the representative
-        acc = Permutation.identity(6)
-        for gi in ob.words[pt]:
-            acc = acc * G.generators[gi]
-        assert acc == rep
+    assert sym(6).orbits() == [list(range(6))]
 
 
 def test_symmetric_group_order():
@@ -79,7 +69,8 @@ def test_orbit_stabilizer_identity():
     for G in (sym(6), cyclic(8), derived_subgroup(sym(5))):
         for _ in range(3):
             pt = rng.randrange(G.degree)
-            assert G.order() == len(orbit(G, pt)) * G.stabilizer(pt).order()
+            orbit = next(o for o in G.orbits() if pt in o)
+            assert G.order() == len(orbit) * G.stabilizer(pt).order()
 
 
 def test_regular_action_trivial_stabilizer():
@@ -141,13 +132,6 @@ def test_element_table_cap():
     G = sym(9)
     with pytest.raises(PermError):
         G.elements(cap=1000)
-
-
-def test_random_element_uniform_support():
-    G = sym(4)
-    rng = random.Random(0)
-    seen = {G.random_element(rng)._bytes for _ in range(400)}
-    assert len(seen) == 24
 
 
 def test_serialize_roundtrip():
@@ -224,4 +208,4 @@ def test_mathieu_style_bigger_group():
     # fallback: just check a transitive subgroup's orbit-stabilizer identity
     G = PermGroup(10, [a, perm_from_cycles(10, (0, 9))])
     n = G.order()
-    assert n == len(orbit(G, 0)) * G.stabilizer(0).order()
+    assert n == len(G.orbits()[0]) * G.stabilizer(0).order()
