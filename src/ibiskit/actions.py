@@ -6,7 +6,9 @@ pairs of subspaces, or quadratic-form parameter vectors), sorted by
 their canonical byte keys so indices are deterministic; point labels are
 still representation-dependent and never asserted across builds with a
 different field or form convention.  Construction re-checks the defining
-predicate of every point.
+predicate of every candidate: the candidates of a subspace domain are one
+stack of RREF bases, the predicate is a mask over the whole stack, and
+only the rows that pass become point objects.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import gf, linalg
 from .gf import trace_bit
 from .groups import GroupSpec, classical_generators
 from .linalg import (
-    Subspace, canonicalize, eval_form, is_nondegenerate, is_totally_singular,
+    Subspace, eval_form, is_nondegenerate, is_totally_singular,
     quadratic_theta0, subspace_meet, subspace_sum, symplectic_form,
 )
 from .perm import PermGroup, Permutation, derived_subgroup
@@ -102,23 +104,29 @@ class ActionDomain:
 # -- subspace enumeration -----------------------------------------------------
 
 def enumerate_subspaces(F, d, k):
-    """All k-dimensional subspaces of GF(q)^d, directly in RREF form."""
-    if k == 0:
-        return [canonicalize(F, d, [])]
-    out = []
+    """All k-dimensional subspaces of GF(q)^d as one (n, k, d) stack of
+    RREF bases: pivot patterns in lexicographic order, and within one the
+    free entries (row by row, left to right) are the base-q digits of a
+    counter, least significant first."""
+    q = F.q
+    out = np.zeros((gaussian_binomial(d, k, q), k, d), dtype=np.int64)
+    at = 0
     for pivots in itertools.combinations(range(d), k):
         free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, d)
                 if c not in pivots]
-        for code in range(F.q ** len(free)):
-            M = np.zeros((k, d), dtype=np.int64)
-            for r, c in enumerate(pivots):
-                M[r, c] = 1
-            rest = code
-            for (r, c) in free:
-                M[r, c] = rest % F.q
-                rest //= F.q
-            out.append(Subspace(F, d, M, pivots))
+        block = out[at:at + q ** len(free)]
+        block[:, range(k), pivots] = 1
+        codes = np.arange(len(block))
+        for j, (r, c) in enumerate(free):
+            block[:, r, c] = codes // q**j % q
+        at += len(block)
     return out
+
+
+def _subspaces(F, d, stack):
+    """The Subspace points of the rows of an RREF stack."""
+    pivots = (stack != 0).argmax(axis=2).tolist()
+    return [Subspace(F, d, B, p) for B, p in zip(stack, pivots)]
 
 
 def gaussian_binomial(d, k, q):
@@ -139,7 +147,7 @@ def build_projective_points(d, q):
     if n > SIZE_CAP:
         raise ActionError("size cap exceeded")
     F = gf.field_of_order(q)
-    pts = enumerate_subspaces(F, d, 1)
+    pts = _subspaces(F, d, enumerate_subspaces(F, d, 1))
     assert len(pts) == n
     return ActionDomain("projective_points", pts, F, {"d": d, "q": q})
 
@@ -150,7 +158,7 @@ def build_subspace_domain(d, q, k):
     n = gaussian_binomial(d, k, q)
     if n > SIZE_CAP:
         raise ActionError("size cap exceeded")
-    pts = enumerate_subspaces(F, d, k)
+    pts = _subspaces(F, d, enumerate_subspaces(F, d, k))
     assert len(pts) == n
     return ActionDomain("subspaces_k", pts, F, {"d": d, "q": q, "k": k})
 
@@ -185,7 +193,8 @@ def build_totally_singular(form, k, family=None):
         raise ActionError("family split only for maximal t.s. subspaces, plus type")
     if gaussian_binomial(d, k, F.q) > SIZE_CAP:
         raise ActionError("size cap exceeded")
-    pts = [W for W in enumerate_subspaces(F, d, k) if is_totally_singular(form, W)]
+    S = enumerate_subspaces(F, d, k)
+    pts = _subspaces(F, d, S[is_totally_singular(form, S)])
     params = {"d": d, "q": F.q, "k": k, "form": form.kind}
     if family is None:
         return ActionDomain("totally_singular_k", pts, F, params, form=form)
@@ -207,8 +216,8 @@ def build_nonsingular_points(form):
         raise ActionError("non-singular 1-subspaces arise as a subspace action "
                           "only in even characteristic")
     d = form.dim
-    pts = [W for W in enumerate_subspaces(F, d, 1)
-           if eval_form(form, W.basis[0]) != 0]
+    S = enumerate_subspaces(F, d, 1)
+    pts = _subspaces(F, d, S[linalg.eval_quadratic_batch(form, S[:, 0]) != 0])
     params = {"d": d, "q": F.q, "witt_defect": form.meta.get("witt_defect")}
     if "mu" in form.meta:
         params["mu"] = int(form.meta["mu"])   # elliptic-form parameter choice
@@ -224,8 +233,8 @@ def build_pair_domain(d, q, k, mode):
     if not 1 <= k < d / 2:
         raise ActionError("pair domains need 1 <= k < d/2")
     F = gf.field_of_order(q)
-    small = enumerate_subspaces(F, d, k)
-    big = enumerate_subspaces(F, d, d - k)
+    small = _subspaces(F, d, enumerate_subspaces(F, d, k))
+    big = _subspaces(F, d, enumerate_subspaces(F, d, d - k))
     pts = []
     for W in small:
         for U in big:
@@ -278,7 +287,8 @@ def build_nondegenerate_domain(form, k):
     d = form.dim
     if gaussian_binomial(d, k, F.q) > SIZE_CAP:
         raise ActionError("size cap exceeded")
-    pts = [W for W in enumerate_subspaces(F, d, k) if is_nondegenerate(form, W)]
+    S = enumerate_subspaces(F, d, k)
+    pts = _subspaces(F, d, S[is_nondegenerate(form, S)])
     return ActionDomain("nondegenerate_k", pts, F,
                         {"d": d, "q": F.q, "k": k, "form": form.kind}, form=form)
 

@@ -76,6 +76,8 @@ def _build_job(args):
     if getattr(args, "jobfile", None):
         with open(args.jobfile) as fh:
             job = json.load(fh)
+        if not isinstance(job, dict):
+            raise CliError(f"jobfile {args.jobfile} must hold a JSON object")
     for key in ("group", "action"):
         inline = getattr(args, key, None)
         if inline:

@@ -104,10 +104,6 @@ class SemilinearElement:
         self.dual = bool(dual)
         self._key = (matrix.tobytes(), self.frob_power, self.dual)
 
-    @classmethod
-    def from_matrix(cls, field, matrix):
-        return cls(field, matrix)
-
     @property
     def d(self):
         return self.matrix.shape[0]
@@ -160,10 +156,6 @@ class SemilinearElement:
         tag = f",frob^{self.frob_power}" if self.frob_power else ""
         tag += ",dual" if self.dual else ""
         return f"Semilinear({self.d}x{self.d} over {self.field!r}{tag})"
-
-
-def _identity_element(F, d):
-    return SemilinearElement(F, linalg.identity(F, d), _trusted=True)
 
 
 # -- form preservation checks ---------------------------------------------

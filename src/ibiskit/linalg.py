@@ -1,6 +1,7 @@
-"""Matrices and canonical subspaces over GF(q), form evaluation, the 4x4
-Pfaffian and the Klein map from lines of PG(3,q) to points of the
-Pfaffian quadric.
+"""Matrices and canonical subspaces over GF(q), form evaluation, the
+totally-singular and non-degenerate subspace predicates as masks over
+stacks of bases, the 4x4 Pfaffian and the Klein map from lines of
+PG(3,q) to points of the Pfaffian quadric.
 
 Vectors and matrices carry integer field codes (see gf) in numpy arrays.
 Subspaces are canonicalized to reduced row echelon form, so equality of
@@ -21,12 +22,7 @@ class LinalgError(ValueError):
 def all_row_vectors(F, d):
     """All q^d row vectors over F, ordered by radix-q code (coordinate 0
     least significant)."""
-    codes = np.arange(F.q**d, dtype=np.int64)
-    cols = []
-    for _ in range(d):
-        cols.append(codes % F.q)
-        codes = codes // F.q
-    return np.stack(cols, axis=1)
+    return np.arange(F.q**d, dtype=np.int64)[:, None] // F.q ** np.arange(d) % F.q
 
 
 def mat_mul(F, A, B):
@@ -162,22 +158,6 @@ class Subspace:
     def contains(self, other):
         return all(self.contains_vector(row) for row in other.basis)
 
-    def vectors(self):
-        """All vectors of the subspace (desk scale only)."""
-        F = self.field
-        k = self.dim
-        out = []
-        for code in range(F.q ** k):
-            coeffs, rest = [], code
-            for _ in range(k):
-                coeffs.append(rest % F.q)
-                rest //= F.q
-            v = np.zeros(self.ambient_dim, dtype=np.int64)
-            for c, row in zip(coeffs, self.basis):
-                v = F.add(v, F.mul(c, row))
-            out.append(v)
-        return out
-
     def serialize(self):
         return [list(map(int, row)) for row in self.basis]
 
@@ -301,82 +281,97 @@ def eval_form(form, u, v=None):
     return int(mat_mul(F, mat_mul(F, u[None, :], form.gram), v[:, None])[0, 0])
 
 
-def polarize(form, u, v):
-    """The bilinear form theta(u+v) - theta(u) - theta(v) of a quadratic
-    form, evaluated directly from the polar Gram matrix."""
-    F = form.field
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    return int(mat_mul(F, mat_mul(F, u[None, :], form.polar_gram()), v[:, None])[0, 0])
-
-
 def eval_quadratic_batch(form, U):
-    """Quadratic values on the rows of U, vectorized over nonzero Gram entries."""
+    """Quadratic values on the rows of U (the last axis), vectorized over
+    nonzero Gram entries."""
     F = form.field
     U = np.asarray(U, dtype=np.int64)
-    out = np.zeros(U.shape[0], dtype=np.int64)
+    out = np.zeros(U.shape[:-1], dtype=np.int64)
     for i, j in zip(*np.nonzero(form.gram)):
-        out = F.add(out, F.mul(int(form.gram[i, j]), F.mul(U[:, i], U[:, j])))
+        out = F.add(out, F.mul(int(form.gram[i, j]), F.mul(U[..., i], U[..., j])))
     return out
 
 
 def eval_bilinear_batch(form, U, V):
-    """Pairwise form(U[k], V[k]) on matching rows, vectorized."""
+    """Pairwise form(U[k], V[k]) on matching rows (the last axis), vectorized;
+    the polar form for a quadratic form."""
     F = form.field
     U = np.asarray(U, dtype=np.int64)
     V = np.asarray(V, dtype=np.int64)
     gram = form.polar_gram() if form.kind == "quadratic" else form.gram
     if form.kind == "hermitian":
         V = form.conj(V)
-    out = np.zeros(U.shape[0], dtype=np.int64)
+    out = np.zeros(U.shape[:-1], dtype=np.int64)
     for i, j in zip(*np.nonzero(gram)):
-        out = F.add(out, F.mul(int(gram[i, j]), F.mul(U[:, i], V[:, j])))
+        out = F.add(out, F.mul(int(gram[i, j]), F.mul(U[..., i], V[..., j])))
     return out
 
 
-def is_totally_singular(form, W):
-    """True iff the form vanishes identically on W (for quadratic forms:
-    on every vector, which reduces to basis values plus polarizations)."""
+# -- subspace predicates: boolean masks over a stack S of bases (n, k, d) ----
+
+# The masks run over row blocks of S, each temporary array holding about
+# this many codes (8 MiB of int64), so memory stays bounded for any n and q.
+BLOCK_CODES = 1 << 20
+
+
+def _by_blocks(S, width, mask):
+    """mask over row blocks of S, width codes of the largest temporary per row."""
+    out = np.empty(len(S), dtype=bool)
+    step = max(1, BLOCK_CODES // width)
+    for a in range(0, len(S), step):
+        out[a:a + step] = mask(S[a:a + step])
+    return out
+
+
+def is_totally_singular(form, S):
+    """True where the form vanishes on the row space of S[i]: for quadratic
+    forms Q on each basis row and the polar form on each pair of rows,
+    otherwise the form on every ordered pair of rows."""
+    S = np.asarray(S, dtype=np.int64)
+    _, k, d = S.shape
+    quadratic = form.kind == "quadratic"
+    i, j = np.triu_indices(k, 1) if quadratic else np.indices((k, k)).reshape(2, -1)
+
+    def mask(B):
+        ok = ~eval_bilinear_batch(form, B[:, i], B[:, j]).any(axis=1)
+        if quadratic:
+            ok &= ~eval_quadratic_batch(form, B).any(axis=1)
+        return ok
+    return _by_blocks(S, k * k * d, mask)
+
+
+def is_nondegenerate(form, S):
+    """True where the row space of S[i] has zero radical.  With M the
+    restricted (polar) Gram of the basis B = S[i], it is degenerate iff
+    c.M = 0 for some nonzero c in GF(q)^k; for a quadratic form c.B must
+    also be singular (in characteristic 2 the polar radical may hold
+    non-singular vectors).  Both conditions are invariant under scaling c,
+    so C holds one c per point of PG(k-1, q): the base-q digits of the
+    codes whose top nonzero digit is 1."""
     F = form.field
-    rows = list(W.basis)
-    if form.kind == "quadratic":
-        if any(eval_form(form, r) != 0 for r in rows):
-            return False
-        return all(polarize(form, rows[i], rows[j]) == 0
-                   for i in range(len(rows)) for j in range(i + 1, len(rows)))
-    return all(eval_form(form, rows[i], rows[j]) == 0
-               for i in range(len(rows)) for j in range(len(rows)))
+    S = np.asarray(S, dtype=np.int64)
+    _, k, d = S.shape
+    i, j = np.indices((k, k)).reshape(2, -1)
+    codes = np.array([c for e in range(k) for c in range(F.q**e, 2 * F.q**e)],
+                     dtype=np.int64)
+    C = codes[:, None] // F.q ** np.arange(k) % F.q
+
+    def mask(B):
+        M = eval_bilinear_batch(form, B[:, i], B[:, j]).reshape(len(B), k, k)
+        radical = ~_combine(F, C, M).any(axis=2)
+        if form.kind == "quadratic":
+            radical &= eval_quadratic_batch(form, _combine(F, C, B)) == 0
+        return ~radical.any(axis=1)
+    return _by_blocks(S, len(C) * d, mask)
 
 
-def radical(form, W):
-    """The radical of the restriction of the (polar) form to W."""
-    F = form.field
-    if W.dim == 0:
-        return W
-    gram = form.polar_gram() if form.kind == "quadratic" else form.gram
-    B = W.basis
-    right = B.T if form.kind != "hermitian" else form.conj(B.T)
-    M = mat_mul(F, mat_mul(F, B, gram), right)   # k x k restricted gram
-    ker = kernel(F, M.T)                         # rows x with x.M = 0
-    vecs = [mat_vec(F, co, B) for co in ker]
-    return canonicalize(F, W.ambient_dim, vecs)
-
-
-def is_nondegenerate(form, W):
-    """Zero radical; for quadratic forms in characteristic 2, vectors of
-    the polar radical with zero form value also count as degeneracy."""
-    rad = radical(form, W)
-    if rad.dim == 0:
-        return True
-    if form.kind == "quadratic":
-        return all(eval_form(form, v) != 0 for v in rad.vectors() if v.any())
-    return False
-
-
-def is_nonsingular_point(form, w):
-    if form.kind != "quadratic":
-        raise LinalgError("non-singular points are defined for quadratic forms")
-    return eval_form(form, w) != 0
+def _combine(F, C, X):
+    """out[i, m] = sum_a C[m, a] X[i, a]: every combination c in C of the
+    rows of each X[i]."""
+    out = np.zeros((len(X), len(C), X.shape[2]), dtype=np.int64)
+    for a in range(C.shape[1]):
+        out = F.add(out, F.mul(C[:, a, None], X[:, None, a]))
+    return out
 
 
 # -- standard forms ----------------------------------------------------------

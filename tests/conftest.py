@@ -1,6 +1,7 @@
 """Shared group/domain constructions, cached per test session."""
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -12,7 +13,9 @@ from ibiskit.actions import (
 from ibiskit.gf import field_of_order
 from ibiskit.groups import GroupSpec
 from ibiskit.ibis import EnumerationResult
-from ibiskit.linalg import canonicalize, quadratic_minus, quadratic_plus, symplectic_form
+from ibiskit.linalg import (
+    canonicalize, eval_form, quadratic_minus, quadratic_plus, symplectic_form,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,3 +138,47 @@ def unpruned_enumeration(G, node_budget=2_000_000):
 
     lengths = depths(np.arange(len(table)))
     return EnumerationResult(lengths, complete, {}, nodes)
+
+
+# -- brute-force subspace predicates: every vector of W, scalar arithmetic ----
+
+def span_vectors(F, B):
+    """Every vector c.B of the row space of the basis B."""
+    out = []
+    for c in itertools.product(range(F.q), repeat=len(B)):
+        v = np.zeros(B.shape[1], dtype=np.int64)
+        for a, row in zip(c, B):
+            v = F.add(v, F.mul(a, row))
+        out.append(v)
+    return out
+
+
+def _pairing(form):
+    """form(u, v), or for a quadratic form its polarization
+    Q(u + v) - Q(u) - Q(v)."""
+    F = form.field
+    if form.kind != "quadratic":
+        return lambda u, v: eval_form(form, u, v)
+    return lambda u, v: int(F.sub(F.sub(eval_form(form, F.add(u, v)),
+                                        eval_form(form, u)), eval_form(form, v)))
+
+
+def brute_totally_singular(form, B):
+    """Q(v) = 0 on every v in W (quadratic), or form(u, v) = 0 on every
+    pair u, v in W."""
+    vs = span_vectors(form.field, B)
+    if form.kind == "quadratic":
+        return all(eval_form(form, v) == 0 for v in vs)
+    return all(eval_form(form, u, v) == 0 for u in vs for v in vs)
+
+
+def brute_nondegenerate(form, B):
+    """No nonzero u in W with form(u, v) = 0 for every v in W (and, for a
+    quadratic form, Q(u) = 0)."""
+    vs = span_vectors(form.field, B)
+    pair = _pairing(form)
+    for u in vs:
+        if u.any() and all(pair(u, v) == 0 for v in vs):
+            if form.kind != "quadratic" or eval_form(form, u) == 0:
+                return False
+    return True

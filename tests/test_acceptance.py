@@ -10,8 +10,8 @@ from conftest import named_case, unpruned_enumeration
 
 from ibiskit import linalg
 from ibiskit.actions import (
-    QuadFormPoint, build_quad_forms_domain, enumerate_subspaces, induce_permutation,
-    theta_value,
+    QuadFormPoint, build_quad_forms_domain, build_subspace_domain,
+    induce_permutation, theta_value,
 )
 from ibiskit.gf import field_of_order, make_field
 from ibiskit.groups import transvection_symplectic
@@ -155,7 +155,7 @@ def test_criterion_5_klein_correspondence():
     t0 = time.time()
     for q in (2, 3):
         F = field_of_order(q)
-        lines = [W for W in enumerate_subspaces(F, 4, 2)]
+        lines = build_subspace_domain(4, q, 2).points
         Q = pfaffian_quadric_form(F)
         singular = set()
         for v in all_row_vectors(F, 6):

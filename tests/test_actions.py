@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import brute_nondegenerate, brute_totally_singular
 from ibiskit import actions, linalg
 from ibiskit.actions import (
     ActionError, QuadFormPoint, build_group_action, build_nondegenerate_domain,
@@ -24,8 +25,11 @@ F4 = make_field(2, 2)
 def test_enumerate_subspaces_counts():
     for (d, k, q, F) in [(4, 2, 2, F2), (4, 1, 3, F3), (3, 2, 4, F4), (5, 2, 2, F2)]:
         pts = enumerate_subspaces(F, d, k)
-        assert len(pts) == gaussian_binomial(d, k, q)
-        assert len({W.key() for W in pts}) == len(pts)
+        assert pts.shape == (gaussian_binomial(d, k, q), k, d)
+        assert len({B.tobytes() for B in pts}) == len(pts)
+        for B in pts:
+            R, pivots = linalg.rref(F, B)
+            assert np.array_equal(R, B) and len(pivots) == k
 
 
 @pytest.mark.parametrize("d,q,n", [(3, 2, 7), (2, 5, 6), (4, 3, 40)])
@@ -39,7 +43,7 @@ def test_totally_singular_counts():
     dom2 = build_totally_singular(symplectic_form(F2, 6), 1)
     assert dom2.N == 63
     for W in dom.points:
-        assert linalg.is_totally_singular(dom.form, W)
+        assert brute_totally_singular(dom.form, W.basis)
 
 
 def test_max_isotropic_family_split():
@@ -131,14 +135,14 @@ def test_nondegenerate_domain_sp42():
     ts = build_totally_singular(form, 2)
     assert dom.N + ts.N == gaussian_binomial(4, 2, 2)
     for W in dom.points:
-        assert linalg.radical(form, W).dim == 0
+        assert brute_nondegenerate(form, W.basis)
 
 
 def test_nondegenerate_domain_sp62_oracle():
     form = symplectic_form(F2, 6)
     dom = build_nondegenerate_domain(form, 2)
-    brute = sum(1 for W in enumerate_subspaces(F2, 6, 2)
-                if linalg.is_nondegenerate(form, W))
+    brute = sum(1 for B in enumerate_subspaces(F2, 6, 2)
+                if brute_nondegenerate(form, B))
     assert dom.N == brute == 336
 
 

@@ -49,6 +49,18 @@ def test_analyze_jobfile_and_order(tmp_path):
     assert json.loads(out.read_text())["order"] == "1451520"
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", "3", '"job"', "null"])
+def test_jobfile_not_an_object_one_line_error(tmp_path, capsys, content):
+    job = tmp_path / "job.json"
+    job.write_text(content)
+    assert main(["analyze", str(job)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "must hold a JSON object" in lines[0]
+
+
 def test_analyze_malformed_json_exits_1_no_partial(tmp_path):
     out = tmp_path / "r.json"
     code = main(["analyze", "--group", "{not json", "--task", "ibis",

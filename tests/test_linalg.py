@@ -2,15 +2,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import brute_nondegenerate, brute_totally_singular
 from ibiskit import linalg
+from ibiskit.actions import enumerate_subspaces, gaussian_binomial
 from ibiskit.gf import field_of_order, make_field, trace_bit
 from ibiskit.linalg import (
     LinalgError, canonicalize, complement_dual, det, eval_form, hermitian_form,
-    inverse, is_nondegenerate, is_nonsingular_point, is_totally_singular,
-    klein_map, mat_mul, pfaffian4, pfaffian_quadric_form, polarize,
-    quadratic_minus, quadratic_plus, quadratic_theta0, subspace_meet,
-    subspace_sum, symplectic_form,
+    inverse, is_nondegenerate, is_totally_singular, klein_map, mat_mul,
+    pfaffian4, pfaffian_quadric_form, quadratic_minus, quadratic_plus,
+    quadratic_theta0, subspace_meet, subspace_sum, symplectic_form,
 )
 
 F2 = make_field(2, 1)
@@ -144,7 +146,9 @@ def test_polarization_identity_exhaustive_small():
             rng = random.Random(1)
             for _ in range(20):
                 k = rng.randrange(len(U))
-                assert int(lhs[k]) == polarize(Q, U[k], V[k])
+                polar = mat_mul(F, mat_mul(F, U[k][None, :], Q.polar_gram()),
+                                V[k][:, None])
+                assert int(lhs[k]) == int(polar[0, 0])
                 assert int(linalg.eval_quadratic_batch(Q, U[k][None, :])[0]) \
                     == eval_form(Q, U[k])
 
@@ -156,7 +160,7 @@ def test_polarization_identity_random_f3():
         u = np.array([rng.randrange(3) for _ in range(5)])
         v = np.array([rng.randrange(3) for _ in range(5)])
         lhs = F3.sub(F3.sub(eval_form(Q, F3.add(u, v)), eval_form(Q, u)), eval_form(Q, v))
-        assert int(lhs) == polarize(Q, u, v)
+        assert int(lhs) == int(linalg.eval_bilinear_batch(Q, u, v))
 
 
 def test_form_arity_errors():
@@ -173,16 +177,83 @@ def test_form_arity_errors():
 def test_totally_singular_examples():
     Q = quadratic_theta0(F2, 4)
     W = canonicalize(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])  # <e1, e2>
-    assert is_totally_singular(Q, W)
+    assert is_totally_singular(Q, W.basis[None])[0]
     phi = symplectic_form(F3, 4)
     V = canonicalize(F3, 4, np.eye(4, dtype=int))
-    assert is_nondegenerate(phi, V)
+    assert is_nondegenerate(phi, V.basis[None])[0]
+
+
+FORM_KINDS = {
+    "symplectic": lambda q, d: symplectic_form(field_of_order(q), d),
+    "hermitian": lambda q, d: hermitian_form(field_of_order(q * q), d,
+                                             conj_power=field_of_order(q).f),
+    "plus": lambda q, d: quadratic_plus(field_of_order(q), d),
+    "minus": lambda q, d: quadratic_minus(field_of_order(q), d),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(sorted(FORM_KINDS)), q=st.sampled_from([2, 3, 4, 5]),
+       m=st.integers(1, 3), data=st.data())
+def test_subspace_masks_match_brute_force(kind, q, m, data):
+    # the stack masks against the definitions, over every vector of W;
+    # each example checks a passing and a failing row of each mask (small
+    # spaces keep the brute force cheap)
+    form = FORM_KINDS[kind](q, 2 * m)
+    F = form.field
+    ks = [k for k in range(1, m + 1)
+          if F.q ** k <= 16 and gaussian_binomial(2 * m, k, F.q) <= 12000]
+    assume(ks)
+    k = data.draw(st.sampled_from(ks))
+    S = enumerate_subspaces(F, 2 * m, k)
+    ts = linalg.is_totally_singular(form, S)
+    nd = linalg.is_nondegenerate(form, S)
+    rows = set()
+    for mask in (ts, nd):
+        for value in (True, False):
+            idx = np.flatnonzero(mask == value)
+            if len(idx):
+                rows.add(int(idx[data.draw(st.integers(0, len(idx) - 1))]))
+    for r in rows:
+        assert ts[r] == brute_totally_singular(form, S[r])
+        assert nd[r] == brute_nondegenerate(form, S[r])
+
+
+@pytest.mark.parametrize("kind,q,d,k", [("symplectic", 3, 4, 2), ("hermitian", 2, 4, 2),
+                                        ("plus", 2, 6, 3), ("minus", 3, 4, 1)])
+def test_subspace_masks_blockwise(monkeypatch, kind, q, d, k):
+    # blocks of a few rows (some of one row) give the one-block masks
+    form = FORM_KINDS[kind](q, d)
+    S = enumerate_subspaces(form.field, d, k)
+    whole = linalg.is_totally_singular(form, S), linalg.is_nondegenerate(form, S)
+    for codes in (1, 100):
+        monkeypatch.setattr(linalg, "BLOCK_CODES", codes)
+        assert np.array_equal(linalg.is_totally_singular(form, S), whole[0])
+        assert np.array_equal(linalg.is_nondegenerate(form, S), whole[1])
+
+
+def test_nondegenerate_mask_memory_bounded():
+    # Sp4(16) on 2-spaces: 70,161 candidates; in one block the temporaries
+    # peak near 57 MiB, in blocks of BLOCK_CODES near 22 MiB
+    import tracemalloc
+    phi = symplectic_form(field_of_order(16), 4)
+    S = enumerate_subspaces(phi.field, 4, 2)
+    tracemalloc.start()
+    try:
+        nd = linalg.is_nondegenerate(phi, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(nd.sum()) == 16**2 * (16**2 + 1)
+    assert peak < 32 * 2**20
 
 
 def test_nonsingular_point_example():
     Q = quadratic_plus(F2, 4)  # X1X2 + X3X4
-    assert is_nonsingular_point(Q, np.array([1, 1, 0, 0]))
-    assert not is_nonsingular_point(Q, np.array([1, 0, 0, 0]))
+    assert eval_form(Q, np.array([1, 1, 0, 0])) != 0
+    assert eval_form(Q, np.array([1, 0, 0, 0])) == 0
+    vs = np.array([[1, 1, 0, 0], [1, 0, 0, 0]])
+    assert list(linalg.eval_quadratic_batch(Q, vs) != 0) == [True, False]
 
 
 def test_hermitian_form_symmetry():
