@@ -1,14 +1,16 @@
 """Indexed point domains for the classical-group actions, and induction
 of permutations from semilinear elements.
 
-Every domain holds canonical point objects (RREF subspaces, ordered
-pairs of subspaces, or quadratic-form parameter vectors), sorted by
-their canonical byte keys so indices are deterministic; point labels are
-still representation-dependent and never asserted across builds with a
-different field or form convention.  Construction re-checks the defining
-predicate of every candidate: the candidates of a subspace domain are one
-stack of RREF bases, the predicate is a mask over the whole stack, and
-only the rows that pass become point objects.
+A domain is one (N, w) int64 code array, a row per point: the flattened
+RREF basis of a subspace, the two bases of a pair side by side, or the
+parameter vector a of a quadratic form theta_a.  Rows are sorted by their
+bytes, so indices are deterministic, and a row's index is found by binary
+search; point labels are still representation-dependent and never
+asserted across builds with a different field or form convention.
+Construction re-checks the defining predicate of every candidate as a
+mask over the whole stack of candidate bases, and a group element acts
+on the whole array at once: one batched product and RREF for subspaces,
+one affine map for forms.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from . import gf, linalg
 from .gf import trace_bit
 from .groups import GroupSpec, classical_generators
 from .linalg import (
-    Subspace, eval_form, is_nondegenerate, is_totally_singular,
-    quadratic_theta0, subspace_meet, subspace_sum, symplectic_form,
+    Subspace, eval_form, is_nondegenerate, is_totally_singular, mat_mul,
+    quadratic_theta0, rref_stack, symplectic_form,
 )
 from .perm import PermGroup, Permutation, derived_subgroup
 
@@ -33,69 +35,93 @@ class ActionError(ValueError):
     pass
 
 
-class QuadFormPoint:
-    """theta_a, identified with its parameter vector a (the set of forms
-    polarising to phi is in bijection with V)."""
-
-    __slots__ = ("a", "_key")
-
-    def __init__(self, a):
-        arr = np.asarray(a, dtype=np.int64)
-        arr.setflags(write=False)
-        self.a = arr
-        self._key = ("theta", arr.tobytes())
-
-    def key(self):
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, QuadFormPoint) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        return f"theta_{list(map(int, self.a))}"
-
-
-def _point_key(pt):
-    if isinstance(pt, Subspace):
-        return ("sub",) + pt.key()
-    if isinstance(pt, tuple):
-        return ("pair",) + tuple(_point_key(c) for c in pt)
-    return pt.key()
+def _keys(rows):
+    """One void key per row of a 2-d array; keys order as the rows' bytes."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    if not rows.shape[1]:
+        return np.zeros(len(rows), dtype="V1")
+    return rows.view(f"V{8 * rows.shape[1]}").ravel()
 
 
 class ActionDomain:
-    """An indexed point set: kind, canonical points, exact index lookup."""
+    """An indexed point set over GF(q)^d.  Row i of `codes` is point i:
+    the RREF bases of subspaces of dimensions `dims` side by side (one
+    subspace, or the two members of a pair), or for the forms domain
+    (dims = ()) the parameter vector of the form."""
 
-    def __init__(self, kind, points, field, params=None, form=None):
-        if len(points) > SIZE_CAP:
-            raise ActionError(f"domain size {len(points)} exceeds cap")
-        pts = sorted(points, key=_point_key)
+    def __init__(self, kind, codes, field, d, dims, params=None, form=None):
+        if len(codes) > SIZE_CAP:
+            raise ActionError(f"domain size {len(codes)} exceeds cap")
+        codes = np.asarray(codes, dtype=np.int64)
+        codes = codes.reshape(len(codes), d * sum(dims) if dims else d)
+        keys = _keys(codes)
+        order = np.argsort(keys, kind="stable")
         self.kind = kind
-        self.points = pts
+        self.codes = codes[order]
+        self.codes.setflags(write=False)
+        self._keys = keys[order]
         self.field = field
+        self.d = d
+        self.dims = tuple(dims)
         self.params = dict(params or {})
         self.form = form
-        self.index = {_point_key(p): i for i, p in enumerate(pts)}
-        if len(self.index) != len(pts):
+        self._points = None
+        if np.any(self._keys[1:] == self._keys[:-1]):
             raise ActionError("domain points are not pairwise distinct")
 
     @property
     def N(self):
-        return len(self.points)
+        return len(self.codes)
+
+    def _parts(self, rows):
+        """The stacks (n, k, d) of the subspace bases side by side in rows."""
+        cuts = np.cumsum((0,) + self.dims) * self.d
+        return [rows[:, a:b].reshape(len(rows), k, self.d)
+                for a, b, k in zip(cuts, cuts[1:], self.dims)]
+
+    def _unpack(self, member, row):
+        """Each point as member(B) of its subspace bases B (a pair of them
+        for a pair domain), or row(a) of its parameter row a."""
+        if not self.dims:
+            return [row(a) for a in self.codes]
+        parts = [[member(B) for B in P] for P in self._parts(self.codes)]
+        return parts[0] if len(parts) == 1 else list(zip(*parts))
+
+    @property
+    def points(self):
+        """The points as objects, built on first use: Subspaces, pairs of
+        Subspaces, or the forms' read-only parameter rows."""
+        if self._points is None:
+            self._points = self._unpack(
+                lambda B: Subspace(self.field, self.d, B), lambda a: a)
+        return self._points
+
+    def serialize_points(self):
+        """The points as nested lists of codes."""
+        return self._unpack(np.ndarray.tolist, np.ndarray.tolist)
+
+    def indices(self, rows):
+        """The index of every row of rows (n, w); raises if one is not a
+        point."""
+        rows = np.asarray(rows, dtype=np.int64)
+        ok = rows.shape[1:] == self.codes.shape[1:]
+        if ok:
+            keys = _keys(rows)
+            at = np.searchsorted(self._keys, keys)
+            hit = at < self.N
+            hit[hit] = self._keys[at[hit]] == keys[hit]
+            ok = hit.all()
+        if not ok:
+            raise ActionError("point is not in the domain (domain not invariant?)")
+        return at
 
     def index_of(self, pt):
-        try:
-            return self.index[_point_key(pt)]
-        except KeyError:
-            raise ActionError("point is not in the domain (domain not invariant?)")
+        """The index of one point given by its codes: a basis, a pair's two
+        bases stacked, or a parameter vector."""
+        return int(self.indices(np.ravel(pt)[None])[0])
 
     def describe(self):
-        out = {"kind": self.kind, "N": self.N}
-        out.update({k: v for k, v in self.params.items()})
-        return out
+        return {"kind": self.kind, "N": self.N, **self.params}
 
     def __repr__(self):
         return f"ActionDomain({self.kind}, N={self.N})"
@@ -123,10 +149,10 @@ def enumerate_subspaces(F, d, k):
     return out
 
 
-def _subspaces(F, d, stack):
-    """The Subspace points of the rows of an RREF stack."""
-    pivots = (stack != 0).argmax(axis=2).tolist()
-    return [Subspace(F, d, B, p) for B, p in zip(stack, pivots)]
+def _joint_ranks(F, top, S):
+    """dim(<top> + <S[i]>) for every basis S[i] of the stack S."""
+    T = np.concatenate([np.broadcast_to(top, (len(S),) + top.shape), S], axis=1)
+    return rref_stack(F, T).any(axis=2).sum(axis=1)
 
 
 def gaussian_binomial(d, k, q):
@@ -143,24 +169,20 @@ def build_projective_points(d, q):
     """All 1-subspaces of GF(q)^d; N = (q^d - 1)/(q - 1)."""
     if d < 2:
         raise ActionError("need d >= 2")
-    n = (q**d - 1) // (q - 1)
-    if n > SIZE_CAP:
+    if (q**d - 1) // (q - 1) > SIZE_CAP:
         raise ActionError("size cap exceeded")
     F = gf.field_of_order(q)
-    pts = _subspaces(F, d, enumerate_subspaces(F, d, 1))
-    assert len(pts) == n
-    return ActionDomain("projective_points", pts, F, {"d": d, "q": q})
+    return ActionDomain("projective_points", enumerate_subspaces(F, d, 1), F, d,
+                        (1,), {"d": d, "q": q})
 
 
 def build_subspace_domain(d, q, k):
     """All k-subspaces of GF(q)^d (the linear-family domain)."""
     F = gf.field_of_order(q)
-    n = gaussian_binomial(d, k, q)
-    if n > SIZE_CAP:
+    if gaussian_binomial(d, k, q) > SIZE_CAP:
         raise ActionError("size cap exceeded")
-    pts = _subspaces(F, d, enumerate_subspaces(F, d, k))
-    assert len(pts) == n
-    return ActionDomain("subspaces_k", pts, F, {"d": d, "q": q, "k": k})
+    return ActionDomain("subspaces_k", enumerate_subspaces(F, d, k), F, d, (k,),
+                        {"d": d, "q": q, "k": k})
 
 
 def witt_index(form):
@@ -181,8 +203,9 @@ def build_totally_singular(form, k, family=None):
 
     family in {'greek', 'latin'} selects one of the two classes of
     maximal totally singular subspaces of a plus-type quadratic space
-    (same family iff the codimension of the intersection is even);
-    'greek' is the family of the lexicographically least subspace.
+    (same family iff the codimension of the intersection is even, i.e.
+    dim(W + W') - k is even); 'greek' is the family of the
+    lexicographically least subspace.
     """
     F = form.field
     d = form.dim
@@ -194,17 +217,16 @@ def build_totally_singular(form, k, family=None):
     if gaussian_binomial(d, k, F.q) > SIZE_CAP:
         raise ActionError("size cap exceeded")
     S = enumerate_subspaces(F, d, k)
-    pts = _subspaces(F, d, S[is_totally_singular(form, S)])
     params = {"d": d, "q": F.q, "k": k, "form": form.kind}
+    dom = ActionDomain("totally_singular_k", S[is_totally_singular(form, S)], F, d,
+                       (k,), params, form=form)
     if family is None:
-        return ActionDomain("totally_singular_k", pts, F, params, form=form)
-    pts.sort(key=_point_key)
-    base = pts[0]
-    def is_greek(W):
-        return (k - subspace_meet(base, W).dim) % 2 == 0
-    chosen = [W for W in pts if is_greek(W) == (family == "greek")]
+        return dom
+    S = dom.codes.reshape(dom.N, k, d)
+    greek = (_joint_ranks(F, S[0], S) - k) % 2 == 0
     params["family"] = family
-    return ActionDomain("max_isotropic_family", chosen, F, params, form=form)
+    return ActionDomain("max_isotropic_family", S[greek == (family == "greek")],
+                        F, d, (k,), params, form=form)
 
 
 def build_nonsingular_points(form):
@@ -217,39 +239,33 @@ def build_nonsingular_points(form):
                           "only in even characteristic")
     d = form.dim
     S = enumerate_subspaces(F, d, 1)
-    pts = _subspaces(F, d, S[linalg.eval_quadratic_batch(form, S[:, 0]) != 0])
     params = {"d": d, "q": F.q, "witt_defect": form.meta.get("witt_defect")}
     if "mu" in form.meta:
         params["mu"] = int(form.meta["mu"])   # elliptic-form parameter choice
-    return ActionDomain("nonsingular_1", pts, F, params, form=form)
+    return ActionDomain("nonsingular_1",
+                        S[linalg.eval_quadratic_batch(form, S[:, 0]) != 0], F, d,
+                        (1,), params, form=form)
 
 
 def build_pair_domain(d, q, k, mode):
     """Pairs {W, U} with dim W = k, dim U = d-k and either V = W + U
-    (mode 'complement') or W <= U (mode 'incident'); k < d/2, so the pair
-    is canonically ordered with the k-dimensional member first."""
+    (mode 'complement') or W <= U (mode 'incident'), i.e. dim(W + U) is d
+    or d - k; k < d/2, so the pair is canonically ordered with the
+    k-dimensional member first."""
     if mode not in ("complement", "incident"):
         raise ActionError(f"unknown pair mode {mode!r}")
     if not 1 <= k < d / 2:
         raise ActionError("pair domains need 1 <= k < d/2")
     F = gf.field_of_order(q)
-    small = _subspaces(F, d, enumerate_subspaces(F, d, k))
-    big = _subspaces(F, d, enumerate_subspaces(F, d, d - k))
-    pts = []
+    small = enumerate_subspaces(F, d, k)
+    big = enumerate_subspaces(F, d, d - k)
+    span = d if mode == "complement" else d - k
+    pairs = []
     for W in small:
-        for U in big:
-            if mode == "complement":
-                if subspace_meet(W, U).dim == 0:
-                    pts.append((W, U))
-            else:
-                if U.contains(W):
-                    pts.append((W, U))
-    if len(pts) > SIZE_CAP:
-        raise ActionError("size cap exceeded")
-    for W, U in pts:
-        if mode == "complement":
-            assert subspace_sum(W, U).dim == d
-    return ActionDomain(f"pair_{mode}", pts, F, {"d": d, "q": q, "k": k})
+        U = big[_joint_ranks(F, W, big) == span]
+        pairs.append(np.concatenate([np.broadcast_to(W, (len(U), k, d)), U], axis=1))
+    return ActionDomain(f"pair_{mode}", np.concatenate(pairs), F, d, (k, d - k),
+                        {"d": d, "q": q, "k": k})
 
 
 def build_quad_forms_domain(m, q, sign):
@@ -275,8 +291,7 @@ def build_quad_forms_domain(m, q, sign):
         keep, kind = np.ones(len(vs), bool), "quad_forms_all"
     else:
         raise ActionError(f"unknown sign {sign!r}")
-    pts = [QuadFormPoint(v) for v in vs[keep]]
-    return ActionDomain(kind, pts, F, {"m": m, "q": q}, form=theta0)
+    return ActionDomain(kind, vs[keep], F, d, (), {"m": m, "q": q}, form=theta0)
 
 
 def build_nondegenerate_domain(form, k):
@@ -288,28 +303,28 @@ def build_nondegenerate_domain(form, k):
     if gaussian_binomial(d, k, F.q) > SIZE_CAP:
         raise ActionError("size cap exceeded")
     S = enumerate_subspaces(F, d, k)
-    pts = _subspaces(F, d, S[is_nondegenerate(form, S)])
-    return ActionDomain("nondegenerate_k", pts, F,
+    return ActionDomain("nondegenerate_k", S[is_nondegenerate(form, S)], F, d, (k,),
                         {"d": d, "q": F.q, "k": k, "form": form.kind}, form=form)
 
 
 # -- permutation induction -----------------------------------------------------
 
-def _act_point(g, pt, dom):
-    if isinstance(pt, Subspace):
-        return g.act_subspace(pt)
-    if isinstance(pt, tuple):
-        images = sorted((g.act_subspace(c) for c in pt),
-                        key=lambda s: (s.dim, s.key()))
-        return tuple(images)
-    return _act_form_point(g, pt, dom)
+def _images(g, dom):
+    """The rows of the images of every point of the domain under g."""
+    if not dom.dims:
+        return _act_forms(g, dom)
+    parts = [g.act_stack(B) for B in dom._parts(dom.codes)]
+    if g.dual:
+        parts.reverse()             # the members of a pair swap dimensions
+    return np.concatenate([P.reshape(dom.N, P.shape[1] * dom.d) for P in parts],
+                          axis=1)
 
 
-def _act_form_point(g, pt, dom):
-    """theta^g(u) = (theta(u g^{-1}))^{sigma^k}: recover the parameter of
-    the image form from its values on the standard basis.
+def _act_forms(g, dom):
+    """theta_a^g(u) = (theta_a(u g^{-1}))^{sigma^k}: recover the parameter
+    of every image form from its values on the standard basis.
 
-    theta_0 vanishes on every basis vector, so with s_i = theta^g(e_i)
+    theta_0 vanishes on every basis vector, so with s_i = theta_a^g(e_i)
     the image parameter solves phi(e_i, a') = sqrt(s_i); with the
     standard f = (0 I; I 0) in characteristic 2 that gives a' = w f.
     """
@@ -317,27 +332,20 @@ def _act_form_point(g, pt, dom):
         raise ActionError("duality elements do not act on the forms domain")
     F = g.field
     theta0 = dom.form
-    ginv = g.inverse_element()
-    rows = ginv.matrix                      # e_i g^{-1}, as rows
-    vals = linalg.eval_quadratic_batch(theta0, rows)
-    a_rep = np.broadcast_to(pt.a, rows.shape)
-    phi_vals = linalg.eval_bilinear_batch(theta0, rows, a_rep)
-    s = F.add(vals, F.mul(phi_vals, phi_vals))
-    s = F.frob(s, g.frob_power)
-    w = F.frob(s, F.f - 1)                  # square roots
-    aprime = linalg.mat_vec(F, w, theta0.polar_gram())
-    return QuadFormPoint(aprime)
+    rows = g.inverse_element().matrix       # e_i g^{-1}, as rows
+    phi = linalg.eval_bilinear_batch(theta0, rows[None], dom.codes[:, None, :])
+    s = F.add(linalg.eval_quadratic_batch(theta0, rows), F.mul(phi, phi))
+    w = F.frob(s, g.frob_power + F.f - 1)  # sigma^k, then the square root
+    return mat_mul(F, w, theta0.polar_gram())
 
 
 def induce_permutation(g, dom):
-    """The permutation induced by a semilinear element on the domain.
+    """The permutation induced by a semilinear element on the domain,
+    from the images of all points at once.
 
     Raises if any image falls outside the domain (the domain is then not
     invariant: a construction bug, per the domain contracts)."""
-    images = np.empty(dom.N, dtype=np.int32)
-    for i, pt in enumerate(dom.points):
-        images[i] = dom.index_of(_act_point(g, pt, dom))
-    return Permutation(images)   # validates bijectivity
+    return Permutation(dom.indices(_images(g, dom)))   # validates bijectivity
 
 
 def induce_group(elements, dom, name=None):
@@ -355,11 +363,10 @@ def build_group_action(spec, dom):
     if F != dom.field:
         raise ActionError(f"group {spec.family}({spec.d},{spec.q}) has matrices "
                           f"over {F!r} but the domain lives over {dom.field!r}")
-    d = dom.form.dim if dom.form is not None else dom.params["d"]
-    if spec.d != d:
+    if spec.d != dom.d:
         raise ActionError(f"group {spec.family}({spec.d},{spec.q}) acts on "
                           f"dimension {spec.d} but the domain's ambient "
-                          f"dimension is {d}")
+                          f"dimension is {dom.d}")
     gens, _ = classical_generators(spec)
     name = f"{spec.family}({spec.d},{spec.q})"
     if spec.extensions:
@@ -371,14 +378,14 @@ def build_group_action(spec, dom):
     return G
 
 
-def theta_value(dom, pt, u):
-    """Evaluate theta_a at a vector (test and report helper)."""
+def theta_value(dom, a, u):
+    """theta_a(u) = theta_0(u) + phi(u, a)^2 for a parameter vector a
+    (test and report helper)."""
     theta0 = dom.form
     F = theta0.field
     u = np.asarray(u, dtype=np.int64)
-    base = eval_form(theta0, u)
-    cross = linalg.eval_bilinear_batch(theta0, u[None, :], pt.a[None, :])[0]
-    return int(F.add(base, F.mul(cross, cross)))
+    cross = linalg.eval_bilinear_batch(theta0, u, np.asarray(a, dtype=np.int64))
+    return int(F.add(eval_form(theta0, u), F.mul(cross, cross)))
 
 
 # -- descriptor dispatch -------------------------------------------------------

@@ -84,13 +84,13 @@ def _build_job(args):
             job[key] = json.loads(inline)
     if getattr(args, "task", None):
         job["task"] = args.task
-    job.setdefault("seed", args.seed)
-    job.setdefault("budget", args.budget)
     return job
 
 
 def cmd_analyze(args):
     job = _build_job(args)
+    job.setdefault("seed", args.seed)
+    job.setdefault("budget", args.budget)
     for key in ("group", "action", "task"):
         if key not in job:
             raise CliError(f"job descriptor is missing {key!r}")
@@ -216,18 +216,9 @@ def cmd_dump_domain(args):
     job = _build_job(args)
     dom = build_domain(job["action"])
     payload = {"schema": SCHEMA, "domain": dom.describe(),
-               "points": [_serialize_point(p) for p in dom.points]}
+               "points": dom.serialize_points()}
     _emit(args, payload)
     return 0
-
-
-def _serialize_point(pt):
-    from .linalg import Subspace
-    if isinstance(pt, Subspace):
-        return pt.serialize()
-    if isinstance(pt, tuple):
-        return [c.serialize() for c in pt]
-    return list(map(int, pt.a))
 
 
 def make_parser():
@@ -236,12 +227,16 @@ def make_parser():
                                             "classical group actions")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=ibis.DEFAULT_BUDGET)
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+    options = {"seed": {"type": int, "default": 0},
+               "budget": {"type": int, "default": ibis.DEFAULT_BUDGET},
+               "threads": {"type": int, "default": 1},
+               "format": {"choices": ("json", "csv"), "default": "csv"},
+               "out": {"default": None}}
+
+    def flags(sp, *names):
+        """--out, and the other flags the subcommand reads."""
+        for name in names + ("out",):
+            sp.add_argument("--" + name, **options[name])
 
     sp = sub.add_parser("analyze", help="run a task from a job descriptor")
     sp.add_argument("jobfile", nargs="?", default=None)
@@ -249,41 +244,40 @@ def make_parser():
     sp.add_argument("--action", help="inline action JSON")
     sp.add_argument("--task", choices=("orbits", "order", "base-find", "ibis",
                                        "minimal-bases"))
-    common(sp)
+    flags(sp, "seed", "budget")
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("table", help="reproduce the IBIS table rows")
     sp.add_argument("--rows", default=None,
                     help="comma-separated substrings selecting rows")
-    common(sp)
-    sp.set_defaults(fn=cmd_table, format="csv")
+    flags(sp, "threads", "format")
+    sp.set_defaults(fn=cmd_table)
 
     sp = sub.add_parser("witness", help="replay a lemma's explicit witnesses")
     sp.add_argument("lemma", choices=sorted(witnesses.CATALOG))
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--m", type=int, default=None)
-    common(sp)
+    flags(sp, "seed")
     sp.set_defaults(fn=cmd_witness)
 
     sp = sub.add_parser("e7", help="parabolic suborbit bound arithmetic")
     sp.add_argument("q", type=int)
-    common(sp)
+    flags(sp)
     sp.set_defaults(fn=cmd_e7)
 
     sp = sub.add_parser("dump-group", help="dump the induced permutation group")
     sp.add_argument("jobfile", nargs="?", default=None)
     sp.add_argument("--group")
     sp.add_argument("--action")
-    common(sp)
-    sp.set_defaults(fn=cmd_dump_group, task=None)
+    flags(sp)
+    sp.set_defaults(fn=cmd_dump_group)
 
     sp = sub.add_parser("dump-domain", help="dump an action domain")
     sp.add_argument("jobfile", nargs="?", default=None)
-    sp.add_argument("--group")
     sp.add_argument("--action")
-    common(sp)
-    sp.set_defaults(fn=cmd_dump_domain, task=None)
+    flags(sp)
+    sp.set_defaults(fn=cmd_dump_domain)
     return p
 
 

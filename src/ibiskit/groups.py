@@ -13,7 +13,9 @@ way, which avoids spinor-norm membership tests entirely.
 
 Projective groups are never formed as abstract quotients: scalars act
 trivially on every subspace domain, so inducing the matrix group on the
-domain realizes the projective action.
+domain realizes the projective action.  An element acts on a whole stack
+of subspace bases at once (`act_stack`): one batched product and RREF,
+and for a duality element one batched annihilator.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from . import gf, linalg
 from .linalg import (
-    canonicalize, complement_dual, hermitian_form, inverse, mat_mul,
-    quadratic_minus, quadratic_plus, symplectic_form,
+    Subspace, annihilator, hermitian_form, inverse, mat_mul, quadratic_minus,
+    quadratic_plus, rref_stack, symplectic_form,
 )
 from .perm import PermGroup, Permutation
 
@@ -136,14 +138,16 @@ class SemilinearElement:
         return mat_mul(self.field, self.field.frob(np.asarray(V), self.frob_power),
                        self.matrix)
 
-    def act_subspace(self, W):
+    def act_stack(self, B):
+        """RREF bases of the images of the row spaces of a stack B
+        (n, k, d) of rank-k bases; under a duality element, RREF bases of
+        the annihilators of those images."""
         F = self.field
-        rows = F.frob(W.basis, self.frob_power) if W.dim else W.basis
-        img = canonicalize(F, W.ambient_dim,
-                           mat_mul(F, rows, self.matrix) if W.dim else [])
-        if self.dual:
-            img = complement_dual(img)
-        return img
+        R = rref_stack(F, mat_mul(F, F.frob(B, self.frob_power), self.matrix))
+        return annihilator(F, R) if self.dual else R
+
+    def act_subspace(self, W):
+        return Subspace(self.field, W.ambient_dim, self.act_stack(W.basis[None])[0])
 
     def __eq__(self, other):
         return isinstance(other, SemilinearElement) and self._key == other._key \
@@ -202,12 +206,9 @@ def transvection_symplectic(a, form):
     F = form.field
     if F.p != 2:
         raise GroupError("symplectic transvections here require characteristic 2")
-    a = np.asarray(a, dtype=np.int64)
-    if not a.any():
+    if not np.any(a):
         raise GroupError("transvection direction must be nonzero")
-    coeffs = mat_mul(F, form.gram, a[:, None])[:, 0]       # phi(e_i, a)
-    M = F.add(linalg.identity(F, form.dim), F.mul(coeffs[:, None], a[None, :]))
-    return SemilinearElement(F, M, _trusted=True)
+    return _symplectic_transvection_general(F, form, a, 1)
 
 
 def _symplectic_transvection_general(F, form, a, lam):

@@ -93,13 +93,12 @@ def base_report(G, seq):
 
 def is_base(G, seq):
     """Pointwise stabilizer trivial (GAP: Size(Stabilizer(G,base,OnTuples))=1)."""
-    return G.chain_orders(seq)[-1] == 1
+    return base_report(G, seq).is_base
 
 
 def is_irredundant(G, seq):
     """Each successive stabilizer strictly smaller."""
-    orders = G.chain_orders(seq)
-    return all(a > b for a, b in zip(orders, orders[1:]))
+    return base_report(G, seq).is_irredundant
 
 
 def extend_to_irredundant_base(G, prefix=()):

@@ -5,7 +5,11 @@ PG(3,q) to points of the Pfaffian quadric.
 
 Vectors and matrices carry integer field codes (see gf) in numpy arrays.
 Subspaces are canonicalized to reduced row echelon form, so equality of
-subspaces is equality of their canonical bases.
+subspaces is equality of their canonical bases.  Elimination runs on a
+whole stack of matrices at once (`rref_stack`, `annihilator`) and
+`mat_mul` broadcasts over leading stack axes; the one-matrix routines
+(`rref`, `kernel`, `det`, `complement_dual`) are the stack routines on a
+stack of one.
 """
 
 from __future__ import annotations
@@ -26,19 +30,16 @@ def all_row_vectors(F, d):
 
 
 def mat_mul(F, A, B):
+    """A B over F; leading stack axes of A and B broadcast."""
     A = np.asarray(A)
     B = np.asarray(B)
-    if A.shape[1] != B.shape[0]:
+    if A.shape[-1] != B.shape[-2]:
         raise LinalgError(f"shape mismatch {A.shape} x {B.shape}")
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for k in range(A.shape[1]):
-        out = F.add(out, F.mul(A[:, k][:, None], B[k, :][None, :]))
+    out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+                   + (A.shape[-2], B.shape[-1]), dtype=np.int64)
+    for k in range(A.shape[-1]):
+        out = F.add(out, F.mul(A[..., :, k, None], B[..., None, k, :]))
     return out
-
-
-def mat_vec(F, v, A):
-    """Row vector times matrix."""
-    return mat_mul(F, np.asarray(v)[None, :], A)[0]
 
 
 def identity(F, n):
@@ -47,79 +48,91 @@ def identity(F, n):
     return out
 
 
-def rref(F, A):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = np.array(A, dtype=np.int64, copy=True)
-    if R.ndim != 2:
-        raise LinalgError("need a 2-d array")
-    m, n = R.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
+def _eliminate(F, S):
+    """Gauss-Jordan elimination of every matrix of the stack S (n, m, d)
+    at once.  Returns (R, scale): R[i] is the RREF of S[i] with its zero
+    rows last, and scale[i] the product of the pivots divided out,
+    negated once per row swap (the determinant of a square S[i] of full
+    rank)."""
+    R = np.array(S, dtype=np.int64)
+    if R.ndim != 3:
+        raise LinalgError("need a stack of matrices")
+    n, m, d = R.shape
+    scale = np.ones(n, dtype=np.int64)
+    top = np.zeros(n, dtype=np.int64)        # the next pivot row of each matrix
+    for c in range(d):
+        if (top == m).all():                  # every matrix has m pivots
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
+        cand = (R[:, :, c] != 0) & (np.arange(m) >= top[:, None])
+        at = np.flatnonzero(cand.any(axis=1))
+        if not len(at):
             continue
-        i = r + nz[0]
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        R[r] = F.mul(R[r], F.inv(R[r, c]))
-        for j in range(m):
-            if j != r and R[j, c]:
-                R[j] = F.sub(R[j], F.mul(R[j, c], R[r]))
-        pivots.append(c)
-        r += 1
-    return R[:r], pivots
+        t, i = top[at], cand[at].argmax(axis=1)   # first candidate row
+        row = R[at, i]
+        R[at, i] = R[at, t]
+        p = row[:, c]
+        scale[at] = F.mul(scale[at], np.where(i != t, F.neg(p), p))
+        row = F.mul(row, F.inv(p)[:, None])
+        R[at, t] = row
+        f = R[at, :, c]
+        f[np.arange(len(at)), t] = 0
+        R[at] = F.sub(R[at], F.mul(f[:, :, None], row[:, None, :]))
+        top[at] += 1
+    return R, scale
+
+
+def rref_stack(F, S):
+    """The RREF of every matrix of the stack S (n, m, d), zero rows last."""
+    return _eliminate(F, S)[0]
+
+
+def rref(F, A):
+    """Reduced row echelon form of one matrix, zero rows dropped; returns
+    (R, pivot_columns)."""
+    A = np.asarray(A, dtype=np.int64)
+    if A.ndim != 2:
+        raise LinalgError("need a 2-d array")
+    R = rref_stack(F, A[None])[0]
+    R = R[R.any(axis=1)]
+    return R, (R != 0).argmax(axis=1).tolist()
+
+
+def annihilator(F, R):
+    """RREF bases of {x : R[i] x^T = 0} for a stack R (n, k, d) of RREF
+    bases of rank k: one vector per free column c of R[i], with 1 at c
+    and -R[i][r, c] at the pivot of each row r."""
+    n, k, d = R.shape
+    stack = np.arange(n)[:, None]
+    pivots = (R != 0).argmax(axis=2)
+    free = np.ones((n, d), dtype=bool)
+    free[stack, pivots] = False
+    free = np.nonzero(free)[1].reshape(n, d - k)
+    j = np.arange(d - k)
+    K = np.zeros((n, d - k, d), dtype=np.int64)
+    K[stack, j, free] = 1
+    K[stack[:, :, None], j, pivots[:, :, None]] = F.neg(
+        np.take_along_axis(R, free[:, None, :], axis=2))
+    return rref_stack(F, K)
 
 
 def kernel(F, A):
-    """Basis (rows) of the right kernel {x : A x^T = 0}."""
-    A = np.asarray(A)
-    R, pivots = rref(F, A)
-    n = A.shape[1]
-    free = [c for c in range(n) if c not in pivots]
-    rows = []
-    for c in free:
-        v = np.zeros(n, dtype=np.int64)
-        v[c] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg(R[r, c])
-        rows.append(v)
-    if not rows:
-        return np.zeros((0, n), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+    """RREF basis (rows) of the right kernel {x : A x^T = 0}."""
+    return annihilator(F, rref(F, A)[0][None])[0]
 
 
 def inverse(F, A):
     A = np.asarray(A)
     n = A.shape[0]
-    aug = np.hstack([A, identity(F, n)])
-    R, pivots = rref(F, aug)
+    R, pivots = rref(F, np.hstack([A, identity(F, n)]))
     if pivots[:n] != list(range(n)):
         raise LinalgError("matrix not invertible")
     return R[:, n:]
 
 
 def det(F, A):
-    """Determinant by Gaussian elimination."""
-    R = np.array(A, dtype=np.int64, copy=True)
-    n = R.shape[0]
-    d = 1
-    for c in range(n):
-        nz = np.nonzero(R[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        i = c + nz[0]
-        if i != c:
-            R[[c, i]] = R[[i, c]]
-            d = int(F.neg(d))
-        d = int(F.mul(d, R[c, c]))
-        inv = F.inv(R[c, c])
-        for j in range(c + 1, n):
-            if R[j, c]:
-                R[j] = F.sub(R[j], F.mul(F.mul(R[j, c], inv), R[c]))
-    return d
+    """Determinant, from the elimination's pivots."""
+    R, scale = _eliminate(F, np.asarray(A)[None])
+    return int(scale[0]) if R[0].any(axis=1).all() else 0
 
 
 # -- subspaces -------------------------------------------------------------
@@ -130,13 +143,12 @@ class Subspace:
     Two subspaces are equal iff their canonical bases are identical.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_key")
+    __slots__ = ("field", "ambient_dim", "basis", "_key")
 
-    def __init__(self, field, ambient_dim, basis, pivots):
+    def __init__(self, field, ambient_dim, basis):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis          # numpy (k, d), RREF, no zero rows
-        self.pivots = tuple(pivots)
         self._key = (ambient_dim, basis.tobytes())
 
     @property
@@ -145,21 +157,6 @@ class Subspace:
 
     def key(self):
         return self._key
-
-    def contains_vector(self, v):
-        v = np.asarray(v, dtype=np.int64)
-        red = v.copy()
-        F = self.field
-        for r, c in enumerate(self.pivots):
-            if red[c]:
-                red = F.sub(red, F.mul(red[c], self.basis[r]))
-        return not red.any()
-
-    def contains(self, other):
-        return all(self.contains_vector(row) for row in other.basis)
-
-    def serialize(self):
-        return [list(map(int, row)) for row in self.basis]
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self._key == other._key \
@@ -178,11 +175,8 @@ def canonicalize(field, ambient_dim, vectors):
     for v in rows:
         if v.shape != (ambient_dim,):
             raise LinalgError(f"vector of length {v.shape} in ambient dim {ambient_dim}")
-    if rows:
-        R, pivots = rref(field, np.array(rows))
-    else:
-        R, pivots = np.zeros((0, ambient_dim), dtype=np.int64), []
-    return Subspace(field, ambient_dim, R, pivots)
+    A = np.array(rows, dtype=np.int64).reshape(len(rows), ambient_dim)
+    return Subspace(field, ambient_dim, rref(field, A)[0])
 
 
 def subspace_sum(A, B):
@@ -195,20 +189,16 @@ def subspace_meet(A, B):
     """Intersection, via the kernel of the stacked coefficient system."""
     if A.field != B.field or A.ambient_dim != B.ambient_dim:
         raise LinalgError("ambient mismatch")
-    F = A.field
-    if A.dim == 0 or B.dim == 0:
-        return canonicalize(F, A.ambient_dim, [])
     # lambda . A.basis - mu . B.basis = 0  <=>  (lambda, mu) in kernel of stacked^T
-    stacked = np.vstack([A.basis, B.basis])
-    ker = kernel(F, stacked.T)
-    vecs = [mat_vec(F, co[: A.dim], A.basis) for co in ker]
-    return canonicalize(F, A.ambient_dim, vecs)
+    ker = kernel(A.field, np.vstack([A.basis, B.basis]).T)
+    return canonicalize(A.field, A.ambient_dim,
+                        mat_mul(A.field, ker[:, :A.dim], A.basis))
 
 
 def complement_dual(W):
     """The standard-dot-product annihilator {v : v.w^T = 0 for w in W},
     realizing the polarity of PG(d-1, q) on subspaces."""
-    return canonicalize(W.field, W.ambient_dim, kernel(W.field, W.basis))
+    return Subspace(W.field, W.ambient_dim, annihilator(W.field, W.basis[None])[0])
 
 
 # -- forms ------------------------------------------------------------------
@@ -263,22 +253,19 @@ class FormSpec:
 
 def eval_form(form, u, v=None):
     """Evaluate the form: one argument for quadratic, two otherwise."""
-    F = form.field
     u = np.asarray(u, dtype=np.int64)
     if form.kind == "quadratic":
         if v is not None:
             raise LinalgError("quadratic form takes a single argument")
         if u.shape != (form.dim,):
             raise LinalgError("dimension mismatch")
-        return int(mat_mul(F, mat_mul(F, u[None, :], form.gram), u[:, None])[0, 0])
+        return int(eval_quadratic_batch(form, u[None])[0])
     if v is None:
         raise LinalgError(f"{form.kind} form takes two arguments")
     v = np.asarray(v, dtype=np.int64)
     if u.shape != (form.dim,) or v.shape != (form.dim,):
         raise LinalgError("dimension mismatch")
-    if form.kind == "hermitian":
-        v = form.conj(v)
-    return int(mat_mul(F, mat_mul(F, u[None, :], form.gram), v[:, None])[0, 0])
+    return int(eval_bilinear_batch(form, u[None], v[None])[0])
 
 
 def eval_quadratic_batch(form, U):

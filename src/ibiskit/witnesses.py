@@ -17,9 +17,9 @@ import numpy as np
 
 from . import ibis, linalg
 from .actions import (
-    QuadFormPoint, build_group_action, build_nondegenerate_domain,
-    build_nonsingular_points, build_projective_points, build_quad_forms_domain,
-    build_subspace_domain, build_totally_singular, induce_permutation,
+    build_group_action, build_nondegenerate_domain, build_nonsingular_points,
+    build_projective_points, build_quad_forms_domain, build_subspace_domain,
+    build_totally_singular, induce_permutation,
 )
 from .gf import field_of_order, trace_bit
 from .groups import GroupSpec
@@ -44,7 +44,7 @@ def _check(checks, claim, ok, detail=None):
 
 def _sub(dom, *vectors):
     W = canonicalize(dom.field, len(vectors[0]), [np.array(v) for v in vectors])
-    return dom.index_of(W)
+    return dom.index_of(W.basis)
 
 
 def _finish(lemma, params, checks):
@@ -282,8 +282,8 @@ def witness_quadratic_forms(m=2, q=4):
 
     plus = build_quad_forms_domain(m, q, "+")
     G = build_group_action(GroupSpec("Sp", 2 * m, q), plus)
-    zero = plus.index_of(QuadFormPoint(np.zeros(d, dtype=int)))
-    th = lambda dom, v: dom.index_of(QuadFormPoint(np.asarray(v, dtype=np.int64)))
+    zero = plus.index_of(np.zeros(d, dtype=int))
+    th = lambda dom, v: dom.index_of(v)
     orders = G.chain_orders((zero, th(plus, e[1])))
     _check(checks, "|G_theta0 ^ G_theta_e2| = 2(q-1)q^2",
            orders[2] == 2 * (q - 1) * q**2,

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 
-from ibiskit import actions, linalg
+from ibiskit import linalg
 from ibiskit.actions import (
     build_group_action, build_nonsingular_points, build_projective_points,
     build_quad_forms_domain, build_subspace_domain, build_totally_singular,
@@ -92,7 +92,7 @@ def subspace_point(dom, *vectors):
     """Domain index of the subspace spanned by the given vectors."""
     F = dom.field
     d = dom.points[0].ambient_dim
-    return dom.index_of(canonicalize(F, d, [np.array(v) for v in vectors]))
+    return dom.index_of(canonicalize(F, d, [np.array(v) for v in vectors]).basis)
 
 
 def pair_point(dom, small_vectors, big_vectors):
@@ -100,12 +100,12 @@ def pair_point(dom, small_vectors, big_vectors):
     d = dom.points[0][0].ambient_dim
     W = canonicalize(F, d, [np.array(v) for v in small_vectors])
     U = canonicalize(F, d, [np.array(v) for v in big_vectors])
-    pair = tuple(sorted((W, U), key=lambda s: (s.dim, s.key())))
-    return dom.index_of(pair)
+    W, U = sorted((W, U), key=lambda s: s.dim)
+    return dom.index_of(np.vstack([W.basis, U.basis]))
 
 
 def form_point(dom, a):
-    return dom.index_of(actions.QuadFormPoint(np.array(a)))
+    return dom.index_of(np.array(a))
 
 
 def unpruned_enumeration(G, node_budget=2_000_000):
@@ -151,6 +151,11 @@ def span_vectors(F, B):
             v = F.add(v, F.mul(a, row))
         out.append(v)
     return out
+
+
+def vector_set(F, B):
+    """The row space of the basis B as a set of tuples."""
+    return {tuple(map(int, v)) for v in span_vectors(F, np.asarray(B))}
 
 
 def _pairing(form):

@@ -10,8 +10,8 @@ from conftest import named_case, unpruned_enumeration
 
 from ibiskit import linalg
 from ibiskit.actions import (
-    QuadFormPoint, build_quad_forms_domain, build_subspace_domain,
-    induce_permutation, theta_value,
+    build_quad_forms_domain, build_subspace_domain, induce_permutation,
+    theta_value,
 )
 from ibiskit.gf import field_of_order, make_field
 from ibiskit.groups import transvection_symplectic
@@ -137,10 +137,9 @@ def test_criterion_4_quadratic_forms_machinery():
             continue
         pi = induce_permutation(transvection_symplectic(c, form), dom)
         for a in all_row_vectors(F, 4):
-            pt = QuadFormPoint(a)
-            coeff = int(F.add(int(F.frob(theta_value(dom, pt, c), F.f - 1)), 1))
-            img = QuadFormPoint(F.add(a, F.mul(coeff, c)))
-            assert pi[dom.index_of(pt)] == dom.index_of(img)
+            coeff = int(F.add(int(F.frob(theta_value(dom, a, c), F.f - 1)), 1))
+            img = F.add(a, F.mul(coeff, c))
+            assert pi[dom.index_of(a)] == dom.index_of(img)
 
     # stabilizer orders and the size-4/size-5 bases of the even-q case
     rep = run_witness("P5.1", m=2, q=4)

@@ -6,7 +6,7 @@ import pytest
 from conftest import brute_nondegenerate, brute_totally_singular
 from ibiskit import actions, linalg
 from ibiskit.actions import (
-    ActionError, QuadFormPoint, build_group_action, build_nondegenerate_domain,
+    ActionError, build_group_action, build_nondegenerate_domain,
     build_nonsingular_points, build_pair_domain, build_projective_points,
     build_quad_forms_domain, build_subspace_domain, build_totally_singular,
     enumerate_subspaces, gaussian_binomial, induce_permutation, theta_value,
@@ -186,11 +186,11 @@ def test_forms_action_transvection_formula():
     dom = build_quad_forms_domain(2, 2, "-")
     F = F2
     eps = np.array([1, 0, 1, 0])  # eps.e1 + e3 with eps = 1, m = 2
-    assert trace_bit(F, theta_value(dom, QuadFormPoint(np.zeros(4, int)), eps)) == 1
+    assert trace_bit(F, theta_value(dom, np.zeros(4, int), eps)) == 1
     t = transvection_symplectic(np.array([0, 1, 0, 0]), symplectic_form(F, 4))
     pi = induce_permutation(t, dom)
-    i_eps = dom.index_of(QuadFormPoint(eps))
-    i_img = dom.index_of(QuadFormPoint(np.array([1, 1, 1, 0])))
+    i_eps = dom.index_of(eps)
+    i_img = dom.index_of(np.array([1, 1, 1, 0]))
     assert pi[i_eps] == i_img
 
 
@@ -207,12 +207,11 @@ def test_forms_action_conjugation_law_exhaustive_22():
         t = transvection_symplectic(c, form)
         pi = induce_permutation(t, dom)
         for a in vecs:
-            pt = QuadFormPoint(a)
-            val = theta_value(dom, pt, c)
+            val = theta_value(dom, a, c)
             root = int(F.frob(val, F.f - 1))
             coeff = int(F.add(root, 1))
-            expected = QuadFormPoint(F.add(a, F.mul(coeff, c)))
-            assert pi[dom.index_of(pt)] == dom.index_of(expected)
+            expected = F.add(a, F.mul(coeff, c))
+            assert pi[dom.index_of(a)] == dom.index_of(expected)
 
 
 def test_socle_transitive_on_acceptance_domains():
@@ -292,13 +291,12 @@ def test_forms_action_functional_oracle():
             ginv = g.inverse_element()
             for _ in range(6):
                 a = vs[rng.randrange(len(vs))]
-                pt = actions.QuadFormPoint(a)
-                img = dom.points[pi[dom.index_of(pt)]]
+                img = dom.points[pi[dom.index_of(a)]]
                 us = vs if exhaustive else [vs[rng.randrange(len(vs))]
                                             for _ in range(25)]
                 for u in us:
                     moved = ginv.act_vectors(u[None, :])[0]
-                    expected = int(F.frob(theta_value(dom, pt, moved),
+                    expected = int(F.frob(theta_value(dom, a, moved),
                                           g.frob_power))
                     assert theta_value(dom, img, u) == expected
 

@@ -87,7 +87,7 @@ def test_unitary_point_action_chains_q3():
     assert G0.order() == 6048 and GA.order() == 12096
 
     def sub(*vec):
-        return dom.index_of(canonicalize(E, 3, [np.array(vec)]))
+        return dom.index_of(canonicalize(E, 3, [np.array(vec)]).basis)
 
     alpha0 = next(c for c in range(1, E.q)
                   if int(E.add(c, E.frob(c, F0.f))) == 0)
@@ -126,7 +126,7 @@ def test_incident_pair_chain_collapse():
     def pair(small, bigs):
         W = canonicalize(F, 4, [np.array(small)])
         U = canonicalize(F, 4, [np.array(v) for v in bigs])
-        return dom.index_of(tuple(sorted((W, U), key=lambda s: (s.dim, s.key()))))
+        return dom.index_of(np.vstack([W.basis, U.basis]))
 
     e1, e2, e3, e4 = np.eye(4, dtype=int)
     w1 = pair(e1, [e1, e2, e4])

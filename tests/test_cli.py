@@ -206,3 +206,31 @@ def test_bad_descriptor_one_line_error(capsys, group, action, message):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert message in lines[0]
+
+
+def test_table_call_of_the_benchmark(capsys):
+    # the exact call perfbench/cases.py makes for each table row
+    assert main(["table", "--rows", "SL3(2) proj", "--threads", "1",
+                 "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["group"] for r in rows] == ["SL3(2) proj"]
+    assert rows[0]["computed_b"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["dump-domain", "--action", '{"kind":"projective_points","d":3,"q":2}',
+     "--threads", "2"],
+    ["dump-group", "--group", '{"family":"SL","d":3,"q":2}',
+     "--action", '{"kind":"projective_points","d":3,"q":2}', "--seed", "1"],
+    ["table", "--budget", "10"],
+    ["analyze", "--group", '{"family":"SL","d":3,"q":2}',
+     "--action", '{"kind":"projective_points","d":3,"q":2}', "--task", "order",
+     "--format", "csv"],
+    ["e7", "2", "--threads", "2"],
+    ["witness", "L3.2", "--budget", "5"],
+])
+def test_unread_flags_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
