@@ -12,10 +12,15 @@ only ever produced by a complete enumeration; randomized evidence can
 certify NotIBIS (two irredundant bases of different lengths) but never
 IBIS.
 
-The depth-first enumeration prunes to one representative point per
-orbit of the current stabilizer: extending by points in the same orbit
-yields conjugate stabilizers, hence identical sets of reachable chain
-lengths.
+Both exhaustive searches are memoised on that fixed-point key, because
+everything below a search node depends only on its stabilizer.  The
+depth-first enumeration prunes to one representative point per orbit of
+the current stabilizer (extending by points in the same orbit yields
+conjugate stabilizers, hence identical sets of reachable chain lengths)
+and keeps each complete subtree as {length: first suffix}, so its
+witnesses are those of the unmemoised search.  The minimal-base search
+keeps each distinct stabilizer once and reaches the stabilizers of a
+whole orbit from one chain, by conjugation.
 """
 
 from __future__ import annotations
@@ -149,35 +154,44 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET):
 
     Explores one representative per orbit of the current stabilizer
     (conjugate subtrees realize the same length sets) and records the
-    first witness chain found per length.  Returns EnumerationResult with
-    complete=False when the node budget is exhausted.
+    first witness chain found per length.  A subtree depends only on its
+    stabilizer H, whose orbits are ordered by least point, and H is named
+    by its fixed points; each complete subtree is kept as
+    {length: first suffix in DFS order} under that key and never searched
+    again.  Returns EnumerationResult with complete=False when the node
+    budget is exhausted; a subtree cut short by the budget is not kept.
     """
     if G.degree > 10**4:
         raise IbisError("degree too large for a completeness guarantee")
-    lengths = set()
-    witnesses = {}
     nodes = 0
     complete = True
+    memo = {}
 
-    def dfs(H, chain):
+    def suffixes(H):
         nonlocal nodes, complete
         if H.order() == 1:
-            lengths.add(len(chain))
-            witnesses.setdefault(len(chain), tuple(chain))
-            return
+            return {0: ()}
+        key = H.fixed_points().tobytes()
+        found = memo.get(key)
+        if found is not None:
+            return found
+        found = {}
         for ob in H.orbits():
             if len(ob) == 1:
                 continue
             nodes += 1
             if nodes > node_budget:
                 complete = False
-                return
-            chain.append(ob[0])
-            dfs(H.stabilizer(ob[0]), chain)
-            chain.pop()
+                return found
+            p = ob[0]
+            for length, suffix in suffixes(H.stabilizer(p)).items():
+                found.setdefault(length + 1, (p,) + suffix)
+        if complete:
+            memo[key] = found
+        return found
 
-    dfs(G, [])
-    return EnumerationResult(frozenset(lengths), complete, witnesses, nodes)
+    witnesses = suffixes(G)
+    return EnumerationResult(frozenset(witnesses), complete, witnesses, nodes)
 
 
 def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
@@ -190,32 +204,59 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     minimal bases, and an independent base is itself minimal.
     Conjugation preserves minimality, so the least point of the set may
     be restricted to orbit minima.
+
+    Every pointwise stabilizer is kept once, under its fixed-point key,
+    and a point set's stabilizer is found by walking the steps
+    (stabilizer, point) -> stabilizer from G.  The first step from H to
+    a point p fills in the steps to its whole H-orbit from one chain: the
+    stabilizer of q = u[p] is the conjugate of H_p by u, whose fixed
+    points are those of H_p moved by u, so it is built only when that key
+    is new (perm.PermGroup.orbit_transport and conjugate).
     """
     if G.degree > 10**3:
         raise IbisError("degree too large for minimal-base completeness")
     sizes = set()
     nodes = 0
     complete = True
-    memo = {frozenset(): G}
+    # A key is the bytes of a fixed-point mask, so key[p] is 1 exactly
+    # when the stabilizer fixes p.
+    groups = [G]                          # id -> pointwise stabilizer
+    keys = [G.fixed_points().tobytes()]   # id -> fixed-point key
+    ids = {keys[0]: 0}                    # fixed-point key -> id
+    steps = {}                            # (id, point) -> id
 
-    def stab(points):
-        """G_(points), memoised on the point set."""
-        key = frozenset(points)
-        if key not in memo:
-            memo[key] = stab(points[:-1]).stabilizer(points[-1])
-        return memo[key]
+    def step(k, p):
+        """The id of the stabilizer of p in the group with id k."""
+        if keys[k][p]:
+            return k
+        if (k, p) not in steps:
+            Hp, transport = groups[k].orbit_transport(p)
+            for q, u, fixed in transport:
+                key = fixed.tobytes()
+                if key not in ids:
+                    ids[key] = len(groups)
+                    groups.append(Hp if q == p else Hp.conjugate(u))
+                    keys.append(key)
+                steps[(k, q)] = ids[key]
+        return steps[(k, p)]
 
-    def independent(points):
-        """All earlier members still matter after the newest point joined."""
-        return all(not stab(points[:i] + points[i + 1:]).fixed_points()[points[i]]
-                   for i in range(len(points) - 1))
+    def independent(path, points):
+        """All earlier members still matter after the newest point joined;
+        path[i] is the id of the stabilizer of points[:i]."""
+        for i in range(len(points) - 1):
+            k = path[i]
+            for p in points[i + 1:]:
+                k = step(k, p)
+            if keys[k][points[i]]:
+                return False
+        return True
 
-    def dfs(H, points, startpt):
+    def dfs(path, points, startpt):
         nonlocal nodes, complete
-        if H.order() == 1:
+        if groups[path[-1]].order() == 1:
             sizes.add(len(points))
             return
-        fixed = H.fixed_points()
+        fixed = keys[path[-1]]
         for p in range(startpt, G.degree):
             if fixed[p]:
                 continue
@@ -224,13 +265,13 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
                 complete = False
                 return
             cand = points + (p,)
-            if independent(cand):
-                dfs(stab(cand), cand, p + 1)
+            if independent(path, cand):
+                dfs(path + [step(path[-1], p)], cand, p + 1)
 
     for ob in G.orbits():
         if len(ob) > 1:
             nodes += 1
-            dfs(stab((ob[0],)), (ob[0],), ob[0] + 1)
+            dfs([0, step(0, ob[0])], (ob[0],), ob[0] + 1)
     if G.order() == 1:
         sizes = {0}
     return EnumerationResult(frozenset(sizes), complete, {}, nodes)

@@ -130,9 +130,12 @@ def inverse(F, A):
 
 
 def det(F, A):
-    """Determinant, from the elimination's pivots."""
-    R, scale = _eliminate(F, np.asarray(A)[None])
-    return int(scale[0]) if R[0].any(axis=1).all() else 0
+    """Determinant, from the elimination's pivots: an int for one matrix,
+    an array of them for a stack (n, d, d)."""
+    A = np.asarray(A)
+    R, scale = _eliminate(F, A if A.ndim == 3 else A[None])
+    dets = np.where(R.any(axis=2).all(axis=1), scale, 0)
+    return dets if A.ndim == 3 else int(dets[0])
 
 
 # -- subspaces -------------------------------------------------------------

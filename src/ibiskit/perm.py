@@ -13,10 +13,12 @@ order.  Orders are exact big integers, never Monte Carlo.
 
 The second way makes point stabilizers cheap: H.stabilizer(p) rebuilds
 H's chain based at p with |H| as its target, and the stabilizer it
-returns carries its certified order.  The searches in the ibis module
-step from a stabilizer to the next this way, and name a pointwise
-stabilizer by its fixed points.  The full element table survives for
-small groups as an independent oracle.
+returns carries its certified order.  The rest of p's orbit then costs
+no chain at all: with u from that chain's first transversal, u[p] = q,
+H_q = u^-1 H_p u has generators u[g[u^-1]], order |H_p| and the fixed
+points of H_p moved by u (orbit_transport, conjugate).  The searches in
+the ibis module step from a stabilizer to the next this way, and name a
+pointwise stabilizer by its fixed-point mask.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 DEGREE_CAP = 10**6
 ORDER_BITS_CAP = 512
-ELEMENT_CAP = 200_000
 
 
 class PermError(ValueError):
@@ -321,7 +322,6 @@ class PermGroup:
         self.name = name
         self._chain = None
         self._order = None        # certified order, once known
-        self._elements = None
 
     # -- chains ---------------------------------------------------------------
 
@@ -387,16 +387,52 @@ class PermGroup:
             mask &= g.images == ident
         return mask
 
-    def stabilizer(self, pt):
-        """The point stabilizer, read off a chain based at the point; its
-        order comes certified with it."""
+    def _point_chain(self, pt):
         pt = int(pt)
         if not 0 <= pt < self.degree:
             raise PermError("point out of range")
         ch = self.chain(base_prefix=(pt,))
         sub = PermGroup(self.degree, ch.level_generators(1))
         sub._order = ch.suffix_orders()[1]
-        return sub
+        return ch, sub
+
+    def stabilizer(self, pt):
+        """The point stabilizer, read off a chain based at the point; its
+        order comes certified with it."""
+        return self._point_chain(pt)[1]
+
+    def orbit_transport(self, pt):
+        """G_pt, and a list of (q, u, fixed_q) for every q in the orbit of
+        pt, in point order: u[pt] = q, and fixed_q is the fixed-point mask
+        of G_q.
+
+        One chain based at pt gives G_pt and, at its first level, the
+        transversal elements u.  G_q = u^-1 G_pt u fixes exactly the images
+        under u of the points G_pt fixes, so its mask costs one index
+        operation and G_pt.conjugate(u) builds it with no chain of its own.
+        """
+        ch, sub = self._point_chain(pt)
+        lvl = ch.levels[0]
+        fixed = np.flatnonzero(sub.fixed_points())
+        out = []
+        for q in sorted(lvl.orbit):
+            u = lvl.transversal(q)
+            mask = np.zeros(self.degree, dtype=bool)
+            mask[u[fixed]] = True
+            out.append((q, u, mask))
+        return sub, out
+
+    def conjugate(self, u):
+        """u^-1 G u for the permutation with image array u: its generators
+        are u[g[u^-1]] and its certified order is |G|."""
+        u_inv = np.empty_like(u)
+        u_inv[u] = np.arange(self.degree, dtype=u.dtype)
+        gens = np.array([g.images for g in self.generators],
+                        dtype=np.int32).reshape(-1, self.degree)
+        conj = PermGroup(self.degree, [Permutation(g, _trusted=True)
+                                       for g in u[gens[:, u_inv]]])
+        conj._order = self._order
+        return conj
 
     def pointwise_stabilizer(self, points):
         """The pointwise stabilizer, one point stabilizer at a time."""
@@ -409,42 +445,6 @@ class PermGroup:
         """[|G|, |G_p1|, |G_p1,p2|, ...] along the given point sequence."""
         pts = tuple(int(p) for p in points)
         return self.chain(base_prefix=pts).suffix_orders()[: len(pts) + 1]
-
-    # -- element table ----------------------------------------------------------
-
-    def elements(self, cap=ELEMENT_CAP):
-        """The full element table as an (order, degree) int32 matrix.
-
-        Deterministic row order: breadth-first closure from the identity,
-        then lexicographic sort.
-        """
-        if self._elements is not None:
-            return self._elements
-        n = self.order()
-        if n > cap:
-            raise PermError(f"group order {n} exceeds element-table cap {cap}")
-        ident = np.arange(self.degree, dtype=np.int32)
-        rows = [ident]
-        seen = {ident.tobytes()}
-        frontier = np.array([ident])
-        gens = [g.images for g in self.generators]
-        while len(frontier):
-            new = []
-            for g in gens:
-                prods = g[frontier]
-                for row in prods:
-                    key = row.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        new.append(row)
-            frontier = np.array(new) if new else np.zeros((0, self.degree), np.int32)
-            rows.extend(new)
-        table = np.array(rows, dtype=np.int32)
-        table = table[np.lexsort(table.T[::-1])]
-        assert len(table) == n, "element closure disagrees with BSGS order"
-        table.setflags(write=False)
-        self._elements = table
-        return table
 
     def serialize(self):
         return {

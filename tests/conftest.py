@@ -12,10 +12,13 @@ from ibiskit.actions import (
 )
 from ibiskit.gf import field_of_order
 from ibiskit.groups import GroupSpec
-from ibiskit.ibis import EnumerationResult
+from ibiskit.ibis import DEFAULT_BUDGET, EnumerationResult, IbisError
 from ibiskit.linalg import (
     canonicalize, eval_form, quadratic_minus, quadratic_plus, symplectic_form,
 )
+from ibiskit.perm import PermError
+
+ELEMENT_CAP = 200_000
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,11 +111,47 @@ def form_point(dom, a):
     return dom.index_of(np.array(a))
 
 
+# -- search oracles ---------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def element_table(G, cap=ELEMENT_CAP):
+    """The full element table of a small group as an (order, degree) int32
+    matrix: an oracle independent of the stabilizer chains.
+
+    Deterministic row order: breadth-first closure from the identity,
+    then lexicographic sort.
+    """
+    n = G.order()
+    if n > cap:
+        raise PermError(f"group order {n} exceeds element-table cap {cap}")
+    ident = np.arange(G.degree, dtype=np.int32)
+    rows = [ident]
+    seen = {ident.tobytes()}
+    frontier = np.array([ident])
+    gens = [g.images for g in G.generators]
+    while len(frontier):
+        new = []
+        for g in gens:
+            prods = g[frontier]
+            for row in prods:
+                key = row.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    new.append(row)
+        frontier = np.array(new) if new else np.zeros((0, G.degree), np.int32)
+        rows.extend(new)
+    table = np.array(rows, dtype=np.int32)
+    table = table[np.lexsort(table.T[::-1])]
+    assert len(table) == n, "element closure disagrees with BSGS order"
+    table.setflags(write=False)
+    return table
+
+
 def unpruned_enumeration(G, node_budget=2_000_000):
     """Brute-force oracle for the pruned enumeration: irredundant base
     lengths over the full element table, branching on every moved point
     and memoised on the stabilizer's rows."""
-    table = G.elements()
+    table = element_table(G)
     ident = np.arange(G.degree)
     memo = {}
     nodes = 0
@@ -138,6 +177,102 @@ def unpruned_enumeration(G, node_budget=2_000_000):
 
     lengths = depths(np.arange(len(table)))
     return EnumerationResult(lengths, complete, {}, nodes)
+
+
+def plain_enumeration(G, node_budget=DEFAULT_BUDGET):
+    """Oracle for the memoised enumeration: the same depth-first search
+    with no memo, every subtree searched afresh.
+
+    Explores one representative per orbit of the current stabilizer
+    (conjugate subtrees realize the same length sets) and records the
+    first witness chain found per length.  Returns EnumerationResult with
+    complete=False when the node budget is exhausted.
+    """
+    if G.degree > 10**4:
+        raise IbisError("degree too large for a completeness guarantee")
+    lengths = set()
+    witnesses = {}
+    nodes = 0
+    complete = True
+
+    def dfs(H, chain):
+        nonlocal nodes, complete
+        if H.order() == 1:
+            lengths.add(len(chain))
+            witnesses.setdefault(len(chain), tuple(chain))
+            return
+        for ob in H.orbits():
+            if len(ob) == 1:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                complete = False
+                return
+            chain.append(ob[0])
+            dfs(H.stabilizer(ob[0]), chain)
+            chain.pop()
+
+    dfs(G, [])
+    return EnumerationResult(frozenset(lengths), complete, witnesses, nodes)
+
+
+def plain_minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
+    """Oracle for the memoised minimal-base search: the same DFS with one
+    stabilizer chain per point set, memoised on the set.
+
+    Sizes of minimal bases (bases no proper subset of which is a base).
+
+    Ascending-set DFS over *independent* sets: a set is independent when
+    deleting any member changes its pointwise stabilizer, that is, when
+    the stabilizer of the others moves it.  A point made redundant once
+    stays redundant in every superset, so only independent sets extend to
+    minimal bases, and an independent base is itself minimal.
+    Conjugation preserves minimality, so the least point of the set may
+    be restricted to orbit minima.
+    """
+    if G.degree > 10**3:
+        raise IbisError("degree too large for minimal-base completeness")
+    sizes = set()
+    nodes = 0
+    complete = True
+    memo = {frozenset(): G}
+
+    def stab(points):
+        """G_(points), memoised on the point set."""
+        key = frozenset(points)
+        if key not in memo:
+            memo[key] = stab(points[:-1]).stabilizer(points[-1])
+        return memo[key]
+
+    def independent(points):
+        """All earlier members still matter after the newest point joined."""
+        return all(not stab(points[:i] + points[i + 1:]).fixed_points()[points[i]]
+                   for i in range(len(points) - 1))
+
+    def dfs(H, points, startpt):
+        nonlocal nodes, complete
+        if H.order() == 1:
+            sizes.add(len(points))
+            return
+        fixed = H.fixed_points()
+        for p in range(startpt, G.degree):
+            if fixed[p]:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                complete = False
+                return
+            cand = points + (p,)
+            if independent(cand):
+                dfs(stab(cand), cand, p + 1)
+
+    for ob in G.orbits():
+        if len(ob) > 1:
+            nodes += 1
+            dfs(stab((ob[0],)), (ob[0],), ob[0] + 1)
+    if G.order() == 1:
+        sizes = {0}
+    return EnumerationResult(frozenset(sizes), complete, {}, nodes)
 
 
 # -- brute-force subspace predicates: every vector of W, scalar arithmetic ----

@@ -168,17 +168,20 @@ def test_criterion_5_klein_correspondence():
 
     F3 = field_of_order(3)
     rng = random.Random(123)
-    for _ in range(10**4):
-        X = np.zeros((4, 4), dtype=np.int64)
+    n = 10**4
+    X = np.zeros((n, 4, 4), dtype=np.int64)
+    P = np.zeros((n, 4, 4), dtype=np.int64)
+    for k in range(n):
         for i in range(4):
             for j in range(i + 1, 4):
-                X[i, j] = rng.randrange(3)
-                X[j, i] = int(F3.neg(X[i, j]))
-        P = np.array([[rng.randrange(3) for _ in range(4)] for _ in range(4)])
-        pf = pfaffian4(F3, X)
-        assert int(F3.mul(pf, pf)) == det(F3, X)
-        Y = mat_mul(F3, mat_mul(F3, P.T, X), P)
-        assert pfaffian4(F3, Y) == int(F3.mul(det(F3, P), pf))
+                X[k, i, j] = rng.randrange(3)
+                X[k, j, i] = int(F3.neg(X[k, i, j]))
+        P[k] = [[rng.randrange(3) for _ in range(4)] for _ in range(4)]
+    pf = np.array([pfaffian4(F3, x) for x in X])
+    assert np.array_equal(F3.mul(pf, pf), det(F3, X))
+    Y = mat_mul(F3, mat_mul(F3, P.transpose(0, 2, 1), X), P)
+    assert np.array_equal([pfaffian4(F3, y) for y in Y],
+                          F3.mul(det(F3, P), pf))
     assert time.time() - t0 < 60
     announce(5, t0, "Klein correspondence and Pfaffian identities")
 

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conftest import named_case, subspace_point, unpruned_enumeration
+from conftest import (
+    element_table, named_case, subspace_point, unpruned_enumeration,
+)
 
 from ibiskit.ibis import (
     IbisError, base_report, decide_ibis, e7_bound_check,
@@ -187,10 +189,22 @@ def test_decide_deterministic():
     assert v1.serialize() == v2.serialize()
 
 
-def test_minimal_base_sizes_gl42():
+def test_minimal_base_sizes_gl42(monkeypatch):
+    # one chain per point set would make 30,781 chains here; stepping into
+    # an orbit builds one chain and transports the rest by conjugation
     G, _ = named_case("GL4_2/sub35")
+    calls = 0
+    chain = PermGroup.chain
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return chain(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "chain", counted)
     res = minimal_base_sizes(G)
     assert res.lengths == frozenset([4]) and res.complete
+    assert calls <= 6000
 
 
 def test_minimal_base_sizes_trivial_and_ibis():
@@ -273,7 +287,7 @@ def test_sandwich_consistency_psp43():
 
 
 def _table_chain_orders(G, seq):
-    rows = G.elements()
+    rows = element_table(G)
     orders = [len(rows)]
     for p in seq:
         rows = rows[rows[:, p] == p]

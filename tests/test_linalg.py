@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -104,6 +105,35 @@ def test_matrix_inverse_and_det():
             break
     Ainv = inverse(F3, A)
     assert np.array_equal(mat_mul(F3, A, Ainv), linalg.identity(F3, n))
+
+
+def _leibniz_det(F, A):
+    """sum over permutations s of sign(s) prod_i A[i, s(i)], by scalar
+    field arithmetic."""
+    total = 0
+    for s in itertools.permutations(range(len(A))):
+        term = 1
+        for i, j in enumerate(s):
+            term = int(F.mul(term, int(A[i, j])))
+        inversions = sum(a > b for a, b in itertools.combinations(s, 2))
+        total = int(F.add(total, F.neg(term) if inversions % 2 else term))
+    return total
+
+
+@pytest.mark.parametrize("F", [F3, F4], ids=["q3", "q4"])
+def test_det_of_a_stack_matches_leibniz(F):
+    # a stack gives one determinant per matrix, a single matrix an int;
+    # low ranks and zero leading columns force singular cases and swaps
+    rng = np.random.default_rng(7)
+    S = rng.integers(0, F.q, size=(60, 4, 4))
+    S[::5, 1] = S[::5, 0]
+    S[1::5, :, 0] = 0
+    S[2::5, 0, 0] = 0
+    dets = det(F, S)
+    assert dets.shape == (60,)
+    assert [int(x) for x in dets] == [_leibniz_det(F, A) for A in S]
+    assert isinstance(det(F, S[3]), int) and det(F, S[3]) == dets[3]
+    assert {int(x) for x in dets[::5]} == {0}
 
 
 def test_eval_form_standard_theta0():

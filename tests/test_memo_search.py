@@ -1,0 +1,125 @@
+"""The memoised searches against their plain oracles, and certified
+length sets in the paper's regime of base size >= 6."""
+
+import functools
+import math
+
+import pytest
+
+from conftest import named_case, plain_enumeration, plain_minimal_base_sizes
+from ibiskit.actions import build_domain, build_group_action
+from ibiskit.cli import TABLE_ROWS
+from ibiskit.groups import GroupSpec
+from ibiskit.ibis import (
+    DEFAULT_BUDGET, base_report, enumerate_irredundant_base_sizes,
+    minimal_base_sizes,
+)
+
+# The heavier actions: complement pairs of PG(2, 4), points of PG(3, 3),
+# the 2-subspaces of GF(2)^4 and the plus-type forms of Sp4(4).
+SEARCH_ACTIONS = {
+    "SL3(4).2 pairs336": (
+        {"family": "SL", "d": 3, "q": 4, "extensions": ["dual"]},
+        {"kind": "pair_complement", "d": 3, "q": 4, "k": 1}),
+    "PSL4(3) proj40": ({"family": "SL", "d": 4, "q": 3},
+                       {"kind": "projective_points", "d": 4, "q": 3}),
+    "PSp4(3) proj40": ({"family": "Sp", "d": 4, "q": 3},
+                       {"kind": "projective_points", "d": 4, "q": 3}),
+    "GL4(2) sub35": ({"family": "GL", "d": 4, "q": 2},
+                     {"kind": "subspaces_k", "d": 4, "q": 2, "k": 2}),
+    "Sp4(4) forms136": ({"family": "Sp", "d": 4, "q": 4},
+                        {"kind": "quad_forms_plus", "m": 2, "q": 4}),
+}
+ACTIONS = dict(SEARCH_ACTIONS,
+               **{name: (g, a) for name, g, a, _ in TABLE_ROWS})
+
+
+@functools.lru_cache(maxsize=None)
+def group(name):
+    gdesc, adesc = ACTIONS[name]
+    dom = build_domain(adesc)
+    return build_group_action(GroupSpec.deserialize(gdesc), dom)
+
+
+@pytest.mark.parametrize("name", list(ACTIONS))
+def test_memoised_enumeration_matches_plain(name):
+    G = group(name)
+    memo = enumerate_irredundant_base_sizes(G)
+    plain = plain_enumeration(G)
+    assert memo.complete and plain.complete
+    assert memo.lengths == plain.lengths
+    assert memo.witnesses == plain.witnesses
+    assert memo.nodes <= plain.nodes
+
+
+@pytest.mark.parametrize("name", ["GL4_2/sub35", "PSp4_3/proj40"])
+def test_minimal_base_sizes_match_plain(name):
+    G, _ = named_case(name)
+    memo = minimal_base_sizes(G)
+    plain = plain_minimal_base_sizes(G)
+    assert (memo.lengths, memo.complete, memo.nodes) \
+        == (plain.lengths, plain.complete, plain.nodes)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 100, 1000])
+def test_budgeted_enumeration_sp44(budget):
+    # a subtree cut short by the budget must not be kept as if it were
+    # complete: the search is complete exactly when the budget covers it
+    G = group("Sp4(4) forms136")
+    full = enumerate_irredundant_base_sizes(G)
+    res = enumerate_irredundant_base_sizes(G, node_budget=budget)
+    assert res.lengths <= full.lengths == {4, 5}
+    assert res.complete == (res.nodes <= budget) == (full.nodes <= budget)
+    for length, chain in res.witnesses.items():
+        rep = base_report(G, chain)
+        assert len(rep) == length and rep.is_base and rep.is_irredundant
+
+
+# -- base size >= 6 ----------------------------------------------------------
+
+def sp_order(m, q):
+    """|Sp_2m(q)| = q^(m^2) prod_{i=1..m} (q^(2i) - 1)."""
+    return q**(m * m) * math.prod(q**(2 * i) - 1 for i in range(1, m + 1))
+
+
+def sl_order(d, q):
+    """|SL_d(q)| = q^(d(d-1)/2) prod_{i=2..d} (q^i - 1)."""
+    return q**(d * (d - 1) // 2) * math.prod(q**i - 1 for i in range(2, d + 1))
+
+
+# Over GF(2) the centre is trivial, so each group acts faithfully on the
+# (2^d - 1) points of PG(d - 1, 2).
+REGIME = [
+    ("Sp", 6, sp_order(3, 2), {6}),
+    ("SL", 6, sl_order(6, 2), {6}),
+    ("Sp", 8, sp_order(4, 2), {8}),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def point_action(family, d):
+    dom = build_domain({"kind": "projective_points", "d": d, "q": 2})
+    return build_group_action(GroupSpec(family, d, 2), dom)
+
+
+@pytest.mark.parametrize("family,d,order,lengths", REGIME)
+def test_base_size_at_least_six_certified(family, d, order, lengths):
+    G = point_action(family, d)
+    assert G.degree == 2**d - 1
+    assert G.order() == order
+    res = enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET)
+    assert res.complete and res.lengths == lengths
+    for length, chain in res.witnesses.items():
+        rep = base_report(G, chain)
+        assert len(rep) == length and rep.is_base and rep.is_irredundant
+
+
+def test_sp62_points_against_plain_search():
+    G = point_action("Sp", 6)
+    assert G.order() == 1_451_520
+    memo = enumerate_irredundant_base_sizes(G)
+    plain = plain_enumeration(G)
+    assert plain.complete and plain.nodes == 14_830
+    assert memo.lengths == plain.lengths == {6}
+    assert memo.witnesses == plain.witnesses
+    assert memo.nodes < plain.nodes

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from conftest import element_table
 from ibiskit.perm import (
     PermError, PermGroup, Permutation, derived_subgroup,
 )
@@ -121,17 +123,17 @@ def test_chain_orders_full_base():
 
 def test_element_table():
     G = sym(5)
-    table = G.elements()
+    table = element_table(G)
     assert table.shape == (120, 5)
     assert len({r.tobytes() for r in table}) == 120
     A = derived_subgroup(sym(5))
-    assert A.elements().shape == (60, 5)
+    assert element_table(A).shape == (60, 5)
 
 
 def test_element_table_cap():
     G = sym(9)
     with pytest.raises(PermError):
-        G.elements(cap=1000)
+        element_table(G, cap=1000)
 
 
 def test_serialize_roundtrip():
@@ -154,7 +156,7 @@ def test_bsgs_order_matches_closure_on_random_groups():
             rng.shuffle(img)
             gens.append(Permutation(img))
         G = PermGroup(n, gens)
-        table = G.elements()          # closure; asserts against chain order
+        table = element_table(G)  # closure; asserts against chain order
         assert len(table) == G.order()
 
 
@@ -167,9 +169,38 @@ def test_stabilizer_of_bsgs_group_is_exact():
         G = PermGroup(n, [Permutation(img), perm_from_cycles(n, (0, 1, 2))])
         pt = rng.randrange(n)
         H = G.stabilizer(pt)
-        table = G.elements()
+        table = element_table(G)
         brute = sum(1 for row in table if row[pt] == pt)
         assert H.order() == brute
+
+
+def test_orbit_transport_gives_every_point_stabilizer():
+    # each transported G_q has exactly the elements of G that fix q, its
+    # certified order and its fixed points, checked on the element table
+    rng = random.Random(33)
+    for trial in range(12):
+        n = rng.randrange(5, 9)
+        gens = []
+        for _ in range(rng.randrange(1, 3)):
+            img = list(range(n))
+            rng.shuffle(img)
+            gens.append(Permutation(img))
+        G = PermGroup(n, gens)
+        table = element_table(G)
+        pt = rng.randrange(n)
+        Gp, transport = G.orbit_transport(pt)
+        seen = []
+        for q, u, fixed in transport:
+            seen.append(q)
+            assert u[pt] == q and sorted(u) == list(range(n))
+            Gq = Gp if q == pt else Gp.conjugate(u)
+            brute = table[table[:, q] == q]
+            assert Gq.order() == len(brute)
+            assert np.array_equal(element_table(Gq), brute)
+            brute_fixed = [bool((brute[:, x] == x).all()) for x in range(n)]
+            assert list(fixed) == list(Gq.fixed_points()) == brute_fixed
+        orbit = next(ob for ob in G.orbits() if pt in ob)
+        assert seen == orbit
 
 
 def test_orders_against_independent_library():
