@@ -3,9 +3,9 @@ run analyses, replay the witness catalog, and emit the table report.
 
 Subcommands: analyze, table, witness, e7, dump-group, dump-domain.
 Exit codes: 0 success, 1 error, 2 inconclusive (Unknown verdict).
-Reports carry "schema": 1 and are byte-stable for a fixed
+Reports carry "schema": 2 and are byte-stable for a fixed
 (descriptor, seed, budget), except for the wall-clock runtime column of
-the table command.
+the table command; only base-find with a size reports its seed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .ibis import (
     find_random_irredundant_base, minimal_base_sizes,
 )
 
-SCHEMA = 1
+SCHEMA = 2
 
 # Rows of the reproduction table: name, group descriptor, action
 # descriptor, expected base size (None: reproduce a NotIBIS verdict).
@@ -94,14 +94,16 @@ def cmd_analyze(args):
     for key in ("group", "action", "task"):
         if key not in job:
             raise CliError(f"job descriptor is missing {key!r}")
+    seed, budget = int(job["seed"]), job["budget"]
+    if type(budget) is not int or budget < 0:
+        raise CliError(f"budget must be a non-negative integer, got {budget!r}")
     spec = GroupSpec.deserialize(job["group"])
     dom = build_domain(job["action"])
     G = build_group_action(spec, dom)
-    seed, budget = int(job["seed"]), int(job["budget"])
     task = job["task"]
     report = {"schema": SCHEMA, "group": spec.serialize(),
-              "action": dom.describe(), "task": task, "seed": seed,
-              "budget": budget, "degree": dom.N}
+              "action": dom.describe(), "task": task, "budget": budget,
+              "degree": dom.N}
     exit_code = 0
     if task == "order":
         report["order"] = str(G.order())
@@ -111,12 +113,13 @@ def cmd_analyze(args):
         size = job.get("size")
         if size:
             rep = find_random_irredundant_base(G, int(size), budget=budget, seed=seed)
+            report["seed"] = seed
             report["found"] = rep.serialize() if rep else None
             exit_code = 0 if rep else 2
         else:
             report["base"] = extend_to_irredundant_base(G).serialize()
     elif task == "ibis":
-        verdict = decide_ibis(G, budget=budget, seed=seed)
+        verdict = decide_ibis(G, budget=budget)
         report["verdict"] = verdict.serialize()
         exit_code = 2 if verdict.status == "Unknown" else 0
     elif task == "minimal-bases":
@@ -187,7 +190,7 @@ def cmd_witness(args):
             params[key] = val
     if args.seed and args.lemma == "L3.14":
         params["seed"] = args.seed
-    report = witnesses.run_witness(args.lemma, **params)
+    report = {"schema": SCHEMA, **witnesses.run_witness(args.lemma, **params)}
     _emit(args, report)
     return 0 if report["ok"] else 1
 

@@ -1,16 +1,16 @@
-"""Irredundant-base analysis: base testing and extension, randomized and
-exhaustive search over base lengths, the IBIS decision with witnesses,
-minimal-base sizes, witness-chain verification, and the big-integer
-parabolic bound for E7.
+"""Irredundant-base analysis: base testing and extension, a seeded
+random search for a base of a given length, the exhaustive search over
+base lengths, the IBIS decision with witnesses, minimal-base sizes,
+witness-chain verification, and the big-integer parabolic bound for E7.
 
 Every search runs on stabilizer chains.  A step from a stabilizer H to
 H_p rebuilds H's chain based at p with the certified |H| as its target
 (perm.PermGroup.stabilizer), and a pointwise stabilizer is named by its
 fixed points, since G_(S) = G_(fix(G_(S))): a point is redundant exactly
-when the stabilizer of its predecessors fixes it.  An IBIS verdict is
-only ever produced by a complete enumeration; randomized evidence can
-certify NotIBIS (two irredundant bases of different lengths) but never
-IBIS.
+when the stabilizer of its predecessors fixes it.  The IBIS decision is
+that enumeration alone: IBIS only when it finishes with one length,
+NotIBIS only from two irredundant bases of different lengths that it
+found and that are re-checked before they are reported.
 
 Both exhaustive searches are memoised on that fixed-point key, because
 everything below a search node depends only on its stabilizer.  The
@@ -64,17 +64,16 @@ class BaseReport:
 @dataclass(frozen=True)
 class IbisVerdict:
     status: str                  # "IBIS" | "NotIBIS" | "Unknown"
-    method: str                  # "exhaustive" | "randomized" | "sandwich"
+    method: str                  # always "exhaustive"
     rank: int | None = None
     witnesses: tuple = ()
     lengths: frozenset = frozenset()
     complete: bool = False
     budget_used: int = 0
-    seed: int = 0
 
     def serialize(self):
         out = {"status": self.status, "method": self.method,
-               "budget_used": self.budget_used, "seed": self.seed,
+               "budget_used": self.budget_used,
                "lengths": sorted(self.lengths)}
         if self.rank is not None:
             out["rank"] = self.rank
@@ -148,7 +147,8 @@ def find_random_irredundant_base(G, size, budget=1000, seed=0):
 
 # -- exhaustive enumeration ----------------------------------------------------
 
-def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET):
+def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
+                                     _two_lengths=False):
     """The set of lengths of all irredundant bases, by depth-first search
     over irredundant extensions.
 
@@ -159,15 +159,19 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET):
     by its fixed points; each complete subtree is kept as
     {length: first suffix in DFS order} under that key and never searched
     again.  Returns EnumerationResult with complete=False when the node
-    budget is exhausted; a subtree cut short by the budget is not kept.
+    budget is exhausted (nodes are counted before they are expanded, so
+    then nodes > node_budget); a subtree cut short is not kept.  With
+    _two_lengths (the IBIS decision) it also stops, incomplete, before
+    expanding a node once two lengths are certified.
     """
     if G.degree > 10**4:
         raise IbisError("degree too large for a completeness guarantee")
     nodes = 0
     complete = True
     memo = {}
+    certified = set()   # lengths of the bases found so far
 
-    def suffixes(H):
+    def suffixes(H, depth):
         nonlocal nodes, complete
         if H.order() == 1:
             return {0: ()}
@@ -179,18 +183,22 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET):
         for ob in H.orbits():
             if len(ob) == 1:
                 continue
+            if _two_lengths and len(certified) > 1:
+                complete = False
+                return found
             nodes += 1
             if nodes > node_budget:
                 complete = False
                 return found
             p = ob[0]
-            for length, suffix in suffixes(H.stabilizer(p)).items():
+            for length, suffix in suffixes(H.stabilizer(p), depth + 1).items():
                 found.setdefault(length + 1, (p,) + suffix)
+                certified.add(depth + length + 1)
         if complete:
             memo[key] = found
         return found
 
-    witnesses = suffixes(G)
+    witnesses = suffixes(G, 0)
     return EnumerationResult(frozenset(witnesses), complete, witnesses, nodes)
 
 
@@ -279,41 +287,29 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
 
 # -- the IBIS decision -----------------------------------------------------------
 
-def decide_ibis(G, budget=DEFAULT_BUDGET, seed=0):
-    """NotIBIS as soon as two irredundant bases of distinct lengths are
-    certified (randomized phase first); IBIS only from a complete
-    enumeration; Unknown otherwise.  Deterministic given (budget, seed)."""
-    if G.order() == 1:
-        return IbisVerdict("IBIS", "exhaustive", rank=0, lengths=frozenset([0]),
-                           complete=True, seed=seed)
-    greedy = extend_to_irredundant_base(G)
-    L0 = len(greedy)
-    tries = min(60, max(10, budget // 10000))
-    for size in (L0 - 1, L0 + 1, L0 + 2):
-        if size < 1 or size > G.degree:
-            continue
-        other = find_random_irredundant_base(G, size, budget=tries, seed=seed)
-        if other is not None:
-            wits = tuple(sorted((greedy, other), key=len))
-            return IbisVerdict("NotIBIS", "randomized",
-                               lengths=frozenset({L0, len(other)}),
-                               witnesses=wits, budget_used=tries, seed=seed)
-    enum = enumerate_irredundant_base_sizes(G, node_budget=budget)
+def decide_ibis(G, budget=DEFAULT_BUDGET, seed=None):
+    """NotIBIS once the enumeration of base lengths has certified two
+    (witnesses: a shortest and a longest base found, re-checked), IBIS
+    only when it finishes with one, Unknown when the budget runs out.
+    `budget_used` counts the nodes expanded, at most `budget`.  `seed` is
+    accepted and ignored: nothing in the decision is random."""
+    if budget < 0:
+        raise IbisError(f"budget must be >= 0, got {budget}")
+    enum = enumerate_irredundant_base_sizes(G, budget, _two_lengths=True)
     wits = tuple(base_report(G, enum.witnesses[L])
-                 for L in sorted(enum.witnesses))
-    if len(enum.lengths) >= 2:
-        pair = tuple(base_report(G, enum.witnesses[L])
-                     for L in (min(enum.lengths), max(enum.lengths)))
-        return IbisVerdict("NotIBIS", "exhaustive", lengths=enum.lengths,
-                           witnesses=pair, complete=enum.complete,
-                           budget_used=enum.nodes, seed=seed)
+                 for L in sorted(enum.lengths))
+    common = dict(lengths=enum.lengths, complete=enum.complete,
+                  budget_used=min(enum.nodes, budget))
+    if len(wits) > 1:
+        pair = (wits[0], wits[-1])
+        if not (all(w.is_base and w.is_irredundant for w in pair)
+                and len(pair[0]) < len(pair[1])):
+            raise IbisError("NotIBIS witnesses failed re-certification")
+        return IbisVerdict("NotIBIS", "exhaustive", witnesses=pair, **common)
     if enum.complete:
-        rank = min(enum.lengths)
-        return IbisVerdict("IBIS", "exhaustive", rank=rank, lengths=enum.lengths,
-                           witnesses=wits, complete=True,
-                           budget_used=enum.nodes, seed=seed)
-    return IbisVerdict("Unknown", "exhaustive", lengths=enum.lengths,
-                       complete=False, budget_used=enum.nodes, seed=seed)
+        return IbisVerdict("IBIS", "exhaustive", rank=min(enum.lengths),
+                           witnesses=wits, **common)
+    return IbisVerdict("Unknown", "exhaustive", **common)
 
 
 def same_pointwise_stabilizer(G, seq_a, seq_b):

@@ -48,7 +48,7 @@ def _sub(dom, *vectors):
 
 
 def _finish(lemma, params, checks):
-    return {"schema": 1, "lemma": lemma, "params": params,
+    return {"lemma": lemma, "params": params,
             "checks": checks, "ok": all(c["ok"] for c in checks)}
 
 

@@ -7,9 +7,11 @@ import numpy as np
 
 from ibiskit import linalg
 from ibiskit.actions import (
-    build_group_action, build_nonsingular_points, build_projective_points,
-    build_quad_forms_domain, build_subspace_domain, build_totally_singular,
+    build_domain, build_group_action, build_nonsingular_points,
+    build_projective_points, build_quad_forms_domain, build_subspace_domain,
+    build_totally_singular,
 )
+from ibiskit.cli import TABLE_ROWS
 from ibiskit.gf import field_of_order
 from ibiskit.groups import GroupSpec
 from ibiskit.ibis import DEFAULT_BUDGET, EnumerationResult, IbisError
@@ -89,6 +91,34 @@ def named_case(name):
 
 def _case(spec, dom):
     return build_group_action(spec, dom), dom
+
+
+# The heavier actions: complement pairs of PG(2, 4), points of PG(3, 3),
+# the 2-subspaces of GF(2)^4 and the plus-type forms of Sp4(4).
+SEARCH_ACTIONS = {
+    "SL3(4).2 pairs336": (
+        {"family": "SL", "d": 3, "q": 4, "extensions": ["dual"]},
+        {"kind": "pair_complement", "d": 3, "q": 4, "k": 1}),
+    "PSL4(3) proj40": ({"family": "SL", "d": 4, "q": 3},
+                       {"kind": "projective_points", "d": 4, "q": 3}),
+    "PSp4(3) proj40": ({"family": "Sp", "d": 4, "q": 3},
+                       {"kind": "projective_points", "d": 4, "q": 3}),
+    "GL4(2) sub35": ({"family": "GL", "d": 4, "q": 2},
+                     {"kind": "subspaces_k", "d": 4, "q": 2, "k": 2}),
+    "Sp4(4) forms136": ({"family": "Sp", "d": 4, "q": 4},
+                        {"kind": "quad_forms_plus", "m": 2, "q": 4}),
+}
+# The search actions and the 9 table rows, by name.
+ACTIONS = dict(SEARCH_ACTIONS,
+               **{name: (g, a) for name, g, a, _ in TABLE_ROWS})
+
+
+@functools.lru_cache(maxsize=None)
+def action_group(name):
+    """The PermGroup of the named entry of ACTIONS."""
+    gdesc, adesc = ACTIONS[name]
+    dom = build_domain(adesc)
+    return build_group_action(GroupSpec.deserialize(gdesc), dom)
 
 
 def subspace_point(dom, *vectors):

@@ -8,7 +8,7 @@ from ibiskit.actions import (
     build_group_action, build_pair_domain, build_quad_forms_domain,
 )
 from ibiskit.groups import GroupSpec
-from ibiskit.ibis import decide_ibis
+from ibiskit.ibis import decide_ibis, enumerate_irredundant_base_sizes
 from ibiskit.witnesses import run_witness
 
 
@@ -48,14 +48,22 @@ def test_m2_q2_classes_are_ibis(sign, degree, rank_full, rank_derived):
 
 def test_pair_action_exception_336():
     # the complement-pair action of the duality extension of PSL3(4):
-    # degree 336, not IBIS (a computer-verified exceptional case)
+    # degree 336, not IBIS (a computer-verified exceptional case); the
+    # decision stops at the first two lengths it certifies, which may be
+    # any two of the three
     dom = build_pair_domain(3, 4, 1, "complement")
     assert dom.N == 336
     G = build_group_action(GroupSpec("SL", 3, 4, extensions=("dual",)), dom)
     assert G.order() == 40320
     v = decide_ibis(G)
     assert v.status == "NotIBIS"
-    assert v.lengths >= frozenset({2, 3})
+    a, b = v.witnesses
+    assert len(a) != len(b)
+    for w in v.witnesses:
+        assert w.is_base and w.is_irredundant and len(w) in {2, 3, 4}
+    assert v.lengths <= frozenset({2, 3, 4})
+    enum = enumerate_irredundant_base_sizes(G)
+    assert enum.complete and enum.lengths == frozenset({2, 3, 4})
 
 
 def test_line_domain_chain_q4():

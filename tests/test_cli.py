@@ -20,7 +20,7 @@ def test_analyze_sl32_ibis(tmp_path):
                  "--task", "ibis", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["verdict"]["status"] == "IBIS"
     assert report["verdict"]["rank"] == 3
 
@@ -102,6 +102,7 @@ def test_witness_command(tmp_path):
     code = main(["witness", "L3.2", "--d", "3", "--q", "3", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
+    assert report["schema"] == 2
     assert report["ok"] and report["lemma"] == "L3.2"
     assert all(c["ok"] for c in report["checks"])
 
@@ -200,12 +201,52 @@ def test_reports_byte_identical(tmp_path):
 def test_bad_descriptor_one_line_error(capsys, group, action, message):
     code = main(["analyze", "--group", group, "--action", action,
                  "--task", "order"])
+    assert_one_line_error(capsys, code, message)
+
+
+def assert_one_line_error(capsys, code, message):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert message in lines[0]
+
+
+SL32 = ["--group", '{"family":"SL","d":3,"q":2}',
+        "--action", '{"kind":"projective_points","d":3,"q":2}']
+
+
+@pytest.mark.parametrize("task", ["ibis", "minimal-bases"])
+@pytest.mark.parametrize("flag,job_budget", [
+    ("-5", None), (None, -1), (None, 2.5), (None, "10"), (None, True)])
+def test_bad_budget_one_line_error(tmp_path, capsys, task, flag, job_budget):
+    argv = ["analyze"] + SL32 + ["--task", task]
+    if flag is not None:
+        argv += ["--budget", flag]
+    else:
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"budget": job_budget}))
+        argv.insert(1, str(job))
+    assert_one_line_error(capsys, main(argv),
+                          "budget must be a non-negative integer")
+
+
+def test_budget_zero_spends_no_nodes(capsys):
+    assert main(["analyze"] + SL32 + ["--task", "ibis", "--budget", "0"]) == 2
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["status"] == "Unknown" and verdict["budget_used"] == 0
+
+
+@pytest.mark.parametrize("budget", [0, 1, 3, 10, 100])
+def test_budget_used_within_budget(capsys, budget):
+    code = main(["analyze", "--group", '{"family":"Sp","d":4,"q":3}',
+                 "--action", '{"kind":"projective_points","d":4,"q":3}',
+                 "--task", "ibis", "--budget", str(budget)])
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["budget_used"] <= budget
+    assert code == (2 if verdict["status"] == "Unknown" else 0)
+    assert "seed" not in verdict
 
 
 def test_table_call_of_the_benchmark(capsys):

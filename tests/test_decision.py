@@ -1,0 +1,128 @@
+"""The IBIS decision against complete enumerations: the memoised search
+run to the end, and the element-table brute force at small order."""
+
+import pytest
+
+from conftest import ACTIONS, action_group, named_case, unpruned_enumeration
+from ibiskit import ibis
+from ibiskit.actions import build_group_action, build_quad_forms_domain
+from ibiskit.groups import GroupSpec
+from ibiskit.ibis import (
+    EnumerationResult, IbisError, decide_ibis, enumerate_irredundant_base_sizes,
+)
+from ibiskit.perm import PermGroup
+
+
+def check_against(verdict, lengths, G):
+    """`verdict` agrees with the complete length set `lengths` of G."""
+    if len(lengths) == 1:
+        assert verdict.status == "IBIS" and verdict.complete
+        assert verdict.rank == min(lengths) and verdict.lengths == lengths
+        return
+    assert verdict.status == "NotIBIS"
+    assert len(verdict.lengths) >= 2 and verdict.lengths <= lengths
+    short, long = verdict.witnesses
+    assert len(short) < len(long)
+    for w in verdict.witnesses:
+        rep = ibis.base_report(G, w.points)
+        assert rep == w and rep.is_base and rep.is_irredundant
+        assert len(w) in verdict.lengths
+
+
+@pytest.mark.parametrize("name", list(ACTIONS))
+def test_decision_matches_full_enumeration(name):
+    # the 9 table rows and the 5 heavier search actions
+    G = action_group(name)
+    full = enumerate_irredundant_base_sizes(G)
+    assert full.complete
+    verdict = decide_ibis(G)
+    check_against(verdict, full.lengths, G)
+    assert verdict.budget_used <= full.nodes
+
+
+def sp28(sign, ext=()):
+    dom = build_quad_forms_domain(1, 8, sign)
+    return build_group_action(GroupSpec("Sp", 2, 8, extensions=ext), dom)
+
+
+SMALL = {name: (lambda name=name: named_case(name)[0]) for name in (
+    "SL3_2/proj7", "PGL2_5/proj6", "SL2_4/minus6", "Sp4_2/vec15",
+    "Sp4_2'/vec15", "PSL3_3/proj13", "AutPSL2_4/proj5", "PSU3_2/iso9",
+    "Sp4_2/omega_plus10", "Sp4_2'/omega_plus10", "Sp4_2/omega_minus6")}
+SMALL.update({
+    "Sp2(8) minus28": lambda: sp28("-"),
+    "Sp2(8).3 minus28": lambda: sp28("-", ("frob",)),
+    "Sp2(8) plus36": lambda: sp28("+"),
+    "Sp2(8).3 plus36": lambda: sp28("+", ("frob",)),
+})
+
+
+@pytest.mark.parametrize("name", list(SMALL))
+def test_decision_matches_brute_force(name):
+    G = SMALL[name]()
+    brute = unpruned_enumeration(G)
+    assert brute.complete
+    check_against(decide_ibis(G), brute.lengths, G)
+
+
+def test_early_stop_fires_on_the_336_pairs():
+    # the full enumeration takes 1,402 nodes; the decision stops at the
+    # second certified length
+    G = action_group("SL3(4).2 pairs336")
+    full = enumerate_irredundant_base_sizes(G)
+    assert full.nodes == 1402 and full.lengths == {2, 3, 4}
+    verdict = decide_ibis(G)
+    assert verdict.status == "NotIBIS" and not verdict.complete
+    assert verdict.budget_used < full.nodes
+
+
+def test_seed_is_ignored():
+    G = action_group("PSp4(3) proj40")
+    assert decide_ibis(G, seed=7) == decide_ibis(G)
+    assert "seed" not in decide_ibis(G).serialize()
+
+
+@pytest.mark.parametrize("name", ["PSp4(3) proj40", "Om4-(4) ns1"])
+def test_budget_is_honest(monkeypatch, name):
+    # budget_used is the number of nodes expanded (each one stabilizer
+    # step) and never exceeds the budget, and a verdict reached within the
+    # budget is the one reached without a limit
+    G = action_group(name)
+    unlimited = decide_ibis(G)
+    steps = 0
+    stabilizer = PermGroup.stabilizer
+
+    def counted(self, p):
+        nonlocal steps
+        steps += 1
+        return stabilizer(self, p)
+
+    monkeypatch.setattr(PermGroup, "stabilizer", counted)
+    for budget in (0, 1, 2, 5, 20, 54, 55, 56, 65, 66, 67, 1000):
+        steps = 0
+        v = decide_ibis(G, budget=budget)
+        assert v.budget_used == steps <= budget
+        if budget >= unlimited.budget_used:
+            assert v == unlimited
+        else:
+            assert v.status in ("Unknown", "NotIBIS")
+    v = decide_ibis(G, budget=0)
+    assert v.status == "Unknown" and v.budget_used == 0 and not v.lengths
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(IbisError):
+        decide_ibis(action_group("SL3(2) proj"), budget=-1)
+
+
+def test_uncertified_witnesses_raise(monkeypatch):
+    # a NotIBIS verdict is only returned with two re-checked bases
+    G = action_group("PSp4(3) proj40")
+
+    def bogus(G, node_budget, _two_lengths):
+        return EnumerationResult(frozenset({4, 5}), False,
+                                 {4: (0, 1, 2, 3), 5: (0, 0, 1, 2, 3)}, 2)
+
+    monkeypatch.setattr(ibis, "enumerate_irredundant_base_sizes", bogus)
+    with pytest.raises(IbisError):
+        decide_ibis(G)

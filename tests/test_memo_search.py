@@ -6,39 +6,16 @@ import math
 
 import pytest
 
-from conftest import named_case, plain_enumeration, plain_minimal_base_sizes
+from conftest import (
+    ACTIONS, action_group as group, named_case, plain_enumeration,
+    plain_minimal_base_sizes,
+)
 from ibiskit.actions import build_domain, build_group_action
-from ibiskit.cli import TABLE_ROWS
 from ibiskit.groups import GroupSpec
 from ibiskit.ibis import (
     DEFAULT_BUDGET, base_report, enumerate_irredundant_base_sizes,
     minimal_base_sizes,
 )
-
-# The heavier actions: complement pairs of PG(2, 4), points of PG(3, 3),
-# the 2-subspaces of GF(2)^4 and the plus-type forms of Sp4(4).
-SEARCH_ACTIONS = {
-    "SL3(4).2 pairs336": (
-        {"family": "SL", "d": 3, "q": 4, "extensions": ["dual"]},
-        {"kind": "pair_complement", "d": 3, "q": 4, "k": 1}),
-    "PSL4(3) proj40": ({"family": "SL", "d": 4, "q": 3},
-                       {"kind": "projective_points", "d": 4, "q": 3}),
-    "PSp4(3) proj40": ({"family": "Sp", "d": 4, "q": 3},
-                       {"kind": "projective_points", "d": 4, "q": 3}),
-    "GL4(2) sub35": ({"family": "GL", "d": 4, "q": 2},
-                     {"kind": "subspaces_k", "d": 4, "q": 2, "k": 2}),
-    "Sp4(4) forms136": ({"family": "Sp", "d": 4, "q": 4},
-                        {"kind": "quad_forms_plus", "m": 2, "q": 4}),
-}
-ACTIONS = dict(SEARCH_ACTIONS,
-               **{name: (g, a) for name, g, a, _ in TABLE_ROWS})
-
-
-@functools.lru_cache(maxsize=None)
-def group(name):
-    gdesc, adesc = ACTIONS[name]
-    dom = build_domain(adesc)
-    return build_group_action(GroupSpec.deserialize(gdesc), dom)
 
 
 @pytest.mark.parametrize("name", list(ACTIONS))

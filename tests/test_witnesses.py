@@ -25,7 +25,6 @@ def test_symplectic_points_reject_small_q():
 
 def test_report_shape():
     rep = run_witness("L3.2", d=3, q=3)
-    assert rep["schema"] == 1
     assert rep["lemma"] == "L3.2"
     assert rep["params"]["degree"] == 13
     assert isinstance(rep["checks"], list) and rep["checks"]
