@@ -23,8 +23,8 @@ from . import gf, linalg
 from .gf import trace_bit
 from .groups import GroupSpec, classical_generators
 from .linalg import (
-    Subspace, eval_form, is_nondegenerate, is_totally_singular, mat_mul,
-    quadratic_theta0, rref_stack, symplectic_form,
+    eval_form, is_nondegenerate, is_totally_singular, mat_mul,
+    quadratic_theta0, rank_stack, symplectic_form,
 )
 from .perm import PermGroup, Permutation, derived_subgroup
 
@@ -65,7 +65,6 @@ class ActionDomain:
         self.dims = tuple(dims)
         self.params = dict(params or {})
         self.form = form
-        self._points = None
         if np.any(self._keys[1:] == self._keys[:-1]):
             raise ActionError("domain points are not pairwise distinct")
 
@@ -73,32 +72,22 @@ class ActionDomain:
     def N(self):
         return len(self.codes)
 
-    def _parts(self, rows):
-        """The stacks (n, k, d) of the subspace bases side by side in rows."""
+    def bases(self, at=slice(None)):
+        """The stacks (n, k, d) of RREF bases of the points at the indices
+        `at` (default: every point), one stack per member: one for a
+        subspace domain, two for a pair domain, none for forms."""
+        rows = self.codes[at]
         cuts = np.cumsum((0,) + self.dims) * self.d
         return [rows[:, a:b].reshape(len(rows), k, self.d)
                 for a, b, k in zip(cuts, cuts[1:], self.dims)]
 
-    def _unpack(self, member, row):
-        """Each point as member(B) of its subspace bases B (a pair of them
-        for a pair domain), or row(a) of its parameter row a."""
-        if not self.dims:
-            return [row(a) for a in self.codes]
-        parts = [[member(B) for B in P] for P in self._parts(self.codes)]
-        return parts[0] if len(parts) == 1 else list(zip(*parts))
-
-    @property
-    def points(self):
-        """The points as objects, built on first use: Subspaces, pairs of
-        Subspaces, or the forms' read-only parameter rows."""
-        if self._points is None:
-            self._points = self._unpack(
-                lambda B: Subspace(self.field, self.d, B), lambda a: a)
-        return self._points
-
     def serialize_points(self):
-        """The points as nested lists of codes."""
-        return self._unpack(np.ndarray.tolist, np.ndarray.tolist)
+        """The points as nested lists of codes: a basis, a pair of bases,
+        or a parameter vector each."""
+        if not self.dims:
+            return self.codes.tolist()
+        parts = [B.tolist() for B in self.bases()]
+        return parts[0] if len(parts) == 1 else list(zip(*parts))
 
     def indices(self, rows):
         """The index of every row of rows (n, w); raises if one is not a
@@ -152,7 +141,7 @@ def enumerate_subspaces(F, d, k):
 def _joint_ranks(F, top, S):
     """dim(<top> + <S[i]>) for every basis S[i] of the stack S."""
     T = np.concatenate([np.broadcast_to(top, (len(S),) + top.shape), S], axis=1)
-    return rref_stack(F, T).any(axis=2).sum(axis=1)
+    return rank_stack(F, T)
 
 
 def gaussian_binomial(d, k, q):
@@ -222,7 +211,7 @@ def build_totally_singular(form, k, family=None):
                        (k,), params, form=form)
     if family is None:
         return dom
-    S = dom.codes.reshape(dom.N, k, d)
+    [S] = dom.bases()
     greek = (_joint_ranks(F, S[0], S) - k) % 2 == 0
     params["family"] = family
     return ActionDomain("max_isotropic_family", S[greek == (family == "greek")],
@@ -313,7 +302,7 @@ def _images(g, dom):
     """The rows of the images of every point of the domain under g."""
     if not dom.dims:
         return _act_forms(g, dom)
-    parts = [g.act_stack(B) for B in dom._parts(dom.codes)]
+    parts = [g.act_stack(B) for B in dom.bases()]
     if g.dual:
         parts.reverse()             # the members of a pair swap dimensions
     return np.concatenate([P.reshape(dom.N, P.shape[1] * dom.d) for P in parts],

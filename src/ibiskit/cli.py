@@ -2,10 +2,13 @@
 run analyses, replay the witness catalog, and emit the table report.
 
 Subcommands: analyze, table, witness, e7, dump-group, dump-domain.
-Exit codes: 0 success, 1 error, 2 inconclusive (Unknown verdict).
-Reports carry "schema": 2 and are byte-stable for a fixed
-(descriptor, seed, budget), except for the wall-clock runtime column of
-the table command; only base-find with a size reports its seed.
+Exit codes: 0 success, 1 error, 2 inconclusive (an Unknown verdict, or
+a budget that ran out first).  Reports carry "schema": 2 and are
+byte-stable for a fixed descriptor and budget, except for the
+wall-clock runtime column of the table command.  Every analyze task is
+deterministic: base-find with a size takes its base from the exhaustive
+enumeration, and --budget counts search nodes for every task.  Only
+witness takes --seed, which only L3.14 reads.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from . import ibis, witnesses
 from .actions import build_domain, build_group_action
 from .groups import GroupSpec
 from .ibis import (
-    decide_ibis, e7_bound_check, extend_to_irredundant_base,
-    find_random_irredundant_base, minimal_base_sizes,
+    IbisError, base_report, decide_ibis, e7_bound_check,
+    enumerate_irredundant_base_sizes, extend_to_irredundant_base,
+    minimal_base_sizes,
 )
 
 SCHEMA = 2
@@ -89,12 +93,11 @@ def _build_job(args):
 
 def cmd_analyze(args):
     job = _build_job(args)
-    job.setdefault("seed", args.seed)
     job.setdefault("budget", args.budget)
     for key in ("group", "action", "task"):
         if key not in job:
             raise CliError(f"job descriptor is missing {key!r}")
-    seed, budget = int(job["seed"]), job["budget"]
+    budget = job["budget"]
     if type(budget) is not int or budget < 0:
         raise CliError(f"budget must be a non-negative integer, got {budget!r}")
     spec = GroupSpec.deserialize(job["group"])
@@ -112,10 +115,14 @@ def cmd_analyze(args):
     elif task == "base-find":
         size = job.get("size")
         if size:
-            rep = find_random_irredundant_base(G, int(size), budget=budget, seed=seed)
-            report["seed"] = seed
-            report["found"] = rep.serialize() if rep else None
-            exit_code = 0 if rep else 2
+            enum = enumerate_irredundant_base_sizes(G, budget)
+            found = enum.witnesses.get(int(size))
+            rep = None if found is None else base_report(G, found)
+            if rep is not None and not (rep.is_base and rep.is_irredundant):
+                raise IbisError("the base found failed re-certification")
+            report["found"] = None if rep is None else rep.serialize()
+            report["complete"] = enum.complete
+            exit_code = 0 if rep is not None or enum.complete else 2
         else:
             report["base"] = extend_to_irredundant_base(G).serialize()
     elif task == "ibis":
@@ -247,7 +254,7 @@ def make_parser():
     sp.add_argument("--action", help="inline action JSON")
     sp.add_argument("--task", choices=("orbits", "order", "base-find", "ibis",
                                        "minimal-bases"))
-    flags(sp, "seed", "budget")
+    flags(sp, "budget")
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("table", help="reproduce the IBIS table rows")

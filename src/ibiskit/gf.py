@@ -1,9 +1,10 @@
 """Exact arithmetic in GF(p^f).
 
-Elements are stored as integer codes in [0, q): the polynomial residue
-c_0 + c_1 x + ... + c_{f-1} x^{f-1} is packed base-p as
-code = c_0 + c_1 p + ... + c_{f-1} p^{f-1}.  The same encoding is the
-wire format for serialization.
+An element is an integer code in [0, q), and there is no element
+object: the polynomial residue c_0 + c_1 x + ... + c_{f-1} x^{f-1} is
+packed base-p as code = c_0 + c_1 p + ... + c_{f-1} p^{f-1}.  The same
+encoding is the wire format for serialization.  Every operation takes
+codes or numpy arrays of them, so one call does a whole array.
 
 The modulus is the monic irreducible polynomial of degree f over GF(p)
 with the least integer encoding (irreducibility certified by trial
@@ -234,7 +235,8 @@ class FiniteField:
         return r
 
     def frob(self, a, k=1):
-        """x -> x^(p^k), vectorized; k is reduced mod f."""
+        """x -> x^(p^k), vectorized; k is reduced mod f.  In
+        characteristic 2, frob(x, f - 1) is the square root of x."""
         k %= self.f
         if self._frob_tables is None:
             tabs = []
@@ -245,23 +247,6 @@ class FiniteField:
                 t = self.power(t, self.p)
             self._frob_tables = tabs
         return self._frob_tables[k][np.asarray(a)]
-
-    # -- element-level API -------------------------------------------------
-
-    def element(self, code):
-        return FieldElement(self, int(code) % self.q)
-
-    def zero(self):
-        return self.element(0)
-
-    def one(self):
-        return self.element(1)
-
-    def gen(self):
-        return self.element(self.generator_code)
-
-    def elements(self):
-        return [self.element(c) for c in range(self.q)]
 
     def from_subfield_root(self, sub):
         """Embedding GF(p^k) -> self via the least root of sub's modulus.
@@ -305,63 +290,6 @@ class FiniteField:
         return hash((self.p, self.f))
 
 
-class FieldElement:
-    """An element of a FiniteField, by integer code.  Immutable."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field, code):
-        self.field = field
-        self.code = int(code)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement):
-            raise GFError(f"cannot combine field element with {type(other).__name__}")
-        if other.field != self.field:
-            raise GFError("elements of different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, int(self.field.add(self.code, other.code)))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, int(self.field.sub(self.code, other.code)))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, int(self.field.mul(self.code, other.code)))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, int(self.field.div(self.code, other.code)))
-
-    def __neg__(self):
-        return FieldElement(self.field, int(self.field.neg(self.code)))
-
-    def __pow__(self, e):
-        if e < 0:
-            return FieldElement(self.field, int(self.field.inv(self.code))) ** (-e)
-        return FieldElement(self.field, int(self.field.power(np.asarray(self.code), e)))
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and self.field == other.field and self.code == other.code)
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.f, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __int__(self):
-        return self.code
-
-    def __repr__(self):
-        return f"{self.field!r}:{self.code}"
-
-
 @functools.lru_cache(maxsize=None)
 def make_field(p, f):
     """Construct GF(p^f) with the deterministic modulus and generator."""
@@ -383,26 +311,6 @@ def field_of_order(q):
     raise GFError(f"{q} is not a prime power")
 
 
-def frobenius(x, k):
-    """x -> x^(p^k); frobenius(x, f) == x."""
-    return FieldElement(x.field, int(x.field.frob(x.code, k)))
-
-
-def trace(x, subfield_index=1):
-    """Trace of GF(p^f) onto GF(p^subfield_index): sum of Galois conjugates.
-
-    The result is returned inside the big field (it lies in the image of
-    the subfield).
-    """
-    F = x.field
-    if F.f % subfield_index != 0:
-        raise GFError(f"{subfield_index} does not divide f={F.f}")
-    acc = F.zero()
-    for i in range(F.f // subfield_index):
-        acc = acc + frobenius(x, subfield_index * i)
-    return acc
-
-
 def trace_bit(field, code):
     """Absolute trace GF(p^f) -> GF(p) of a code, as a small int."""
     acc = 0
@@ -411,20 +319,12 @@ def trace_bit(field, code):
     return acc
 
 
-def sqrt_char2(x):
-    """The unique square root in characteristic 2: inverse of Frobenius."""
-    F = x.field
-    if F.p != 2:
-        raise GFError("sqrt_char2 requires characteristic 2")
-    return frobenius(x, F.f - 1)
-
-
 def find_special_alpha(q):
     """An alpha in GF(q^2) with alpha + alpha^q + 1 = 0 whose Galois orbit
     under Aut(GF(q^2)) has full size 2f, q = p^f.
 
     The solution set of the trace equation has exactly q elements; a full
-    orbit always exists among them.  Returns the least such alpha by code.
+    orbit always exists among them.  Returns the least such alpha's code.
     """
     F = field_of_order(q)
     p, f = F.p, F.f
@@ -441,7 +341,5 @@ def find_special_alpha(q):
             c = int(E.frob(c, 1))
             orbit.add(c)
         if len(orbit) == 2 * f:
-            alpha = E.element(code)
-            assert int(E.add(E.add(alpha.code, E.frob(alpha.code, f)), 1)) == 0
-            return alpha
+            return code
     raise GFError(f"no full-orbit solution for q={q}")  # not reachable per theory

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import gf, linalg
 from .linalg import (
-    Subspace, annihilator, hermitian_form, inverse, mat_mul, quadratic_minus,
+    annihilator, hermitian_form, inverse, mat_mul, quadratic_minus,
     quadratic_plus, rref_stack, symplectic_form,
 )
 from .perm import PermGroup, Permutation
@@ -145,9 +145,6 @@ class SemilinearElement:
         F = self.field
         R = rref_stack(F, mat_mul(F, F.frob(B, self.frob_power), self.matrix))
         return annihilator(F, R) if self.dual else R
-
-    def act_subspace(self, W):
-        return Subspace(self.field, W.ambient_dim, self.act_stack(W.basis[None])[0])
 
     def __eq__(self, other):
         return isinstance(other, SemilinearElement) and self._key == other._key \

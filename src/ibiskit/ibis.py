@@ -1,6 +1,6 @@
-"""Irredundant-base analysis: base testing and extension, a seeded
-random search for a base of a given length, the exhaustive search over
-base lengths, the IBIS decision with witnesses, minimal-base sizes,
+"""Irredundant-base analysis: base testing and extension, the
+exhaustive search over base lengths (which also finds a base of a given
+length), the IBIS decision with witnesses, minimal-base sizes,
 witness-chain verification, and the big-integer parabolic bound for E7.
 
 Every search runs on stabilizer chains.  A step from a stabilizer H to
@@ -120,31 +120,6 @@ def extend_to_irredundant_base(G, prefix=()):
     return base_report(G, points)
 
 
-def find_random_irredundant_base(G, size, budget=1000, seed=0):
-    """Seeded random search for an irredundant base of exactly the given
-    length; None if the budget runs out (absence is a value).
-
-    Mirrors the random search of the verification scripts: the starting
-    point is drawn once, the remaining points fresh per try."""
-    if size < 1:
-        raise IbisError("size must be >= 1")
-    import random as _random
-    rng = _random.Random(seed)
-    start = rng.randrange(G.degree)
-    if size > G.degree:
-        return None
-    for _ in range(budget):
-        pts = [start]
-        while len(pts) < size:
-            p = rng.randrange(G.degree)
-            if p not in pts:
-                pts.append(p)
-        rep = base_report(G, pts)
-        if rep.is_base and rep.is_irredundant:
-            return rep
-    return None
-
-
 # -- exhaustive enumeration ----------------------------------------------------
 
 def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
@@ -219,7 +194,9 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     a point p fills in the steps to its whole H-orbit from one chain: the
     stabilizer of q = u[p] is the conjugate of H_p by u, whose fixed
     points are those of H_p moved by u, so it is built only when that key
-    is new (perm.PermGroup.orbit_transport and conjugate).
+    is new (perm.PermGroup.orbit_transport and conjugate).  A node is
+    counted before it is expanded, so complete=False once the budget
+    runs out, and at node_budget=0 no stabilizer is built.
     """
     if G.degree > 10**3:
         raise IbisError("degree too large for minimal-base completeness")
@@ -279,6 +256,9 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     for ob in G.orbits():
         if len(ob) > 1:
             nodes += 1
+            if nodes > node_budget:
+                complete = False
+                break
             dfs([0, step(0, ob[0])], (ob[0],), ob[0] + 1)
     if G.order() == 1:
         sizes = {0}

@@ -1,15 +1,17 @@
-"""Matrices and canonical subspaces over GF(q), form evaluation, the
+"""Matrices and subspaces over GF(q), form evaluation, the
 totally-singular and non-degenerate subspace predicates as masks over
 stacks of bases, the 4x4 Pfaffian and the Klein map from lines of
 PG(3,q) to points of the Pfaffian quadric.
 
 Vectors and matrices carry integer field codes (see gf) in numpy arrays.
-Subspaces are canonicalized to reduced row echelon form, so equality of
-subspaces is equality of their canonical bases.  Elimination runs on a
-whole stack of matrices at once (`rref_stack`, `annihilator`) and
-`mat_mul` broadcasts over leading stack axes; the one-matrix routines
-(`rref`, `kernel`, `det`, `complement_dual`) are the stack routines on a
-stack of one.
+A subspace is its basis in reduced row echelon form, with no object
+around it, so equality of subspaces is equality of those arrays.
+Elimination runs on a whole stack of matrices at once (`rref_stack`,
+`rank_stack`, `annihilator`), `mat_mul` broadcasts over leading stack
+axes, and the Klein map takes a stack of lines; the one-matrix routines
+(`rref`, `det`, `inverse`) are the stack routines on a stack of one.
+Sums and meets of subspaces are ranks: dim(U + W) is the rank of the two
+bases together, and dim(U meet W) = dim U + dim W - dim(U + W).
 """
 
 from __future__ import annotations
@@ -86,6 +88,11 @@ def rref_stack(F, S):
     return _eliminate(F, S)[0]
 
 
+def rank_stack(F, S):
+    """The rank of every matrix of the stack S (n, m, d)."""
+    return rref_stack(F, S).any(axis=2).sum(axis=1)
+
+
 def rref(F, A):
     """Reduced row echelon form of one matrix, zero rows dropped; returns
     (R, pivot_columns)."""
@@ -115,11 +122,6 @@ def annihilator(F, R):
     return rref_stack(F, K)
 
 
-def kernel(F, A):
-    """RREF basis (rows) of the right kernel {x : A x^T = 0}."""
-    return annihilator(F, rref(F, A)[0][None])[0]
-
-
 def inverse(F, A):
     A = np.asarray(A)
     n = A.shape[0]
@@ -136,72 +138,6 @@ def det(F, A):
     R, scale = _eliminate(F, A if A.ndim == 3 else A[None])
     dets = np.where(R.any(axis=2).all(axis=1), scale, 0)
     return dets if A.ndim == 3 else int(dets[0])
-
-
-# -- subspaces -------------------------------------------------------------
-
-class Subspace:
-    """A subspace of GF(q)^d in reduced-row-echelon canonical form.
-
-    Two subspaces are equal iff their canonical bases are identical.
-    """
-
-    __slots__ = ("field", "ambient_dim", "basis", "_key")
-
-    def __init__(self, field, ambient_dim, basis):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.basis = basis          # numpy (k, d), RREF, no zero rows
-        self._key = (ambient_dim, basis.tobytes())
-
-    @property
-    def dim(self):
-        return self.basis.shape[0]
-
-    def key(self):
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, Subspace) and self._key == other._key \
-            and self.field == other.field
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, d={self.ambient_dim})"
-
-
-def canonicalize(field, ambient_dim, vectors):
-    """The canonical Subspace spanned by the given row vectors."""
-    rows = [np.asarray(v, dtype=np.int64) for v in vectors]
-    for v in rows:
-        if v.shape != (ambient_dim,):
-            raise LinalgError(f"vector of length {v.shape} in ambient dim {ambient_dim}")
-    A = np.array(rows, dtype=np.int64).reshape(len(rows), ambient_dim)
-    return Subspace(field, ambient_dim, rref(field, A)[0])
-
-
-def subspace_sum(A, B):
-    if A.field != B.field or A.ambient_dim != B.ambient_dim:
-        raise LinalgError("ambient mismatch")
-    return canonicalize(A.field, A.ambient_dim, list(A.basis) + list(B.basis))
-
-
-def subspace_meet(A, B):
-    """Intersection, via the kernel of the stacked coefficient system."""
-    if A.field != B.field or A.ambient_dim != B.ambient_dim:
-        raise LinalgError("ambient mismatch")
-    # lambda . A.basis - mu . B.basis = 0  <=>  (lambda, mu) in kernel of stacked^T
-    ker = kernel(A.field, np.vstack([A.basis, B.basis]).T)
-    return canonicalize(A.field, A.ambient_dim,
-                        mat_mul(A.field, ker[:, :A.dim], A.basis))
-
-
-def complement_dual(W):
-    """The standard-dot-product annihilator {v : v.w^T = 0 for w in W},
-    realizing the polarity of PG(d-1, q) on subspaces."""
-    return Subspace(W.field, W.ambient_dim, annihilator(W.field, W.basis[None])[0])
 
 
 # -- forms ------------------------------------------------------------------
@@ -470,20 +406,18 @@ def pfaffian_quadric_form(field):
     return FormSpec("quadratic", field, g)
 
 
-def skew_to_coords(F, X):
-    return np.array([X[i, j] for (i, j) in PFAFFIAN_COORDS], dtype=np.int64)
+def klein_map(F, L):
+    """Map each 2-space <v, w> of GF(q)^4, given as a stack L (n, 2, 4) of
+    bases, to the point spanned by the skew matrix v^T w - w^T v in
+    coordinates (x12, ..., x34): an (n, 1, 6) stack of RREF bases.
 
-
-def klein_map(L):
-    """Map a 2-dim subspace <v, w> of GF(q)^4 to the projective point
-    spanned by v^T w - w^T v in the 6-dim space of skew matrices.
-
-    The image is independent of the chosen basis up to scalars, and is a
-    singular point of the Pfaffian quadric.
+    The image does not depend on the chosen basis, and it is a singular
+    point of the Pfaffian quadric.
     """
-    if L.dim != 2 or L.ambient_dim != 4:
-        raise LinalgError("klein_map needs a 2-dim subspace of GF(q)^4")
-    F = L.field
-    v, w = L.basis[0], L.basis[1]
-    X = F.sub(F.mul(v[:, None], w[None, :]), F.mul(w[:, None], v[None, :]))
-    return canonicalize(F, 6, [skew_to_coords(F, X)])
+    L = np.asarray(L, dtype=np.int64)
+    if L.ndim != 3 or L.shape[1:] != (2, 4):
+        raise LinalgError("klein_map needs a stack of bases of 2-spaces of GF(q)^4")
+    i, j = np.array(PFAFFIAN_COORDS).T
+    v, w = L[:, 0], L[:, 1]
+    X = F.sub(F.mul(v[:, i], w[:, j]), F.mul(w[:, i], v[:, j]))
+    return rref_stack(F, X[:, None, :])

@@ -27,7 +27,9 @@ from .ibis import (
     base_report, extend_to_irredundant_base, is_base, is_irredundant,
     minimal_base_sizes, same_pointwise_stabilizer,
 )
-from .linalg import canonicalize, quadratic_plus, symplectic_form
+from .linalg import (
+    annihilator, quadratic_plus, rank_stack, rref, symplectic_form,
+)
 
 
 class WitnessError(ValueError):
@@ -43,8 +45,8 @@ def _check(checks, claim, ok, detail=None):
 
 
 def _sub(dom, *vectors):
-    W = canonicalize(dom.field, len(vectors[0]), [np.array(v) for v in vectors])
-    return dom.index_of(W.basis)
+    """The index of the subspace spanned by the vectors."""
+    return dom.index_of(rref(dom.field, np.array(vectors))[0])
 
 
 def _finish(lemma, params, checks):
@@ -179,7 +181,7 @@ def witness_symplectic_lines(q=3, seed=0):
                rep.is_base and rep.is_irredundant,
                detail=[str(n) for n in rep.stab_orders])
         _check(checks, "witness spans V and meets in 0",
-               _span_and_meet_ok(dom, idx[:5]))
+               _span_and_meet_ok(F, dom.bases(idx[:5])[0]))
         four = _search_base_with_side_conditions(G, dom, 4, seed=seed)
         _check(checks, "an irredundant base of length 4 with the side "
                        "conditions exists", four is not None,
@@ -194,14 +196,17 @@ def witness_symplectic_lines(q=3, seed=0):
     return _finish("L3.14", {"q": q, "degree": dom.N}, checks)
 
 
-def _span_and_meet_ok(dom, indices):
-    pts = [dom.points[i] for i in indices]
-    total = pts[0]
-    meet = pts[0]
-    for W in pts[1:]:
-        total = linalg.subspace_sum(total, W)
-        meet = linalg.subspace_meet(meet, W)
-    return total.dim == pts[0].ambient_dim and meet.dim == 0
+def _span_and_meet_ok(F, B):
+    """Whether the row spaces of the stack B (n, k, d) of RREF bases span
+    V and meet in 0: the bases together have rank d, and so do their
+    annihilators, since the annihilator of the meet is the sum of the
+    annihilators.  Zero rows pad both to n d rows, so that one call ranks
+    the two."""
+    n, k, d = B.shape
+    S = np.zeros((2, n, d, d), dtype=np.int64)
+    S[0, :, :k] = B
+    S[1, :, k:] = annihilator(F, B)
+    return bool((rank_stack(F, S.reshape(2, n * d, d)) == d).all())
 
 
 def _search_base_with_side_conditions(G, dom, size, seed=0, budget=3000):
@@ -210,7 +215,8 @@ def _search_base_with_side_conditions(G, dom, size, seed=0, budget=3000):
     for _ in range(budget):
         pts = rng.sample(range(dom.N), size)
         rep = base_report(G, pts)
-        if rep.is_base and rep.is_irredundant and _span_and_meet_ok(dom, pts):
+        if (rep.is_base and rep.is_irredundant
+                and _span_and_meet_ok(dom.field, dom.bases(pts)[0])):
             return rep
     return None
 
@@ -235,16 +241,15 @@ def witness_nondegenerate_pair(d=4, q=3):
     # W3 is the graph of lam*(the isometry W1 -> W2); its form multiplier
     # is 1 + lam^2, so the graph stays non-degenerate
     w3 = _sub(dom, F.add(e1, F.mul(lam, e2)), F.add(f1, F.mul(lam, f2)))
-    W1, W2, W3 = (dom.points[i] for i in (w1, w2, w3))
+    [W] = dom.bases([w1, w2, w3])
     checks = []
-    perp = all(linalg.eval_form(form, a, b) == 0
-               for a in W1.basis for b in W2.basis)
+    perp = all(linalg.eval_form(form, a, b) == 0 for a in W[0] for b in W[1])
     _check(checks, "W1 and W2 are perpendicular", perp)
+    # dim(Wi + Wj) for the pairs 12, 13, 23, and by Grassmann's formula
+    # dim(Wi meet Wj) = 2 + 2 - dim(Wi + Wj)
+    s12, s13, s23 = rank_stack(F, W[[[0, 1], [0, 2], [1, 2]]].reshape(3, 4, 4))
     _check(checks, "W1 + W2 = W1 + W3 = V and pairwise meets with W3 vanish",
-           linalg.subspace_sum(W1, W2).dim == 4
-           and linalg.subspace_sum(W1, W3).dim == 4
-           and linalg.subspace_meet(W1, W3).dim == 0
-           and linalg.subspace_meet(W2, W3).dim == 0)
+           s12 == 4 and s13 == 4 and 2 + 2 - s13 == 0 and 2 + 2 - s23 == 0)
     # g acts as a symplectic rotation on W1 = <e1, f1> and fixes W2 pointwise
     M = np.array([[0, 0, 1, 0],
                   [0, 1, 0, 0],

@@ -16,7 +16,7 @@ from ibiskit.gf import field_of_order
 from ibiskit.groups import GroupSpec
 from ibiskit.ibis import DEFAULT_BUDGET, EnumerationResult, IbisError
 from ibiskit.linalg import (
-    canonicalize, eval_form, quadratic_minus, quadratic_plus, symplectic_form,
+    eval_form, quadratic_minus, quadratic_plus, symplectic_form,
 )
 from ibiskit.perm import PermError
 
@@ -123,18 +123,13 @@ def action_group(name):
 
 def subspace_point(dom, *vectors):
     """Domain index of the subspace spanned by the given vectors."""
-    F = dom.field
-    d = dom.points[0].ambient_dim
-    return dom.index_of(canonicalize(F, d, [np.array(v) for v in vectors]).basis)
+    return dom.index_of(linalg.rref(dom.field, np.array(vectors))[0])
 
 
 def pair_point(dom, small_vectors, big_vectors):
-    F = dom.field
-    d = dom.points[0][0].ambient_dim
-    W = canonicalize(F, d, [np.array(v) for v in small_vectors])
-    U = canonicalize(F, d, [np.array(v) for v in big_vectors])
-    W, U = sorted((W, U), key=lambda s: s.dim)
-    return dom.index_of(np.vstack([W.basis, U.basis]))
+    W, U = sorted((linalg.rref(dom.field, np.array(vs))[0]
+                   for vs in (small_vectors, big_vectors)), key=len)
+    return dom.index_of(np.vstack([W, U]))
 
 
 def form_point(dom, a):
@@ -321,6 +316,19 @@ def span_vectors(F, B):
 def vector_set(F, B):
     """The row space of the basis B as a set of tuples."""
     return {tuple(map(int, v)) for v in span_vectors(F, np.asarray(B))}
+
+
+def dot(F, x, w):
+    acc = 0
+    for a, b in zip(x, w):
+        acc = int(F.add(acc, F.mul(a, b)))
+    return acc
+
+
+def annihilator_set(F, vs, d):
+    """{x : x.w = 0 for every w in vs}, by trying every x."""
+    return {x for x in itertools.product(range(F.q), repeat=d)
+            if all(dot(F, x, w) == 0 for w in vs)}
 
 
 def _pairing(form):

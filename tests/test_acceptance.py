@@ -8,17 +8,15 @@ import numpy as np
 
 from conftest import named_case, unpruned_enumeration
 
-from ibiskit import linalg
 from ibiskit.actions import (
-    build_quad_forms_domain, build_subspace_domain, induce_permutation,
-    theta_value,
+    build_quad_forms_domain, build_subspace_domain, enumerate_subspaces,
+    induce_permutation, theta_value,
 )
 from ibiskit.gf import field_of_order, make_field
 from ibiskit.groups import transvection_symplectic
 from ibiskit.ibis import (
-    decide_ibis, e7_bound_check, enumerate_irredundant_base_sizes,
-    extend_to_irredundant_base, find_random_irredundant_base, is_base,
-    is_irredundant, minimal_base_sizes,
+    base_report, decide_ibis, e7_bound_check, enumerate_irredundant_base_sizes,
+    extend_to_irredundant_base, is_base, is_irredundant, minimal_base_sizes,
 )
 from ibiskit.linalg import (
     all_row_vectors, det, eval_bilinear_batch, eval_quadratic_batch,
@@ -60,11 +58,14 @@ def test_criterion_1_table_rows():
 
 def test_criterion_2_non_ibis_witnesses():
     t0 = time.time()
-    # PSp4(3) degree 40 on projective points: random bases of sizes 4 and 5
+    # PSp4(3) degree 40 on projective points: irredundant bases of sizes
+    # 4 and 5, none of size 1
     G, _ = named_case("PSp4_3/proj40")
-    four = find_random_irredundant_base(G, 4, budget=1000, seed=0)
-    five = find_random_irredundant_base(G, 5, budget=1000, seed=0)
-    assert four and five and four.is_base and five.is_base
+    res = enumerate_irredundant_base_sizes(G)
+    assert res.complete and res.lengths == frozenset({4, 5})
+    four, five = (base_report(G, res.witnesses[n]) for n in (4, 5))
+    assert all(r.is_base and r.is_irredundant for r in (four, five))
+    assert (len(four), len(five)) == (4, 5)
     v = decide_ibis(G)
     assert v.status == "NotIBIS" and v.lengths == frozenset({4, 5})
 
@@ -154,15 +155,12 @@ def test_criterion_5_klein_correspondence():
     t0 = time.time()
     for q in (2, 3):
         F = field_of_order(q)
-        lines = build_subspace_domain(4, q, 2).points
+        [lines] = build_subspace_domain(4, q, 2).bases()
         Q = pfaffian_quadric_form(F)
-        singular = set()
-        for v in all_row_vectors(F, 6):
-            if v.any():
-                W = linalg.canonicalize(F, 6, [v])
-                if linalg.eval_form(Q, W.basis[0]) == 0:
-                    singular.add(W.key())
-        images = {klein_map(L).key() for L in lines}
+        points = enumerate_subspaces(F, 6, 1)
+        singular = {P.tobytes() for P in
+                    points[eval_quadratic_batch(Q, points[:, 0]) == 0]}
+        images = {P.tobytes() for P in klein_map(F, lines)}
         assert len(images) == len(lines) == (q**2 + 1) * (q**2 + q + 1)
         assert images == singular  # bijective onto the quadric points
 

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import brute_nondegenerate, brute_totally_singular
+from conftest import brute_nondegenerate, brute_totally_singular, vector_set
 from ibiskit import actions, linalg
 from ibiskit.actions import (
     ActionError, build_group_action, build_nondegenerate_domain,
@@ -42,8 +42,8 @@ def test_totally_singular_counts():
     assert dom.N == 15  # (q+1)(q^2+1) at q=2
     dom2 = build_totally_singular(symplectic_form(F2, 6), 1)
     assert dom2.N == 63
-    for W in dom.points:
-        assert brute_totally_singular(dom.form, W.basis)
+    for W in dom.bases()[0]:
+        assert brute_totally_singular(dom.form, W)
 
 
 def test_max_isotropic_family_split():
@@ -52,14 +52,17 @@ def test_max_isotropic_family_split():
     greeks = build_totally_singular(Q, 3, family="greek")
     latins = build_totally_singular(Q, 3, family="latin")
     assert full.N == 30 and greeks.N == 15 and latins.N == 15
-    keys = {W.key() for W in greeks.points} | {W.key() for W in latins.points}
+    keys = {W.tobytes() for W in greeks.bases()[0]} | \
+        {W.tobytes() for W in latins.bases()[0]}
     assert len(keys) == 30
-    # same family iff intersection has even codimension
-    for X in greeks.points[:5]:
-        for Y in greeks.points[:5]:
-            assert (3 - linalg.subspace_meet(X, Y).dim) % 2 == 0
-        for Y in latins.points[:5]:
-            assert (3 - linalg.subspace_meet(X, Y).dim) % 2 == 1
+    # same family iff intersection has even codimension; the meet's
+    # dimension is read off the size 2^dim of the intersected vector sets
+    [G], [L] = greeks.bases(range(5)), latins.bases(range(5))
+    for X in G:
+        for family, parity in ((G, 0), (L, 1)):
+            for Y in family:
+                meet = vector_set(F2, X) & vector_set(F2, Y)
+                assert (3 - (len(meet).bit_length() - 1)) % 2 == parity
 
 
 def test_family_split_requires_plus_maximal():
@@ -94,16 +97,18 @@ def test_nonsingular_rejects_odd_q():
 def test_pair_domain_complement_336():
     dom = build_pair_domain(3, 4, 1, "complement")
     assert dom.N == 336
-    for (W, U) in dom.points:
-        assert linalg.subspace_meet(W, U).dim == 0
+    F = dom.field
+    for W, U in zip(*dom.bases()):
+        assert vector_set(F, W) & vector_set(F, U) == {(0, 0, 0)}
 
 
 def test_pair_domain_incident_flags():
     dom = build_pair_domain(4, 2, 1, "incident")
     assert dom.N == 105  # 15 points x 7 hyperplanes through each
     per_point = {}
-    for (W, U) in dom.points:
-        per_point[W.key()] = per_point.get(W.key(), 0) + 1
+    for W, U in zip(*dom.bases()):
+        assert vector_set(F2, W) <= vector_set(F2, U)
+        per_point[W.tobytes()] = per_point.get(W.tobytes(), 0) + 1
     assert set(per_point.values()) == {7}
 
 
@@ -134,8 +139,8 @@ def test_nondegenerate_domain_sp42():
     assert dom.N == 20
     ts = build_totally_singular(form, 2)
     assert dom.N + ts.N == gaussian_binomial(4, 2, 2)
-    for W in dom.points:
-        assert brute_nondegenerate(form, W.basis)
+    for W in dom.bases()[0]:
+        assert brute_nondegenerate(form, W)
 
 
 def test_nondegenerate_domain_sp62_oracle():
@@ -291,7 +296,7 @@ def test_forms_action_functional_oracle():
             ginv = g.inverse_element()
             for _ in range(6):
                 a = vs[rng.randrange(len(vs))]
-                img = dom.points[pi[dom.index_of(a)]]
+                img = dom.codes[pi[dom.index_of(a)]]
                 us = vs if exhaustive else [vs[rng.randrange(len(vs))]
                                             for _ in range(25)]
                 for u in us:

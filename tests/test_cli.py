@@ -154,11 +154,49 @@ def test_base_find_with_size(tmp_path):
     jf.write_text(json.dumps(job))
     assert main(["analyze", str(jf), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert len(rep["found"]["points"]) == 5
-    # an impossible size exits 2 (absence is a value, not an error)
+    assert len(rep["found"]["points"]) == 5 and rep["complete"]
+    assert rep["found"]["is_base"] and rep["found"]["is_irredundant"]
+    assert "seed" not in rep
+    # an impossible size: found null after a complete search exits 0
+    # (absence is a value, not an error), a budget that runs out first 2
     job["size"] = 9
     jf.write_text(json.dumps(job))
+    assert main(["analyze", str(jf), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["found"] is None and rep["complete"]
     assert main(["analyze", str(jf), "--budget", "25", "--out", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    assert rep["found"] is None and not rep["complete"]
+
+
+def test_base_find_refuses_a_witness_that_is_not_a_base(monkeypatch, tmp_path,
+                                                        capsys):
+    # a faked enumeration whose witness of length 2 is no base of SL3(2)
+    import ibiskit.cli as cli_mod
+    from ibiskit.ibis import EnumerationResult
+    monkeypatch.setattr(cli_mod, "enumerate_irredundant_base_sizes",
+                        lambda G, budget: EnumerationResult(
+                            frozenset({2}), True, {2: (0, 1)}, 1))
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"size": 2}))
+    code = main(["analyze", str(job)] + SL32 + ["--task", "base-find"])
+    assert_one_line_error(capsys, code, "failed re-certification")
+
+
+def test_base_find_with_size_is_deterministic(tmp_path):
+    # the base comes from the enumeration: the same report for any budget
+    # that reaches it, and a jobfile seed changes nothing
+    job = {"group": {"family": "Sp", "d": 4, "q": 3},
+           "action": {"kind": "projective_points", "d": 4, "q": 3},
+           "task": "base-find", "size": 4}
+    jf, out = tmp_path / "job.json", tmp_path / "b.json"
+    found = []
+    for budget, seed in [(2_000_000, 0), (1000, 7)]:
+        jf.write_text(json.dumps(dict(job, seed=seed)))
+        assert main(["analyze", str(jf), "--budget", str(budget),
+                     "--out", str(out)]) == 0
+        found.append(json.loads(out.read_text())["found"])
+    assert found[0] == found[1] and len(found[0]["points"]) == 4
 
 
 def test_table_contradiction_guard(monkeypatch, tmp_path):
@@ -173,7 +211,7 @@ def test_reports_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["analyze", "--group", '{"family":"Sp","d":4,"q":3}',
             "--action", '{"kind":"projective_points","d":4,"q":3}',
-            "--task", "ibis", "--seed", "5", "--budget", "50000"]
+            "--task", "ibis", "--budget", "50000"]
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -238,6 +276,13 @@ def test_budget_zero_spends_no_nodes(capsys):
     assert verdict["status"] == "Unknown" and verdict["budget_used"] == 0
 
 
+def test_minimal_bases_budget_zero_is_inconclusive(capsys):
+    assert main(["analyze"] + SL32 + ["--task", "minimal-bases",
+                                      "--budget", "0"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["complete"] is False and report["minimal_base_sizes"] == []
+
+
 @pytest.mark.parametrize("budget", [0, 1, 3, 10, 100])
 def test_budget_used_within_budget(capsys, budget):
     code = main(["analyze", "--group", '{"family":"Sp","d":4,"q":3}',
@@ -269,6 +314,9 @@ def test_table_call_of_the_benchmark(capsys):
      "--format", "csv"],
     ["e7", "2", "--threads", "2"],
     ["witness", "L3.2", "--budget", "5"],
+    ["analyze", "--group", '{"family":"SL","d":3,"q":2}',
+     "--action", '{"kind":"projective_points","d":3,"q":2}', "--task", "ibis",
+     "--seed", "1"],
 ])
 def test_unread_flags_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:

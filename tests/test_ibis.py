@@ -9,7 +9,7 @@ from conftest import (
 from ibiskit.ibis import (
     IbisError, base_report, decide_ibis, e7_bound_check,
     enumerate_irredundant_base_sizes, extend_to_irredundant_base,
-    find_random_irredundant_base, is_base, is_irredundant, minimal_base_sizes,
+    is_base, is_irredundant, minimal_base_sizes,
     same_pointwise_stabilizer, verify_witness_chain,
 )
 from ibiskit.perm import PermGroup, Permutation
@@ -105,17 +105,20 @@ def test_extend_rejects_redundant_prefix():
         extend_to_irredundant_base(G, (0, 0))
 
 
-def test_find_random_base_psp43_sizes_4_and_5():
+def test_psp43_has_bases_of_lengths_4_and_5():
+    # the enumeration's witnesses are irredundant bases of each length
     G, _ = named_case("PSp4_3/proj40")
-    four = find_random_irredundant_base(G, 4, budget=1000, seed=0)
-    five = find_random_irredundant_base(G, 5, budget=1000, seed=0)
-    assert four is not None and len(four) == 4 and four.is_base
-    assert five is not None and len(five) == 5 and five.is_base
+    res = enumerate_irredundant_base_sizes(G)
+    for size in (4, 5):
+        rep = base_report(G, res.witnesses[size])
+        assert len(rep) == size and rep.is_base and rep.is_irredundant
 
 
-def test_find_random_base_size1_absent():
-    G, _ = named_case("Sp4_2/vec15")
-    assert find_random_irredundant_base(G, 1, budget=50, seed=0) is None
+def test_no_base_of_length_1():
+    for name in ("PSp4_3/proj40", "Sp4_2/vec15"):
+        G, _ = named_case(name)
+        res = enumerate_irredundant_base_sizes(G)
+        assert res.complete and 1 not in res.witnesses
 
 
 def test_enumerate_sl32():

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import vector_set
+from conftest import annihilator_set, vector_set
 from ibiskit.actions import (
     ActionError, build_domain, induce_permutation, theta_value,
 )
 from ibiskit.gf import field_of_order
 from ibiskit.groups import GroupSpec, classical_generators
-from ibiskit.linalg import kernel, rref_stack
+from ibiskit.linalg import annihilator, rref, rref_stack
 
 
 def move(g, v):
@@ -31,29 +31,13 @@ def move(g, v):
     return tuple(out)
 
 
-def dot(F, x, w):
-    acc = 0
-    for a, b in zip(x, w):
-        acc = int(F.add(acc, F.mul(a, b)))
-    return acc
-
-
-def annihilator_set(F, vs, d):
-    """{x : x.w = 0 for every w in vs}, by trying every x."""
-    return {x for x in itertools.product(range(F.q), repeat=d)
-            if all(dot(F, x, w) == 0 for w in vs)}
-
-
-def members(pt):
-    return pt if isinstance(pt, tuple) else (pt,)
-
-
-def image_sets(g, pt):
-    """The vector sets of the members of g(pt), smallest first."""
+def image_sets(g, members):
+    """The vector sets of the images of the bases in members under g,
+    smallest first."""
     F, d = g.field, g.d
     out = []
-    for W in members(pt):
-        img = {move(g, v) for v in vector_set(F, W.basis)}
+    for W in members:
+        img = {move(g, v) for v in vector_set(F, W)}
         out.append(annihilator_set(F, img, d) if g.dual else img)
     return sorted(out, key=len)
 
@@ -94,11 +78,11 @@ SUBSPACE_CASES = [
 def test_induced_images_match_vector_sets(group, action):
     dom = build_domain(action)
     spec = GroupSpec.deserialize(group)
-    targets = [[vector_set(dom.field, W.basis) for W in members(pt)]
-               for pt in dom.points]
+    points = list(zip(*dom.bases()))      # the member bases of each point
+    targets = [[vector_set(dom.field, W) for W in pt] for pt in points]
     for g in elements(spec):
         pi = induce_permutation(g, dom)
-        for i, pt in enumerate(dom.points):
+        for i, pt in enumerate(points):
             assert image_sets(g, pt) == targets[pi[i]]
 
 
@@ -127,8 +111,8 @@ def test_induced_forms_match_theta_values(group, action):
     vs = list(itertools.product(range(F.q), repeat=dom.d))
     for g in elements(GroupSpec.deserialize(group)):
         pi = induce_permutation(g, dom)
-        for i, a in enumerate(dom.points):
-            img = dom.points[pi[i]]
+        for i, a in enumerate(dom.codes):
+            img = dom.codes[pi[i]]
             for v in vs:
                 assert theta_value(dom, img, move(g, v)) == \
                     int(F.frob(theta_value(dom, a, v), g.frob_power))
@@ -180,4 +164,5 @@ def test_rref_stack_and_kernel_against_vector_sets(case):
     for A, B in zip(S, R):
         assert is_rref(B)
         assert vector_set(F, B) == vector_set(F, A)
-        assert vector_set(F, kernel(F, A)) == annihilator_set(F, list(map(tuple, A)), d)
+        K = annihilator(F, rref(F, A)[0][None])[0]
+        assert vector_set(F, K) == annihilator_set(F, list(map(tuple, A)), d)

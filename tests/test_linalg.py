@@ -5,16 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import brute_nondegenerate, brute_totally_singular, vector_set
+from conftest import (
+    annihilator_set, brute_nondegenerate, brute_totally_singular, span_vectors,
+    vector_set,
+)
 from ibiskit import linalg
 from ibiskit.actions import enumerate_subspaces, gaussian_binomial
 from ibiskit.gf import field_of_order, make_field, trace_bit
 from ibiskit.linalg import (
-    LinalgError, canonicalize, complement_dual, det, eval_form, hermitian_form,
-    inverse, is_nondegenerate, is_totally_singular, klein_map, mat_mul,
-    pfaffian4, pfaffian_quadric_form, quadratic_minus, quadratic_plus,
-    quadratic_theta0, subspace_meet, subspace_sum, symplectic_form,
+    PFAFFIAN_COORDS, LinalgError, annihilator, det, eval_form, hermitian_form, inverse,
+    is_nondegenerate, is_totally_singular, klein_map, mat_mul, pfaffian4,
+    pfaffian_quadric_form, quadratic_minus, quadratic_plus, quadratic_theta0,
+    rank_stack, symplectic_form,
 )
+from ibiskit.witnesses import _span_and_meet_ok
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -33,67 +37,75 @@ def all_vectors(F, d):
 
 
 def all_subspaces(F, d, k):
-    """Brute-force enumeration by spanning sets (oracle for counts)."""
-    seen = {}
+    """Brute-force enumeration by spanning sets (oracle for counts): the
+    distinct vector sets of size q^k spanned by k nonzero vectors."""
+    seen = set()
     vecs = [v for v in all_vectors(F, d) if v.any()]
-    import itertools
     for comb in itertools.combinations(vecs, k):
-        W = canonicalize(F, d, comb)
-        if W.dim == k:
-            seen[W.key()] = W
-    return list(seen.values())
+        W = frozenset(vector_set(F, np.array(comb)))
+        if len(W) == F.q**k:
+            seen.add(W)
+    return seen
+
+
+def basis(F, vectors):
+    """The RREF basis of the span of the vectors."""
+    return linalg.rref(F, np.array(vectors, dtype=np.int64))[0]
 
 
 def test_canonicalize_hand_rref():
-    W = canonicalize(F2, 3, [[1, 1, 0], [0, 1, 0]])
-    assert [list(r) for r in W.basis] == [[1, 0, 0], [0, 1, 0]]
+    W = basis(F2, [[1, 1, 0], [0, 1, 0]])
+    assert W.tolist() == [[1, 0, 0], [0, 1, 0]]
 
 
 def test_canonicalize_empty_and_full():
-    Z = canonicalize(F2, 3, [])
-    assert Z.dim == 0
-    V = canonicalize(F3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert V.dim == 3
+    assert basis(F2, np.zeros((0, 3))).shape == (0, 3)
+    assert basis(F2, [[0, 0, 0], [0, 0, 0]]).shape == (0, 3)
+    V = basis(F3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert len(V) == 3
 
 
 def test_canonicalize_idempotent_and_equality():
+    # the RREF basis is a function of the span: equal spans, equal arrays
     rng = random.Random(3)
     for _ in range(30):
         vecs = [[rng.randrange(3) for _ in range(4)] for _ in range(3)]
-        W = canonicalize(F3, 4, vecs)
-        W2 = canonicalize(F3, 4, list(W.basis))
-        assert W == W2 and W.key() == W2.key()
+        W = basis(F3, vecs)
+        assert np.array_equal(basis(F3, W), W)
         shuffled = list(vecs)
         rng.shuffle(shuffled)
-        assert canonicalize(F3, 4, shuffled) == W
+        assert np.array_equal(basis(F3, shuffled), W)
+        assert vector_set(F3, W) == vector_set(F3, vecs)
 
 
 def test_canonicalize_ambient_mismatch():
     with pytest.raises(LinalgError):
-        canonicalize(F2, 3, [[1, 0]])
+        basis(F2, [1, 0])
+    with pytest.raises(LinalgError):
+        linalg.rref_stack(F2, np.zeros((3, 2), dtype=np.int64))
 
 
 def test_sum_meet_trivia():
-    A = canonicalize(F2, 3, [[1, 0, 0]])
-    B = canonicalize(F2, 3, [[0, 1, 0]])
-    assert subspace_sum(A, A) == A
-    assert subspace_meet(A, A) == A
-    assert subspace_sum(A, B).dim == 2
-    assert subspace_meet(A, B).dim == 0
+    A = basis(F2, [[1, 0, 0]])
+    B = basis(F2, [[0, 1, 0]])
+    assert rank_stack(F2, np.array([np.vstack([A, A]), np.vstack([A, B])])
+                      ).tolist() == [1, 2]
 
 
 def test_sum_meet_dimension_identity_fuzz():
+    # dim(A + B) is the rank of both bases together; the meet's size from
+    # Grassmann's formula, q^(dim A + dim B - dim(A + B)), is checked
+    # against the intersection of the vector sets
     rng = random.Random(17)
     for _ in range(60):
-        A = canonicalize(F3, 5, [[rng.randrange(3) for _ in range(5)]
-                                 for _ in range(rng.randrange(1, 4))])
-        B = canonicalize(F3, 5, [[rng.randrange(3) for _ in range(5)]
-                                 for _ in range(rng.randrange(1, 4))])
-        s = subspace_sum(A, B)
-        m = subspace_meet(A, B)
-        assert A.dim + B.dim == s.dim + m.dim
-        assert vector_set(F3, m.basis) <= (vector_set(F3, A.basis)
-                                           & vector_set(F3, B.basis))
+        A, B = (basis(F3, [[rng.randrange(3) for _ in range(5)]
+                           for _ in range(rng.randrange(1, 4))])
+                for _ in range(2))
+        s = int(rank_stack(F3, np.vstack([A, B])[None])[0])
+        VA, VB = vector_set(F3, A), vector_set(F3, B)
+        assert 3**s == len({tuple((a + b) % 3 for a, b in zip(x, y))
+                            for x in VA for y in VB})
+        assert 3 ** (len(A) + len(B) - s) == len(VA & VB)
 
 
 def test_matrix_inverse_and_det():
@@ -206,11 +218,11 @@ def test_form_arity_errors():
 
 def test_totally_singular_examples():
     Q = quadratic_theta0(F2, 4)
-    W = canonicalize(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])  # <e1, e2>
-    assert is_totally_singular(Q, W.basis[None])[0]
+    W = basis(F2, [[1, 0, 0, 0], [0, 1, 0, 0]])  # <e1, e2>
+    assert is_totally_singular(Q, W[None])[0]
     phi = symplectic_form(F3, 4)
-    V = canonicalize(F3, 4, np.eye(4, dtype=int))
-    assert is_nondegenerate(phi, V.basis[None])[0]
+    V = basis(F3, np.eye(4, dtype=int))
+    assert is_nondegenerate(phi, V[None])[0]
 
 
 FORM_KINDS = {
@@ -348,17 +360,17 @@ def test_pfaffian_shape_errors():
 
 
 def test_klein_map_basic():
-    L = canonicalize(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    pt = klein_map(L)
-    assert [list(r) for r in pt.basis] == [[1, 0, 0, 0, 0, 0]]  # only x12 nonzero
+    L = basis(F2, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    pt = klein_map(F2, L[None])
+    assert pt.tolist() == [[[1, 0, 0, 0, 0, 0]]]  # only x12 nonzero
     Q = pfaffian_quadric_form(F2)
-    assert eval_form(Q, pt.basis[0]) == 0
+    assert eval_form(Q, pt[0, 0]) == 0
 
 
 def test_klein_map_injective_on_pg32():
-    lines = all_subspaces(F2, 4, 2)
+    lines = enumerate_subspaces(F2, 4, 2)
     assert len(lines) == 35
-    images = {klein_map(L).key() for L in lines}
+    images = {B.tobytes() for B in klein_map(F2, lines)}
     assert len(images) == 35
 
 
@@ -378,21 +390,26 @@ def test_klein_quadric_point_count(q, expected):
 
 def test_klein_map_dim_error():
     with pytest.raises(LinalgError):
-        klein_map(canonicalize(F2, 4, [[1, 0, 0, 0]]))
+        klein_map(F2, basis(F2, [[1, 0, 0, 0]])[None])
+    with pytest.raises(LinalgError):
+        klein_map(F2, basis(F2, [[1, 0, 0, 0], [0, 1, 0, 0]]))
 
 
 def test_complement_dual_reverses_inclusion():
-    A = canonicalize(F3, 4, [[1, 0, 0, 0]])
-    B = canonicalize(F3, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert complement_dual(B).dim == 2
-    dA, dB = complement_dual(A), complement_dual(B)
-    assert vector_set(F3, dB.basis) <= vector_set(F3, dA.basis)
-    assert complement_dual(complement_dual(B)) == B
+    A = basis(F3, [[1, 0, 0, 0]])
+    B = basis(F3, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    dA, dB = annihilator(F3, A[None])[0], annihilator(F3, B[None])[0]
+    assert len(dB) == 2
+    assert vector_set(F3, dB) <= vector_set(F3, dA)
+    assert vector_set(F3, dB) == annihilator_set(F3, vector_set(F3, B), 4)
+    assert np.array_equal(annihilator(F3, dB[None])[0], B)
 
 
 def test_subspace_count_oracle_gf2_dim4():
     # Gaussian binomial [4 choose 2]_2 = 35
     assert len(all_subspaces(F2, 4, 2)) == 35
+    assert all_subspaces(F2, 4, 2) == {
+        frozenset(vector_set(F2, B)) for B in enumerate_subspaces(F2, 4, 2)}
 
 
 def test_matrix_type_wrapper():
@@ -418,3 +435,37 @@ def test_form_constructor_guards():
                         + np.tril(np.ones((2, 2), dtype=np.int64), -1))
     with pytest.raises(LinalgError):
         linalg.FormSpec("celestial", F3, np.eye(2, dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_span_meet_predicate_and_klein_map_against_vector_sets(data):
+    # the batched span-and-meet test of witness L3.14 on a few random
+    # k-subspaces, against their vector sets: the span by closing under
+    # addition, the meet by intersecting
+    q = data.draw(st.sampled_from([2, 3, 4]))
+    F = field_of_order(q)
+    d = data.draw(st.integers(2, 4))
+    k = data.draw(st.integers(1, d - 1))
+    S = enumerate_subspaces(F, d, k)
+    B = S[data.draw(st.lists(st.integers(0, len(S) - 1), min_size=1, max_size=3))]
+    sets = [vector_set(F, W) for W in B]
+    span = {(0,) * d}
+    for W in sets:
+        span = {tuple(map(int, F.add(x, y))) for x in span for y in W}
+    meet = set.intersection(*sets)
+    assert _span_and_meet_ok(F, B) == (len(span) == q**d and len(meet) == 1)
+
+    # the stacked Klein map: the image of a line L is the set of Pluecker
+    # vectors x_i y_j - y_i x_j over all pairs x, y of vectors of L
+    lines = enumerate_subspaces(F, 4, 2)
+    L = lines[data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=1,
+                                 max_size=4))]
+    images = klein_map(F, L)
+    assert images.shape == (len(L), 1, 6)
+    for line, image in zip(L, images):
+        vs = span_vectors(F, line)
+        pluecker = {tuple(int(F.sub(F.mul(x[i], y[j]), F.mul(y[i], x[j])))
+                          for i, j in PFAFFIAN_COORDS)
+                    for x in vs for y in vs}
+        assert pluecker == vector_set(F, image)

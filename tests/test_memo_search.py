@@ -16,6 +16,7 @@ from ibiskit.ibis import (
     DEFAULT_BUDGET, base_report, enumerate_irredundant_base_sizes,
     minimal_base_sizes,
 )
+from ibiskit.perm import PermGroup
 
 
 @pytest.mark.parametrize("name", list(ACTIONS))
@@ -36,6 +37,19 @@ def test_minimal_base_sizes_match_plain(name):
     plain = plain_minimal_base_sizes(G)
     assert (memo.lengths, memo.complete, memo.nodes) \
         == (plain.lengths, plain.complete, plain.nodes)
+
+
+def test_minimal_base_sizes_budget_before_the_first_step(monkeypatch):
+    # node_budget=0 expands no node, so no stabilizer chain is built
+    G, _ = named_case("GL4_2/sub35")
+    calls = []
+    transport = PermGroup.orbit_transport
+    monkeypatch.setattr(PermGroup, "orbit_transport",
+                        lambda H, p: calls.append(p) or transport(H, p))
+    res = minimal_base_sizes(G, node_budget=0)
+    assert calls == [] and not res.complete and res.lengths == frozenset()
+    res = minimal_base_sizes(G, node_budget=1)
+    assert len(calls) == 1 and not res.complete
 
 
 @pytest.mark.parametrize("budget", [0, 1, 100, 1000])
