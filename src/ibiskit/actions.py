@@ -178,9 +178,7 @@ def witt_index(form):
     """Maximal dimension of a totally singular subspace, from the form's
     standard shape."""
     d = form.dim
-    if form.kind == "symplectic":
-        return d // 2
-    if form.kind == "hermitian":
+    if form.kind in ("symplectic", "hermitian"):
         return d // 2
     if form.kind == "quadratic":
         return d // 2 - form.meta.get("witt_defect", 0)
@@ -270,8 +268,7 @@ def build_quad_forms_domain(m, q, sign):
     d = 2 * m
     theta0 = quadratic_theta0(F, d)
     vs = linalg.all_row_vectors(F, d)
-    values = linalg.eval_quadratic_batch(theta0, vs)
-    traces = np.array([trace_bit(F, int(v)) for v in values])
+    traces = trace_bit(F, linalg.eval_quadratic_batch(theta0, vs))
     if sign in ("+", 1, "plus"):
         keep, kind = traces == 0, "quad_forms_plus"
     elif sign in ("-", -1, "minus"):

@@ -75,31 +75,43 @@ def _emit(args, payload, text=None):
         sys.stdout.write(body)
 
 
-def _build_job(args):
+JOB_KEYS = ("group", "action", "task", "budget", "size")
+
+
+def _build_job(args, *required):
+    """The job: the jobfile's object, overridden by the inline flags;
+    raises unless it holds every required key and only JOB_KEYS."""
     job = {}
     if getattr(args, "jobfile", None):
         with open(args.jobfile) as fh:
             job = json.load(fh)
         if not isinstance(job, dict):
             raise CliError(f"jobfile {args.jobfile} must hold a JSON object")
+        for key in job:
+            if key not in JOB_KEYS:
+                raise CliError(f"jobfile {args.jobfile} has unknown key {key!r}; "
+                               f"known: {', '.join(JOB_KEYS)}")
     for key in ("group", "action"):
         inline = getattr(args, key, None)
         if inline:
             job[key] = json.loads(inline)
     if getattr(args, "task", None):
         job["task"] = args.task
+    for key in required:
+        if key not in job:
+            raise CliError(f"job descriptor is missing {key!r}")
     return job
 
 
 def cmd_analyze(args):
-    job = _build_job(args)
+    job = _build_job(args, "group", "action", "task")
     job.setdefault("budget", args.budget)
-    for key in ("group", "action", "task"):
-        if key not in job:
-            raise CliError(f"job descriptor is missing {key!r}")
     budget = job["budget"]
     if type(budget) is not int or budget < 0:
         raise CliError(f"budget must be a non-negative integer, got {budget!r}")
+    size = job.get("size")
+    if "size" in job and (type(size) is not int or size < 0):
+        raise CliError(f"size must be a non-negative integer, got {size!r}")
     spec = GroupSpec.deserialize(job["group"])
     dom = build_domain(job["action"])
     G = build_group_action(spec, dom)
@@ -113,10 +125,9 @@ def cmd_analyze(args):
     elif task == "orbits":
         report["orbit_sizes"] = sorted(len(o) for o in G.orbits())
     elif task == "base-find":
-        size = job.get("size")
-        if size:
+        if "size" in job:
             enum = enumerate_irredundant_base_sizes(G, budget)
-            found = enum.witnesses.get(int(size))
+            found = enum.witnesses.get(size)
             rep = None if found is None else base_report(G, found)
             if rep is not None and not (rep.is_base and rep.is_irredundant):
                 raise IbisError("the base found failed re-certification")
@@ -211,7 +222,7 @@ def cmd_e7(args):
 
 
 def cmd_dump_group(args):
-    job = _build_job(args)
+    job = _build_job(args, "group", "action")
     spec = GroupSpec.deserialize(job["group"])
     dom = build_domain(job["action"])
     G = build_group_action(spec, dom)
@@ -223,7 +234,7 @@ def cmd_dump_group(args):
 
 
 def cmd_dump_domain(args):
-    job = _build_job(args)
+    job = _build_job(args, "action")
     dom = build_domain(job["action"])
     payload = {"schema": SCHEMA, "domain": dom.describe(),
                "points": dom.serialize_points()}

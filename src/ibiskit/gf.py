@@ -312,10 +312,11 @@ def field_of_order(q):
 
 
 def trace_bit(field, code):
-    """Absolute trace GF(p^f) -> GF(p) of a code, as a small int."""
+    """Absolute trace GF(p^f) -> GF(p) of a code, or of every code of an
+    array: the sum of its f Frobenius images."""
     acc = 0
     for i in range(field.f):
-        acc = int(field.add(acc, field.frob(code, i)))
+        acc = field.add(acc, field.frob(code, i))
     return acc
 
 

@@ -4,12 +4,14 @@ to extend them.
 
 Construction strategy: Chevalley-style root elements (transvections and
 their short-root companions) relative to the standard forms of linalg,
-with every generator checked against the form on construction and the
-generated group certified downstream by comparing the order of the
-induced permutation group on nonzero vectors with the textbook order
-formula.  Orthogonal groups in characteristic 2 are generated directly
-as products of pairs of reflections (Dickson kernel), certified the same
-way, which avoids spinor-norm membership tests entirely.
+with every socle generator checked against the form on construction.
+`certified_order` compares the order of the induced permutation group
+on nonzero vectors with the textbook order formula.  No code path of
+the package calls it; only tests/test_groups.py and
+tests/test_classification.py do.
+Orthogonal groups in characteristic 2 are generated directly as
+products of pairs of reflections (Dickson kernel), which avoids
+spinor-norm membership tests entirely.
 
 Projective groups are never formed as abstract quotients: scalars act
 trivially on every subspace domain, so inducing the matrix group on the
@@ -161,10 +163,11 @@ class SemilinearElement:
 
 # -- form preservation checks ---------------------------------------------
 
-def preserves_form(g, form, exact=True):
-    """Whether g = frob^k . M carries the form to itself: the semilinear
-    condition is M gram M^T = c frob(gram, k), with c = 1 when exact and
-    any similitude scalar otherwise."""
+def preserves_form(g, form):
+    """Whether g = frob^k . M carries the form to itself:
+    M gram M^T = frob(gram, k), with M^T conjugated for a hermitian form
+    and both sides folded to upper-triangular representatives for a
+    quadratic one."""
     if form is None or g.dual:
         return True
     F = form.field
@@ -177,22 +180,12 @@ def preserves_form(g, form, exact=True):
     if form.kind == "quadratic":
         lhs = _upper_tri_rep(F, lhs)
         target = _upper_tri_rep(F, target)
-    if exact:
-        return np.array_equal(lhs, target)
-    for i, j in zip(*np.nonzero(target)):
-        if lhs[i, j]:
-            c = int(F.div(lhs[i, j], target[i, j]))
-            return np.array_equal(lhs, F.mul(target, c))
-    return False
+    return np.array_equal(lhs, target)
 
 
 def _upper_tri_rep(F, A):
     """Fold a Gram matrix to its upper-triangular quadratic representative."""
-    up = np.triu(A, 1)
-    low = np.tril(A, -1).T
-    out = F.add(up, low)
-    out = out + np.diag(np.diagonal(A))
-    return out
+    return F.add(np.triu(A, 1), np.tril(A, -1).T) + np.diag(np.diagonal(A))
 
 
 # -- elementary constructions ------------------------------------------------
@@ -392,10 +385,10 @@ def _orthogonal_generators(spec):
     form = quadratic_plus(F, d) if is_plus else quadratic_minus(F, d)
     if spec.family.startswith("Omega") and q % 2 == 1:
         raise GroupError("Omega for odd q (spinor-norm kernel) is not constructed")
+    # one non-singular vector per point: its first nonzero coordinate is 1
     vectors = linalg.all_row_vectors(F, d)
-    nonsingular = [v for v in vectors
-                   if v.any() and linalg.eval_form(form, v) != 0
-                   and v[np.nonzero(v)[0][0]] == 1]
+    lead = vectors[np.arange(len(vectors)), (vectors != 0).argmax(axis=1)]
+    nonsingular = vectors[(lead == 1) & (linalg.eval_quadratic_batch(form, vectors) != 0)]
     refls = [orthogonal_reflection(form, v) for v in nonsingular]
     if spec.family.startswith("Omega") or (q % 2 == 1 and spec.family.startswith("SO")):
         base = refls[0]
@@ -412,10 +405,11 @@ def classical_generators(spec):
     with any requested outer elements appended, together with the
     preserved standard form.
 
-    Socle generators preserve the form exactly; appended outer elements
-    preserve it up to a similitude scalar and Frobenius twist.  The
-    induced permutation group order is certified downstream against the
-    textbook formula (see certified_order).
+    Each socle generator is checked to preserve the form exactly
+    (preserves_form); the appended outer elements are not checked, and
+    may move the form by a similitude scalar or a Frobenius twist.  The
+    order of the generated group is not checked here: certified_order
+    compares it with the textbook formula, and only the tests call it.
     """
     if spec.family in ("GL", "SL"):
         gens, form = _linear_generators(spec)

@@ -11,7 +11,9 @@ Elimination runs on a whole stack of matrices at once (`rref_stack`,
 axes, and the Klein map takes a stack of lines; the one-matrix routines
 (`rref`, `det`, `inverse`) are the stack routines on a stack of one.
 Sums and meets of subspaces are ranks: dim(U + W) is the rank of the two
-bases together, and dim(U meet W) = dim U + dim W - dim(U + W).
+bases together, and dim(U meet W) = dim U + dim W - dim(U + W).  So is
+non-degeneracy: the rank of the Gram matrix restricted to the subspace.
+Form values on whole arrays come from one Gram-sum loop (`_gram_sum`).
 """
 
 from __future__ import annotations
@@ -143,14 +145,14 @@ def det(F, A):
 # -- forms ------------------------------------------------------------------
 
 class FormSpec:
-    """A bilinear, symplectic, hermitian or quadratic form.
+    """A symplectic, hermitian or quadratic form.
 
     Quadratic forms keep an upper-triangular Gram representative (the
     unique normal form in every characteristic).  Hermitian forms live
     over GF(q^2) and conjugate with x -> x^q.
     """
 
-    KINDS = ("symplectic", "hermitian", "quadratic", "bilinear-symmetric")
+    KINDS = ("symplectic", "hermitian", "quadratic")
 
     def __init__(self, kind, field, gram, conj_power=0):
         if kind not in self.KINDS:
@@ -207,30 +209,29 @@ def eval_form(form, u, v=None):
     return int(eval_bilinear_batch(form, u[None], v[None])[0])
 
 
-def eval_quadratic_batch(form, U):
-    """Quadratic values on the rows of U (the last axis), vectorized over
-    nonzero Gram entries."""
-    F = form.field
-    U = np.asarray(U, dtype=np.int64)
-    out = np.zeros(U.shape[:-1], dtype=np.int64)
-    for i, j in zip(*np.nonzero(form.gram)):
-        out = F.add(out, F.mul(int(form.gram[i, j]), F.mul(U[..., i], U[..., j])))
+def _gram_sum(F, gram, U, V):
+    """sum over the nonzero gram[i, j] of gram[i, j] U[..., i] V[..., j],
+    on matching rows (the last axis; leading axes broadcast)."""
+    out = np.zeros(np.broadcast_shapes(U.shape[:-1], V.shape[:-1]), dtype=np.int64)
+    for i, j in zip(*np.nonzero(gram)):
+        term = F.mul(U[..., i], V[..., j])
+        out = F.add(out, term if gram[i, j] == 1 else F.mul(int(gram[i, j]), term))
     return out
+
+
+def eval_quadratic_batch(form, U):
+    """Quadratic values on the rows of U (the last axis)."""
+    U = np.asarray(U, dtype=np.int64)
+    return _gram_sum(form.field, form.gram, U, U)
 
 
 def eval_bilinear_batch(form, U, V):
-    """Pairwise form(U[k], V[k]) on matching rows (the last axis), vectorized;
-    the polar form for a quadratic form."""
-    F = form.field
-    U = np.asarray(U, dtype=np.int64)
+    """Pairwise form(U[k], V[k]) on matching rows (the last axis); the
+    polar form for a quadratic form."""
     V = np.asarray(V, dtype=np.int64)
-    gram = form.polar_gram() if form.kind == "quadratic" else form.gram
     if form.kind == "hermitian":
         V = form.conj(V)
-    out = np.zeros(U.shape[:-1], dtype=np.int64)
-    for i, j in zip(*np.nonzero(gram)):
-        out = F.add(out, F.mul(int(gram[i, j]), F.mul(U[..., i], V[..., j])))
-    return out
+    return _gram_sum(form.field, form.polar_gram(), np.asarray(U, dtype=np.int64), V)
 
 
 # -- subspace predicates: boolean masks over a stack S of bases (n, k, d) ----
@@ -267,37 +268,30 @@ def is_totally_singular(form, S):
 
 
 def is_nondegenerate(form, S):
-    """True where the row space of S[i] has zero radical.  With M the
-    restricted (polar) Gram of the basis B = S[i], it is degenerate iff
-    c.M = 0 for some nonzero c in GF(q)^k; for a quadratic form c.B must
-    also be singular (in characteristic 2 the polar radical may hold
-    non-singular vectors).  Both conditions are invariant under scaling c,
-    so C holds one c per point of PG(k-1, q): the base-q digits of the
-    codes whose top nonzero digit is 1."""
+    """True where the row space of S[i] has zero radical, read off the
+    rank of the restricted (polar) Gram M of the basis B = S[i]: rank k,
+    or, for a quadratic form in characteristic 2, rank k - 1 with Q
+    non-zero on the radical <c.B>.  There Q on the polar radical is the
+    square of a linear map, so a radical of dimension 2 or more holds a
+    nonzero singular vector; M is symmetric, so c spans the annihilator
+    of its rows."""
     F = form.field
     S = np.asarray(S, dtype=np.int64)
     _, k, d = S.shape
     i, j = np.indices((k, k)).reshape(2, -1)
-    codes = np.array([c for e in range(k) for c in range(F.q**e, 2 * F.q**e)],
-                     dtype=np.int64)
-    C = codes[:, None] // F.q ** np.arange(k) % F.q
+    char2_quadratic = form.kind == "quadratic" and F.p == 2
 
     def mask(B):
         M = eval_bilinear_batch(form, B[:, i], B[:, j]).reshape(len(B), k, k)
-        radical = ~_combine(F, C, M).any(axis=2)
-        if form.kind == "quadratic":
-            radical &= eval_quadratic_batch(form, _combine(F, C, B)) == 0
-        return ~radical.any(axis=1)
-    return _by_blocks(S, len(C) * d, mask)
-
-
-def _combine(F, C, X):
-    """out[i, m] = sum_a C[m, a] X[i, a]: every combination c in C of the
-    rows of each X[i]."""
-    out = np.zeros((len(X), len(C), X.shape[2]), dtype=np.int64)
-    for a in range(C.shape[1]):
-        out = F.add(out, F.mul(C[:, a, None], X[:, None, a]))
-    return out
+        R = rref_stack(F, M)
+        rank = R.any(axis=2).sum(axis=1)
+        ok = rank == k
+        if char2_quadratic:
+            at = np.flatnonzero(rank == k - 1)
+            C = annihilator(F, R[at, :k - 1])
+            ok[at] = eval_quadratic_batch(form, mat_mul(F, C, B[at])).any(axis=1)
+        return ok
+    return _by_blocks(S, k * k * d, mask)
 
 
 # -- standard forms ----------------------------------------------------------
@@ -365,16 +359,13 @@ def quadratic_minus(field, d):
 
 
 def _least_nonsplit_mu(field):
-    """Least mu with T^2 + T + mu irreducible over GF(q), by search."""
-    for mu in range(field.q):
-        ok = True
-        for t in range(field.q):
-            if int(field.add(field.add(field.mul(t, t), t), mu)) == 0:
-                ok = False
-                break
-        if ok:
-            return mu
-    raise LinalgError("no irreducible T^2+T+mu; is the field GF(2^f)?")
+    """Least mu with T^2 + T + mu irreducible over GF(q): the least mu
+    that is not -(t^2 + t) for any t.  T^2 + T is two-to-one away from at
+    most one t, so such a mu exists."""
+    t = np.arange(field.q)
+    split = np.zeros(field.q, dtype=bool)
+    split[field.neg(field.add(field.mul(t, t), t))] = True
+    return int(split.argmin())
 
 
 # -- Pfaffian and the Klein map ----------------------------------------------

@@ -243,8 +243,8 @@ def witness_nondegenerate_pair(d=4, q=3):
     w3 = _sub(dom, F.add(e1, F.mul(lam, e2)), F.add(f1, F.mul(lam, f2)))
     [W] = dom.bases([w1, w2, w3])
     checks = []
-    perp = all(linalg.eval_form(form, a, b) == 0 for a in W[0] for b in W[1])
-    _check(checks, "W1 and W2 are perpendicular", perp)
+    perp = linalg.eval_bilinear_batch(form, W[0][:, None], W[1][None])
+    _check(checks, "W1 and W2 are perpendicular", not perp.any())
     # dim(Wi + Wj) for the pairs 12, 13, 23, and by Grassmann's formula
     # dim(Wi meet Wj) = 2 + 2 - dim(Wi + Wj)
     s12, s13, s23 = rank_stack(F, W[[[0, 1], [0, 2], [1, 2]]].reshape(3, 4, 4))

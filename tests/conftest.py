@@ -294,6 +294,9 @@ def plain_minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     for ob in G.orbits():
         if len(ob) > 1:
             nodes += 1
+            if nodes > node_budget:
+                complete = False
+                break
             dfs(stab((ob[0],)), (ob[0],), ob[0] + 1)
     if G.order() == 1:
         sizes = {0}

@@ -185,18 +185,63 @@ def test_base_find_refuses_a_witness_that_is_not_a_base(monkeypatch, tmp_path,
 
 def test_base_find_with_size_is_deterministic(tmp_path):
     # the base comes from the enumeration: the same report for any budget
-    # that reaches it, and a jobfile seed changes nothing
+    # that reaches it (a jobfile seed is refused, see
+    # test_unknown_job_key_one_line_error)
     job = {"group": {"family": "Sp", "d": 4, "q": 3},
            "action": {"kind": "projective_points", "d": 4, "q": 3},
            "task": "base-find", "size": 4}
     jf, out = tmp_path / "job.json", tmp_path / "b.json"
+    jf.write_text(json.dumps(job))
     found = []
-    for budget, seed in [(2_000_000, 0), (1000, 7)]:
-        jf.write_text(json.dumps(dict(job, seed=seed)))
+    for budget in (2_000_000, 1000):
         assert main(["analyze", str(jf), "--budget", str(budget),
                      "--out", str(out)]) == 0
         found.append(json.loads(out.read_text())["found"])
     assert found[0] == found[1] and len(found[0]["points"]) == 4
+
+
+@pytest.mark.parametrize("size", [2.5, True, -3, "abc", None])
+def test_bad_size_one_line_error(tmp_path, capsys, size):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"size": size}))
+    code = main(["analyze", str(job)] + SL32 + ["--task", "base-find"])
+    assert_one_line_error(capsys, code, "size must be a non-negative integer")
+
+
+def test_base_find_size_zero_searches_for_the_empty_base(tmp_path, capsys):
+    # size 0 is a size: the enumeration finds no base of length 0 for a
+    # nontrivial group, rather than the greedy base being run
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"size": 0}))
+    assert main(["analyze", str(job)] + SL32 + ["--task", "base-find"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "base" not in report
+    assert report["found"] is None and report["complete"]
+
+
+@pytest.mark.parametrize("key", ["budjet", "seed"])
+def test_unknown_job_key_one_line_error(tmp_path, capsys, key):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"task": "order", key: 3}))
+    assert_one_line_error(capsys, main(["analyze", str(job)] + SL32), repr(key))
+
+
+@pytest.mark.parametrize("argv,jobfile,message", [
+    (["dump-group", "--action", '{"kind":"projective_points","d":3,"q":2}'],
+     None, "missing 'group'"),
+    (["dump-domain"], None, "missing 'action'"),
+    (["analyze"], {"group": {"family": "SL", "d": 3, "q": 2}, "task": "order"},
+     "missing 'action'"),
+    (["dump-domain"], {"group": {"family": "SL", "d": 3, "q": 2}},
+     "missing 'action'"),
+], ids=["dump-group-no-group", "dump-domain-no-action", "analyze-jobfile-no-action",
+        "dump-domain-jobfile-no-action"])
+def test_missing_job_key_one_line_error(tmp_path, capsys, argv, jobfile, message):
+    if jobfile is not None:
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(jobfile))
+        argv = argv + [str(job)]
+    assert_one_line_error(capsys, main(argv), message)
 
 
 def test_table_contradiction_guard(monkeypatch, tmp_path):

@@ -7,7 +7,7 @@ from conftest import vector_set
 from ibiskit import linalg
 from ibiskit.gf import field_of_order, make_field
 from ibiskit.groups import (
-    GroupError, GroupSpec, certified_order, classical_generators,
+    GroupError, GroupSpec, _upper_tri_rep, certified_order, classical_generators,
     induced_on_nonzero_vectors, matrix_group_order,
     outer_element, preserves_form, transvection_symplectic,
 )
@@ -58,7 +58,7 @@ def test_generators_preserve_forms_exactly():
         spec = GroupSpec(family, d, q)
         gens, form = classical_generators(spec)
         for g in gens:
-            assert preserves_form(g, form, exact=True)
+            assert preserves_form(g, form)
 
 
 def test_transvection_involution_and_isometry():
@@ -151,12 +151,27 @@ def test_frobenius_outer_order():
     assert full.is_identity()
 
 
+def similitude_scalar(g, form):
+    """The c with M gram M^T = c frob(gram, k) for g = frob^k . M (both
+    sides folded to upper-triangular representatives for a quadratic
+    form), or None when g is no similitude of the form."""
+    F = form.field
+    M = g.matrix
+    lhs = linalg.mat_mul(F, linalg.mat_mul(F, M, form.gram), M.T)
+    target = F.frob(form.gram, g.frob_power)
+    if form.kind == "quadratic":
+        lhs, target = _upper_tri_rep(F, lhs), _upper_tri_rep(F, target)
+    i, j = np.argwhere(target)[0]
+    c = int(F.div(lhs[i, j], target[i, j]))
+    return c if np.array_equal(lhs, F.mul(target, c)) else None
+
+
 def test_diag_outer_is_symplectic_similitude():
     spec = GroupSpec("Sp", 4, 3)
     delta = outer_element("diag", spec)
     _, form = classical_generators(spec)
-    assert not preserves_form(delta, form, exact=True)
-    assert preserves_form(delta, form, exact=False)
+    assert not preserves_form(delta, form)
+    assert similitude_scalar(delta, form) not in (None, 1)
 
 
 def test_frobenius_twist_form_check_direction():
@@ -166,11 +181,11 @@ def test_frobenius_twist_form_check_direction():
     _, form = classical_generators(spec)
     assert form.meta["mu"] not in (0, 1)
     phi = outer_element("frob", GroupSpec("Sp", 4, 4))
-    assert not preserves_form(phi, form, exact=True)
-    assert not preserves_form(phi, form, exact=False)
+    assert not preserves_form(phi, form)
+    assert similitude_scalar(phi, form) is None
     # while forms with prime-field Grams are twist-invariant
     _, sp_form = classical_generators(GroupSpec("Sp", 4, 4))
-    assert preserves_form(phi, sp_form, exact=True)
+    assert preserves_form(phi, sp_form)
 
 
 def test_outer_element_invalid_kinds():

@@ -11,7 +11,7 @@ from conftest import (
 )
 from ibiskit import linalg
 from ibiskit.actions import enumerate_subspaces, gaussian_binomial
-from ibiskit.gf import field_of_order, make_field, trace_bit
+from ibiskit.gf import GFError, field_of_order, make_field, trace_bit
 from ibiskit.linalg import (
     PFAFFIAN_COORDS, LinalgError, annihilator, det, eval_form, hermitian_form, inverse,
     is_nondegenerate, is_totally_singular, klein_map, mat_mul, pfaffian4,
@@ -272,6 +272,30 @@ def test_subspace_masks_blockwise(monkeypatch, kind, q, d, k):
         monkeypatch.setattr(linalg, "BLOCK_CODES", codes)
         assert np.array_equal(linalg.is_totally_singular(form, S), whole[0])
         assert np.array_equal(linalg.is_nondegenerate(form, S), whole[1])
+
+
+@pytest.mark.parametrize("kind,d,q,k", [("plus", 6, 2, 3), ("minus", 6, 2, 3),
+                                        ("plus", 4, 4, 1), ("minus", 4, 4, 1)])
+def test_nondegenerate_rank_rule_in_characteristic_2(kind, d, q, k):
+    # the polar Gram of a quadratic form in characteristic 2 is alternating,
+    # so for odd k it never has rank k: Q on the radical decides every row
+    form = FORM_KINDS[kind](q, d)
+    S = enumerate_subspaces(form.field, d, k)
+    nd = is_nondegenerate(form, S)
+    assert nd.any() and not nd.all()
+    for B, keep in zip(S, nd):
+        assert keep == brute_nondegenerate(form, B)
+
+
+def test_least_nonsplit_mu_by_brute_force():
+    for q in range(2, 82):
+        try:
+            F = field_of_order(q)
+        except GFError:
+            continue
+        splits = [any(int(F.add(F.add(F.mul(t, t), t), mu)) == 0 for t in range(q))
+                  for mu in range(q)]
+        assert linalg._least_nonsplit_mu(F) == splits.index(False)
 
 
 def test_nondegenerate_mask_memory_bounded():

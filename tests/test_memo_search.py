@@ -39,6 +39,16 @@ def test_minimal_base_sizes_match_plain(name):
         == (plain.lengths, plain.complete, plain.nodes)
 
 
+@pytest.mark.parametrize("budget", [0, 1, 100])
+def test_minimal_base_sizes_match_plain_within_a_budget(budget):
+    G, _ = named_case("GL4_2/sub35")
+    memo = minimal_base_sizes(G, node_budget=budget)
+    plain = plain_minimal_base_sizes(G, node_budget=budget)
+    assert not memo.complete
+    assert (memo.lengths, memo.complete, memo.nodes) \
+        == (plain.lengths, plain.complete, plain.nodes)
+
+
 def test_minimal_base_sizes_budget_before_the_first_step(monkeypatch):
     # node_budget=0 expands no node, so no stabilizer chain is built
     G, _ = named_case("GL4_2/sub35")
