@@ -75,12 +75,11 @@ def _emit(args, payload, text=None):
         sys.stdout.write(body)
 
 
-JOB_KEYS = ("group", "action", "task", "budget", "size")
-
-
-def _build_job(args, *required):
+def _build_job(args, *required, optional=()):
     """The job: the jobfile's object, overridden by the inline flags;
-    raises unless it holds every required key and only JOB_KEYS."""
+    raises unless it holds every required key, and no key but those and
+    the optional ones: a command refuses the keys it does not read."""
+    keys = required + optional
     job = {}
     if getattr(args, "jobfile", None):
         with open(args.jobfile) as fh:
@@ -88,9 +87,10 @@ def _build_job(args, *required):
         if not isinstance(job, dict):
             raise CliError(f"jobfile {args.jobfile} must hold a JSON object")
         for key in job:
-            if key not in JOB_KEYS:
-                raise CliError(f"jobfile {args.jobfile} has unknown key {key!r}; "
-                               f"known: {', '.join(JOB_KEYS)}")
+            if key not in keys:
+                raise CliError(f"jobfile {args.jobfile} has key {key!r}, which "
+                               f"{args.command} does not read; it reads: "
+                               f"{', '.join(keys)}")
     for key in ("group", "action"):
         inline = getattr(args, key, None)
         if inline:
@@ -104,18 +104,22 @@ def _build_job(args, *required):
 
 
 def cmd_analyze(args):
-    job = _build_job(args, "group", "action", "task")
+    job = _build_job(args, "group", "action", "task",
+                     optional=("budget", "size"))
     job.setdefault("budget", args.budget)
     budget = job["budget"]
     if type(budget) is not int or budget < 0:
         raise CliError(f"budget must be a non-negative integer, got {budget!r}")
+    task = job["task"]
     size = job.get("size")
+    if "size" in job and task != "base-find":
+        raise CliError(f"job key 'size' is read only by task base-find, "
+                       f"not by {task!r}")
     if "size" in job and (type(size) is not int or size < 0):
         raise CliError(f"size must be a non-negative integer, got {size!r}")
     spec = GroupSpec.deserialize(job["group"])
     dom = build_domain(job["action"])
     G = build_group_action(spec, dom)
-    task = job["task"]
     report = {"schema": SCHEMA, "group": spec.serialize(),
               "action": dom.describe(), "task": task, "budget": budget,
               "degree": dom.N}
@@ -234,7 +238,8 @@ def cmd_dump_group(args):
 
 
 def cmd_dump_domain(args):
-    job = _build_job(args, "action")
+    # the group is allowed, so that one jobfile serves both dump commands
+    job = _build_job(args, "action", optional=("group",))
     dom = build_domain(job["action"])
     payload = {"schema": SCHEMA, "domain": dom.describe(),
                "points": dom.serialize_points()}

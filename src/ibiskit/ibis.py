@@ -19,8 +19,12 @@ the current stabilizer (extending by points in the same orbit yields
 conjugate stabilizers, hence identical sets of reachable chain lengths)
 and keeps each complete subtree as {length: first suffix}, so its
 witnesses are those of the unmemoised search.  The minimal-base search
-keeps each distinct stabilizer once and reaches the stabilizers of a
-whole orbit from one chain, by conjugation.
+keeps each distinct stabilizer once.  A step from H into a new orbit
+p^H first looks for H_p among the kept stabilizers, certified by
+orbit-stabilizer (a kept G_(K) with K containing fix(H) and p, of order
+|H| / |p^H|), builds a chain only when none matches, and reaches the
+stabilizers of the rest of the orbit by conjugation along a
+breadth-first transversal.
 """
 
 from __future__ import annotations
@@ -177,6 +181,19 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
     return EnumerationResult(frozenset(witnesses), complete, witnesses, nodes)
 
 
+def _key(masks):
+    """Fixed-point keys of a stack of point masks: one int per mask whose
+    bit p is set exactly when the mask holds p."""
+    packed = np.packbits(np.atleast_2d(masks), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _mask(key, degree):
+    """The point mask of a fixed-point key."""
+    packed = np.frombuffer(key.to_bytes((degree + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(packed, count=degree, bitorder="little").astype(bool)
+
+
 def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     """Sizes of minimal bases (bases no proper subset of which is a base).
 
@@ -186,80 +203,119 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     stays redundant in every superset, so only independent sets extend to
     minimal bases, and an independent base is itself minimal.
     Conjugation preserves minimality, so the least point of the set may
-    be restricted to orbit minima.
+    be restricted to orbit minima.  Each search node carries the
+    stabilizers of its set with one member left out, so independence of
+    a new set costs one step per member.
 
     Every pointwise stabilizer is kept once, under its fixed-point key,
-    and a point set's stabilizer is found by walking the steps
-    (stabilizer, point) -> stabilizer from G.  The first step from H to
-    a point p fills in the steps to its whole H-orbit from one chain: the
-    stabilizer of q = u[p] is the conjugate of H_p by u, whose fixed
-    points are those of H_p moved by u, so it is built only when that key
-    is new (perm.PermGroup.orbit_transport and conjugate).  A node is
-    counted before it is expanded, so complete=False once the budget
-    runs out, and at node_budget=0 no stabilizer is built.
+    and steps (stabilizer, point) -> stabilizer are tabled.  The first
+    step from H = G_(F), F = fix(H), to a point p finds H_p = G_(F + p)
+    without a chain when it can, and the lookup is certified.  By
+    orbit-stabilizer |H_p| = |H| / |p^H|, with the orbit and a transversal
+    u (u[p] = q) from one breadth-first pass over H's generators
+    (perm.PermGroup.orbit_transversal).  A kept group is G_(its key)
+    (conjugating G_(S) by an element u of G gives G_(u[S])) and fixes
+    every point of its key, so a kept group whose key contains F + p lies
+    in H_p, and equals H_p when its order is |H_p|.  Only when no kept
+    group matches is a chain built (H.stabilizer(p)).  The rest of the
+    orbit follows from the transversal: H_q = u^-1 H_p u fixes exactly
+    u[fix(H_p)], and a new key is kept as (H_p, u), conjugated only when
+    the search steps out of it.  A node is counted before it is
+    expanded, so complete=False once the budget runs out, and at
+    node_budget=0 no stabilizer is built.
     """
     if G.degree > 10**3:
         raise IbisError("degree too large for minimal-base completeness")
     sizes = set()
     nodes = 0
     complete = True
-    # A key is the bytes of a fixed-point mask, so key[p] is 1 exactly
-    # when the stabilizer fixes p.
-    groups = [G]                          # id -> pointwise stabilizer
-    keys = [G.fixed_points().tobytes()]   # id -> fixed-point key
-    ids = {keys[0]: 0}                    # fixed-point key -> id
-    steps = {}                            # (id, point) -> id
+    groups = []       # id -> PermGroup, None until the search steps out of it
+    sources = []      # id -> (id of a built group, u) it is the conjugate of
+    keys = []         # id -> fixed-point key
+    orders = []       # id -> certified order
+    steps = []        # id -> None, or point -> id of its stabilizer (-1: not yet)
+    ids = {}          # fixed-point key -> id
+    by_order = {}     # order -> ids
+
+    def keep(key, order, group=None, source=None):
+        ids[key] = len(keys)
+        by_order.setdefault(order, []).append(len(keys))
+        groups.append(group)
+        sources.append(source)
+        keys.append(key)
+        orders.append(order)
+        steps.append(None)
+        return ids[key]
+
+    def built(k):
+        if groups[k] is None:
+            j, u = sources[k]
+            groups[k] = groups[j].conjugate(u)
+        return groups[k]
 
     def step(k, p):
         """The id of the stabilizer of p in the group with id k."""
-        if keys[k][p]:
+        if keys[k] >> p & 1:
             return k
-        if (k, p) not in steps:
-            Hp, transport = groups[k].orbit_transport(p)
-            for q, u, fixed in transport:
-                key = fixed.tobytes()
+        row = steps[k]
+        if row is None:
+            row = steps[k] = [-1] * G.degree
+        if row[p] < 0:
+            H = built(k)
+            orbit = H.orbit_transversal(p)
+            order = orders[k] // len(orbit)
+            target = keys[k] | 1 << p
+            j = next((i for i in by_order.get(order, ())
+                      if (keys[i] & target) == target), None)
+            if j is None:
+                Hp = H.stabilizer(p)
+                j = keep(_key(Hp.fixed_points())[0], order, group=Hp)
+            us = np.array(list(orbit.values()))
+            masks = np.zeros(us.shape, dtype=bool)
+            masks[np.arange(len(us))[:, None],
+                  us[:, _mask(keys[j], G.degree)]] = True
+            for (q, u), key in zip(orbit.items(), _key(masks)):
                 if key not in ids:
-                    ids[key] = len(groups)
-                    groups.append(Hp if q == p else Hp.conjugate(u))
-                    keys.append(key)
-                steps[(k, q)] = ids[key]
-        return steps[(k, p)]
+                    source = ((j, u) if groups[j] is not None
+                              else (sources[j][0], u[sources[j][1]]))
+                    keep(key, order, source=source)
+                row[q] = ids[key]
+        return row[p]
 
-    def independent(path, points):
-        """All earlier members still matter after the newest point joined;
-        path[i] is the id of the stabilizer of points[:i]."""
-        for i in range(len(points) - 1):
-            k = path[i]
-            for p in points[i + 1:]:
-                k = step(k, p)
-            if keys[k][points[i]]:
-                return False
-        return True
-
-    def dfs(path, points, startpt):
+    def dfs(k, points, others):
+        """k is the id of G_(points), others[i] that of the stabilizer of
+        points without points[i]."""
         nonlocal nodes, complete
-        if groups[path[-1]].order() == 1:
+        if orders[k] == 1:
             sizes.add(len(points))
             return
-        fixed = keys[path[-1]]
-        for p in range(startpt, G.degree):
-            if fixed[p]:
+        fixed = keys[k]
+        for p in range(points[-1] + 1, G.degree):
+            if fixed >> p & 1:
                 continue
             nodes += 1
             if nodes > node_budget:
                 complete = False
                 return
-            cand = points + (p,)
-            if independent(path, cand):
-                dfs(path + [step(path[-1], p)], cand, p + 1)
+            # points + (p,) is independent when the stabilizer of the
+            # others still moves every earlier member
+            moved = []
+            for pt, j in zip(points, others):
+                j = step(j, p)
+                if keys[j] >> pt & 1:
+                    break
+                moved.append(j)
+            else:
+                dfs(step(k, p), points + (p,), moved + [k])
 
+    keep(_key(G.fixed_points())[0], G.order(), group=G)
     for ob in G.orbits():
         if len(ob) > 1:
             nodes += 1
             if nodes > node_budget:
                 complete = False
                 break
-            dfs([0, step(0, ob[0])], (ob[0],), ob[0] + 1)
+            dfs(step(0, ob[0]), (ob[0],), [0])
     if G.order() == 1:
         sizes = {0}
     return EnumerationResult(frozenset(sizes), complete, {}, nodes)

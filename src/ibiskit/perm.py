@@ -14,11 +14,13 @@ order.  Orders are exact big integers, never Monte Carlo.
 The second way makes point stabilizers cheap: H.stabilizer(p) rebuilds
 H's chain based at p with |H| as its target, and the stabilizer it
 returns carries its certified order.  The rest of p's orbit then costs
-no chain at all: with u from that chain's first transversal, u[p] = q,
-H_q = u^-1 H_p u has generators u[g[u^-1]], order |H_p| and the fixed
-points of H_p moved by u (orbit_transport, conjugate).  The searches in
-the ibis module step from a stabilizer to the next this way, and name a
-pointwise stabilizer by its fixed-point mask.
+no chain at all: one breadth-first pass over H's generators gives the
+orbit p^H and, for each q in it, an element u with u[p] = q
+(orbit_transversal), and H_q = u^-1 H_p u has generators u[g[u^-1]],
+order |H_p| = |H| / |p^H| and the fixed points of H_p moved by u
+(conjugate).  The searches in the ibis module step from a stabilizer to
+the next this way, and name a pointwise stabilizer by its fixed-point
+mask.
 """
 
 from __future__ import annotations
@@ -387,40 +389,35 @@ class PermGroup:
             mask &= g.images == ident
         return mask
 
-    def _point_chain(self, pt):
+    def stabilizer(self, pt):
+        """The point stabilizer, read off a chain based at the point; its
+        order comes certified with it."""
         pt = int(pt)
         if not 0 <= pt < self.degree:
             raise PermError("point out of range")
         ch = self.chain(base_prefix=(pt,))
         sub = PermGroup(self.degree, ch.level_generators(1))
         sub._order = ch.suffix_orders()[1]
-        return ch, sub
+        return sub
 
-    def stabilizer(self, pt):
-        """The point stabilizer, read off a chain based at the point; its
-        order comes certified with it."""
-        return self._point_chain(pt)[1]
-
-    def orbit_transport(self, pt):
-        """G_pt, and a list of (q, u, fixed_q) for every q in the orbit of
-        pt, in point order: u[pt] = q, and fixed_q is the fixed-point mask
-        of G_q.
-
-        One chain based at pt gives G_pt and, at its first level, the
-        transversal elements u.  G_q = u^-1 G_pt u fixes exactly the images
-        under u of the points G_pt fixes, so its mask costs one index
-        operation and G_pt.conjugate(u) builds it with no chain of its own.
-        """
-        ch, sub = self._point_chain(pt)
-        lvl = ch.levels[0]
-        fixed = np.flatnonzero(sub.fixed_points())
-        out = []
-        for q in sorted(lvl.orbit):
-            u = lvl.transversal(q)
-            mask = np.zeros(self.degree, dtype=bool)
-            mask[u[fixed]] = True
-            out.append((q, u, mask))
-        return sub, out
+    def orbit_transversal(self, pt):
+        """The orbit of pt with a transversal: {q: u} in breadth-first
+        order from pt, where u is the image array of a group element with
+        u[pt] = q.  One pass over the generators, and no chain."""
+        pt = int(pt)
+        if not 0 <= pt < self.degree:
+            raise PermError("point out of range")
+        arrays = [g.images for g in self.generators]
+        lists = [a.tolist() for a in arrays]
+        out = {pt: np.arange(self.degree, dtype=np.int32)}
+        queue = [pt]
+        for q in queue:
+            for a, img in zip(arrays, lists):
+                r = img[q]
+                if r not in out:
+                    out[r] = a[out[q]]             # out[q] * a
+                    queue.append(r)
+        return out
 
     def conjugate(self, u):
         """u^-1 G u for the permutation with image array u: its generators

@@ -226,6 +226,25 @@ def test_unknown_job_key_one_line_error(tmp_path, capsys, key):
     assert_one_line_error(capsys, main(["analyze", str(job)] + SL32), repr(key))
 
 
+@pytest.mark.parametrize("task", ["order", "orbits", "ibis", "minimal-bases"])
+def test_size_for_a_task_that_does_not_read_it_one_line_error(tmp_path, capsys,
+                                                               task):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"task": task, "size": 3}))
+    assert_one_line_error(capsys, main(["analyze", str(job)] + SL32), "'size'")
+
+
+@pytest.mark.parametrize("command", ["dump-group", "dump-domain"])
+@pytest.mark.parametrize("key,value", [("task", "order"), ("budget", 10),
+                                       ("size", 3)])
+def test_dump_refuses_a_job_key_it_does_not_read(tmp_path, capsys, command,
+                                                 key, value):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({key: value}))
+    code = main([command, str(job)] + SL32[2 if command == "dump-domain" else 0:])
+    assert_one_line_error(capsys, code, repr(key))
+
+
 @pytest.mark.parametrize("argv,jobfile,message", [
     (["dump-group", "--action", '{"kind":"projective_points","d":3,"q":2}'],
      None, "missing 'group'"),

@@ -192,10 +192,11 @@ def test_decide_deterministic():
     assert v1.serialize() == v2.serialize()
 
 
-def test_minimal_base_sizes_gl42(monkeypatch):
-    # one chain per point set would make 30,781 chains here; stepping into
-    # an orbit builds one chain and transports the rest by conjugation
-    G, _ = named_case("GL4_2/sub35")
+def minimal_bases_counting_chains(monkeypatch, name):
+    """minimal_base_sizes on the named case, and the chains it built
+    (G's own chain is built first, so the count is the search's)."""
+    G, _ = named_case(name)
+    G.order()
     calls = 0
     chain = PermGroup.chain
 
@@ -206,8 +207,24 @@ def test_minimal_base_sizes_gl42(monkeypatch):
 
     monkeypatch.setattr(PermGroup, "chain", counted)
     res = minimal_base_sizes(G)
+    return res, calls
+
+
+def test_minimal_base_sizes_gl42(monkeypatch):
+    # one chain per point set would make 30,781 chains here, one per step
+    # into an orbit 4,808; a step finds H_p among the kept stabilizers
+    # when it can, and 725 chains remain
+    res, calls = minimal_bases_counting_chains(monkeypatch, "GL4_2/sub35")
     assert res.lengths == frozenset([4]) and res.complete
-    assert calls <= 6000
+    assert calls <= 800
+
+
+def test_minimal_base_sizes_psp43(monkeypatch):
+    # 16,906 chains with one per point set, 1,520 with one per step into
+    # an orbit, 258 with the lookup among the kept stabilizers
+    res, calls = minimal_bases_counting_chains(monkeypatch, "PSp4_3/proj40")
+    assert res.lengths == frozenset([4]) and res.complete
+    assert calls <= 300
 
 
 def test_minimal_base_sizes_trivial_and_ibis():

@@ -2,9 +2,12 @@
 length sets in the paper's regime of base size >= 6."""
 
 import functools
+import itertools
 import math
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     ACTIONS, action_group as group, named_case, plain_enumeration,
@@ -13,10 +16,10 @@ from conftest import (
 from ibiskit.actions import build_domain, build_group_action
 from ibiskit.groups import GroupSpec
 from ibiskit.ibis import (
-    DEFAULT_BUDGET, base_report, enumerate_irredundant_base_sizes,
+    DEFAULT_BUDGET, base_report, enumerate_irredundant_base_sizes, is_base,
     minimal_base_sizes,
 )
-from ibiskit.perm import PermGroup
+from ibiskit.perm import PermGroup, Permutation
 
 
 @pytest.mark.parametrize("name", list(ACTIONS))
@@ -53,13 +56,81 @@ def test_minimal_base_sizes_budget_before_the_first_step(monkeypatch):
     # node_budget=0 expands no node, so no stabilizer chain is built
     G, _ = named_case("GL4_2/sub35")
     calls = []
-    transport = PermGroup.orbit_transport
-    monkeypatch.setattr(PermGroup, "orbit_transport",
-                        lambda H, p: calls.append(p) or transport(H, p))
+    stabilizer = PermGroup.stabilizer
+    monkeypatch.setattr(PermGroup, "stabilizer",
+                        lambda H, p: calls.append(p) or stabilizer(H, p))
     res = minimal_base_sizes(G, node_budget=0)
     assert calls == [] and not res.complete and res.lengths == frozenset()
     res = minimal_base_sizes(G, node_budget=1)
     assert len(calls) == 1 and not res.complete
+
+
+@st.composite
+def small_group_and_budget(draw):
+    """A permutation group of degree <= 10 and a budget, the full one or
+    a small one.  The points fall into one to three blocks, so the group
+    is often intransitive.  A generator acts on each block trivially, by
+    a random permutation, a rotation or a random involution, so small
+    dihedral-like and diagonal groups turn up as well as symmetric ones.
+    The seed is drawn and the group built from it, so that shrinking
+    does not turn most draws into trivial groups."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(2, 10)
+    points = list(range(n))
+    rng.shuffle(points)
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
+    blocks = [points[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        g = list(range(n))
+        for block in blocks:
+            kind = rng.randrange(4)
+            if kind == 1:
+                images = rng.sample(block, len(block))
+            elif kind == 2:
+                shift = rng.randrange(len(block))
+                images = block[shift:] + block[:shift]
+            else:
+                images = list(block)
+            if kind == 3:
+                moved = rng.sample(block, 2 * rng.randint(0, len(block) // 2))
+                for x, y in zip(moved[::2], moved[1::2]):
+                    images[block.index(x)], images[block.index(y)] = y, x
+            for x, y in zip(block, images):
+                g[x] = y
+        gens.append(Permutation(g))
+    budget = draw(st.one_of(st.just(DEFAULT_BUDGET), st.integers(0, 60)))
+    return PermGroup(n, gens), budget
+
+
+def minimal_base_sizes_by_subsets(G):
+    """Sizes of the bases no proper subset of which is a base, over all
+    point subsets."""
+    bases = {frozenset(S) for k in range(G.degree + 1)
+             for S in itertools.combinations(range(G.degree), k)
+             if is_base(G, S)}
+    return frozenset(len(S) for S in bases
+                     if all(S - {x} not in bases for x in S))
+
+
+# the Klein four-group on two swapped pairs and regularly on four points:
+# its minimal bases are one regular point, or one point of each pair
+KLEIN_TWO_SIZES = PermGroup(8, [Permutation([1, 0, 2, 3, 5, 4, 7, 6]),
+                                Permutation([0, 1, 3, 2, 6, 7, 4, 5])])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=small_group_and_budget())
+@example(case=(KLEIN_TWO_SIZES, DEFAULT_BUDGET))
+@example(case=(KLEIN_TWO_SIZES, 3))
+def test_minimal_base_sizes_match_plain_on_random_groups(case):
+    G, budget = case
+    memo = minimal_base_sizes(G, node_budget=budget)
+    plain = plain_minimal_base_sizes(G, node_budget=budget)
+    assert (memo.lengths, memo.complete, memo.nodes) \
+        == (plain.lengths, plain.complete, plain.nodes)
+    if memo.complete and G.degree <= 8:
+        assert memo.lengths == minimal_base_sizes_by_subsets(G)
 
 
 @pytest.mark.parametrize("budget", [0, 1, 100, 1000])
