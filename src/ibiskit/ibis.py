@@ -3,28 +3,22 @@ exhaustive search over base lengths (which also finds a base of a given
 length), the IBIS decision with witnesses, minimal-base sizes,
 witness-chain verification, and the big-integer parabolic bound for E7.
 
-Every search runs on stabilizer chains.  A step from a stabilizer H to
-H_p rebuilds H's chain based at p with the certified |H| as its target
-(perm.PermGroup.stabilizer), and a pointwise stabilizer is named by its
-fixed points, since G_(S) = G_(fix(G_(S))): a point is redundant exactly
-when the stabilizer of its predecessors fixes it.  The IBIS decision is
+Both exhaustive searches step from a pointwise stabilizer H to H_p
+through one store (_Stabilizers) that keeps each distinct stabilizer
+once, named by its fixed points, since G_(S) = G_(fix(G_(S))): a point
+is redundant exactly when the stabilizer of its predecessors fixes it.
+
+The depth-first enumeration prunes to one representative point per
+orbit of the current stabilizer (extending by points in the same orbit
+yields conjugate stabilizers, hence identical sets of reachable chain
+lengths) and, since a subtree depends only on its stabilizer, keeps each
+complete subtree as {length: first suffix} under the stabilizer's id, so
+its witnesses are those of the unmemoised search.  The IBIS decision is
 that enumeration alone: IBIS only when it finishes with one length,
 NotIBIS only from two irredundant bases of different lengths that it
-found and that are re-checked before they are reported.
-
-Both exhaustive searches are memoised on that fixed-point key, because
-everything below a search node depends only on its stabilizer.  The
-depth-first enumeration prunes to one representative point per orbit of
-the current stabilizer (extending by points in the same orbit yields
-conjugate stabilizers, hence identical sets of reachable chain lengths)
-and keeps each complete subtree as {length: first suffix}, so its
-witnesses are those of the unmemoised search.  The minimal-base search
-keeps each distinct stabilizer once.  A step from H into a new orbit
-p^H first looks for H_p among the kept stabilizers, certified by
-orbit-stabilizer (a kept G_(K) with K containing fix(H) and p, of order
-|H| / |p^H|), builds a chain only when none matches, and reaches the
-stabilizers of the rest of the orbit by conjugation along a
-breadth-first transversal.
+found and that are re-checked before they are reported.  The
+minimal-base search tables its steps and keeps the stabilizers of the
+rest of an orbit as conjugates.
 """
 
 from __future__ import annotations
@@ -124,62 +118,7 @@ def extend_to_irredundant_base(G, prefix=()):
     return base_report(G, points)
 
 
-# -- exhaustive enumeration ----------------------------------------------------
-
-def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
-                                     _two_lengths=False):
-    """The set of lengths of all irredundant bases, by depth-first search
-    over irredundant extensions.
-
-    Explores one representative per orbit of the current stabilizer
-    (conjugate subtrees realize the same length sets) and records the
-    first witness chain found per length.  A subtree depends only on its
-    stabilizer H, whose orbits are ordered by least point, and H is named
-    by its fixed points; each complete subtree is kept as
-    {length: first suffix in DFS order} under that key and never searched
-    again.  Returns EnumerationResult with complete=False when the node
-    budget is exhausted (nodes are counted before they are expanded, so
-    then nodes > node_budget); a subtree cut short is not kept.  With
-    _two_lengths (the IBIS decision) it also stops, incomplete, before
-    expanding a node once two lengths are certified.
-    """
-    if G.degree > 10**4:
-        raise IbisError("degree too large for a completeness guarantee")
-    nodes = 0
-    complete = True
-    memo = {}
-    certified = set()   # lengths of the bases found so far
-
-    def suffixes(H, depth):
-        nonlocal nodes, complete
-        if H.order() == 1:
-            return {0: ()}
-        key = H.fixed_points().tobytes()
-        found = memo.get(key)
-        if found is not None:
-            return found
-        found = {}
-        for ob in H.orbits():
-            if len(ob) == 1:
-                continue
-            if _two_lengths and len(certified) > 1:
-                complete = False
-                return found
-            nodes += 1
-            if nodes > node_budget:
-                complete = False
-                return found
-            p = ob[0]
-            for length, suffix in suffixes(H.stabilizer(p), depth + 1).items():
-                found.setdefault(length + 1, (p,) + suffix)
-                certified.add(depth + length + 1)
-        if complete:
-            memo[key] = found
-        return found
-
-    witnesses = suffixes(G, 0)
-    return EnumerationResult(frozenset(witnesses), complete, witnesses, nodes)
-
+# -- the stabilizer store ------------------------------------------------------
 
 def _key(masks):
     """Fixed-point keys of a stack of point masks: one int per mask whose
@@ -194,6 +133,145 @@ def _mask(key, degree):
     return np.unpackbits(packed, count=degree, bitorder="little").astype(bool)
 
 
+class _Stabilizers:
+    """The pointwise stabilizers of G that a search has reached, each kept
+    once under an id, with its fixed-point key and certified order; id 0
+    is G.
+
+    A kept group is G_(its key) and fixes every point of its key, so for
+    H = G_(F), F = fix(H), a kept group whose key contains F and p lies
+    in H_p = G_(F + p), and equals H_p when its order is |H| / |p^H|
+    (orbit-stabilizer).  find() takes H_p from the kept groups that way
+    and only when none matches builds a chain: H.stabilizer(p) rebuilds
+    H's chain based at p with the certified |H| as its target.  step()
+    tables find() per (id, point), and with the orbit and a transversal u
+    (u[p] = q) from one breadth-first pass over H's generators
+    (perm.PermGroup.orbit_transversal) keeps the stabilizers of the rest
+    of the orbit too: H_q = u^-1 H_p u fixes exactly u[fix(H_p)], and a
+    new key is kept as (H_p, u), conjugated only when a search steps out
+    of it.
+    """
+
+    def __init__(self, G):
+        self.degree = G.degree
+        self.groups = []    # id -> PermGroup, or (id of a built group, u) to conjugate
+        self.keys = []      # id -> fixed-point key
+        self.orders = []    # id -> certified order
+        self.steps = []     # id -> None, or point -> id of its stabilizer (-1: not yet)
+        self.ids = {}       # fixed-point key -> id
+        self.by_order = {}  # order -> ids
+        self._keep(_key(G.fixed_points())[0], G.order(), G)
+
+    def _keep(self, key, order, group):
+        k = self.ids[key] = len(self.keys)
+        self.by_order.setdefault(order, []).append(k)
+        self.groups.append(group)
+        self.keys.append(key)
+        self.orders.append(order)
+        self.steps.append(None)
+        return k
+
+    def built(self, k):
+        """The group with id k."""
+        group = self.groups[k]
+        if isinstance(group, tuple):
+            j, u = group
+            group = self.groups[k] = self.groups[j].conjugate(u)
+        return group
+
+    def find(self, k, p, orbit_length):
+        """The id of the stabilizer of p in the group H with id k, given
+        |p^H| = orbit_length."""
+        keys = self.keys
+        order = self.orders[k] // orbit_length
+        target = keys[k] | 1 << p
+        for i in self.by_order.get(order, ()):
+            if keys[i] & target == target:
+                return i
+        Hp = self.built(k).stabilizer(p)
+        return self._keep(_key(Hp.fixed_points())[0], order, Hp)
+
+    def step(self, k, p):
+        """find(), tabled; the rest of p's orbit is kept as conjugates."""
+        if self.keys[k] >> p & 1:
+            return k
+        row = self.steps[k]
+        if row is None:
+            row = self.steps[k] = [-1] * self.degree
+        if row[p] < 0:
+            orbit = self.built(k).orbit_transversal(p)
+            j = self.find(k, p, len(orbit))
+            Hp = self.groups[j]
+            us = np.array(list(orbit.values()))
+            masks = np.zeros(us.shape, dtype=bool)
+            masks[np.arange(len(us))[:, None],
+                  us[:, _mask(self.keys[j], self.degree)]] = True
+            for (q, u), key in zip(orbit.items(), _key(masks)):
+                if key not in self.ids:
+                    self._keep(key, self.orders[j], (Hp[0], u[Hp[1]])
+                               if isinstance(Hp, tuple) else (j, u))
+                row[q] = self.ids[key]
+        return row[p]
+
+
+# -- exhaustive enumeration ----------------------------------------------------
+
+def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
+                                     _two_lengths=False):
+    """The set of lengths of all irredundant bases, by depth-first search
+    over irredundant extensions.
+
+    Explores one representative per orbit of the current stabilizer, its
+    least point (conjugate subtrees realize the same length sets), and
+    records the first witness chain found per length.  A subtree depends
+    only on its stabilizer, a kept group of the store reached by find(),
+    so each complete subtree is kept as {length: first suffix in DFS
+    order} under the group's id and never searched again.  Returns
+    EnumerationResult with complete=False when the node budget is
+    exhausted (nodes are counted before they are expanded, so then
+    nodes > node_budget); a subtree cut short is not kept.  With
+    _two_lengths (the IBIS decision) it also stops, incomplete, before
+    expanding a node once two lengths are certified.
+    """
+    if G.degree > 10**4:
+        raise IbisError("degree too large for a completeness guarantee")
+    nodes = 0
+    complete = True
+    store = _Stabilizers(G)
+    memo = {}           # id -> {length: first suffix} of its complete subtree
+    certified = set()   # lengths of the bases found so far
+
+    def suffixes(k, depth):
+        nonlocal nodes, complete
+        if store.orders[k] == 1:
+            return {0: ()}
+        found = memo.get(k)
+        if found is not None:
+            return found
+        found = {}
+        for ob in store.built(k).orbits():
+            if len(ob) == 1:
+                continue
+            if _two_lengths and len(certified) > 1:
+                complete = False
+                return found
+            nodes += 1
+            if nodes > node_budget:
+                complete = False
+                return found
+            p = ob[0]
+            for length, suffix in suffixes(store.find(k, p, len(ob)),
+                                           depth + 1).items():
+                found.setdefault(length + 1, (p,) + suffix)
+                certified.add(depth + length + 1)
+        if complete:
+            memo[k] = found
+        return found
+
+    witnesses = suffixes(0, 0)
+    return EnumerationResult(frozenset(witnesses), complete, witnesses, nodes)
+
+
 def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     """Sizes of minimal bases (bases no proper subset of which is a base).
 
@@ -203,84 +281,19 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     stays redundant in every superset, so only independent sets extend to
     minimal bases, and an independent base is itself minimal.
     Conjugation preserves minimality, so the least point of the set may
-    be restricted to orbit minima.  Each search node carries the
-    stabilizers of its set with one member left out, so independence of
-    a new set costs one step per member.
-
-    Every pointwise stabilizer is kept once, under its fixed-point key,
-    and steps (stabilizer, point) -> stabilizer are tabled.  The first
-    step from H = G_(F), F = fix(H), to a point p finds H_p = G_(F + p)
-    without a chain when it can, and the lookup is certified.  By
-    orbit-stabilizer |H_p| = |H| / |p^H|, with the orbit and a transversal
-    u (u[p] = q) from one breadth-first pass over H's generators
-    (perm.PermGroup.orbit_transversal).  A kept group is G_(its key)
-    (conjugating G_(S) by an element u of G gives G_(u[S])) and fixes
-    every point of its key, so a kept group whose key contains F + p lies
-    in H_p, and equals H_p when its order is |H_p|.  Only when no kept
-    group matches is a chain built (H.stabilizer(p)).  The rest of the
-    orbit follows from the transversal: H_q = u^-1 H_p u fixes exactly
-    u[fix(H_p)], and a new key is kept as (H_p, u), conjugated only when
-    the search steps out of it.  A node is counted before it is
-    expanded, so complete=False once the budget runs out, and at
-    node_budget=0 no stabilizer is built.
+    be restricted to orbit minima.  Each search node carries the ids of
+    the stabilizers of its set with one member left out, so independence
+    of a new set costs one tabled step of the store per member.  A node
+    is counted before it is expanded, so complete=False once the budget
+    runs out, and at node_budget=0 no stabilizer is built.
     """
     if G.degree > 10**3:
         raise IbisError("degree too large for minimal-base completeness")
     sizes = set()
     nodes = 0
     complete = True
-    groups = []       # id -> PermGroup, None until the search steps out of it
-    sources = []      # id -> (id of a built group, u) it is the conjugate of
-    keys = []         # id -> fixed-point key
-    orders = []       # id -> certified order
-    steps = []        # id -> None, or point -> id of its stabilizer (-1: not yet)
-    ids = {}          # fixed-point key -> id
-    by_order = {}     # order -> ids
-
-    def keep(key, order, group=None, source=None):
-        ids[key] = len(keys)
-        by_order.setdefault(order, []).append(len(keys))
-        groups.append(group)
-        sources.append(source)
-        keys.append(key)
-        orders.append(order)
-        steps.append(None)
-        return ids[key]
-
-    def built(k):
-        if groups[k] is None:
-            j, u = sources[k]
-            groups[k] = groups[j].conjugate(u)
-        return groups[k]
-
-    def step(k, p):
-        """The id of the stabilizer of p in the group with id k."""
-        if keys[k] >> p & 1:
-            return k
-        row = steps[k]
-        if row is None:
-            row = steps[k] = [-1] * G.degree
-        if row[p] < 0:
-            H = built(k)
-            orbit = H.orbit_transversal(p)
-            order = orders[k] // len(orbit)
-            target = keys[k] | 1 << p
-            j = next((i for i in by_order.get(order, ())
-                      if (keys[i] & target) == target), None)
-            if j is None:
-                Hp = H.stabilizer(p)
-                j = keep(_key(Hp.fixed_points())[0], order, group=Hp)
-            us = np.array(list(orbit.values()))
-            masks = np.zeros(us.shape, dtype=bool)
-            masks[np.arange(len(us))[:, None],
-                  us[:, _mask(keys[j], G.degree)]] = True
-            for (q, u), key in zip(orbit.items(), _key(masks)):
-                if key not in ids:
-                    source = ((j, u) if groups[j] is not None
-                              else (sources[j][0], u[sources[j][1]]))
-                    keep(key, order, source=source)
-                row[q] = ids[key]
-        return row[p]
+    store = _Stabilizers(G)
+    keys, orders, step = store.keys, store.orders, store.step
 
     def dfs(k, points, others):
         """k is the id of G_(points), others[i] that of the stabilizer of
@@ -308,7 +321,6 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
             else:
                 dfs(step(k, p), points + (p,), moved + [k])
 
-    keep(_key(G.fixed_points())[0], G.order(), group=G)
     for ob in G.orbits():
         if len(ob) > 1:
             nodes += 1

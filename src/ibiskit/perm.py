@@ -70,18 +70,6 @@ class Permutation:
         inv[self.images] = np.arange(self.degree, dtype=np.int32)
         return Permutation(inv, _trusted=True)
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        r = Permutation.identity(self.degree)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
     def __getitem__(self, pt):
         return int(self.images[pt])
 
@@ -335,6 +323,8 @@ class PermGroup:
         the closure pass.
         """
         key = tuple(int(b) for b in base_prefix)
+        if not all(0 <= b < self.degree for b in key):
+            raise PermError("point out of range")
         if not key and self._chain is not None:
             return self._chain
         ch = _Chain(self.degree, self.generators, base_prefix=key,
@@ -392,9 +382,6 @@ class PermGroup:
     def stabilizer(self, pt):
         """The point stabilizer, read off a chain based at the point; its
         order comes certified with it."""
-        pt = int(pt)
-        if not 0 <= pt < self.degree:
-            raise PermError("point out of range")
         ch = self.chain(base_prefix=(pt,))
         sub = PermGroup(self.degree, ch.level_generators(1))
         sub._order = ch.suffix_orders()[1]

@@ -18,7 +18,7 @@ from ibiskit.ibis import DEFAULT_BUDGET, EnumerationResult, IbisError
 from ibiskit.linalg import (
     eval_form, quadratic_minus, quadratic_plus, symplectic_form,
 )
-from ibiskit.perm import PermError
+from ibiskit.perm import PermError, PermGroup
 
 ELEMENT_CAP = 200_000
 
@@ -137,6 +137,21 @@ def form_point(dom, a):
 
 
 # -- search oracles ---------------------------------------------------------
+
+def recording_stabilizer_keys(monkeypatch):
+    """The fixed-point keys of the chains PermGroup.stabilizer builds from
+    now on, in a list that grows as it is called."""
+    keys = []
+    stabilizer = PermGroup.stabilizer
+
+    def recorded(self, p):
+        H = stabilizer(self, p)
+        keys.append(H.fixed_points().tobytes())
+        return H
+
+    monkeypatch.setattr(PermGroup, "stabilizer", recorded)
+    return keys
+
 
 @functools.lru_cache(maxsize=None)
 def element_table(G, cap=ELEMENT_CAP):

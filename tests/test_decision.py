@@ -3,14 +3,16 @@ run to the end, and the element-table brute force at small order."""
 
 import pytest
 
-from conftest import ACTIONS, action_group, named_case, unpruned_enumeration
+from conftest import (
+    ACTIONS, action_group, named_case, recording_stabilizer_keys,
+    unpruned_enumeration,
+)
 from ibiskit import ibis
 from ibiskit.actions import build_group_action, build_quad_forms_domain
 from ibiskit.groups import GroupSpec
 from ibiskit.ibis import (
     EnumerationResult, IbisError, decide_ibis, enumerate_irredundant_base_sizes,
 )
-from ibiskit.perm import PermGroup
 
 
 def check_against(verdict, lengths, G):
@@ -84,24 +86,18 @@ def test_seed_is_ignored():
 
 @pytest.mark.parametrize("name", ["PSp4(3) proj40", "Om4-(4) ns1"])
 def test_budget_is_honest(monkeypatch, name):
-    # budget_used is the number of nodes expanded (each one stabilizer
-    # step) and never exceeds the budget, and a verdict reached within the
-    # budget is the one reached without a limit
+    # budget_used is the number of nodes expanded, never more than the
+    # budget; a node builds at most one chain, and only for a stabilizer
+    # the search does not hold yet; a verdict reached within the budget is
+    # the one reached without a limit
     G = action_group(name)
     unlimited = decide_ibis(G)
-    steps = 0
-    stabilizer = PermGroup.stabilizer
-
-    def counted(self, p):
-        nonlocal steps
-        steps += 1
-        return stabilizer(self, p)
-
-    monkeypatch.setattr(PermGroup, "stabilizer", counted)
+    keys = recording_stabilizer_keys(monkeypatch)
     for budget in (0, 1, 2, 5, 20, 54, 55, 56, 65, 66, 67, 1000):
-        steps = 0
+        keys.clear()
         v = decide_ibis(G, budget=budget)
-        assert v.budget_used == steps <= budget
+        assert len(keys) <= v.budget_used <= budget
+        assert len(set(keys)) == len(keys)
         if budget >= unlimited.budget_used:
             assert v == unlimited
         else:

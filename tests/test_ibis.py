@@ -12,7 +12,7 @@ from ibiskit.ibis import (
     is_base, is_irredundant, minimal_base_sizes,
     same_pointwise_stabilizer, verify_witness_chain,
 )
-from ibiskit.perm import PermGroup, Permutation
+from ibiskit.perm import PermError, PermGroup, Permutation
 
 
 def test_is_base_empty_sequence():
@@ -103,6 +103,19 @@ def test_extend_rejects_redundant_prefix():
     G, _ = named_case("SL3_2/proj7")
     with pytest.raises(IbisError):
         extend_to_irredundant_base(G, (0, 0))
+
+
+@pytest.mark.parametrize("point", [-1, 4])
+@pytest.mark.parametrize("call", [
+    lambda G, seq: G.chain_orders(seq), base_report, is_base, is_irredundant,
+    extend_to_irredundant_base,
+], ids=["chain_orders", "base_report", "is_base", "is_irredundant",
+        "extend_to_irredundant_base"])
+def test_point_out_of_range_rejected(call, point):
+    # S4: -1 must not wrap to the last point, nor 4 escape as an IndexError
+    G = PermGroup(4, [Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])])
+    with pytest.raises(PermError, match="point out of range"):
+        call(G, [0, point])
 
 
 def test_psp43_has_bases_of_lengths_4_and_5():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     ACTIONS, action_group as group, named_case, plain_enumeration,
-    plain_minimal_base_sizes,
+    plain_minimal_base_sizes, recording_stabilizer_keys, unpruned_enumeration,
 )
 from ibiskit.actions import build_domain, build_group_action
 from ibiskit.groups import GroupSpec
@@ -23,14 +23,21 @@ from ibiskit.perm import PermGroup, Permutation
 
 
 @pytest.mark.parametrize("name", list(ACTIONS))
-def test_memoised_enumeration_matches_plain(name):
+def test_memoised_enumeration_matches_plain(monkeypatch, name):
+    # and the memoised search builds one chain per stabilizer the plain
+    # search reaches, never a second for a stabilizer it holds
     G = group(name)
+    keys = recording_stabilizer_keys(monkeypatch)
     memo = enumerate_irredundant_base_sizes(G)
+    memo_keys = list(keys)
+    keys.clear()
     plain = plain_enumeration(G)
     assert memo.complete and plain.complete
     assert memo.lengths == plain.lengths
     assert memo.witnesses == plain.witnesses
     assert memo.nodes <= plain.nodes
+    assert len(set(memo_keys)) == len(memo_keys)
+    assert set(memo_keys) == set(keys)
 
 
 @pytest.mark.parametrize("name", ["GL4_2/sub35", "PSp4_3/proj40"])
@@ -55,14 +62,11 @@ def test_minimal_base_sizes_match_plain_within_a_budget(budget):
 def test_minimal_base_sizes_budget_before_the_first_step(monkeypatch):
     # node_budget=0 expands no node, so no stabilizer chain is built
     G, _ = named_case("GL4_2/sub35")
-    calls = []
-    stabilizer = PermGroup.stabilizer
-    monkeypatch.setattr(PermGroup, "stabilizer",
-                        lambda H, p: calls.append(p) or stabilizer(H, p))
+    keys = recording_stabilizer_keys(monkeypatch)
     res = minimal_base_sizes(G, node_budget=0)
-    assert calls == [] and not res.complete and res.lengths == frozenset()
+    assert keys == [] and not res.complete and res.lengths == frozenset()
     res = minimal_base_sizes(G, node_budget=1)
-    assert len(calls) == 1 and not res.complete
+    assert len(keys) == 1 and not res.complete
 
 
 @st.composite
@@ -131,6 +135,25 @@ def test_minimal_base_sizes_match_plain_on_random_groups(case):
         == (plain.lengths, plain.complete, plain.nodes)
     if memo.complete and G.degree <= 8:
         assert memo.lengths == minimal_base_sizes_by_subsets(G)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=small_group_and_budget())
+@example(case=(KLEIN_TWO_SIZES, DEFAULT_BUDGET))
+@example(case=(KLEIN_TWO_SIZES, 2))
+def test_enumeration_matches_plain_on_random_groups(case):
+    G, budget = case
+    memo = enumerate_irredundant_base_sizes(G, node_budget=budget)
+    assert memo.complete == (memo.nodes <= budget)
+    for length, chain in memo.witnesses.items():
+        rep = base_report(G, chain)
+        assert len(rep) == length and rep.is_base and rep.is_irredundant
+    if memo.complete:
+        plain = plain_enumeration(G)
+        assert (memo.lengths, memo.witnesses) == (plain.lengths, plain.witnesses)
+        assert memo.nodes <= plain.nodes
+        if G.degree <= 8:
+            assert memo.lengths == unpruned_enumeration(G).lengths
 
 
 @pytest.mark.parametrize("budget", [0, 1, 100, 1000])

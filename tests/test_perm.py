@@ -31,7 +31,7 @@ def test_permutation_validation():
         Permutation([0, 0, 1])
     p = perm_from_cycles(4, (0, 1, 2))
     assert p * p.inverse() == Permutation.identity(4)
-    assert (p ** 3).is_identity()
+    assert (p * p * p).is_identity()
     assert p.cycles() == [(0, 1, 2)]
 
 

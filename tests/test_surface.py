@@ -9,6 +9,13 @@ private, deleted, or added here with its reason.
 A reference is `from .module import name`, or `module.name` after
 `from . import module`, in another module under src/ibiskit; uses inside
 the defining module, in tests and in the benchmark do not count.
+
+The public methods of perm's public classes are held to the same rule,
+except that a call anywhere under src/ibiskit, perm included, counts:
+a named method is called when some module reads it as an attribute.  An
+operator or protocol method (a dunder other than __init__) cannot be
+told from the same operator on another type, so each is listed in
+PERM_METHODS_ALLOWED with the reason it is kept.
 """
 
 import ast
@@ -69,6 +76,15 @@ ALLOWED = {
     "linalg.pfaffian_quadric_form": "the Pfaffian as a quadratic form",
 }
 
+PERM_METHODS_ALLOWED = {
+    "Permutation.__mul__": "composition p * q, which derived_subgroup uses",
+    "Permutation.__getitem__": "the image p[i], which the witness catalog reads",
+    "Permutation.__eq__": "permutations are equal when their images are",
+    "Permutation.__hash__": "equal permutations hash alike, as set members",
+    "Permutation.__repr__": "cycle notation, for debugging and test reports",
+    "PermGroup.__repr__": "name, degree and generator count, for debugging",
+}
+
 
 def public_definitions(tree):
     return {node.name for node in tree.body
@@ -99,6 +115,27 @@ def unreferenced_public_names():
         out |= {f"{module}.{name}" for name in public_definitions(tree)
                 if (module, name) not in used}
     return out
+
+
+def unreferenced_perm_methods():
+    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    perm = ast.parse((SRC / "perm.py").read_text())
+    return {f"{cls.name}.{node.name}"
+            for cls in perm.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name != "__init__"
+            and (node.name.startswith("__") and node.name.endswith("__")
+                 or not node.name.startswith("_") and node.name not in read)}
+
+
+def test_uncalled_perm_methods_are_allowlisted():
+    found = unreferenced_perm_methods()
+    allowed = set(PERM_METHODS_ALLOWED)
+    assert sorted(found - allowed) == [], "public and called by no module"
+    assert sorted(allowed - found) == [], "allowlisted but now called"
 
 
 def test_unreferenced_public_names_are_allowlisted():
