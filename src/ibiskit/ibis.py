@@ -17,8 +17,9 @@ its witnesses are those of the unmemoised search.  The IBIS decision is
 that enumeration alone: IBIS only when it finishes with one length,
 NotIBIS only from two irredundant bases of different lengths that it
 found and that are re-checked before they are reported.  The
-minimal-base search tables its steps and keeps the stabilizers of the
-rest of an orbit as conjugates.
+minimal-base search walks independent sequences with the same pruning,
+one least point per orbit of the current stabilizer, keeping a point
+only while the sequence stays independent.
 """
 
 from __future__ import annotations
@@ -120,17 +121,10 @@ def extend_to_irredundant_base(G, prefix=()):
 
 # -- the stabilizer store ------------------------------------------------------
 
-def _key(masks):
-    """Fixed-point keys of a stack of point masks: one int per mask whose
-    bit p is set exactly when the mask holds p."""
-    packed = np.packbits(np.atleast_2d(masks), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _mask(key, degree):
-    """The point mask of a fixed-point key."""
-    packed = np.frombuffer(key.to_bytes((degree + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(packed, count=degree, bitorder="little").astype(bool)
+def _key(mask):
+    """The fixed-point key of a point mask: an int whose bit p is set
+    exactly when the mask holds p."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 class _Stabilizers:
@@ -143,24 +137,21 @@ class _Stabilizers:
     in H_p = G_(F + p), and equals H_p when its order is |H| / |p^H|
     (orbit-stabilizer).  find() takes H_p from the kept groups that way
     and only when none matches builds a chain: H.stabilizer(p) rebuilds
-    H's chain based at p with the certified |H| as its target.  step()
-    tables find() per (id, point), and with the orbit and a transversal u
-    (u[p] = q) from one breadth-first pass over H's generators
-    (perm.PermGroup.orbit_transversal) keeps the stabilizers of the rest
-    of the orbit too: H_q = u^-1 H_p u fixes exactly u[fix(H_p)], and a
-    new key is kept as (H_p, u), conjugated only when a search steps out
-    of it.
+    H's chain based at p with the certified |H| as its target.  Each
+    kept group's orbits are computed once, and step() is find() with
+    |p^H| read off them, tabled per (id, point).
     """
 
     def __init__(self, G):
         self.degree = G.degree
-        self.groups = []    # id -> PermGroup, or (id of a built group, u) to conjugate
+        self.groups = []    # id -> PermGroup
         self.keys = []      # id -> fixed-point key
         self.orders = []    # id -> certified order
-        self.steps = []     # id -> None, or point -> id of its stabilizer (-1: not yet)
+        self.tables = []    # id -> None, or its orbits() once computed
+        self.steps = {}     # id * degree + point -> id of its stabilizer
         self.ids = {}       # fixed-point key -> id
         self.by_order = {}  # order -> ids
-        self._keep(_key(G.fixed_points())[0], G.order(), G)
+        self._keep(_key(G.fixed_points()), G.order(), G)
 
     def _keep(self, key, order, group):
         k = self.ids[key] = len(self.keys)
@@ -168,16 +159,21 @@ class _Stabilizers:
         self.groups.append(group)
         self.keys.append(key)
         self.orders.append(order)
-        self.steps.append(None)
+        self.tables.append(None)
         return k
 
-    def built(self, k):
-        """The group with id k."""
-        group = self.groups[k]
-        if isinstance(group, tuple):
-            j, u = group
-            group = self.groups[k] = self.groups[j].conjugate(u)
-        return group
+    def orbits(self, k):
+        """The least point of each non-trivial orbit of the group with id
+        k, in ascending order, and the orbit length of every point."""
+        if self.tables[k] is None:
+            minima, lengths = [], [1] * self.degree
+            for ob in self.groups[k].orbits():
+                if len(ob) > 1:
+                    minima.append(ob[0])
+                    for q in ob:
+                        lengths[q] = len(ob)
+            self.tables[k] = minima, lengths
+        return self.tables[k]
 
     def find(self, k, p, orbit_length):
         """The id of the stabilizer of p in the group H with id k, given
@@ -188,30 +184,16 @@ class _Stabilizers:
         for i in self.by_order.get(order, ()):
             if keys[i] & target == target:
                 return i
-        Hp = self.built(k).stabilizer(p)
-        return self._keep(_key(Hp.fixed_points())[0], order, Hp)
+        Hp = self.groups[k].stabilizer(p)
+        return self._keep(_key(Hp.fixed_points()), order, Hp)
 
     def step(self, k, p):
-        """find(), tabled; the rest of p's orbit is kept as conjugates."""
-        if self.keys[k] >> p & 1:
-            return k
-        row = self.steps[k]
-        if row is None:
-            row = self.steps[k] = [-1] * self.degree
-        if row[p] < 0:
-            orbit = self.built(k).orbit_transversal(p)
-            j = self.find(k, p, len(orbit))
-            Hp = self.groups[j]
-            us = np.array(list(orbit.values()))
-            masks = np.zeros(us.shape, dtype=bool)
-            masks[np.arange(len(us))[:, None],
-                  us[:, _mask(self.keys[j], self.degree)]] = True
-            for (q, u), key in zip(orbit.items(), _key(masks)):
-                if key not in self.ids:
-                    self._keep(key, self.orders[j], (Hp[0], u[Hp[1]])
-                               if isinstance(Hp, tuple) else (j, u))
-                row[q] = self.ids[key]
-        return row[p]
+        """find(), tabled."""
+        at = k * self.degree + p
+        j = self.steps.get(at)
+        if j is None:
+            j = self.steps[at] = self.find(k, p, self.orbits(k)[1][p])
+        return j
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -224,7 +206,7 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
     Explores one representative per orbit of the current stabilizer, its
     least point (conjugate subtrees realize the same length sets), and
     records the first witness chain found per length.  A subtree depends
-    only on its stabilizer, a kept group of the store reached by find(),
+    only on its stabilizer, a kept group of the store reached by step(),
     so each complete subtree is kept as {length: first suffix in DFS
     order} under the group's id and never searched again.  Returns
     EnumerationResult with complete=False when the node budget is
@@ -249,9 +231,7 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
         if found is not None:
             return found
         found = {}
-        for ob in store.built(k).orbits():
-            if len(ob) == 1:
-                continue
+        for p in store.orbits(k)[0]:
             if _two_lengths and len(certified) > 1:
                 complete = False
                 return found
@@ -259,9 +239,7 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
             if nodes > node_budget:
                 complete = False
                 return found
-            p = ob[0]
-            for length, suffix in suffixes(store.find(k, p, len(ob)),
-                                           depth + 1).items():
+            for length, suffix in suffixes(store.step(k, p), depth + 1).items():
                 found.setdefault(length + 1, (p,) + suffix)
                 certified.add(depth + length + 1)
         if complete:
@@ -275,15 +253,19 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
 def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     """Sizes of minimal bases (bases no proper subset of which is a base).
 
-    Ascending-set DFS over *independent* sets: a set is independent when
-    deleting any member changes its pointwise stabilizer, that is, when
-    the stabilizer of the others moves it.  A point made redundant once
-    stays redundant in every superset, so only independent sets extend to
-    minimal bases, and an independent base is itself minimal.
-    Conjugation preserves minimality, so the least point of the set may
-    be restricted to orbit minima.  Each search node carries the ids of
-    the stabilizers of its set with one member left out, so independence
-    of a new set costs one tabled step of the store per member.  A node
+    Depth-first search over *independent* sequences: a set is
+    independent when deleting any member changes its pointwise
+    stabilizer, that is, when the stabilizer of the others moves it.  A
+    point made redundant once stays redundant in every superset, so only
+    independent sets extend to minimal bases, an independent base is
+    itself minimal, and every ordering of an independent set is
+    irredundant.  At a node S with H = G_(S) the search extends by the
+    least point p of each non-trivial orbit of H, as the enumeration
+    does: H fixes S pointwise, so h in H maps S + p onto S + p^h, and
+    independence and base-ness carry across.  S + p is kept when it is
+    still independent, which costs one tabled step of the store per
+    member: each node carries the ids of the stabilizers of S with one
+    member left out.  Sizes are read off the nodes with |H| = 1.  A node
     is counted before it is expanded, so complete=False once the budget
     runs out, and at node_budget=0 no stabilizer is built.
     """
@@ -302,10 +284,7 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
         if orders[k] == 1:
             sizes.add(len(points))
             return
-        fixed = keys[k]
-        for p in range(points[-1] + 1, G.degree):
-            if fixed >> p & 1:
-                continue
+        for p in store.orbits(k)[0]:
             nodes += 1
             if nodes > node_budget:
                 complete = False
@@ -321,15 +300,7 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
             else:
                 dfs(step(k, p), points + (p,), moved + [k])
 
-    for ob in G.orbits():
-        if len(ob) > 1:
-            nodes += 1
-            if nodes > node_budget:
-                complete = False
-                break
-            dfs(step(0, ob[0]), (ob[0],), [0])
-    if G.order() == 1:
-        sizes = {0}
+    dfs(0, (), [])
     return EnumerationResult(frozenset(sizes), complete, {}, nodes)
 
 

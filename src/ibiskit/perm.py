@@ -13,14 +13,9 @@ order.  Orders are exact big integers, never Monte Carlo.
 
 The second way makes point stabilizers cheap: H.stabilizer(p) rebuilds
 H's chain based at p with |H| as its target, and the stabilizer it
-returns carries its certified order.  The rest of p's orbit then costs
-no chain at all: one breadth-first pass over H's generators gives the
-orbit p^H and, for each q in it, an element u with u[p] = q
-(orbit_transversal), and H_q = u^-1 H_p u has generators u[g[u^-1]],
-order |H_p| = |H| / |p^H| and the fixed points of H_p moved by u
-(conjugate).  The searches in the ibis module step from a stabilizer to
-the next this way, and name a pointwise stabilizer by its fixed-point
-mask.
+returns carries its certified order.  The searches in the ibis module
+step from a stabilizer to the next this way, and name a pointwise
+stabilizer by its fixed-point mask.
 """
 
 from __future__ import annotations
@@ -386,37 +381,6 @@ class PermGroup:
         sub = PermGroup(self.degree, ch.level_generators(1))
         sub._order = ch.suffix_orders()[1]
         return sub
-
-    def orbit_transversal(self, pt):
-        """The orbit of pt with a transversal: {q: u} in breadth-first
-        order from pt, where u is the image array of a group element with
-        u[pt] = q.  One pass over the generators, and no chain."""
-        pt = int(pt)
-        if not 0 <= pt < self.degree:
-            raise PermError("point out of range")
-        arrays = [g.images for g in self.generators]
-        lists = [a.tolist() for a in arrays]
-        out = {pt: np.arange(self.degree, dtype=np.int32)}
-        queue = [pt]
-        for q in queue:
-            for a, img in zip(arrays, lists):
-                r = img[q]
-                if r not in out:
-                    out[r] = a[out[q]]             # out[q] * a
-                    queue.append(r)
-        return out
-
-    def conjugate(self, u):
-        """u^-1 G u for the permutation with image array u: its generators
-        are u[g[u^-1]] and its certified order is |G|."""
-        u_inv = np.empty_like(u)
-        u_inv[u] = np.arange(self.degree, dtype=u.dtype)
-        gens = np.array([g.images for g in self.generators],
-                        dtype=np.int32).reshape(-1, self.degree)
-        conj = PermGroup(self.degree, [Permutation(g, _trusted=True)
-                                       for g in u[gens[:, u_inv]]])
-        conj._order = self._order
-        return conj
 
     def pointwise_stabilizer(self, points):
         """The pointwise stabilizer, one point stabilizer at a time."""

@@ -257,8 +257,8 @@ def plain_enumeration(G, node_budget=DEFAULT_BUDGET):
 
 
 def plain_minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
-    """Oracle for the memoised minimal-base search: the same DFS with one
-    stabilizer chain per point set, memoised on the set.
+    """Oracle for the minimal-base search: an unpruned ascending-set DFS
+    with one stabilizer chain per point set, memoised on the set.
 
     Sizes of minimal bases (bases no proper subset of which is a base).
 

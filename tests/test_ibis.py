@@ -224,20 +224,20 @@ def minimal_bases_counting_chains(monkeypatch, name):
 
 
 def test_minimal_base_sizes_gl42(monkeypatch):
-    # one chain per point set would make 30,781 chains here, one per step
-    # into an orbit 4,808; a step finds H_p among the kept stabilizers
-    # when it can, and 725 chains remain
+    # one chain per point set would make 30,781 chains here; one least
+    # point per orbit of the current stabilizer and the lookup among the
+    # kept stabilizers leave 193
     res, calls = minimal_bases_counting_chains(monkeypatch, "GL4_2/sub35")
     assert res.lengths == frozenset([4]) and res.complete
-    assert calls <= 800
+    assert calls <= 250
 
 
 def test_minimal_base_sizes_psp43(monkeypatch):
-    # 16,906 chains with one per point set, 1,520 with one per step into
-    # an orbit, 258 with the lookup among the kept stabilizers
+    # 16,906 chains with one per point set, 63 with one least point per
+    # orbit and the lookup among the kept stabilizers
     res, calls = minimal_bases_counting_chains(monkeypatch, "PSp4_3/proj40")
     assert res.lengths == frozenset([4]) and res.complete
-    assert calls <= 300
+    assert calls <= 100
 
 
 def test_minimal_base_sizes_trivial_and_ibis():

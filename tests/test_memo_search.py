@@ -1,6 +1,7 @@
 """The memoised searches against their plain oracles, and certified
 length sets in the paper's regime of base size >= 6."""
 
+import contextlib
 import functools
 import itertools
 import math
@@ -16,8 +17,8 @@ from conftest import (
 from ibiskit.actions import build_domain, build_group_action
 from ibiskit.groups import GroupSpec
 from ibiskit.ibis import (
-    DEFAULT_BUDGET, base_report, enumerate_irredundant_base_sizes, is_base,
-    minimal_base_sizes,
+    DEFAULT_BUDGET, _key, _Stabilizers, base_report,
+    enumerate_irredundant_base_sizes, is_base, minimal_base_sizes,
 )
 from ibiskit.perm import PermGroup, Permutation
 
@@ -40,23 +41,30 @@ def test_memoised_enumeration_matches_plain(monkeypatch, name):
     assert set(memo_keys) == set(keys)
 
 
+@functools.lru_cache(maxsize=None)
+def plain_minimal_sizes(name):
+    """The plain oracle's minimal-base sizes of a named case, computed
+    once."""
+    return plain_minimal_base_sizes(named_case(name)[0])
+
+
 @pytest.mark.parametrize("name", ["GL4_2/sub35", "PSp4_3/proj40"])
 def test_minimal_base_sizes_match_plain(name):
     G, _ = named_case(name)
-    memo = minimal_base_sizes(G)
-    plain = plain_minimal_base_sizes(G)
-    assert (memo.lengths, memo.complete, memo.nodes) \
-        == (plain.lengths, plain.complete, plain.nodes)
+    res = minimal_base_sizes(G)
+    plain = plain_minimal_sizes(name)
+    assert res.complete and plain.complete
+    assert res.lengths == plain.lengths
 
 
 @pytest.mark.parametrize("budget", [0, 1, 100])
 def test_minimal_base_sizes_match_plain_within_a_budget(budget):
+    # a search cut short finds some of the plain oracle's sizes, and is
+    # complete exactly when the budget covers it
     G, _ = named_case("GL4_2/sub35")
-    memo = minimal_base_sizes(G, node_budget=budget)
-    plain = plain_minimal_base_sizes(G, node_budget=budget)
-    assert not memo.complete
-    assert (memo.lengths, memo.complete, memo.nodes) \
-        == (plain.lengths, plain.complete, plain.nodes)
+    res = minimal_base_sizes(G, node_budget=budget)
+    assert res.complete == (res.nodes <= budget)
+    assert res.lengths <= plain_minimal_sizes("GL4_2/sub35").lengths
 
 
 def test_minimal_base_sizes_budget_before_the_first_step(monkeypatch):
@@ -129,12 +137,15 @@ KLEIN_TWO_SIZES = PermGroup(8, [Permutation([1, 0, 2, 3, 5, 4, 7, 6]),
 @example(case=(KLEIN_TWO_SIZES, 3))
 def test_minimal_base_sizes_match_plain_on_random_groups(case):
     G, budget = case
-    memo = minimal_base_sizes(G, node_budget=budget)
-    plain = plain_minimal_base_sizes(G, node_budget=budget)
-    assert (memo.lengths, memo.complete, memo.nodes) \
-        == (plain.lengths, plain.complete, plain.nodes)
-    if memo.complete and G.degree <= 8:
-        assert memo.lengths == minimal_base_sizes_by_subsets(G)
+    res = minimal_base_sizes(G, node_budget=budget)
+    plain = plain_minimal_base_sizes(G)
+    assert plain.complete
+    assert res.complete == (res.nodes <= budget)
+    assert res.lengths <= plain.lengths
+    if res.complete:
+        assert res.lengths == plain.lengths
+        if G.degree <= 8:
+            assert res.lengths == minimal_base_sizes_by_subsets(G)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -154,6 +165,50 @@ def test_enumeration_matches_plain_on_random_groups(case):
         assert memo.nodes <= plain.nodes
         if G.degree <= 8:
             assert memo.lengths == unpruned_enumeration(G).lengths
+
+
+@contextlib.contextmanager
+def checked_store_lookups():
+    """While active, every id that the store's find() or step() returns is
+    checked against a stabilizer built afresh: its key must be the fresh
+    group's fixed points, and its order the fresh group's order.  Yields
+    the set of (store, id, point, returned id) checked."""
+    checked = set()
+
+    def checking(method):
+        def wrapped(store, k, p, *args):
+            j = method(store, k, p, *args)
+            if (store, k, p, j) not in checked:
+                checked.add((store, k, p, j))
+                fresh = store.groups[k].stabilizer(p)
+                assert store.keys[j] == _key(fresh.fixed_points())
+                assert store.orders[j] == fresh.order()
+            return j
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Stabilizers, "find", checking(_Stabilizers.find))
+        mp.setattr(_Stabilizers, "step", checking(_Stabilizers.step))
+        yield checked
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=small_group_and_budget())
+@example(case=(KLEIN_TWO_SIZES, DEFAULT_BUDGET))
+def test_store_lookups_on_random_groups(case):
+    G, _ = case
+    with checked_store_lookups():
+        enumerate_irredundant_base_sizes(G)
+        minimal_base_sizes(G)
+
+
+@pytest.mark.parametrize("name", list(ACTIONS))
+def test_store_lookups_on_actions(name):
+    G = group(name)
+    with checked_store_lookups() as checked:
+        enumerate_irredundant_base_sizes(G)
+        minimal_base_sizes(G)
+    assert checked
 
 
 @pytest.mark.parametrize("budget", [0, 1, 100, 1000])
@@ -218,3 +273,27 @@ def test_sp62_points_against_plain_search():
     assert memo.lengths == plain.lengths == {6}
     assert memo.witnesses == plain.witnesses
     assert memo.nodes < plain.nodes
+
+
+# Over GF(2) a set of points of PG(d - 1, 2) is independent under SL_d(2),
+# and under Sp_d(2), exactly when it is linearly independent: the
+# transvections of G that fix a subspace W pointwise (for Sp, the t_v
+# with v in W^perp) fix no point outside it, so fix(G_(W)) = W, and a
+# point is redundant exactly when it lies in the span of the others.
+# The minimal bases are the linear bases.
+@pytest.mark.parametrize("family", ["SL", "Sp"])
+def test_minimal_base_sizes_on_points_are_the_dimension(family):
+    G = point_action(family, 6)
+    res = minimal_base_sizes(G)
+    assert res.complete and res.lengths == {6}
+
+
+def test_minimal_base_sizes_sp62_minus_forms():
+    # Sp6(2) on its 28 minus-type forms: the plain oracle confirms {6, 7}
+    # (157,704 nodes, about 37 s, too slow to run here)
+    dom = build_domain({"kind": "quad_forms_minus", "m": 3, "q": 2})
+    G = build_group_action(GroupSpec("Sp", 6, 2), dom)
+    assert G.degree == 28 and G.order() == sp_order(3, 2)
+    res = minimal_base_sizes(G)
+    assert res.complete and res.lengths == {6, 7}
+    assert {6} <= res.lengths <= enumerate_irredundant_base_sizes(G).lengths

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from conftest import element_table
@@ -172,61 +171,6 @@ def test_stabilizer_of_bsgs_group_is_exact():
         table = element_table(G)
         brute = sum(1 for row in table if row[pt] == pt)
         assert H.order() == brute
-
-
-def test_orbit_transversal_gives_every_point_stabilizer():
-    # each G_q conjugated from G_pt by the transversal has exactly the
-    # elements of G that fix q, its certified order and the fixed points
-    # u[fix(G_pt)], checked on the element table
-    rng = random.Random(33)
-    for trial in range(12):
-        n = rng.randrange(5, 9)
-        gens = []
-        for _ in range(rng.randrange(1, 3)):
-            img = list(range(n))
-            rng.shuffle(img)
-            gens.append(Permutation(img))
-        G = PermGroup(n, gens)
-        table = element_table(G)
-        pt = rng.randrange(n)
-        Gp = G.stabilizer(pt)
-        transversal = G.orbit_transversal(pt)
-        fixed_p = np.flatnonzero(Gp.fixed_points())
-        for q, u in transversal.items():
-            assert u[pt] == q and sorted(u) == list(range(n))
-            Gq = Gp.conjugate(u)
-            brute = table[table[:, q] == q]
-            assert Gq.order() == len(brute)
-            assert np.array_equal(element_table(Gq), brute)
-            brute_fixed = [bool((brute[:, x] == x).all()) for x in range(n)]
-            fixed = np.zeros(n, dtype=bool)
-            fixed[u[fixed_p]] = True
-            assert list(fixed) == list(Gq.fixed_points()) == brute_fixed
-        orbit = next(ob for ob in G.orbits() if pt in ob)
-        assert sorted(transversal) == orbit
-
-
-@pytest.mark.parametrize("G", [
-    # the dihedral group on a hexagon: G_pt fixes pt and its opposite
-    PermGroup(6, [perm_from_cycles(6, tuple(range(6))),
-                  perm_from_cycles(6, (1, 5), (2, 4))]),
-    # orbits {0..4}, {5, 6}, {7} and {8}
-    PermGroup(9, [perm_from_cycles(9, (0, 1, 2, 3, 4), (5, 6)),
-                  perm_from_cycles(9, (0, 1))]),
-], ids=["transitive", "intransitive"])
-def test_orbit_transversal_against_orbits_and_fresh_stabilizers(G):
-    for pt in range(G.degree):
-        transversal = G.orbit_transversal(pt)
-        assert sorted(transversal) == next(ob for ob in G.orbits() if pt in ob)
-        fixed_p = np.flatnonzero(G.stabilizer(pt).fixed_points())
-        for q, u in transversal.items():
-            assert u[pt] == q and G.is_member(Permutation(u))
-            fixed = np.zeros(G.degree, dtype=bool)
-            fixed[u[fixed_p]] = True
-            assert np.array_equal(fixed, G.stabilizer(q).fixed_points())
-    for pt in (-1, G.degree):
-        with pytest.raises(PermError):
-            G.orbit_transversal(pt)
 
 
 def test_orders_against_independent_library():
