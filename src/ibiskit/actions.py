@@ -8,9 +8,15 @@ bytes, so indices are deterministic, and a row's index is found by binary
 search; point labels are still representation-dependent and never
 asserted across builds with a different field or form convention.
 Construction re-checks the defining predicate of every candidate as a
-mask over the whole stack of candidate bases, and a group element acts
-on the whole array at once: one batched product and RREF for subspaces,
-one affine map for forms.
+mask over the whole stack of candidate bases.
+
+Induction works on stacks of elements.  The generators of a group are
+grouped by (Frobenius power, duality), and each group acts on the whole
+point array at once: for subspaces one batched product, one elimination
+and, for dualities, one annihilator; for forms one stacked inverse and
+one affine map; then one index lookup for all the images.  Stacks are cut
+so that each product holds about INDUCE_CODES codes.
+`induce_permutation` is the same kernel on a stack of one.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from . import gf, linalg
 from .gf import trace_bit
-from .groups import GroupSpec, classical_generators
+from .groups import GroupSpec, act_subspaces, classical_generators
 from .linalg import (
     eval_form, is_nondegenerate, is_totally_singular, mat_mul,
     quadratic_theta0, rank_stack, symplectic_form,
@@ -295,48 +301,64 @@ def build_nondegenerate_domain(form, k):
 
 # -- permutation induction -----------------------------------------------------
 
-def _images(g, dom):
-    """The rows of the images of every point of the domain under g."""
-    if not dom.dims:
-        return _act_forms(g, dom)
-    parts = [g.act_stack(B) for B in dom.bases()]
-    if g.dual:
-        parts.reverse()             # the members of a pair swap dimensions
-    return np.concatenate([P.reshape(dom.N, P.shape[1] * dom.d) for P in parts],
-                          axis=1)
+# Elements are induced in stacks whose largest product holds about this
+# many codes (32 KiB of int64), at least one element.
+INDUCE_CODES = 1 << 12
 
 
-def _act_forms(g, dom):
-    """theta_a^g(u) = (theta_a(u g^{-1}))^{sigma^k}: recover the parameter
-    of every image form from its values on the standard basis.
+def _act_forms(dom, M, frob_power):
+    """theta_a^g(u) = (theta_a(u g^{-1}))^{sigma^k} for each g = sigma^k . M[j]:
+    recover the parameter of every image form from its values on the
+    standard basis, one (m, N, d) stack.
 
     theta_0 vanishes on every basis vector, so with s_i = theta_a^g(e_i)
     the image parameter solves phi(e_i, a') = sqrt(s_i); with the
     standard f = (0 I; I 0) in characteristic 2 that gives a' = w f.
     """
-    if g.dual:
-        raise ActionError("duality elements do not act on the forms domain")
-    F = g.field
+    F = dom.field
     theta0 = dom.form
-    rows = g.inverse_element().matrix       # e_i g^{-1}, as rows
-    phi = linalg.eval_bilinear_batch(theta0, rows[None], dom.codes[:, None, :])
-    s = F.add(linalg.eval_quadratic_batch(theta0, rows), F.mul(phi, phi))
-    w = F.frob(s, g.frob_power + F.f - 1)  # sigma^k, then the square root
+    rows = linalg.inverse(F, F.frob(M, -frob_power))   # e_i g^{-1}, as rows
+    phi = linalg.eval_bilinear_batch(theta0, rows[:, None],
+                                     dom.codes[None, :, None, :])
+    s = F.add(linalg.eval_quadratic_batch(theta0, rows)[:, None], F.mul(phi, phi))
+    w = F.frob(s, frob_power + F.f - 1)  # sigma^k, then the square root
     return mat_mul(F, w, theta0.polar_gram())
 
 
-def induce_permutation(g, dom):
-    """The permutation induced by a semilinear element on the domain,
-    from the images of all points at once.
-
-    Raises if any image falls outside the domain (the domain is then not
+def _induce(elements, dom):
+    """The image of every point under every element, one (m, N) array, a
+    stack of elements with one (frob_power, dual) at a time.  The lookup
+    raises if an image falls outside the domain (the domain is then not
     invariant: a construction bug, per the domain contracts)."""
-    return Permutation(dom.indices(_images(g, dom)))   # validates bijectivity
+    out = np.empty((len(elements), dom.N), dtype=np.int32)
+    if not dom.N:                   # an empty domain: nothing to permute
+        return out
+    groups = {}
+    for j, g in enumerate(elements):
+        groups.setdefault((g.frob_power, g.dual), []).append(j)
+    step = max(1, INDUCE_CODES // (dom.N * dom.d * max(dom.dims + (1,))))
+    for (k, dual), at in groups.items():
+        for a in range(0, len(at), step):
+            js = at[a:a + step]
+            M = np.array([elements[j].matrix for j in js])
+            if not dom.dims and dual:
+                raise ActionError("duality elements do not act on the forms domain")
+            parts = ([act_subspaces(dom.field, M, k, dual, B) for B in dom.bases()]
+                     if dom.dims else [_act_forms(dom, M, k)])
+            if dual:
+                parts.reverse()     # the members of a pair swap dimensions
+            rows = np.concatenate([P.reshape(len(js) * dom.N, -1) for P in parts], axis=1)
+            out[js] = dom.indices(rows).reshape(len(js), -1)
+    return out
+
+
+def induce_permutation(g, dom):
+    """The permutation induced by a semilinear element on the domain."""
+    return Permutation(_induce([g], dom)[0])   # validates bijectivity
 
 
 def induce_group(elements, dom, name=None):
-    return PermGroup(dom.N, [induce_permutation(g, dom) for g in elements],
-                     name=name)
+    return PermGroup(dom.N, _induce(elements, dom), name=name)
 
 
 def build_group_action(spec, dom):

@@ -4,25 +4,28 @@ to extend them.
 
 Construction strategy: Chevalley-style root elements (transvections and
 their short-root companions) relative to the standard forms of linalg,
-with every socle generator checked against the form on construction.
+with the socle generators checked against the form on construction, all
+in one stacked product.
 `certified_order` compares the order of the induced permutation group
 on nonzero vectors with the textbook order formula.  No code path of
 the package calls it; only tests/test_groups.py and
 tests/test_classification.py do.
 Orthogonal groups in characteristic 2 are generated directly as
 products of pairs of reflections (Dickson kernel), which avoids
-spinor-norm membership tests entirely.
+spinor-norm membership tests entirely; the reflections and their
+products are built as one stack.
 
 Projective groups are never formed as abstract quotients: scalars act
 trivially on every subspace domain, so inducing the matrix group on the
-domain realizes the projective action.  An element acts on a whole stack
-of subspace bases at once (`act_stack`): one batched product and RREF,
-and for a duality element one batched annihilator.
+domain realizes the projective action.  A stack of elements acts on a
+whole stack of subspace bases at once (`act_subspaces`): one batched
+product and RREF, and for duality elements one batched annihilator.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,14 +143,6 @@ class SemilinearElement:
         return mat_mul(self.field, self.field.frob(np.asarray(V), self.frob_power),
                        self.matrix)
 
-    def act_stack(self, B):
-        """RREF bases of the images of the row spaces of a stack B
-        (n, k, d) of rank-k bases; under a duality element, RREF bases of
-        the annihilators of those images."""
-        F = self.field
-        R = rref_stack(F, mat_mul(F, F.frob(B, self.frob_power), self.matrix))
-        return annihilator(F, R) if self.dual else R
-
     def __eq__(self, other):
         return isinstance(other, SemilinearElement) and self._key == other._key \
             and self.field == other.field
@@ -161,31 +156,44 @@ class SemilinearElement:
         return f"Semilinear({self.d}x{self.d} over {self.field!r}{tag})"
 
 
+def act_subspaces(F, M, frob_power, dual, B):
+    """RREF bases (m, n, k', d) of the images of the row spaces of a stack
+    B (n, k, d) of rank-k bases under each element frob^k . M[j] of a
+    stack M (m, d, d); under duality elements, of the annihilators of
+    those images.  One batched product, RREF and annihilator."""
+    P = mat_mul(F, F.frob(B, frob_power), M[:, None])
+    R = rref_stack(F, P.reshape(len(M) * len(B), *B.shape[1:]))
+    if dual:
+        R = annihilator(F, R)
+    return R.reshape(len(M), len(B), *R.shape[1:])
+
+
 # -- form preservation checks ---------------------------------------------
 
 def preserves_form(g, form):
-    """Whether g = frob^k . M carries the form to itself:
-    M gram M^T = frob(gram, k), with M^T conjugated for a hermitian form
-    and both sides folded to upper-triangular representatives for a
-    quadratic one."""
-    if form is None or g.dual:
-        return True
+    """Whether g = frob^k . M carries the form to itself: _preserving."""
+    return form is None or g.dual or bool(_preserving(form, g.matrix[None],
+                                                       g.frob_power)[0])
+
+
+def _preserving(form, M, k):
+    """Which elements frob^k . M[j] of a stack M (m, d, d) carry the form
+    to itself: M gram M^T = frob(gram, k), with M^T conjugated for a
+    hermitian form and both sides folded to upper-triangular
+    representatives for a quadratic one.  One stacked product."""
     F = form.field
-    M = g.matrix
-    target = F.frob(form.gram, g.frob_power)
-    if form.kind == "hermitian":
-        lhs = mat_mul(F, mat_mul(F, M, form.gram), form.conj(M).T)
-    else:
-        lhs = mat_mul(F, mat_mul(F, M, form.gram), M.T)
+    MT = np.swapaxes(form.conj(M) if form.kind == "hermitian" else M, 1, 2)
+    lhs = mat_mul(F, mat_mul(F, M, form.gram), MT)
+    target = F.frob(form.gram, k)
     if form.kind == "quadratic":
-        lhs = _upper_tri_rep(F, lhs)
-        target = _upper_tri_rep(F, target)
-    return np.array_equal(lhs, target)
+        lhs, target = _upper_tri_rep(F, lhs), _upper_tri_rep(F, target)
+    return (lhs == target).all(axis=(1, 2))
 
 
 def _upper_tri_rep(F, A):
-    """Fold a Gram matrix to its upper-triangular quadratic representative."""
-    return F.add(np.triu(A, 1), np.tril(A, -1).T) + np.diag(np.diagonal(A))
+    """Fold Gram matrices (the last two axes) to their upper-triangular
+    quadratic representatives."""
+    return F.add(np.triu(A), np.swapaxes(np.tril(A, -1), -1, -2))
 
 
 # -- elementary constructions ------------------------------------------------
@@ -211,14 +219,19 @@ def _symplectic_transvection_general(F, form, a, lam):
 def orthogonal_reflection(form, a):
     """r_a: u -> u - (B(u,a)/Q(a)) a for a non-singular vector a; works in
     every characteristic (B is the polarization)."""
-    F = form.field
     a = np.asarray(a, dtype=np.int64)
-    qa = linalg.eval_form(form, a)
-    if qa == 0:
+    if linalg.eval_form(form, a) == 0:
         raise GroupError("reflection vector must be non-singular")
-    coeffs = F.div(mat_mul(F, form.polar_gram(), a[:, None])[:, 0], qa)
-    M = F.sub(linalg.identity(F, form.dim), F.mul(coeffs[:, None], a[None, :]))
-    return SemilinearElement(F, M, _trusted=True)
+    return SemilinearElement(form.field, _reflections(form, a[None])[0], _trusted=True)
+
+
+def _reflections(form, A):
+    """The matrices (n, d, d) of the reflections r_a for the rows a of A,
+    all non-singular."""
+    F = form.field
+    coeffs = F.div(mat_mul(F, A, form.polar_gram().T),
+                   linalg.eval_quadratic_batch(form, A)[:, None])
+    return F.sub(linalg.identity(F, form.dim), F.mul(coeffs[:, :, None], A[:, None, :]))
 
 
 def _field_spanning_scalars(F):
@@ -226,21 +239,22 @@ def _field_spanning_scalars(F):
     return [int(F.power(np.asarray(F.generator_code), k)) for k in range(F.f)]
 
 
+def _elementary(F, d, entries):
+    """The element whose matrix is the identity with the given entries."""
+    M = linalg.identity(F, d)
+    for (r, c), v in entries.items():
+        M[r, c] = v
+    return SemilinearElement(F, M, _trusted=True)
+
+
 def _linear_generators(spec):
     F = gf.field_of_order(spec.q)
-    d, q = spec.d, spec.q
-    gens = []
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                for lam in _field_spanning_scalars(F):
-                    M = linalg.identity(F, d)
-                    M[i, j] = lam
-                    gens.append(SemilinearElement(F, M, _trusted=True))
-    if spec.family == "GL" and q > 2:
-        M = linalg.identity(F, d)
-        M[0, 0] = F.generator_code
-        gens.append(SemilinearElement(F, M, _trusted=True))
+    d = spec.d
+    gens = [_elementary(F, d, {(i, j): lam})
+            for i, j in itertools.permutations(range(d), 2)
+            for lam in _field_spanning_scalars(F)]
+    if spec.family == "GL" and spec.q > 2:
+        gens.append(_elementary(F, d, {(0, 0): F.generator_code}))
     return gens, None
 
 
@@ -249,38 +263,17 @@ def _symplectic_generators(spec):
     d = spec.d
     m = d // 2
     form = symplectic_form(F, d)
-    gens = []
     scalars = _field_spanning_scalars(F)
-
-    def basis(i):
-        v = np.zeros(d, dtype=np.int64)
-        v[i] = 1
-        return v
-
-    for i in range(m):
-        for lam in scalars:
-            gens.append(_symplectic_transvection_general(F, form, basis(i), lam))
-            gens.append(_symplectic_transvection_general(F, form, basis(m + i), lam))
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            for t in scalars:
-                M = linalg.identity(F, d)
-                M[i, j] = t                      # e_i -> e_i + t e_j
-                M[m + j, m + i] = int(F.neg(t))  # f_j -> f_j - t f_i
-                gens.append(SemilinearElement(F, M, _trusted=True))
-    for i in range(m):
-        for j in range(i + 1, m):
-            for t in scalars:
-                Mp = linalg.identity(F, d)
-                Mp[i, m + j] = t
-                Mp[j, m + i] = t
-                gens.append(SemilinearElement(F, Mp, _trusted=True))
-                Mm = linalg.identity(F, d)
-                Mm[m + i, j] = t
-                Mm[m + j, i] = t
-                gens.append(SemilinearElement(F, Mm, _trusted=True))
+    e = linalg.identity(F, d)
+    gens = [_symplectic_transvection_general(F, form, e[k], lam)
+            for i in range(m) for lam in scalars for k in (i, m + i)]
+    # e_i -> e_i + t e_j and f_j -> f_j - t f_i
+    gens += [_elementary(F, d, {(i, j): t, (m + j, m + i): int(F.neg(t))})
+             for i, j in itertools.permutations(range(m), 2) for t in scalars]
+    gens += [_elementary(F, d, entries)
+             for i, j in itertools.combinations(range(m), 2) for t in scalars
+             for entries in ({(i, m + j): t, (j, m + i): t},
+                             {(m + i, j): t, (m + j, i): t})]
     return gens, form
 
 
@@ -293,7 +286,7 @@ def _unitary_generators(spec):
     form = hermitian_form(E, d, conj_power=F0.f)
     conj = lambda x: int(E.frob(x, F0.f))
     mu = E.generator_code
-    gens = []
+    inv = lambda x: int(E.inv(np.asarray(x)))
 
     def solve_trace(rhs):
         """Least t in GF(q^2) with t + t^q = rhs."""
@@ -302,73 +295,40 @@ def _unitary_generators(spec):
                 return t
         raise GroupError("trace equation unsolvable")  # unreachable
 
-    def span_E():
-        return [int(E.power(np.asarray(mu), k)) for k in range(2 * F0.f)]
-
+    span_E = [int(E.power(np.asarray(mu), k)) for k in range(2 * F0.f)]
     if d == 3:
         # upper unipotents [[1, s, t], [0, 1, -s^q], [0, 0, 1]],
         # constrained by t + t^q + s^{q+1} = 0
-        params = [(0, t) for t in span_E() if int(E.add(t, E.frob(t, F0.f))) == 0 and t]
-        for s in span_E():
-            norm = int(E.mul(s, E.frob(s, F0.f)))
-            params.append((s, solve_trace(int(E.neg(norm)))))
-        for s, t in params:
-            M = linalg.identity(E, 3)
-            M[0, 1], M[0, 2] = s, t
-            M[1, 2] = int(E.neg(conj(s)))
-            gens.append(SemilinearElement(E, M, _trusted=True))
-        D = np.diag([mu, int(E.power(np.asarray(mu), q - 1)),
-                     int(E.inv(np.asarray(E.power(np.asarray(mu), q))))]).astype(np.int64)
-        gens.append(SemilinearElement(E, D, _trusted=True))
-        w = np.zeros((3, 3), dtype=np.int64)
-        w[0, 2] = w[2, 0] = 1
-        w[1, 1] = int(E.neg(1))
-        gens.append(SemilinearElement(E, w, _trusted=True))
+        params = [(0, t) for t in span_E if int(E.add(t, E.frob(t, F0.f))) == 0 and t]
+        params += [(s, solve_trace(int(E.neg(E.mul(s, E.frob(s, F0.f)))))) for s in span_E]
+        gens = [_elementary(E, 3, {(0, 1): s, (0, 2): t, (1, 2): int(E.neg(conj(s)))})
+                for s, t in params]
+        gens += [_elementary(E, 3, {(0, 0): mu, (1, 1): int(E.power(np.asarray(mu), q - 1)),
+                                    (2, 2): inv(E.power(np.asarray(mu), q))}),
+                 _elementary(E, 3, {(0, 0): 0, (2, 2): 0, (0, 2): 1, (2, 0): 1,
+                                    (1, 1): int(E.neg(1))})]
     else:
-        # hyperbolic pairs (e1, e4), (e2, e3) for the anti-diagonal form
-        for t in span_E():
-            A = linalg.identity(E, 4)
-            A[0, 1] = t
-            A[2, 3] = int(E.neg(conj(t)))   # e3 -> e3 - t^q e4
-            gens.append(SemilinearElement(E, A, _trusted=True))
-            B = linalg.identity(E, 4)
-            B[0, 2] = t
-            B[1, 3] = int(E.neg(conj(t)))   # e2 -> e2 - t^q e4
-            gens.append(SemilinearElement(E, B, _trusted=True))
+        # hyperbolic pairs (e1, e4), (e2, e3) for the anti-diagonal form:
+        # e3 -> e3 - t^q e4, and e2 -> e2 - t^q e4
+        gens = [_elementary(E, 4, entries) for t in span_E
+                for entries in ({(0, 1): t, (2, 3): int(E.neg(conj(t)))},
+                                {(0, 2): t, (1, 3): int(E.neg(conj(t)))})]
         trace_zero = [t for t in range(E.q)
                       if t and int(E.add(t, E.frob(t, F0.f))) == 0]
-        for t in trace_zero[: 2 * F0.f]:
-            C = linalg.identity(E, 4)
-            C[0, 3] = t
-            gens.append(SemilinearElement(E, C, _trusted=True))
-            C2 = linalg.identity(E, 4)
-            C2[1, 2] = t
-            gens.append(SemilinearElement(E, C2, _trusted=True))
+        gens += [_elementary(E, 4, {ij: t}) for t in trace_zero[: 2 * F0.f]
+                 for ij in ((0, 3), (1, 2))]
         a0 = _embed_scalar(E, F0, F0.generator_code)
-        D1 = np.diag([a0, 1, 1, int(E.inv(np.asarray(a0)))]).astype(np.int64)
-        D2 = np.diag([1, a0, int(E.inv(np.asarray(a0))), 1]).astype(np.int64)
-        gens += [SemilinearElement(E, D1, _trusted=True),
-                 SemilinearElement(E, D2, _trusted=True)]
-        for pairs in (((0, 1), (3, 2)), ((0, 3), (1, 2))):
-            # double transpositions: determinant 1 in every characteristic
-            w = linalg.identity(E, 4)
-            for (a, b) in pairs:
-                w[a, a] = w[b, b] = 0
-                w[a, b] = w[b, a] = 1
-            gens.append(SemilinearElement(E, w, _trusted=True))
+        gens += [_elementary(E, 4, {(0, 0): a0, (3, 3): inv(a0)}),
+                 _elementary(E, 4, {(1, 1): a0, (2, 2): inv(a0)})]
+        # double transpositions: determinant 1 in every characteristic
+        gens += [_elementary(E, 4, {(a, a): 0, (b, b): 0, (c, c): 0, (e, e): 0,
+                                    (a, b): 1, (b, a): 1, (c, e): 1, (e, c): 1})
+                 for (a, b), (c, e) in (((0, 1), (3, 2)), ((0, 3), (1, 2)))]
     if spec.family == "GU":
-        D = linalg.identity(E, d)
-        D[0, 0] = mu
-        D[d - 1, d - 1] = int(E.inv(np.asarray(E.frob(mu, F0.f))))
-        gens.append(SemilinearElement(E, D, _trusted=True))
+        gens.append(_elementary(E, d, {(0, 0): mu, (d - 1, d - 1): inv(E.frob(mu, F0.f))}))
     gens = [g for g in gens if not g.is_identity()]
-    for g in gens:
-        if not preserves_form(g, form):
-            raise GroupError("unitary generator fails the form check")
-    if spec.family == "SU":
-        for g in gens:
-            if linalg.det(E, g.matrix) != 1:
-                raise GroupError("SU generator with nontrivial determinant")
+    if spec.family == "SU" and np.any(linalg.det(E, np.array([g.matrix for g in gens])) != 1):
+        raise GroupError("SU generator with nontrivial determinant")
     return gens, form
 
 
@@ -389,14 +349,11 @@ def _orthogonal_generators(spec):
     vectors = linalg.all_row_vectors(F, d)
     lead = vectors[np.arange(len(vectors)), (vectors != 0).argmax(axis=1)]
     nonsingular = vectors[(lead == 1) & (linalg.eval_quadratic_batch(form, vectors) != 0)]
-    refls = [orthogonal_reflection(form, v) for v in nonsingular]
+    M = _reflections(form, nonsingular)
     if spec.family.startswith("Omega") or (q % 2 == 1 and spec.family.startswith("SO")):
-        base = refls[0]
-        gens = [base * r for r in refls[1:]]
-    else:
-        gens = refls
-    gens = [g for g in gens if not g.is_identity()]
-    return gens, form
+        M = mat_mul(F, M[0], M[1:])       # products r_0 r_a of two reflections
+    M = M[~(M == linalg.identity(F, d)).all(axis=(1, 2))]
+    return [SemilinearElement(F, m, _trusted=True) for m in M], form
 
 
 @functools.lru_cache(maxsize=None)
@@ -419,9 +376,9 @@ def classical_generators(spec):
         gens, form = _unitary_generators(spec)
     else:
         gens, form = _orthogonal_generators(spec)
-    for g in gens:
-        if not preserves_form(g, form):
-            raise GroupError(f"{spec.family} generator fails the form check")
+    M = np.array([g.matrix for g in gens])
+    if form is not None and gens and not _preserving(form, M, 0).all():
+        raise GroupError(f"{spec.family} generator fails the form check")
     for ext in spec.extensions:
         gens = gens + [outer_element(ext, spec)]
     return gens, form
@@ -503,13 +460,11 @@ def induced_on_nonzero_vectors(spec):
     radix = F.q ** np.arange(d, dtype=np.int64)
     index = np.full(F.q**d, -1, dtype=np.int64)
     index[vecs @ radix] = np.arange(len(vecs))
-    perms = []
-    for g in gens:
-        if g.dual:
-            raise GroupError("duality elements have no vector action")
-        imgs = index[g.act_vectors(vecs) @ radix]
-        perms.append(Permutation(imgs.astype(np.int32)))
-    return PermGroup(len(vecs), perms, name=f"{spec.family}({spec.d},{spec.q})")
+    if any(g.dual for g in gens):
+        raise GroupError("duality elements have no vector action")
+    imgs = index[np.stack([g.act_vectors(vecs) for g in gens]) @ radix]
+    return PermGroup(len(vecs), imgs.astype(np.int32),
+                     name=f"{spec.family}({spec.d},{spec.q})")
 
 
 @functools.lru_cache(maxsize=None)

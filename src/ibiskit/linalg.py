@@ -68,20 +68,23 @@ def _eliminate(F, S):
         if (top == m).all():                  # every matrix has m pivots
             break
         cand = (R[:, :, c] != 0) & (np.arange(m) >= top[:, None])
-        at = np.flatnonzero(cand.any(axis=1))
-        if not len(at):
+        hit, i = cand.any(axis=1), cand.argmax(axis=1)   # first candidate row
+        idx = np.flatnonzero(hit)
+        if not len(idx):
             continue
-        t, i = top[at], cand[at].argmax(axis=1)   # first candidate row
-        row = R[at, i]
-        R[at, i] = R[at, t]
+        # when every matrix pivots here, R is updated through a slice
+        at = slice(None) if len(idx) == n else idx
+        t, i = top[idx], i[idx]
+        row = R[idx, i]
+        R[idx, i] = R[idx, t]
         p = row[:, c]
-        scale[at] = F.mul(scale[at], np.where(i != t, F.neg(p), p))
+        scale[idx] = F.mul(scale[idx], np.where(i != t, F.neg(p), p))
         row = F.mul(row, F.inv(p)[:, None])
-        R[at, t] = row
-        f = R[at, :, c]
-        f[np.arange(len(at)), t] = 0
+        f = R[at, :, c]         # a view of R when at is a slice: row t is
+        f[np.arange(len(idx)), t] = 0   # zeroed here but written last
         R[at] = F.sub(R[at], F.mul(f[:, :, None], row[:, None, :]))
-        top[at] += 1
+        R[idx, t] = row
+        top[idx] += 1
     return R, scale
 
 
@@ -125,12 +128,15 @@ def annihilator(F, R):
 
 
 def inverse(F, A):
+    """The inverse of one matrix, or of every matrix of a stack (n, d, d),
+    from one elimination of [A | I]."""
     A = np.asarray(A)
-    n = A.shape[0]
-    R, pivots = rref(F, np.hstack([A, identity(F, n)]))
-    if pivots[:n] != list(range(n)):
+    I = identity(F, A.shape[-1])
+    R = rref_stack(F, np.concatenate([A, np.broadcast_to(I, A.shape)], axis=-1)
+                   .reshape(-1, len(I), 2 * len(I)))
+    if not (R[:, :, :len(I)] == I).all():
         raise LinalgError("matrix not invertible")
-    return R[:, n:]
+    return R[:, :, len(I):].reshape(A.shape)
 
 
 def det(F, A):

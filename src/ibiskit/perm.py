@@ -16,6 +16,10 @@ H's chain based at p with |H| as its target, and the stabilizer it
 returns carries its certified order.  The searches in the ibis module
 step from a stabilizer to the next this way, and name a pointwise
 stabilizer by its fixed-point mask.
+
+The closure builds a level's Schreier generators a chunk of orbit points
+at a time as one array, drops identities and repeats by comparing rows,
+and sifts the rest as a stack (see _Chain._close).
 """
 
 from __future__ import annotations
@@ -102,6 +106,52 @@ class Permutation:
 
 # -- stabilizer chain --------------------------------------------------------
 
+# Schreier generators are built in chunks of about this many entries (16
+# KiB of int32), or of one orbit point's generators if that is more.
+CHUNK_CODES = 1 << 12
+
+
+def _row_keys(rows):
+    """A 32-bit linear hash of each row; it only picks the rows to compare."""
+    x = np.arange(1, rows.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return rows @ (x >> np.uint64(33)).astype(np.int32)
+
+
+class _Met:
+    """The rows that one closure pass has met, the identity first.  A row
+    is compared with the first met row of its key: keys only choose what
+    to compare."""
+
+    def __init__(self, degree):
+        self.rows = np.arange(degree, dtype=np.int32)[None]
+        self.count = 1
+        self.first = {int(_row_keys(self.rows)[0]): 0}   # key -> row
+
+    def new(self, S):
+        """The rows of S that repeat no row met before, now met, in order."""
+        keys = _row_keys(S).tolist()
+        # the first row of each key: a met row, or the row -1 - ref of S
+        ref = np.array([self.first.setdefault(k, -1 - t) for t, k in enumerate(keys)])
+        fresh = ref == -1 - np.arange(len(S))
+        old = ref >= 0
+        fresh[old] = (self.rows[ref[old]] != S[old]).any(axis=1)
+        late = ~fresh & ~old
+        fresh[late] = (S[-1 - ref[late]] != S[late]).any(axis=1)
+        kept = np.flatnonzero(fresh)
+        for i, t in enumerate(kept.tolist()):
+            if ref[t] == -1 - t:
+                self.first[keys[t]] = self.count + i
+        S = S[kept]
+        end = self.count + len(S)
+        if end > len(self.rows):
+            grown = np.empty((2 * end, S.shape[1]), dtype=np.int32)
+            grown[:self.count] = self.rows[:self.count]
+            self.rows = grown
+        self.rows[self.count:end] = S
+        self.count = end
+        return S
+
+
 class _Level:
     """A base point, its strong generators and its basic orbit.  The orbit
     is a Schreier vector; a transversal element and its inverse are
@@ -158,6 +208,13 @@ class _Level:
             inv[u] = np.arange(len(u), dtype=np.int32)
         return inv
 
+    def apply_inverses(self, pts, A):
+        """Each row A[t] followed by the inverse transversal element of pts[t]."""
+        pts = pts.tolist()
+        place = {p: j for j, p in enumerate(dict.fromkeys(pts))}
+        table = np.stack([self.inverse(p) for p in place])
+        return np.take(table, A + np.array([place[p] for p in pts])[:, None] * A.shape[1])
+
 
 class _Chain:
     """A base and strong generating set, certified by Schreier closure or
@@ -211,6 +268,22 @@ class _Chain:
             a = lvl.inverse(p)[a]
         return a, len(self.levels)
 
+    def _sift(self, A, start):
+        """_sift_raw on each row of A in place, from its start level;
+        returns the levels where the rows stopped."""
+        stop = np.full(len(A), len(self.levels))
+        for idx in range(int(start.min()), len(self.levels)):
+            lvl = self.levels[idx]
+            live = np.flatnonzero((start <= idx) & (stop == len(self.levels)))
+            p = A[live, lvl.beta]
+            out = np.array([q not in lvl.orbit for q in p.tolist()], dtype=bool)
+            stop[live[out]] = idx
+            move = ~out & (p != lvl.beta)
+            rows = live[move]
+            if len(rows):
+                A[rows] = lvl.apply_inverses(p[move], A[rows])
+        return stop
+
     def _insert(self, a, from_level):
         """Sift a; if a residue survives, install it at the failing level."""
         ident = np.arange(self.degree, dtype=np.int32)
@@ -242,34 +315,48 @@ class _Chain:
 
     def _close(self, i):
         """Deterministic Schreier closure: on return every Schreier
-        generator at every level >= i sifts to the identity."""
+        generator at every level >= i sifts to the identity.
+
+        The level's Schreier generators u_p g u_{p^g}^-1, in order of p
+        and then g, are built a chunk of orbit points at a time as one
+        array, less identities and repeats.  A stack of them is sifted as
+        a whole and its first non-trivial residue installed; once the next
+        level is closed, the rest sifts on from where each row stopped.
+        That installs what sifting one generator after another would."""
         if i >= len(self.levels):
             return
-        ident = np.arange(self.degree, dtype=np.int32)
-        while True:
-            lvl = self.levels[i]
-            changed = False
-            seen = set()
-            for p in sorted(lvl.orbit):
-                u = lvl.transversal(p)
-                for g in lvl.gens:
-                    w = g[u]                       # u * g
-                    s = lvl.inverse(int(w[lvl.beta]))[w]   # Schreier generator
-                    key = s.tobytes()
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if np.array_equal(s, ident):
-                        continue
-                    if self._insert(s, i + 1):
-                        self._close(i + 1)
-                        changed = True
-                        if self._target_reached():
-                            return
-            if not changed:
-                if i + 1 < len(self.levels):
-                    self._close(i + 1)
-                return
+        lvl = self.levels[i]
+        if not lvl.gens:            # no strong generators: nothing to close
+            return self._close(i + 1)
+        gens = np.array(lvl.gens)
+        points = sorted(lvl.orbit)
+        step = max(1, CHUNK_CODES // gens.size)
+        met = _Met(self.degree)
+        S = met.rows[:0]
+        changed = False
+        for a in range(0, len(points), step):
+            u = np.stack([lvl.transversal(p) for p in points[a:a + step]])
+            w = np.take(gens, u, axis=1).swapaxes(0, 1).reshape(-1, self.degree)
+            S = np.concatenate([S, met.new(lvl.apply_inverses(w[:, lvl.beta], w))])
+            if len(S) < len(w) and a + step < len(points):
+                continue            # sift once a chunk's worth is met
+            start = np.full(len(S), i + 1)
+            while len(S):
+                stop = self._sift(S, start)
+                rest = (stop < len(self.levels)) | (S != met.rows[0]).any(axis=1)
+                t = int(rest.argmax())
+                if not rest[t]:
+                    break
+                self._insert(S[t].copy(), i + 1)
+                self._close(i + 1)
+                changed = True
+                if self._target_reached():
+                    return
+                rest[:t + 1] = False
+                S, start = S[rest], stop[rest]
+            S = S[:0]
+        if not changed:
+            self._close(i + 1)
 
     # queries ------------------------------------------------------------------
 
@@ -412,22 +499,12 @@ def derived_subgroup(G):
     if G.degree > 10**4:
         raise PermError("derived subgroup degree budget exceeded")
     gens = G.generators
-    comms = []
-    for a in gens:
-        for b in gens:
-            c = a.inverse() * b.inverse() * a * b
-            if not c.is_identity():
-                comms.append(c)
-    sub = PermGroup(G.degree, comms)
+    sub = PermGroup(G.degree, [a.inverse() * b.inverse() * a * b
+                               for a in gens for b in gens])
     # close under conjugation by the generators of G until stable
     while True:
-        new = []
-        for s in sub.generators:
-            for g in gens:
-                t = g.inverse() * s * g
-                if not sub.is_member(t):
-                    new.append(t)
+        new = [t for s in sub.generators for g in gens
+               if not sub.is_member(t := g.inverse() * s * g)]
         if not new:
-            break
+            return sub
         sub = PermGroup(G.degree, sub.generators + new)
-    return sub

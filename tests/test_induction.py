@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import annihilator_set, vector_set
 from ibiskit.actions import (
-    ActionError, build_domain, induce_permutation, theta_value,
+    ActionError, build_domain, build_group_action, induce_permutation,
+    theta_value,
 )
 from ibiskit.gf import field_of_order
 from ibiskit.groups import GroupSpec, classical_generators
@@ -84,6 +85,14 @@ def test_induced_images_match_vector_sets(group, action):
         pi = induce_permutation(g, dom)
         for i, pt in enumerate(points):
             assert image_sets(g, pt) == targets[pi[i]]
+
+
+def test_empty_domain_induces_a_group_of_degree_zero():
+    # a symplectic form has no non-degenerate 1-spaces
+    dom = build_domain({"kind": "nondegenerate_k", "form": "symplectic",
+                        "d": 4, "q": 3, "k": 1})
+    G = build_group_action(GroupSpec("Sp", 4, 3), dom)
+    assert (dom.N, G.degree, G.order()) == (0, 0, 1)
 
 
 @pytest.mark.parametrize("action", [

@@ -1,4 +1,5 @@
-"""Pinned reports: the sha256 of the table and of every witness report.
+"""Pinned reports: the sha256 of the table, of every witness report and
+of three induced groups, and of the stabilizer chains of those groups.
 
 A change that alters a report's bytes fails here; when the change is
 meant, update the pin and give the old and new digests in CHANGES.md.
@@ -7,8 +8,11 @@ meant, update the pin and give the old and new digests in CHANGES.md.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from conftest import ACTIONS, action_group
+from ibiskit import perm
 from ibiskit.cli import main
 
 # `ibiskit table --format json` with each row's wall-clock runtime removed,
@@ -49,3 +53,85 @@ def test_every_lemma_is_pinned():
 def test_witness_report_pinned(capsys, lemma):
     assert main(["witness", lemma]) == 0
     assert sha256(capsys.readouterr().out) == WITNESS_SHA256[lemma]
+
+
+# `ibiskit dump-group` of three actions: one with the duality, the forms
+# domain, and a group generated by 67 products of reflections.
+DUMP_GROUP_SHA256 = {
+    "SL3(4).2 pairs336":
+        "86c9f28449c6a64390db038a15ffaf0e9894aba5aef410329b4fd3e09956e11a",
+    "Sp4(4) forms136":
+        "5746e33f63720c8bbaee48f9aa9eb932b2cc31b68e66c4d96a848a3afa3cba3b",
+    "Om4-(4) ns1":
+        "58c22594dee612b0e1c9a779ac461ff2ab262cc9611db7f3ca541baf21f93dfa",
+}
+
+# The chain of each of those groups built afresh, digested by chain_sha256.
+CHAIN_SHA256 = {
+    "SL3(4).2 pairs336":
+        "8be1148b889476df2cd329c45259f0f06a18cb238de302640f533178fe98eb69",
+    "Sp4(4) forms136":
+        "9431898c5fa5ba3a458eef6eb416204c1ee43b7384040b03e63f0a50462ecea0",
+    "Om4-(4) ns1":
+        "57d06a7744ff0b285b444e7377e092d17940d75218fe2b7e54a5669f6213ac15",
+}
+
+# Chains built with no random warm-up, so that the Schreier closure
+# installs strong generators (on PSL4(3) and Sp4(4) it does).
+CLOSURE_SHA256 = dict(CHAIN_SHA256, **{
+    "Sp4(4) forms136":
+        "0d847d4262736ad9cad801ef0dd8810005efa1abfa5ec27b8b267fe8fcd83b82",
+    "PSL4(3) proj40":
+        "d047a52598c1685c5f2f882b430b482807f334c36d30cc9dcd033e366cbf2503",
+})
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_GROUP_SHA256))
+def test_dump_group_pinned(capsys, name):
+    group, action = ACTIONS[name]
+    assert main(["dump-group", "--group", json.dumps(group),
+                 "--action", json.dumps(action)]) == 0
+    assert sha256(capsys.readouterr().out) == DUMP_GROUP_SHA256[name]
+
+
+def chain_sha256(ch):
+    """sha256 of a chain: each level's base point and its strong
+    generators, in order."""
+    h = hashlib.sha256()
+    for lvl in ch.levels:
+        h.update(np.int64(lvl.beta).tobytes())
+        for g in lvl.gens:
+            h.update(g.tobytes())
+    return h.hexdigest()
+
+
+def closure_sha256(name):
+    G = action_group(name)
+    return chain_sha256(perm._Chain(G.degree, G.generators, rattle=0))
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_SHA256))
+def test_chain_pinned(name):
+    G = action_group(name)
+    H = perm.PermGroup(G.degree, G.generators)
+    assert chain_sha256(H.chain()) == CHAIN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_SHA256))
+def test_closure_chain_pinned(name):
+    assert closure_sha256(name) == CLOSURE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_SHA256))
+def test_closure_unchanged_in_one_point_chunks(monkeypatch, name):
+    # every chunk of Schreier generators holds one orbit point's few rows
+    monkeypatch.setattr(perm, "CHUNK_CODES", 1)
+    assert closure_sha256(name) == CLOSURE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_SHA256))
+def test_closure_unchanged_when_every_key_collides(monkeypatch, name):
+    # repeats are found by comparing rows; keys only choose which to compare
+    monkeypatch.setattr(perm, "_row_keys",
+                        lambda rows: np.zeros(len(rows), dtype=np.int32))
+    assert closure_sha256(name) == CLOSURE_SHA256[name]
