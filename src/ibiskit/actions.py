@@ -15,8 +15,8 @@ grouped by (Frobenius power, duality), and each group acts on the whole
 point array at once: for subspaces one batched product, one elimination
 and, for dualities, one annihilator; for forms one stacked inverse and
 one affine map; then one index lookup for all the images.  Stacks are cut
-so that each product holds about INDUCE_CODES codes.
-`induce_permutation` is the same kernel on a stack of one.
+so that each product holds about INDUCE_CODES codes.  `induce_images`
+returns the image rows; `induce_images([g], dom)[0]` is one element's.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .linalg import (
     eval_form, is_nondegenerate, is_totally_singular, mat_mul,
     quadratic_theta0, rank_stack, symplectic_form,
 )
-from .perm import PermGroup, Permutation, derived_subgroup
+from .perm import PermGroup, derived_subgroup
 
 SIZE_CAP = 10**6
 
@@ -117,9 +117,6 @@ class ActionDomain:
 
     def describe(self):
         return {"kind": self.kind, "N": self.N, **self.params}
-
-    def __repr__(self):
-        return f"ActionDomain({self.kind}, N={self.N})"
 
 
 # -- subspace enumeration -----------------------------------------------------
@@ -325,11 +322,12 @@ def _act_forms(dom, M, frob_power):
     return mat_mul(F, w, theta0.polar_gram())
 
 
-def _induce(elements, dom):
-    """The image of every point under every element, one (m, N) array, a
-    stack of elements with one (frob_power, dual) at a time.  The lookup
-    raises if an image falls outside the domain (the domain is then not
-    invariant: a construction bug, per the domain contracts)."""
+def induce_images(elements, dom):
+    """The image of every point under every element: one (m, N) int32
+    array of image rows, computed a stack of elements with one
+    (frob_power, dual) at a time.  The lookup raises if an image falls
+    outside the domain (the domain is then not invariant: a construction
+    bug, per the domain contracts)."""
     out = np.empty((len(elements), dom.N), dtype=np.int32)
     if not dom.N:                   # an empty domain: nothing to permute
         return out
@@ -352,13 +350,8 @@ def _induce(elements, dom):
     return out
 
 
-def induce_permutation(g, dom):
-    """The permutation induced by a semilinear element on the domain."""
-    return Permutation(_induce([g], dom)[0])   # validates bijectivity
-
-
-def induce_group(elements, dom, name=None):
-    return PermGroup(dom.N, _induce(elements, dom), name=name)
+def induce_group(elements, dom):
+    return PermGroup(dom.N, induce_images(elements, dom))
 
 
 def build_group_action(spec, dom):
@@ -375,15 +368,8 @@ def build_group_action(spec, dom):
         raise ActionError(f"group {spec.family}({spec.d},{spec.q}) acts on "
                           f"dimension {spec.d} but the domain's ambient "
                           f"dimension is {dom.d}")
-    gens, _ = classical_generators(spec)
-    name = f"{spec.family}({spec.d},{spec.q})"
-    if spec.extensions:
-        name += "." + "+".join(spec.extensions)
-    G = induce_group(gens, dom, name=name)
-    if spec.derived:
-        G = derived_subgroup(G)
-        G.name = name + "'"
-    return G
+    G = induce_group(classical_generators(spec)[0], dom)
+    return derived_subgroup(G) if spec.derived else G
 
 
 def theta_value(dom, a, u):

@@ -286,9 +286,6 @@ class FiniteField:
     def __eq__(self, other):
         return isinstance(other, FiniteField) and (self.p, self.f) == (other.p, other.f)
 
-    def __hash__(self):
-        return hash((self.p, self.f))
-
 
 @functools.lru_cache(maxsize=None)
 def make_field(p, f):

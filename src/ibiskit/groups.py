@@ -35,7 +35,7 @@ from .linalg import (
     annihilator, hermitian_form, inverse, mat_mul, quadratic_minus,
     quadratic_plus, rref_stack, symplectic_form,
 )
-from .perm import PermGroup, Permutation
+from .perm import PermGroup
 
 
 class GroupError(ValueError):
@@ -146,14 +146,6 @@ class SemilinearElement:
     def __eq__(self, other):
         return isinstance(other, SemilinearElement) and self._key == other._key \
             and self.field == other.field
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        tag = f",frob^{self.frob_power}" if self.frob_power else ""
-        tag += ",dual" if self.dual else ""
-        return f"Semilinear({self.d}x{self.d} over {self.field!r}{tag})"
 
 
 def act_subspaces(F, M, frob_power, dual, B):
@@ -463,8 +455,7 @@ def induced_on_nonzero_vectors(spec):
     if any(g.dual for g in gens):
         raise GroupError("duality elements have no vector action")
     imgs = index[np.stack([g.act_vectors(vecs) for g in gens]) @ radix]
-    return PermGroup(len(vecs), imgs.astype(np.int32),
-                     name=f"{spec.family}({spec.d},{spec.q})")
+    return PermGroup(len(vecs), imgs)
 
 
 @functools.lru_cache(maxsize=None)

@@ -365,8 +365,9 @@ def e7_bound_check(q):
 
     Only integer formulas are evaluated; no group is built.
     """
-    if q > 16:
-        raise IbisError("q <= 16 for the desk-scale arithmetic check")
+    p = next((d for d in range(2, min(q, 16) + 1) if q % d == 0), 0)
+    if not 2 <= q <= 16 or p ** round(math.log(q, p)) != q:
+        raise IbisError(f"q = {q}: the desk-scale check needs a prime power q <= 16")
     d = math.gcd(2, q - 1)
     degree = (q**14 - 1) * (q**9 + 1) * (q**5 + 1) // (q - 1)
     n2 = q * (q**9 - 1) * (q**8 + q**4 + 1) // (q - 1)

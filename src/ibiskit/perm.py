@@ -1,7 +1,8 @@
-"""Permutations, orbits and stabilizer chains.
+"""Permutation groups on image rows, orbits and stabilizer chains.
 
-Permutations act on the right: (p * q) first applies p, then q, so
-point images compose as q.images[p.images[i]].
+A permutation of [0, N) is its image row, an int32 array g with g[i] the
+image of i; a group's generators are one read-only (m, N) array of them.
+Rows compose by indexing: g[w] first applies w, then g.
 
 PermGroup keeps a base and strong generating set built by a
 deterministic Schreier-Sims pass.  A seeded random "rattle" warm-up
@@ -34,74 +35,6 @@ ORDER_BITS_CAP = 512
 
 class PermError(ValueError):
     pass
-
-
-class Permutation:
-    """An immutable permutation of [0, N) stored as an image array."""
-
-    __slots__ = ("images", "_bytes")
-
-    def __init__(self, images, _trusted=False):
-        arr = np.asarray(images, dtype=np.int32)
-        if not _trusted:
-            if arr.ndim != 1 or not np.array_equal(np.sort(arr), np.arange(len(arr))):
-                raise PermError("images are not a bijection on [0, N)")
-            arr = arr.copy()
-        arr.setflags(write=False)
-        self.images = arr
-        self._bytes = arr.tobytes()
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.arange(n, dtype=np.int32), _trusted=True)
-
-    @property
-    def degree(self):
-        return len(self.images)
-
-    def __mul__(self, other):
-        if other.degree != self.degree:
-            raise PermError("degree mismatch")
-        return Permutation(other.images[self.images], _trusted=True)
-
-    def inverse(self):
-        inv = np.empty(self.degree, dtype=np.int32)
-        inv[self.images] = np.arange(self.degree, dtype=np.int32)
-        return Permutation(inv, _trusted=True)
-
-    def __getitem__(self, pt):
-        return int(self.images[pt])
-
-    def is_identity(self):
-        return bool(np.array_equal(self.images, np.arange(self.degree)))
-
-    def cycles(self):
-        seen = set()
-        out = []
-        for i in range(self.degree):
-            if i in seen or self.images[i] == i:
-                continue
-            c = [i]
-            j = int(self.images[i])
-            while j != i:
-                seen.add(j)
-                c.append(j)
-                j = int(self.images[j])
-            out.append(tuple(c))
-        return out
-
-    def serialize(self):
-        return [int(x) for x in self.images]
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self._bytes == other._bytes
-
-    def __hash__(self):
-        return hash(self._bytes)
-
-    def __repr__(self):
-        cyc = self.cycles()
-        return "Perm(id)" if not cyc else "Perm" + "".join(str(c) for c in cyc)
 
 
 # -- stabilizer chain --------------------------------------------------------
@@ -224,11 +157,10 @@ class _Chain:
         self.degree = degree
         self.levels = [_Level(int(b), degree) for b in base_prefix]
         self._target = known_order
-        arrays = [np.asarray(g.images, dtype=np.int32) for g in gens]
-        for a in arrays:
+        for a in gens:
             self._insert(a, 0)
-        if rattle and arrays and not self._target_reached():
-            self._rattle(arrays, rattle)
+        if rattle and len(gens) and not self._target_reached():
+            self._rattle(gens, rattle)
         if not self._target_reached():
             self._close(0)
 
@@ -300,10 +232,10 @@ class _Chain:
                 self.levels[j].add_generator(r)
         return True
 
-    def _rattle(self, arrays, count):
+    def _rattle(self, gens, count):
         """Seeded random products sifted in before deterministic closure."""
-        rng = random.Random(0xB5E5 + self.degree + len(arrays))
-        pool = list(arrays)
+        rng = random.Random(0xB5E5 + self.degree + len(gens))
+        pool = list(gens)
         for _ in range(count):
             a = pool[rng.randrange(len(pool))]
             b = pool[rng.randrange(len(pool))]
@@ -360,38 +292,37 @@ class _Chain:
 
     # queries ------------------------------------------------------------------
 
-    def sifts_to_identity(self, perm):
-        r, _ = self._sift_raw(np.asarray(perm.images, dtype=np.int32))
-        return bool(np.array_equal(r, np.arange(self.degree)))
-
     def level_generators(self, k):
-        """Generators of the stabilizer of the first k base points."""
-        seen = {}
-        for lvl in self.levels[k:]:
-            for g in lvl.gens:
-                seen[g.tobytes()] = g
-        return [Permutation(g, _trusted=True) for g in seen.values()]
+        """Generators of the stabilizer of the first k base points, as rows."""
+        seen = {g.tobytes(): g for lvl in self.levels[k:] for g in lvl.gens}
+        return np.array(list(seen.values()), np.int32).reshape(len(seen), self.degree)
 
 
 class PermGroup:
-    """A permutation group given by generators, with lazy certified BSGS."""
+    """A permutation group given by generator rows, with lazy certified
+    BSGS.  `generators` is a read-only (m, N) int32 array: the given rows
+    less the identity and repeats, in order of first occurrence."""
 
-    def __init__(self, degree, generators, name=None):
+    def __init__(self, degree, generators):
         if degree > DEGREE_CAP:
             raise PermError(f"degree {degree} exceeds cap")
         self.degree = degree
-        gens = []
-        seen = set()
-        for g in generators:
-            if not isinstance(g, Permutation):
-                g = Permutation(g)
-            if g.degree != degree:
-                raise PermError("generator degree mismatch")
-            if not g.is_identity() and g._bytes not in seen:
-                seen.add(g._bytes)
-                gens.append(g)
-        self.generators = gens
-        self.name = name
+        ident = np.arange(degree, dtype=np.int32)
+        try:
+            rows = np.asarray(generators, dtype=np.int32)
+            if not rows.size:
+                rows = rows.reshape(0, degree)
+            ok = rows.shape[1:] == (degree,) and (np.sort(rows, axis=1) == ident).all()
+        except ValueError:          # rows of different lengths
+            ok = False
+        if not ok:
+            raise PermError(f"generators must be rows that permute [0, {degree})")
+        first = {}                # row bytes -> index of the row's first copy
+        for i, r in enumerate(rows):
+            first.setdefault(r.tobytes(), i)
+        first.pop(ident.tobytes(), None)
+        self.generators = rows[list(first.values())]
+        self.generators.setflags(write=False)
         self._chain = None
         self._order = None        # certified order, once known
 
@@ -423,16 +354,19 @@ class PermGroup:
         return self._order
 
     def is_member(self, g):
-        if g.degree != self.degree:
+        """Whether the image row g lies in the group."""
+        g = np.asarray(g, dtype=np.int32)
+        if g.shape != (self.degree,):
             raise PermError("degree mismatch")
-        return self.chain().sifts_to_identity(g)
+        r, _ = self.chain()._sift_raw(g)
+        return bool((r == np.arange(self.degree)).all())
 
     def base(self):
         return self.chain().base()
 
     def orbits(self):
         """All orbits, as sorted lists of points, ordered by least point."""
-        gens = [g.images.tolist() for g in self.generators]
+        gens = self.generators.tolist()
         seen = [False] * self.degree
         out = []
         for p in range(self.degree):
@@ -455,11 +389,7 @@ class PermGroup:
         A pointwise stabilizer is determined by this mask, because
         G_(S) = G_(fix(G_(S))).
         """
-        ident = np.arange(self.degree, dtype=np.int32)
-        mask = np.ones(self.degree, dtype=bool)
-        for g in self.generators:
-            mask &= g.images == ident
-        return mask
+        return (self.generators == np.arange(self.degree)).all(axis=0)
 
     def stabilizer(self, pt):
         """The point stabilizer, read off a chain based at the point; its
@@ -484,27 +414,30 @@ class PermGroup:
     def serialize(self):
         return {
             "degree": self.degree,
-            "generators": [g.serialize() for g in self.generators],
+            "generators": self.generators.tolist(),
             "order": str(self.order()),
             "base": self.base(),
         }
-
-    def __repr__(self):
-        label = self.name or "PermGroup"
-        return f"{label}(degree={self.degree}, gens={len(self.generators)})"
 
 
 def derived_subgroup(G):
     """The derived subgroup: normal closure of generator commutators."""
     if G.degree > 10**4:
         raise PermError("derived subgroup degree budget exceeded")
-    gens = G.generators
-    sub = PermGroup(G.degree, [a.inverse() * b.inverse() * a * b
-                               for a in gens for b in gens])
+    n = G.degree
+    A = G.generators
+    inv = np.argsort(A, axis=1).astype(np.int32)
+
+    def apply(g, w):                # w, then g: the rows g[w], broadcast
+        return np.take_along_axis(g, w, axis=-1)
+
+    # a^-1 b^-1 a b for a, then b, in the generators
+    C = apply(A[None], apply(A[:, None], apply(inv[None], inv[:, None])))
+    sub = PermGroup(n, C.reshape(-1, n))
     # close under conjugation by the generators of G until stable
     while True:
-        new = [t for s in sub.generators for g in gens
-               if not sub.is_member(t := g.inverse() * s * g)]
-        if not new:
+        T = apply(A[None], apply(sub.generators[:, None], inv[None])).reshape(-1, n)
+        new = [not sub.is_member(t) for t in T]
+        if not any(new):
             return sub
-        sub = PermGroup(G.degree, sub.generators + new)
+        sub = PermGroup(n, np.concatenate([sub.generators, T[new]]))

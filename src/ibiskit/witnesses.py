@@ -11,6 +11,7 @@ asserted orders, lengths and equalities are not.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import ibis, linalg
 from .actions import (
     build_group_action, build_nondegenerate_domain, build_nonsingular_points,
     build_projective_points, build_quad_forms_domain, build_subspace_domain,
-    build_totally_singular, induce_permutation,
+    build_totally_singular, induce_images,
 )
 from .gf import field_of_order, trace_bit
 from .groups import GroupSpec
@@ -230,12 +231,14 @@ def witness_nondegenerate_pair(d=4, q=3):
     if d != 4:
         raise WitnessError("constructed at d = 4")
     F = field_of_order(q)
+    lam = next((c for c in range(2, q)
+                if int(F.add(1, F.mul(c, c))) != 0), None)    # 1 + lam^2 != 0
+    if lam is None:
+        raise WitnessError(f"GF({q}) has no lam outside {{0, 1}} with 1 + lam^2 != 0")
     form = symplectic_form(F, d)
     dom = build_nondegenerate_domain(form, 2)
     G = build_group_action(GroupSpec("Sp", d, q), dom)
     e1, e2, f1, f2 = np.eye(4, dtype=int)
-    lam = next(c for c in range(2, q)
-               if int(F.add(1, F.mul(c, c))) != 0)    # 1 + lam^2 != 0
     w1 = _sub(dom, e1, f1)
     w2 = _sub(dom, e2, f2)
     # W3 is the graph of lam*(the isometry W1 -> W2); its form multiplier
@@ -259,7 +262,7 @@ def witness_nondegenerate_pair(d=4, q=3):
     g = SemilinearElement(F, M)
     if not preserves_form(g, form):
         raise WitnessError("the exhibited g is not symplectic")
-    pg_perm = induce_permutation(g, dom)
+    pg_perm = induce_images([g], dom)[0]
     _check(checks, "g fixes W1 and W2 but moves W3",
            pg_perm[w1] == w1 and pg_perm[w2] == w2 and pg_perm[w3] != w3)
     orders = G.chain_orders((w1, w2, w3))
@@ -329,7 +332,7 @@ def witness_quadratic_forms(m=2, q=4):
              (e[2], F.add(epsv, F.mul(one_plus_eps, e[2])))]
     ok_moves = True
     for c, target in moves:
-        t = induce_permutation(transvection_symplectic(np.array(c), form), minus)
+        t = induce_images([transvection_symplectic(np.array(c), form)], minus)[0]
         ok_moves &= t[i_eps] == th(minus, target)
     _check(checks, "transvection images of theta_eps match the conjugation law",
            ok_moves)
@@ -414,4 +417,9 @@ def run_witness(lemma_id, **params):
     if lemma_id not in CATALOG:
         raise WitnessError(f"unknown lemma id {lemma_id!r}; "
                            f"known: {sorted(CATALOG)}")
+    takes = inspect.signature(CATALOG[lemma_id]).parameters
+    for key in params:
+        if key not in takes:
+            raise WitnessError(f"{lemma_id} takes no parameter {key!r}; "
+                               f"it takes: {', '.join(takes)}")
     return CATALOG[lemma_id](**params)

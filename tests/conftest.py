@@ -168,7 +168,7 @@ def element_table(G, cap=ELEMENT_CAP):
     rows = [ident]
     seen = {ident.tobytes()}
     frontier = np.array([ident])
-    gens = [g.images for g in G.generators]
+    gens = G.generators
     while len(frontier):
         new = []
         for g in gens:

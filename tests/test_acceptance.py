@@ -10,7 +10,7 @@ from conftest import named_case, unpruned_enumeration
 
 from ibiskit.actions import (
     build_quad_forms_domain, build_subspace_domain, enumerate_subspaces,
-    induce_permutation, theta_value,
+    induce_images, theta_value,
 )
 from ibiskit.gf import field_of_order, make_field
 from ibiskit.groups import transvection_symplectic
@@ -23,7 +23,6 @@ from ibiskit.linalg import (
     klein_map, mat_mul, pfaffian4, pfaffian_quadric_form, quadratic_theta0,
     symplectic_form,
 )
-from ibiskit.perm import Permutation
 from ibiskit.witnesses import run_witness
 
 
@@ -136,7 +135,7 @@ def test_criterion_4_quadratic_forms_machinery():
     for c in all_row_vectors(F, 4):
         if not c.any():
             continue
-        pi = induce_permutation(transvection_symplectic(c, form), dom)
+        [pi] = induce_images([transvection_symplectic(c, form)], dom)
         for a in all_row_vectors(F, 4):
             coeff = int(F.add(int(F.frob(theta_value(dom, a, c), F.f - 1)), 1))
             img = F.add(a, F.mul(coeff, c))
@@ -231,9 +230,9 @@ def test_criterion_7_property_suite():
     for name in ("PSp4_3/proj40", "Sp4_4/omega_plus136", "PSL4_3/proj40"):
         G, _ = named_case(name)
         for _ in range(10):
-            w = Permutation.identity(G.degree)
+            w = np.arange(G.degree)
             for _ in range(rng.randrange(1, 21)):
-                w = w * G.generators[rng.randrange(len(G.generators))]
+                w = G.generators[rng.randrange(len(G.generators))][w]
             assert G.is_member(w), name
 
     # reorder-invariance of irredundant bases on every certified-IBIS case

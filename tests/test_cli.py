@@ -129,8 +129,8 @@ def test_dump_group_roundtrip(tmp_path):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["order"] == "168" and data["degree"] == 7
-    from ibiskit.perm import PermGroup, Permutation
-    G = PermGroup(7, [Permutation(g) for g in data["generators"]])
+    from ibiskit.perm import PermGroup
+    G = PermGroup(7, data["generators"])
     assert G.order() == 168
 
 
@@ -387,3 +387,21 @@ def test_unread_flags_are_refused(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["-3", "0", "1", "6"])
+def test_e7_refuses_q_that_is_not_a_prime_power(capsys, q):
+    # no field has these sizes, and the formulas divide by q - 1
+    assert_one_line_error(capsys, main(["e7", q]), "prime power")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["L3.2", "--m", "3"], "L3.2 takes no parameter 'm'"),
+    (["L3.3", "--q", "3"], "L3.3 takes no parameter 'q'"),
+    (["L3.14", "--d", "4"], "L3.14 takes no parameter 'd'"),
+    (["P5.1", "--d", "4"], "P5.1 takes no parameter 'd'"),
+    (["P7.2-q2", "--q", "2"], "P7.2-q2 takes no parameter 'q'"),
+    (["L6.1", "--q", "2"], "GF(2) has no lam"),
+])
+def test_witness_refuses_parameters_it_cannot_use(capsys, argv, message):
+    assert_one_line_error(capsys, main(["witness"] + argv), message)

@@ -14,7 +14,7 @@ from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from conftest import ACTIONS
 from ibiskit import actions, linalg, perm
-from ibiskit.actions import _act_forms, _induce, build_domain
+from ibiskit.actions import _act_forms, build_domain, induce_images
 from ibiskit.groups import GroupSpec, classical_generators
 from ibiskit.perm import PermGroup
 
@@ -104,11 +104,11 @@ def test_induced_generators_match_pointwise_images(monkeypatch, name):
     gdesc, adesc = INDUCTION_CASES[name]
     dom = build_domain(adesc)
     gens, _ = classical_generators(GroupSpec.deserialize(gdesc))
-    rows = _induce(gens, dom)
+    rows = induce_images(gens, dom)
     rng = random.Random(name)
     points = rng.sample(range(dom.N), min(dom.N, 12))
     for g, row in zip(gens, rows):
         assert [row[i] for i in points] == [_image_index(g, dom, i) for i in points]
     # one element per stack induces the same permutations
     monkeypatch.setattr(actions, "INDUCE_CODES", 1)
-    assert np.array_equal(_induce(gens, dom), rows)
+    assert np.array_equal(induce_images(gens, dom), rows)

@@ -12,7 +12,7 @@ from ibiskit.ibis import (
     is_base, is_irredundant, minimal_base_sizes,
     same_pointwise_stabilizer, verify_witness_chain,
 )
-from ibiskit.perm import PermError, PermGroup, Permutation
+from ibiskit.perm import PermError, PermGroup
 
 
 def test_is_base_empty_sequence():
@@ -113,7 +113,7 @@ def test_extend_rejects_redundant_prefix():
         "extend_to_irredundant_base"])
 def test_point_out_of_range_rejected(call, point):
     # S4: -1 must not wrap to the last point, nor 4 escape as an IndexError
-    G = PermGroup(4, [Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])])
+    G = PermGroup(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
     with pytest.raises(PermError, match="point out of range"):
         call(G, [0, point])
 
@@ -252,8 +252,8 @@ def test_minimal_base_sizes_trivial_and_ibis():
 def test_minimal_base_sizes_above_element_cap():
     # Sym(9) on 9 points, of order 362880 > ELEMENT_CAP: its minimal bases
     # are the 8-subsets of the points
-    G = PermGroup(9, [Permutation([1, 0, 2, 3, 4, 5, 6, 7, 8]),
-                      Permutation([1, 2, 3, 4, 5, 6, 7, 8, 0])])
+    G = PermGroup(9, [[1, 0, 2, 3, 4, 5, 6, 7, 8],
+                      [1, 2, 3, 4, 5, 6, 7, 8, 0]])
     assert G.order() == 362880
     res = minimal_base_sizes(G)
     assert res.lengths == frozenset([8]) and res.complete

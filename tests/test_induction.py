@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import annihilator_set, vector_set
 from ibiskit.actions import (
-    ActionError, build_domain, build_group_action, induce_permutation,
+    ActionError, build_domain, build_group_action, induce_images,
     theta_value,
 )
 from ibiskit.gf import field_of_order
@@ -82,7 +82,7 @@ def test_induced_images_match_vector_sets(group, action):
     points = list(zip(*dom.bases()))      # the member bases of each point
     targets = [[vector_set(dom.field, W) for W in pt] for pt in points]
     for g in elements(spec):
-        pi = induce_permutation(g, dom)
+        [pi] = induce_images([g], dom)
         for i, pt in enumerate(points):
             assert image_sets(g, pt) == targets[pi[i]]
 
@@ -105,7 +105,7 @@ def test_duality_off_the_middle_dimension_is_refused(action):
     iota = elements(GroupSpec("GL", 4, 2, extensions=("dual",)))[-2]
     assert iota.dual
     with pytest.raises(ActionError, match="not in the domain"):
-        induce_permutation(iota, dom)
+        induce_images([iota], dom)
 
 
 @pytest.mark.parametrize("group,action", [
@@ -119,7 +119,7 @@ def test_induced_forms_match_theta_values(group, action):
     F = dom.field
     vs = list(itertools.product(range(F.q), repeat=dom.d))
     for g in elements(GroupSpec.deserialize(group)):
-        pi = induce_permutation(g, dom)
+        [pi] = induce_images([g], dom)
         for i, a in enumerate(dom.codes):
             img = dom.codes[pi[i]]
             for v in vs:

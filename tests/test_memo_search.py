@@ -20,7 +20,7 @@ from ibiskit.ibis import (
     DEFAULT_BUDGET, _key, _Stabilizers, base_report,
     enumerate_irredundant_base_sizes, is_base, minimal_base_sizes,
 )
-from ibiskit.perm import PermGroup, Permutation
+from ibiskit.perm import PermGroup
 
 
 @pytest.mark.parametrize("name", list(ACTIONS))
@@ -110,7 +110,7 @@ def small_group_and_budget(draw):
                     images[block.index(x)], images[block.index(y)] = y, x
             for x, y in zip(block, images):
                 g[x] = y
-        gens.append(Permutation(g))
+        gens.append(g)
     budget = draw(st.one_of(st.just(DEFAULT_BUDGET), st.integers(0, 60)))
     return PermGroup(n, gens), budget
 
@@ -127,8 +127,8 @@ def minimal_base_sizes_by_subsets(G):
 
 # the Klein four-group on two swapped pairs and regularly on four points:
 # its minimal bases are one regular point, or one point of each pair
-KLEIN_TWO_SIZES = PermGroup(8, [Permutation([1, 0, 2, 3, 5, 4, 7, 6]),
-                                Permutation([0, 1, 3, 2, 6, 7, 4, 5])])
+KLEIN_TWO_SIZES = PermGroup(8, [[1, 0, 2, 3, 5, 4, 7, 6],
+                                [0, 1, 3, 2, 6, 7, 4, 5]])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -1,11 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import element_table
-from ibiskit.perm import (
-    PermError, PermGroup, Permutation, derived_subgroup,
-)
+from ibiskit.perm import PermError, PermGroup, derived_subgroup
 
 
 def perm_from_cycles(n, *cycles):
@@ -14,7 +13,7 @@ def perm_from_cycles(n, *cycles):
         for a, b in zip(cyc, cyc[1:]):
             img[a] = b
         img[cyc[-1]] = cyc[0]
-    return Permutation(img)
+    return np.array(img, dtype=np.int32)
 
 
 def sym(n):
@@ -26,20 +25,26 @@ def cyclic(n):
 
 
 def test_permutation_validation():
-    with pytest.raises(PermError):
-        Permutation([0, 0, 1])
+    # every generator row must permute [0, N)
+    for rows in ([[0, 0, 1]], [[0, 1, 2, 3]], [[0, 1, 2], [0, 1]], [0, 1, 2],
+                 [[[0, 1, 2]]]):
+        with pytest.raises(PermError):
+            PermGroup(3, rows)
+    # the identity and repeats drop out; the rest keep their first order
     p = perm_from_cycles(4, (0, 1, 2))
-    assert p * p.inverse() == Permutation.identity(4)
-    assert (p * p * p).is_identity()
-    assert p.cycles() == [(0, 1, 2)]
+    G = PermGroup(4, [p, np.arange(4), p[p], p])
+    assert G.generators.dtype == np.int32 and not G.generators.flags.writeable
+    assert np.array_equal(G.generators, [p, p[p]])
+    assert np.array_equal(p[p[p]], np.arange(4))
+    assert PermGroup(4, []).generators.shape == (0, 4)
 
 
 def test_composition_order():
-    # right action: (p * q)[i] = q[p[i]]
+    # rows compose by indexing: q[p] applies p, then q
     p = perm_from_cycles(3, (0, 1))
     q = perm_from_cycles(3, (1, 2))
-    assert (p * q)[0] == 2
-    assert (q * p)[0] == 1
+    assert q[p][0] == 2
+    assert p[q][0] == 1
 
 
 def test_orbit_trivial_group():
@@ -65,6 +70,32 @@ def test_derived_abelian_trivial():
     assert derived_subgroup(cyclic(6)).order() == 1
 
 
+def loop_derived_subgroup(G):
+    """derived_subgroup one row at a time: the reference for its stacks."""
+    def inv(g):
+        return np.argsort(g).astype(np.int32)
+
+    gens = list(G.generators)
+    sub = PermGroup(G.degree, [b[a[inv(b)[inv(a)]]] for a in gens for b in gens])
+    while True:
+        new = [t for s in sub.generators for g in gens
+               if not sub.is_member(t := g[s[inv(g)]])]
+        if not new:
+            return sub
+        sub = PermGroup(G.degree, list(sub.generators) + new)
+
+
+def test_derived_subgroup_matches_the_loop_version():
+    rng = random.Random(5)
+    groups = [sym(5), sym(6), cyclic(6)]
+    for _ in range(6):
+        n = rng.randrange(4, 9)
+        groups.append(PermGroup(n, [rng.sample(range(n), n) for _ in range(3)]))
+    for G in groups:
+        assert np.array_equal(derived_subgroup(G).generators,
+                              loop_derived_subgroup(G).generators)
+
+
 def test_orbit_stabilizer_identity():
     rng = random.Random(4)
     for G in (sym(6), cyclic(8), derived_subgroup(sym(5))):
@@ -84,16 +115,16 @@ def test_membership_and_sifting():
     rng = random.Random(7)
     # random products of up to 20 generators always sift to identity
     for _ in range(25):
-        w = Permutation.identity(5)
+        w = np.arange(5)
         for _ in range(rng.randrange(1, 21)):
-            w = w * G.generators[rng.randrange(len(G.generators))]
+            w = G.generators[rng.randrange(len(G.generators))][w]
         assert G.is_member(w)
     # an odd permutation is not in Alt(5)
     A = derived_subgroup(G)
     assert not A.is_member(perm_from_cycles(5, (0, 1)))
-    assert A.is_member(Permutation.identity(5))
+    assert A.is_member(np.arange(5))
     with pytest.raises(PermError):
-        G.is_member(Permutation.identity(6))
+        G.is_member(np.arange(6))
 
 
 def test_pointwise_stabilizer_tuple_order_invariance():
@@ -139,7 +170,7 @@ def test_serialize_roundtrip():
     G = sym(4)
     data = G.serialize()
     assert data["order"] == "24"
-    H = PermGroup(data["degree"], [Permutation(g) for g in data["generators"]])
+    H = PermGroup(data["degree"], data["generators"])
     assert H.order() == 24
 
 
@@ -153,7 +184,7 @@ def test_bsgs_order_matches_closure_on_random_groups():
         for _ in range(rng.randrange(1, 4)):
             img = list(range(n))
             rng.shuffle(img)
-            gens.append(Permutation(img))
+            gens.append(img)
         G = PermGroup(n, gens)
         table = element_table(G)  # closure; asserts against chain order
         assert len(table) == G.order()
@@ -165,7 +196,7 @@ def test_stabilizer_of_bsgs_group_is_exact():
         n = rng.randrange(5, 9)
         img = list(range(n))
         rng.shuffle(img)
-        G = PermGroup(n, [Permutation(img), perm_from_cycles(n, (0, 1, 2))])
+        G = PermGroup(n, [img, perm_from_cycles(n, (0, 1, 2))])
         pt = rng.randrange(n)
         H = G.stabilizer(pt)
         table = element_table(G)
@@ -183,7 +214,7 @@ def test_orders_against_independent_library():
             img = list(range(n))
             rng.shuffle(img)
             gens.append(img)
-        ours = PermGroup(n, [Permutation(g) for g in gens]).order()
+        ours = PermGroup(n, gens).order()
         theirs = sympy_comb.PermutationGroup(
             [sympy_comb.Permutation(g) for g in gens]).order()
         assert ours == theirs
@@ -197,7 +228,7 @@ def test_acceptance_group_order_against_independent_library():
     for name in ("PSp4_3/proj40", "Om6p2/ns28"):
         G, _ = named_case(name)
         theirs = sympy_comb.PermutationGroup(
-            [sympy_comb.Permutation(g.serialize()) for g in G.generators]).order()
+            [sympy_comb.Permutation(g) for g in G.generators.tolist()]).order()
         assert G.order() == theirs
 
 

@@ -1,5 +1,5 @@
 """Pinned reports: the sha256 of the table, of every witness report and
-of three induced groups, and of the stabilizer chains of those groups.
+of four induced groups, and of the stabilizer chains of three of them.
 
 A change that alters a report's bytes fails here; when the change is
 meant, update the pin and give the old and new digests in CHANGES.md.
@@ -55,8 +55,10 @@ def test_witness_report_pinned(capsys, lemma):
     assert sha256(capsys.readouterr().out) == WITNESS_SHA256[lemma]
 
 
-# `ibiskit dump-group` of three actions: one with the duality, the forms
-# domain, and a group generated by 67 products of reflections.
+# `ibiskit dump-group` of four actions: one with the duality, the forms
+# domain, a group generated by 67 products of reflections, and a derived
+# group, whose generators are the commutators and conjugates that
+# derived_subgroup keeps.
 DUMP_GROUP_SHA256 = {
     "SL3(4).2 pairs336":
         "86c9f28449c6a64390db038a15ffaf0e9894aba5aef410329b4fd3e09956e11a",
@@ -64,9 +66,11 @@ DUMP_GROUP_SHA256 = {
         "5746e33f63720c8bbaee48f9aa9eb932b2cc31b68e66c4d96a848a3afa3cba3b",
     "Om4-(4) ns1":
         "58c22594dee612b0e1c9a779ac461ff2ab262cc9611db7f3ca541baf21f93dfa",
+    "Sp4(2)' vectors":
+        "10f32108efe2832ee423a03fcaa6f7c61743331b66a5883418a422347bfdaccb",
 }
 
-# The chain of each of those groups built afresh, digested by chain_sha256.
+# The chain of the first three built afresh, digested by chain_sha256.
 CHAIN_SHA256 = {
     "SL3(4).2 pairs336":
         "8be1148b889476df2cd329c45259f0f06a18cb238de302640f533178fe98eb69",
