@@ -182,6 +182,9 @@ def cmd_table(args):
     selector = [s.strip() for s in args.rows.split(",")] if args.rows else None
     rows = [r for r in TABLE_ROWS
             if selector is None or any(s in r[0] for s in selector)]
+    unmatched = [s for s in selector or () if not any(s in r[0] for r in TABLE_ROWS)]
+    if unmatched:
+        raise CliError(f"no table row matches --rows {', '.join(map(repr, unmatched))}")
     if args.threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.threads) as pool:

@@ -18,13 +18,20 @@ returns carries its certified order.  The searches in the ibis module
 step from a stabilizer to the next this way, and name a pointwise
 stabilizer by its fixed-point mask.
 
-The closure builds a level's Schreier generators a chunk of orbit points
-at a time as one array, drops identities and repeats by comparing rows,
-and sifts the rest as a stack (see _Chain._close).
+A level of a chain keeps its basic orbit as a Schreier tree over rows,
+one per orbit point in order of discovery, with a map from point to
+row; the inverses of its transversal elements are an int32 table over
+the same rows, each row built when first needed (see _Level).  Sifting
+reads a table row.  The closure builds a level's Schreier generators a
+chunk of orbit points at a time with one take on the generators and one
+on the table, skips the pairs (p, g) that are tree edges, whose
+Schreier generator is the identity, drops repeats by comparing rows, and
+sifts the rest as a stack (see _Chain._close).
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
@@ -39,114 +46,177 @@ class PermError(ValueError):
 
 # -- stabilizer chain --------------------------------------------------------
 
-# Schreier generators are built in chunks of about this many entries (16
+# Schreier generators are built in chunks of about this many entries (64
 # KiB of int32), or of one orbit point's generators if that is more.
-CHUNK_CODES = 1 << 12
+CHUNK_CODES = 1 << 14
 
 
 def _row_keys(rows):
     """A 32-bit linear hash of each row; it only picks the rows to compare."""
-    x = np.arange(1, rows.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    return rows @ (x >> np.uint64(33)).astype(np.int32)
+    return rows @ _key_weights(rows.shape[1])
+
+
+@functools.lru_cache(maxsize=None)
+def _key_weights(n):
+    """n pseudo-random int32 weights: splitmix64 of 1..n.  A Weyl sequence
+    alone is nearly linear in the position, and then rows that pair the
+    same points with positions of the same sum collide."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> np.uint64(31))) >> np.uint64(33)).astype(np.int32)
+
+
+def _take_rows(table, rows, A):
+    """table[rows[t]][A[t]] for each row t of the int32 array A, as one
+    take on the flat table; A is used up."""
+    if table.size >= 2**31:
+        A = A.astype(np.intp)
+    A += (rows * table.shape[1]).astype(A.dtype)[:, None]
+    return np.take(table, A)
+
+
+def _grown(a, n, cap):
+    """a with room for cap rows, its first n kept."""
+    out = np.empty((cap,) + a.shape[1:], a.dtype)
+    out[:n] = a[:n]
+    return out
 
 
 class _Met:
     """The rows that one closure pass has met, the identity first.  A row
     is compared with the first met row of its key: keys only choose what
-    to compare."""
+    to compare.  The keys of first rows are kept sorted, each with its
+    met row, so a stack of rows is looked up with one searchsorted."""
 
     def __init__(self, degree):
         self.rows = np.arange(degree, dtype=np.int32)[None]
         self.count = 1
-        self.first = {int(_row_keys(self.rows)[0]): 0}   # key -> row
+        self.keys = _row_keys(self.rows)    # sorted, one per key
+        self.first = np.zeros(1, np.intp)   # the first met row of each key
 
     def new(self, S):
         """The rows of S that repeat no row met before, now met, in order."""
-        keys = _row_keys(S).tolist()
-        # the first row of each key: a met row, or the row -1 - ref of S
-        ref = np.array([self.first.setdefault(k, -1 - t) for t, k in enumerate(keys)])
-        fresh = ref == -1 - np.arange(len(S))
-        old = ref >= 0
-        fresh[old] = (self.rows[ref[old]] != S[old]).any(axis=1)
-        late = ~fresh & ~old
-        fresh[late] = (S[-1 - ref[late]] != S[late]).any(axis=1)
-        kept = np.flatnonzero(fresh)
-        for i, t in enumerate(kept.tolist()):
-            if ref[t] == -1 - t:
-                self.first[keys[t]] = self.count + i
-        S = S[kept]
+        n = len(S)
+        keys = _row_keys(S)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        old = self.keys[at] == keys
+        # lead[t]: the first row of S with the key of row t
+        order = np.argsort(keys, kind="stable")
+        head = np.ones(n, dtype=bool)
+        head[1:] = keys[order[1:]] != keys[order[:-1]]
+        lead = np.empty(n, np.intp)
+        lead[order] = order[np.flatnonzero(head)[np.cumsum(head) - 1]]
+        # an old key: compare with its first met row (the rest with row 0)
+        fresh = (self.rows[np.where(old, self.first[at], 0)] != S).any(axis=1) | ~old
+        late = np.flatnonzero(~old & (lead != np.arange(n)))
+        fresh[late] = (S[lead[late]] != S[late]).any(axis=1)
+        # the keys first met now: the lead rows with a new key
+        heads = np.flatnonzero(~old & (lead == np.arange(n)))
+        keys = np.concatenate([self.keys, keys[heads]])
+        first = np.concatenate([self.first, self.count + np.cumsum(fresh)[heads] - 1])
+        order = np.argsort(keys, kind="stable")
+        self.keys, self.first = keys[order], first[order]
+        S = S[fresh]
         end = self.count + len(S)
         if end > len(self.rows):
-            grown = np.empty((2 * end, S.shape[1]), dtype=np.int32)
-            grown[:self.count] = self.rows[:self.count]
-            self.rows = grown
+            self.rows = _grown(self.rows, self.count, 2 * end)
         self.rows[self.count:end] = S
         self.count = end
         return S
 
 
 class _Level:
-    """A base point, its strong generators and its basic orbit.  The orbit
-    is a Schreier vector; a transversal element and its inverse are
-    composed from it on first use."""
+    """A base point, its strong generators, its basic orbit and the
+    inverses of its transversal elements, as one table.
 
-    __slots__ = ("beta", "gens", "images", "orbit", "_u", "_inv")
+    Row j belongs to the j-th orbit point found, so row 0 is beta.  The
+    Schreier tree is kept by row in lists: points[j], and the edge that
+    reached it, from the point of row parent[j] by the generator g of
+    index label[j]; orbit maps a point to its row.  The transversal
+    element of row j is u = g u', u' the parent's, with u[beta] =
+    points[j]; row j of the table inv is its inverse u'^-1 g^-1, which is
+    all that sifting reads, and the closure inverts the rows it needs
+    back to u.  A table row is built on first use, or with all the
+    others when the level is closed; built marks the rows that are.  The
+    table grows with the orbit and is never rebuilt.  pos is orbit as an
+    array, -1 outside the orbit, for the stacked sift and the closure."""
+
+    __slots__ = ("beta", "gens", "images", "orbit", "points", "parent", "label", "built",
+                 "pos", "inv")
 
     def __init__(self, beta, degree):
-        ident = np.arange(degree, dtype=np.int32)
         self.beta = beta
         self.gens = []            # raw int32 image arrays
         self.images = []          # the same images as lists, for point lookups
-        self.orbit = {beta: None}  # point -> (previous point, generator index)
-        self._u = {beta: ident}    # point -> raw array u with u[beta] = point
-        self._inv = {beta: ident}  # point -> inverse of _u[point]
+        self.orbit = {beta: 0}    # point -> row
+        self.points = [beta]
+        self.parent = [-1]
+        self.label = [-1]
+        self.built = [True]
+        self.pos = np.full(degree, -1, np.intp)
+        self.pos[beta] = 0
+        self.inv = np.arange(degree, dtype=np.int32)[None]
 
     def add_generator(self, g):
         """Append a generator and extend the orbit: points already in it
         need only the new generator, points it reaches need all of them."""
-        k = len(self.gens)
+        k, n = len(self.gens), len(self.points)
         self.gens.append(g)
         self.images.append(g.tolist())
-        orbit = self.orbit
-        queue = []
-        for p in list(orbit):
-            r = self.images[k][p]
+        orbit, points, parent, label = self.orbit, self.points, self.parent, self.label
+        img = self.images[k]
+        for j in range(n):
+            r = img[points[j]]
             if r not in orbit:
-                orbit[r] = (p, k)
-                queue.append(r)
-        for p in queue:
+                orbit[r] = len(points)
+                points.append(r), parent.append(j), label.append(k)
+        j = n
+        while j < len(points):
+            p = points[j]
             for i, img in enumerate(self.images):
                 r = img[p]
                 if r not in orbit:
-                    orbit[r] = (p, i)
-                    queue.append(r)
+                    orbit[r] = len(points)
+                    points.append(r), parent.append(j), label.append(i)
+            j += 1
+        self.built += [False] * (len(points) - n)
+        self.pos[points[n:]] = range(n, len(points))
 
-    def transversal(self, p):
-        """The element u with u[beta] = p, along the Schreier vector."""
+    def inverse(self, row):
+        """The inverse of a row's transversal element, built on first use
+        with the rows on its way from a built one."""
         path = []
-        while p not in self._u:
-            path.append(p)
-            p = self.orbit[p][0]
-        u = self._u[p]
-        for q in reversed(path):
-            u = self.gens[self.orbit[q][1]][u]
-            self._u[q] = u
-        return u
+        r = row
+        while not self.built[r]:
+            path.append(r)
+            r = self.parent[r]
+        if path and len(self.inv) < len(self.points):     # room for every point
+            cap = max(len(self.points), min(len(self.pos), 2 * len(self.inv)))
+            self.inv = _grown(self.inv, len(self.inv), cap)
+        for r in reversed(path):    # u = g u' has u^-1[g[y]] = u'^-1[y]
+            self.inv[r][self.gens[self.label[r]]] = self.inv[self.parent[r]]
+            self.built[r] = True
+        return self.inv[row]
 
-    def inverse(self, p):
-        inv = self._inv.get(p)
-        if inv is None:
-            u = self.transversal(p)
-            inv = self._inv[p] = np.empty_like(u)
-            inv[u] = np.arange(len(u), dtype=np.int32)
-        return inv
-
-    def apply_inverses(self, pts, A):
-        """Each row A[t] followed by the inverse transversal element of pts[t]."""
-        pts = pts.tolist()
-        place = {p: j for j, p in enumerate(dict.fromkeys(pts))}
-        table = np.stack([self.inverse(p) for p in place])
-        return np.take(table, A + np.array([place[p] for p in pts])[:, None] * A.shape[1])
+    def schreier_generators(self, gens, edges, points):
+        """u_p g u_{p^g}^-1 for the orbit points p given, then the rows g
+        of gens, the stack of the generators, less the tree edges:
+        u_{p^g} = g u_p on the edge (p, g) that reached p^g, so its
+        Schreier generator is the identity.  edges[j] is parent * m +
+        label of row j, for m generators."""
+        m, c = len(gens), len(points)
+        pos = self.pos
+        rows = pos[points]
+        images = pos[gens[:, points]]                # (m, c): the rows of p^g
+        tree = edges[images] == rows * m + np.arange(m)[:, None]
+        j, k = np.nonzero(~tree.T)                   # in order of p, then g
+        degree = len(pos)
+        u = np.empty((c, degree), np.int32)          # u_p: the rows inverted back
+        np.put(u, self.inv[rows] + (np.arange(c) * degree)[:, None],
+               np.arange(degree, dtype=np.int32))
+        gu = np.take(gens, u, axis=1).reshape(m * c, -1)[k * c + j]
+        return _take_rows(self.inv, images[k, j], gu)
 
 
 class _Chain:
@@ -169,7 +239,7 @@ class _Chain:
     def order(self):
         n = 1
         for lvl in self.levels:
-            n *= len(lvl.orbit)
+            n *= len(lvl.points)
         return n
 
     def _target_reached(self):
@@ -181,7 +251,7 @@ class _Chain:
         """Order of the stabilizer of the first k base points, k = 0..len."""
         out = [1]
         for lvl in reversed(self.levels):
-            out.append(out[-1] * len(lvl.orbit))
+            out.append(out[-1] * len(lvl.points))
         return out[::-1]
 
     def base(self):
@@ -192,12 +262,11 @@ class _Chain:
     def _sift_raw(self, a, start=0):
         for idx in range(start, len(self.levels)):
             lvl = self.levels[idx]
-            p = int(a[lvl.beta])
-            if p == lvl.beta:
-                continue
-            if p not in lvl.orbit:
+            row = lvl.orbit.get(int(a[lvl.beta]))
+            if row is None:
                 return a, idx
-            a = lvl.inverse(p)[a]
+            if row:                 # row 0 is beta, whose u is the identity
+                a = lvl.inverse(row)[a]
         return a, len(self.levels)
 
     def _sift(self, A, start):
@@ -207,13 +276,13 @@ class _Chain:
         for idx in range(int(start.min()), len(self.levels)):
             lvl = self.levels[idx]
             live = np.flatnonzero((start <= idx) & (stop == len(self.levels)))
-            p = A[live, lvl.beta]
-            out = np.array([q not in lvl.orbit for q in p.tolist()], dtype=bool)
-            stop[live[out]] = idx
-            move = ~out & (p != lvl.beta)
-            rows = live[move]
-            if len(rows):
-                A[rows] = lvl.apply_inverses(p[move], A[rows])
+            rows = lvl.pos[A[live, lvl.beta]]
+            stop[live[rows < 0]] = idx
+            move, rows = live[rows > 0], rows[rows > 0]
+            if len(move):
+                for r in set(rows.tolist()):
+                    lvl.inverse(r)
+                A[move] = _take_rows(lvl.inv, rows, A[move])
         return stop
 
     def _insert(self, a, from_level):
@@ -250,26 +319,32 @@ class _Chain:
         generator at every level >= i sifts to the identity.
 
         The level's Schreier generators u_p g u_{p^g}^-1, in order of p
-        and then g, are built a chunk of orbit points at a time as one
-        array, less identities and repeats.  A stack of them is sifted as
-        a whole and its first non-trivial residue installed; once the next
-        level is closed, the rest sifts on from where each row stopped.
-        That installs what sifting one generator after another would."""
+        and then g, are built from its table a chunk of orbit points at
+        a time: the chunk's rows are inverted back to u_p, and then one
+        take gives the products u_p g and one the inverses of u_{p^g}.
+        The pairs (p, g) that are Schreier tree edges give the identity
+        and are skipped; repeats are dropped by comparing rows.  A stack
+        of them is sifted as a whole and its first non-trivial residue
+        installed; once the next level is closed, the rest sifts on from
+        where each row stopped.  That installs what sifting one generator
+        after another would."""
         if i >= len(self.levels):
             return
         lvl = self.levels[i]
         if not lvl.gens:            # no strong generators: nothing to close
             return self._close(i + 1)
         gens = np.array(lvl.gens)
-        points = sorted(lvl.orbit)
+        for row in range(len(lvl.points)):
+            lvl.inverse(row)
+        edges = np.array(lvl.parent) * len(gens) + lvl.label   # into each row
+        points = np.sort(lvl.points)
         step = max(1, CHUNK_CODES // gens.size)
         met = _Met(self.degree)
         S = met.rows[:0]
         changed = False
         for a in range(0, len(points), step):
-            u = np.stack([lvl.transversal(p) for p in points[a:a + step]])
-            w = np.take(gens, u, axis=1).swapaxes(0, 1).reshape(-1, self.degree)
-            S = np.concatenate([S, met.new(lvl.apply_inverses(w[:, lvl.beta], w))])
+            w = lvl.schreier_generators(gens, edges, points[a:a + step])
+            S = np.concatenate([S, met.new(w)])
             if len(S) < len(w) and a + step < len(points):
                 continue            # sift once a chunk's worth is met
             start = np.full(len(S), i + 1)

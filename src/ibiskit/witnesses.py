@@ -59,16 +59,18 @@ def _finish(lemma, params, checks):
 
 def witness_projective_chains(d=3, q=3):
     """Two standard-frame chains of lengths 4 and 5 on projective points
-    with the same terminal stabilizer (PSL_d(q), q > 2, d >= 3)."""
-    if q <= 2 or d < 3:
-        raise WitnessError("the chain pair needs q > 2 and d >= 3")
+    with the same terminal stabilizer (PSL_d(q), d >= 3, q > 2 and
+    (d, q) != (3, 4)).
+
+    The chain of length 5 needs the stabilizer of its first four points
+    to be non-trivial.  At d = 3 that stabilizer is diag(a, a, a^-2)
+    modulo scalars, of order (q - 1)/gcd(3, q - 1), which is 1 at q = 2
+    and q = 4; at q = 2 the sum of fixed vectors is fixed at every d."""
+    if q <= 2 or d < 3 or (d, q) == (3, 4):
+        raise WitnessError("the chain pair needs d >= 3, q > 2 and (d, q) != (3, 4)")
     dom = build_projective_points(d, q)
     G = build_group_action(GroupSpec("SL", d, q), dom)
-    e = np.eye(d, dtype=int)
-    a = [_sub(dom, e[0]), _sub(dom, e[1]), _sub(dom, e[2]),
-         _sub(dom, e[0] + e[1] + e[2])]
-    b = [_sub(dom, e[0]), _sub(dom, e[1]), _sub(dom, e[0] + e[1]),
-         _sub(dom, e[2]), _sub(dom, e[0] + e[1] + e[2])]
+    a, b = _projective_chains(dom, d)
     checks = []
     _check(checks, "chain of length 4 is irredundant", is_irredundant(G, a))
     _check(checks, "chain of length 5 is irredundant", is_irredundant(G, b))
@@ -77,6 +79,16 @@ def witness_projective_chains(d=3, q=3):
     _check(checks, "group is therefore not IBIS",
            ibis.verify_witness_chain(G, a, b))
     return _finish("L3.2", {"d": d, "q": q, "degree": dom.N}, checks)
+
+
+def _projective_chains(dom, d):
+    """The chains e1, e2, e3, e1+e2+e3 and e1, e2, e1+e2, e3, e1+e2+e3."""
+    e = np.eye(d, dtype=int)
+    a = [_sub(dom, e[0]), _sub(dom, e[1]), _sub(dom, e[2]),
+         _sub(dom, e[0] + e[1] + e[2])]
+    b = [_sub(dom, e[0]), _sub(dom, e[1]), _sub(dom, e[0] + e[1]),
+         _sub(dom, e[2]), _sub(dom, e[0] + e[1] + e[2])]
+    return a, b
 
 
 def witness_two_subspaces(d=4):
@@ -156,21 +168,19 @@ def witness_symplectic_points(q=4):
 
 
 def witness_symplectic_lines(q=3, seed=0):
-    """PSp_4(q) on totally singular lines.  At q = 3: explicit irredundant
-    base of length 5 plus a searched one of length 4, both spanning V and
-    meeting in 0, certifying NotIBIS with the side conditions."""
+    """PSp_4(q) on totally singular lines, q >= 3.  At q = 3: explicit
+    irredundant base of length 5 plus a searched one of length 4, both
+    spanning V and meeting in 0, certifying NotIBIS with the side
+    conditions; at q > 3 an explicit irredundant base of length 6.
+
+    The stabilizer of w1..w4 has order (q - 1)^2/gcd(2, q - 1), which is
+    1 at q = 2, so there w5 and w6 are redundant."""
+    if q < 3:
+        raise WitnessError("the line sequences need q >= 3")
     F = field_of_order(q)
-    form = symplectic_form(F, 4)
-    dom = build_totally_singular(form, 2)
+    dom = build_totally_singular(symplectic_form(F, 4), 2)
     G = build_group_action(GroupSpec("Sp", 4, q), dom)
-    e1, e2, f1, f2 = np.eye(4, dtype=int)
-    minus_one = int(F.neg(np.asarray(1)))
-    pts = [
-        (e1, e2), (f1, f2), (e1, f2), (e2, f1),
-        (e1 + e2, F.add(f1, F.mul(minus_one, f2))),   # f1 - f2
-        (e1 + f2, e2 + f1),
-    ]
-    idx = [_sub(dom, *pair) for pair in pts]
+    idx = _symplectic_lines(dom)
     checks = []
     rep = base_report(G, idx[:5])
     expect4 = (q - 1) ** 2 // math.gcd(2, q - 1)
@@ -195,6 +205,19 @@ def witness_symplectic_lines(q=3, seed=0):
                rep6.is_base and rep6.is_irredundant,
                detail=[str(n) for n in rep6.stab_orders])
     return _finish("L3.14", {"q": q, "degree": dom.N}, checks)
+
+
+def _symplectic_lines(dom):
+    """The lines w1..w6 of the standard symplectic basis e1, e2, f1, f2."""
+    F = dom.field
+    e1, e2, f1, f2 = np.eye(4, dtype=int)
+    minus_one = int(F.neg(np.asarray(1)))
+    pts = [
+        (e1, e2), (f1, f2), (e1, f2), (e2, f1),
+        (e1 + e2, F.add(f1, F.mul(minus_one, f2))),   # f1 - f2
+        (e1 + f2, e2 + f1),
+    ]
+    return [_sub(dom, *pair) for pair in pts]
 
 
 def _span_and_meet_ok(F, B):

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 
 import numpy as np
 
@@ -134,6 +135,97 @@ def pair_point(dom, small_vectors, big_vectors):
 
 def form_point(dom, a):
     return dom.index_of(np.array(a))
+
+
+# -- stabilizer-chain oracle ---------------------------------------------------
+
+def sequential_chain(degree, gens, rattle=50):
+    """Oracle for perm._Chain with no known order: plain Schreier-Sims on
+    image rows, one element at a time, as [(base point, [strong
+    generators])] per level.
+
+    The generators, then the seeded rattle products, are sifted and their
+    residues installed.  The closure then takes the levels in order and
+    sifts the Schreier generators u_p g u_{p^g}^-1 of a level one at a
+    time, in order of (sorted p, g); the first non-trivial residue is
+    installed at the levels below and the next level closed again before
+    the next Schreier generator is sifted.  Orbits are Schreier vectors
+    grown breadth first, and transversal elements are composed along
+    them afresh on every use."""
+    ident = np.arange(degree)
+    levels = []                   # [beta, gens, orbit: point -> (point, k)]
+
+    def transversal(lvl, p):
+        path = []
+        while p != lvl[0]:
+            p, k = lvl[2][p]
+            path.append(k)
+        u = ident
+        for k in reversed(path):
+            u = lvl[1][k][u]
+        return u
+
+    def add_generator(lvl, g):
+        beta, lvl_gens, orbit = lvl
+        lvl_gens.append(g)
+        queue = []
+        for p in list(orbit):
+            if g[p] not in orbit:
+                orbit[g[p]] = (p, len(lvl_gens) - 1)
+                queue.append(g[p])
+        for p in queue:
+            for k, h in enumerate(lvl_gens):
+                if h[p] not in orbit:
+                    orbit[h[p]] = (p, k)
+                    queue.append(h[p])
+
+    def sift(a, start):
+        for i in range(start, len(levels)):
+            p = a[levels[i][0]]
+            if p not in levels[i][2]:
+                return a, i
+            a = np.argsort(transversal(levels[i], p))[a]
+        return a, len(levels)
+
+    def insert(a, start):
+        r, stop = sift(a, start)
+        if (r == ident).all():
+            return False
+        if stop == len(levels):
+            beta = int(np.flatnonzero(r != ident)[0])
+            levels.append([beta, [], {beta: None}])
+        for i in range(start, stop + 1):
+            add_generator(levels[i], r)
+        return True
+
+    def close(i):
+        if i >= len(levels):
+            return
+        beta, lvl_gens, orbit = levels[i]
+        installed = False
+        for p in sorted(orbit):
+            for g in list(lvl_gens):
+                u = transversal(levels[i], p)
+                s = np.argsort(transversal(levels[i], g[p]))[g[u]]
+                if insert(s, i + 1):
+                    close(i + 1)
+                    installed = True
+        if not installed:
+            close(i + 1)
+
+    gens = [np.asarray(g) for g in gens]
+    for g in gens:
+        insert(g, 0)
+    if rattle and gens:
+        rng = random.Random(0xB5E5 + degree + len(gens))
+        pool = list(gens)
+        for _ in range(rattle):
+            a = pool[rng.randrange(len(pool))]
+            b = pool[rng.randrange(len(pool))]
+            pool.append(b[a])
+            insert(b[a], 0)
+    close(0)
+    return [(beta, lvl_gens) for beta, lvl_gens, _ in levels]
 
 
 # -- search oracles ---------------------------------------------------------

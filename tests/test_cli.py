@@ -86,6 +86,16 @@ def test_table_rows_and_consistency(tmp_path):
     assert [row[3] for row in body] == ["3", "3"]
 
 
+@pytest.mark.parametrize("rows,unmatched", [
+    ("nope", "'nope'"),
+    ("SL3,nope,Sp4(3)", "'nope', 'Sp4(3)'"),
+])
+def test_table_refuses_rows_that_match_nothing(capsys, rows, unmatched):
+    # an entry that selects no row is refused even when others select some
+    assert_one_line_error(capsys, main(["table", "--rows", rows]),
+                          f"no table row matches --rows {unmatched}")
+
+
 def test_table_threads_merge_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["table", "--rows", "SL3,PGL2,SL2(4)", "--out", str(a)]) == 0
@@ -402,6 +412,8 @@ def test_e7_refuses_q_that_is_not_a_prime_power(capsys, q):
     (["P5.1", "--d", "4"], "P5.1 takes no parameter 'd'"),
     (["P7.2-q2", "--q", "2"], "P7.2-q2 takes no parameter 'q'"),
     (["L6.1", "--q", "2"], "GF(2) has no lam"),
+    (["L3.2", "--q", "4"], "(d, q) != (3, 4)"),
+    (["L3.14", "--q", "2"], "need q >= 3"),
 ])
 def test_witness_refuses_parameters_it_cannot_use(capsys, argv, message):
     assert_one_line_error(capsys, main(["witness"] + argv), message)

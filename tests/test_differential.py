@@ -1,8 +1,9 @@
 """Differential checks against independent oracles.
 
 Stabilizer chains against sympy.combinatorics on seeded random groups,
-and every induced generator of the tested actions against its image
-recomputed one point at a time.
+and level by level against a sequential Schreier-Sims reference on those
+groups and on the tested actions, and every induced generator of the
+tested actions against its image recomputed one point at a time.
 """
 
 import random
@@ -12,7 +13,7 @@ import pytest
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
-from conftest import ACTIONS
+from conftest import ACTIONS, action_group, sequential_chain
 from ibiskit import actions, linalg, perm
 from ibiskit.actions import _act_forms, build_domain, induce_images
 from ibiskit.groups import GroupSpec, classical_generators
@@ -72,6 +73,37 @@ def test_closure_passes_levels_without_generators():
     # gets no strong generator
     G = PermGroup(5, [[1, 2, 3, 4, 0]])
     assert perm._Chain(5, G.generators, base_prefix=(0, 1), rattle=0).order() == 5
+
+
+def _levels(ch):
+    """Each level's base point and strong generators, as bytes."""
+    return [(lvl.beta, [g.tobytes() for g in lvl.gens]) for lvl in ch.levels]
+
+
+def _reference_levels(degree, gens, **kw):
+    return [(beta, [np.asarray(g, np.int32).tobytes() for g in level_gens])
+            for beta, level_gens in sequential_chain(degree, gens, **kw)]
+
+
+# the default random warm-up, and none, so that the closure installs
+RATTLES = {"default": {}, "rattle0": {"rattle": 0}}
+
+
+@pytest.mark.parametrize("rattle", sorted(RATTLES))
+@pytest.mark.parametrize("seed", range(12))
+def test_chain_matches_sequential_schreier_sims_on_random_groups(seed, rattle):
+    n, gens = _random_group(seed)
+    G = PermGroup(n, gens)
+    assert _levels(perm._Chain(n, G.generators, **RATTLES[rattle])) \
+        == _reference_levels(n, G.generators, **RATTLES[rattle])
+
+
+@pytest.mark.parametrize("rattle", sorted(RATTLES))
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_chain_matches_sequential_schreier_sims_on_actions(name, rattle):
+    G = action_group(name)
+    assert _levels(perm._Chain(G.degree, G.generators, **RATTLES[rattle])) \
+        == _reference_levels(G.degree, G.generators, **RATTLES[rattle])
 
 
 def _image_index(g, dom, i):

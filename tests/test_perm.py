@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import element_table
+from conftest import action_group, element_table
+from ibiskit import perm
 from ibiskit.perm import PermError, PermGroup, derived_subgroup
 
 
@@ -241,3 +243,29 @@ def test_mathieu_style_bigger_group():
     G = PermGroup(10, [a, perm_from_cycles(10, (0, 9))])
     n = G.order()
     assert n == len(G.orbits()[0]) * G.stabilizer(0).order()
+
+
+# The tracemalloc peak of one chain build, in MiB, measured before the
+# closure kept its transversals as tables: a build may take half as much
+# again, but not a second store of them or a whole level's Schreier
+# generators at once.
+CHAIN_PEAK_MIB = {"SL3(4).2 pairs336": 1.47, "Sp4(4) forms136": 0.77}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_PEAK_MIB))
+def test_chain_build_peak_memory_is_bounded(name):
+    G = action_group(name)
+    perm._Chain(G.degree, G.generators)   # one-time allocations stay out
+    tracing = tracemalloc.is_tracing()
+    if tracing:
+        tracemalloc.reset_peak()
+    else:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        perm._Chain(G.degree, G.generators)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.5 * CHAIN_PEAK_MIB[name] * 2**20, peak / 2**20

@@ -1,5 +1,6 @@
 """Pinned reports: the sha256 of the table, of every witness report and
-of four induced groups, and of the stabilizer chains of three of them.
+of four induced groups, and of the stabilizer chains of three of them
+and of two larger actions.
 
 A change that alters a report's bytes fails here; when the change is
 meant, update the pin and give the old and new digests in CHANGES.md.
@@ -13,7 +14,9 @@ import pytest
 
 from conftest import ACTIONS, action_group
 from ibiskit import perm
+from ibiskit.actions import build_domain, build_group_action
 from ibiskit.cli import main
+from ibiskit.groups import GroupSpec
 
 # `ibiskit table --format json` with each row's wall-clock runtime removed,
 # re-serialized as the report is (indent 2, sorted keys, final newline).
@@ -139,3 +142,34 @@ def test_closure_unchanged_when_every_key_collides(monkeypatch, name):
     monkeypatch.setattr(perm, "_row_keys",
                         lambda rows: np.zeros(len(rows), dtype=np.int32))
     assert closure_sha256(name) == CLOSURE_SHA256[name]
+
+
+# Two larger actions in the paper's regime b >= 6, with the chains built
+# by default and with no random warm-up.
+LARGE_ACTIONS = {
+    "Sp8(2) points255": ({"family": "Sp", "d": 8, "q": 2},
+                         {"kind": "projective_points", "d": 8, "q": 2}),
+    "SL9(2) points511": ({"family": "SL", "d": 9, "q": 2},
+                         {"kind": "projective_points", "d": 9, "q": 2}),
+}
+LARGE_CHAIN_SHA256 = {
+    ("Sp8(2) points255", "default"):
+        "e8965cf09edc513b92cd714191597b3ade77773403a4b538ec3d000f6b6c9a95",
+    ("Sp8(2) points255", "rattle0"):
+        "e8965cf09edc513b92cd714191597b3ade77773403a4b538ec3d000f6b6c9a95",
+    ("SL9(2) points511", "default"):
+        "001a829c9efcc2a926b8331416b38f3423f559719a304faea269585044fc56ff",
+    ("SL9(2) points511", "rattle0"):
+        "001a829c9efcc2a926b8331416b38f3423f559719a304faea269585044fc56ff",
+}
+
+
+@pytest.mark.parametrize("name,rattle", [
+    pytest.param(*key, marks=[pytest.mark.slow] if key[0].startswith("SL9") else [])
+    for key in sorted(LARGE_CHAIN_SHA256)])
+def test_large_chain_pinned(name, rattle):
+    gdesc, adesc = LARGE_ACTIONS[name]
+    G = build_group_action(GroupSpec.deserialize(gdesc), build_domain(adesc))
+    kw = {"rattle": 0} if rattle == "rattle0" else {}
+    ch = perm._Chain(G.degree, G.generators, **kw)
+    assert chain_sha256(ch) == LARGE_CHAIN_SHA256[name, rattle]

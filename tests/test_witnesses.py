@@ -1,5 +1,13 @@
 import pytest
 
+from ibiskit import witnesses
+from ibiskit.actions import (
+    build_group_action, build_projective_points, build_totally_singular,
+)
+from ibiskit.gf import field_of_order
+from ibiskit.groups import GroupSpec
+from ibiskit.ibis import is_irredundant
+from ibiskit.linalg import symplectic_form
 from ibiskit.witnesses import CATALOG, WitnessError, run_witness
 
 
@@ -53,3 +61,30 @@ def test_nondegenerate_pair_other_prime():
     # the construction goes through at q = 5 as well (1 + 2^2 = 5 != 0)
     rep = run_witness("L6.1", d=4, q=5)
     assert rep["ok"], rep
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_projective_chains_guard_refuses_exactly_where_they_fail(d, q):
+    if q > 2 and (d, q) != (3, 4):
+        assert run_witness("L3.2", d=d, q=q)["ok"]
+        return
+    with pytest.raises(WitnessError):
+        run_witness("L3.2", d=d, q=q)
+    # the refused parameters are those where the chain of length 5 has a
+    # redundant point
+    dom = build_projective_points(d, q)
+    G = build_group_action(GroupSpec("SL", d, q), dom)
+    assert not is_irredundant(G, witnesses._projective_chains(dom, d)[1])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_symplectic_lines_guard_refuses_exactly_where_they_fail(q):
+    if q >= 3:
+        assert run_witness("L3.14", q=q)["ok"]
+        return
+    with pytest.raises(WitnessError):
+        run_witness("L3.14", q=q)
+    dom = build_totally_singular(symplectic_form(field_of_order(q), 4), 2)
+    G = build_group_action(GroupSpec("Sp", 4, q), dom)
+    assert not is_irredundant(G, witnesses._symplectic_lines(dom))
