@@ -22,12 +22,16 @@ returns the image rows; `induce_images([g], dom)[0]` is one element's.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from . import gf, linalg
 from .gf import trace_bit
-from .groups import GroupSpec, act_subspaces, classical_generators
+from .groups import (
+    GroupSpec, SemilinearElement, act_subspaces, classical_generators,
+    in_matrix_group, matrix_group_order,
+)
 from .linalg import (
     eval_form, is_nondegenerate, is_totally_singular, mat_mul,
     quadratic_theta0, rank_stack, symplectic_form,
@@ -357,7 +361,8 @@ def induce_group(elements, dom):
 def build_group_action(spec, dom):
     """classical_generators -> induced permutation group, applying the
     derived-subgroup flag at the permutation level.  The group's matrix
-    field and dimension must be the domain's."""
+    field and dimension must be the domain's.  The group carries the
+    order bound of _order_bound, which its chain targets."""
     if not isinstance(spec, GroupSpec):
         spec = GroupSpec.deserialize(spec)
     F = spec.matrix_field()
@@ -368,8 +373,65 @@ def build_group_action(spec, dom):
         raise ActionError(f"group {spec.family}({spec.d},{spec.q}) acts on "
                           f"dimension {spec.d} but the domain's ambient "
                           f"dimension is {dom.d}")
-    G = induce_group(classical_generators(spec)[0], dom)
-    return derived_subgroup(G) if spec.derived else G
+    gens, form = classical_generators(spec)
+    G = induce_group(gens, dom)
+    if spec.derived:
+        return derived_subgroup(G)
+    G._order_bound = _order_bound(spec, gens, form, dom)
+    return G
+
+
+def _order_bound(spec, gens, form, dom):
+    """A proven upper bound U on the order of the group G that the
+    elements gens of the spec induce on dom, or None: for derived specs,
+    'diag', two extensions, or a failed check below.
+
+    Let X be the spec's matrix group, of order matrix_group_order(spec),
+    and o its outer element, if any (else o = 1, n = 1): o^n = 1 for
+    n = 2 (dual) or n = f / gcd(f, k) (frob:k over GF(p^f)).  Let c be
+    conjugation by o: c(M) = M^-T for the duality, the Frobenius twist
+    of M's entries for frob.  U is given only when
+    - every socle generator h lies in X (in_matrix_group: the form is
+      preserved, det = 1 where the family needs it, Dickson invariant 0
+      for Omega in characteristic 2), and
+    - o normalizes what they generate: every conjugate c^j(h),
+      0 < j < n, lies in X;
+    and then U = n |X| / s, where s counts the scalars of X whose
+    induced permutation fixes every point.
+
+    Proof that |G| <= U.  Let S be those s scalars and L the group
+    generated by S and the c^j(h), 0 <= j < n.  Each of them lies in X,
+    so L <= X.  Since c^n = 1, c permutes the c^j(h); it maps S into S,
+    since a twist or an inverse of a scalar of X is one (the conditions
+    on a scalar are equations over the prime field), and a conjugate of
+    an element acting trivially acts trivially.  So o normalizes L,
+    and Y = L<o> has order at most n |L| <= n |X|.  Y acts on dom, and
+    contains every element of gens, so G is the image of a subgroup of
+    Y; the kernel of that action contains S, so |G| <= |Y| / s <= U.
+
+    The product of a chain's basic orbit lengths never exceeds |G| (see
+    perm), so a chain that reaches U is complete and |G| = U.  A U above
+    |G| is never reached, and the chain closes as one with no target.
+    """
+    if spec.derived or len(spec.extensions) > 1 or "diag" in spec.extensions:
+        return None
+    F = spec.matrix_field()
+    socle = gens[:len(gens) - len(spec.extensions)]
+    M = np.array([g.matrix for g in socle]).reshape(-1, spec.d, spec.d)
+    n, conjugates = 1, []
+    if spec.extensions and gens[-1].dual:
+        n, conjugates = 2, [np.swapaxes(linalg.inverse(F, M), 1, 2)]
+    elif spec.extensions:
+        k = gens[-1].frob_power
+        n = F.f // math.gcd(F.f, k)
+        conjugates = [F.frob(M, j * k) for j in range(1, n)]
+    if not all(in_matrix_group(spec, form, C).all() for C in [M] + conjugates):
+        return None
+    Z = F.mul(np.arange(1, F.q)[:, None, None], linalg.identity(F, spec.d))
+    Z = Z[in_matrix_group(spec, form, Z)]
+    images = induce_images([SemilinearElement(F, z) for z in Z], dom)
+    s = int((images == np.arange(dom.N)).all(axis=1).sum())
+    return n * matrix_group_order(spec) // s
 
 
 def theta_value(dom, a, u):

@@ -6,10 +6,11 @@ Construction strategy: Chevalley-style root elements (transvections and
 their short-root companions) relative to the standard forms of linalg,
 with the socle generators checked against the form on construction, all
 in one stacked product.
+`matrix_group_order` gives the textbook order of each matrix group and
+`in_matrix_group` tests membership in it; the actions module builds its
+proven bound on the order of an induced group from the two.
 `certified_order` compares the order of the induced permutation group
-on nonzero vectors with the textbook order formula.  No code path of
-the package calls it; only tests/test_groups.py and
-tests/test_classification.py do.
+on nonzero vectors with the formula; only the tests call it.
 Orthogonal groups in characteristic 2 are generated directly as
 products of pairs of reflections (Dickson kernel), which avoids
 spinor-norm membership tests entirely; the reflections and their
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,7 @@ import numpy as np
 from . import gf, linalg
 from .linalg import (
     annihilator, hermitian_form, inverse, mat_mul, quadratic_minus,
-    quadratic_plus, rref_stack, symplectic_form,
+    quadratic_plus, rank_stack, rref_stack, symplectic_form,
 )
 from .perm import PermGroup
 
@@ -60,6 +62,13 @@ class GroupSpec:
         if self.family in ("Sp", "GOplus", "GOminus", "SOplus", "SOminus",
                            "OmegaPlus", "OmegaMinus") and self.d % 2:
             raise GroupError(f"{self.family} needs even dimension")
+        if not (isinstance(self.extensions, (list, tuple)) and all(
+                isinstance(kind, str) and re.fullmatch(r"dual|diag|frob(:-?\d+)?", kind)
+                for kind in self.extensions)):
+            raise GroupError(f"extensions must be a list of dual, diag, frob or "
+                             f"frob:<int>, got {self.extensions!r}")
+        if not isinstance(self.derived, bool):
+            raise GroupError(f"derived must be true or false, got {self.derived!r}")
         object.__setattr__(self, "extensions", tuple(self.extensions))
 
     @property
@@ -88,7 +97,7 @@ class GroupSpec:
             if not isinstance(data[key], int):
                 raise GroupError(f"group descriptor needs an integer {key!r}")
         return cls(data["family"], data["d"], data["q"],
-                   tuple(data.get("extensions", ())), data.get("derived", False))
+                   data.get("extensions", ()), data.get("derived", False))
 
 
 class SemilinearElement:
@@ -180,6 +189,23 @@ def _preserving(form, M, k):
     if form.kind == "quadratic":
         lhs, target = _upper_tri_rep(F, lhs), _upper_tri_rep(F, target)
     return (lhs == target).all(axis=(1, 2))
+
+
+def in_matrix_group(spec, form, M):
+    """Which matrices of a stack M (m, d, d) lie in the spec's matrix
+    group, of order matrix_group_order(spec): the invertible ones that
+    preserve the form exactly (_preserving), of determinant 1 for SL, SU
+    and SO, and for Omega in characteristic 2 of Dickson invariant 0,
+    rank(M - 1) even.  None do for Omega in odd characteristic."""
+    F = spec.matrix_field()
+    dets = linalg.det(F, M)
+    ok = dets == 1 if spec.family in ("SL", "SU", "SOplus", "SOminus") else dets != 0
+    if form is not None:
+        ok &= _preserving(form, M, 0)
+    if spec.family.startswith("Omega"):
+        ok &= F.p == 2
+        ok &= rank_stack(F, F.sub(M, linalg.identity(F, spec.d))) % 2 == 0
+    return ok
 
 
 def _upper_tri_rep(F, A):

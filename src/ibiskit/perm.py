@@ -8,9 +8,11 @@ PermGroup keeps a base and strong generating set built by a
 deterministic Schreier-Sims pass.  A seeded random "rattle" warm-up
 shortens construction.  A chain is certified in one of two ways: by a
 deterministic closure in which every Schreier generator sifts to the
-identity, or by reaching an order already certified for the group,
+identity, or by reaching a proven upper bound on the group's order,
 since the product of the basic orbit lengths never exceeds the true
-order.  Orders are exact big integers, never Monte Carlo.
+order.  The bound is an order already certified, or for an induced
+classical group the one actions.build_group_action proves from its
+spec.  Orders are exact big integers, never Monte Carlo.
 
 The second way makes point stabilizers cheap: H.stabilizer(p) rebuilds
 H's chain based at p with |H| as its target, and the stabilizer it
@@ -22,16 +24,13 @@ A level of a chain keeps its basic orbit as a Schreier tree over rows,
 one per orbit point in order of discovery, with a map from point to
 row; the inverses of its transversal elements are an int32 table over
 the same rows, each row built when first needed (see _Level).  Sifting
-reads a table row.  The closure builds a level's Schreier generators a
-chunk of orbit points at a time with one take on the generators and one
-on the table, skips the pairs (p, g) that are tree edges, whose
-Schreier generator is the identity, drops repeats by comparing rows, and
-sifts the rest as a stack (see _Chain._close).
+reads a table row.  The closure sifts a level's Schreier generators one
+at a time, skipping the pairs (p, g) that are tree edges, whose Schreier
+generator is the identity (see _Chain._close).
 """
 
 from __future__ import annotations
 
-import functools
 import random
 
 import numpy as np
@@ -46,86 +45,6 @@ class PermError(ValueError):
 
 # -- stabilizer chain --------------------------------------------------------
 
-# Schreier generators are built in chunks of about this many entries (64
-# KiB of int32), or of one orbit point's generators if that is more.
-CHUNK_CODES = 1 << 14
-
-
-def _row_keys(rows):
-    """A 32-bit linear hash of each row; it only picks the rows to compare."""
-    return rows @ _key_weights(rows.shape[1])
-
-
-@functools.lru_cache(maxsize=None)
-def _key_weights(n):
-    """n pseudo-random int32 weights: splitmix64 of 1..n.  A Weyl sequence
-    alone is nearly linear in the position, and then rows that pair the
-    same points with positions of the same sum collide."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return ((z ^ (z >> np.uint64(31))) >> np.uint64(33)).astype(np.int32)
-
-
-def _take_rows(table, rows, A):
-    """table[rows[t]][A[t]] for each row t of the int32 array A, as one
-    take on the flat table; A is used up."""
-    if table.size >= 2**31:
-        A = A.astype(np.intp)
-    A += (rows * table.shape[1]).astype(A.dtype)[:, None]
-    return np.take(table, A)
-
-
-def _grown(a, n, cap):
-    """a with room for cap rows, its first n kept."""
-    out = np.empty((cap,) + a.shape[1:], a.dtype)
-    out[:n] = a[:n]
-    return out
-
-
-class _Met:
-    """The rows that one closure pass has met, the identity first.  A row
-    is compared with the first met row of its key: keys only choose what
-    to compare.  The keys of first rows are kept sorted, each with its
-    met row, so a stack of rows is looked up with one searchsorted."""
-
-    def __init__(self, degree):
-        self.rows = np.arange(degree, dtype=np.int32)[None]
-        self.count = 1
-        self.keys = _row_keys(self.rows)    # sorted, one per key
-        self.first = np.zeros(1, np.intp)   # the first met row of each key
-
-    def new(self, S):
-        """The rows of S that repeat no row met before, now met, in order."""
-        n = len(S)
-        keys = _row_keys(S)
-        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        old = self.keys[at] == keys
-        # lead[t]: the first row of S with the key of row t
-        order = np.argsort(keys, kind="stable")
-        head = np.ones(n, dtype=bool)
-        head[1:] = keys[order[1:]] != keys[order[:-1]]
-        lead = np.empty(n, np.intp)
-        lead[order] = order[np.flatnonzero(head)[np.cumsum(head) - 1]]
-        # an old key: compare with its first met row (the rest with row 0)
-        fresh = (self.rows[np.where(old, self.first[at], 0)] != S).any(axis=1) | ~old
-        late = np.flatnonzero(~old & (lead != np.arange(n)))
-        fresh[late] = (S[lead[late]] != S[late]).any(axis=1)
-        # the keys first met now: the lead rows with a new key
-        heads = np.flatnonzero(~old & (lead == np.arange(n)))
-        keys = np.concatenate([self.keys, keys[heads]])
-        first = np.concatenate([self.first, self.count + np.cumsum(fresh)[heads] - 1])
-        order = np.argsort(keys, kind="stable")
-        self.keys, self.first = keys[order], first[order]
-        S = S[fresh]
-        end = self.count + len(S)
-        if end > len(self.rows):
-            self.rows = _grown(self.rows, self.count, 2 * end)
-        self.rows[self.count:end] = S
-        self.count = end
-        return S
-
-
 class _Level:
     """A base point, its strong generators, its basic orbit and the
     inverses of its transversal elements, as one table.
@@ -137,13 +56,11 @@ class _Level:
     element of row j is u = g u', u' the parent's, with u[beta] =
     points[j]; row j of the table inv is its inverse u'^-1 g^-1, which is
     all that sifting reads, and the closure inverts the rows it needs
-    back to u.  A table row is built on first use, or with all the
-    others when the level is closed; built marks the rows that are.  The
-    table grows with the orbit and is never rebuilt.  pos is orbit as an
-    array, -1 outside the orbit, for the stacked sift and the closure."""
+    back to u.  A table row is built on first use; built marks the rows
+    that are.  The table grows with the orbit and is never rebuilt."""
 
     __slots__ = ("beta", "gens", "images", "orbit", "points", "parent", "label", "built",
-                 "pos", "inv")
+                 "inv")
 
     def __init__(self, beta, degree):
         self.beta = beta
@@ -154,8 +71,6 @@ class _Level:
         self.parent = [-1]
         self.label = [-1]
         self.built = [True]
-        self.pos = np.full(degree, -1, np.intp)
-        self.pos[beta] = 0
         self.inv = np.arange(degree, dtype=np.int32)[None]
 
     def add_generator(self, g):
@@ -181,7 +96,6 @@ class _Level:
                     points.append(r), parent.append(j), label.append(i)
             j += 1
         self.built += [False] * (len(points) - n)
-        self.pos[points[n:]] = range(n, len(points))
 
     def inverse(self, row):
         """The inverse of a row's transversal element, built on first use
@@ -192,39 +106,22 @@ class _Level:
             path.append(r)
             r = self.parent[r]
         if path and len(self.inv) < len(self.points):     # room for every point
-            cap = max(len(self.points), min(len(self.pos), 2 * len(self.inv)))
-            self.inv = _grown(self.inv, len(self.inv), cap)
+            degree = self.inv.shape[1]
+            cap = max(len(self.points), min(degree, 2 * len(self.inv)))
+            self.inv = np.resize(self.inv, (cap, degree))   # the built rows kept
         for r in reversed(path):    # u = g u' has u^-1[g[y]] = u'^-1[y]
             self.inv[r][self.gens[self.label[r]]] = self.inv[self.parent[r]]
             self.built[r] = True
         return self.inv[row]
 
-    def schreier_generators(self, gens, edges, points):
-        """u_p g u_{p^g}^-1 for the orbit points p given, then the rows g
-        of gens, the stack of the generators, less the tree edges:
-        u_{p^g} = g u_p on the edge (p, g) that reached p^g, so its
-        Schreier generator is the identity.  edges[j] is parent * m +
-        label of row j, for m generators."""
-        m, c = len(gens), len(points)
-        pos = self.pos
-        rows = pos[points]
-        images = pos[gens[:, points]]                # (m, c): the rows of p^g
-        tree = edges[images] == rows * m + np.arange(m)[:, None]
-        j, k = np.nonzero(~tree.T)                   # in order of p, then g
-        degree = len(pos)
-        u = np.empty((c, degree), np.int32)          # u_p: the rows inverted back
-        np.put(u, self.inv[rows] + (np.arange(c) * degree)[:, None],
-               np.arange(degree, dtype=np.int32))
-        gu = np.take(gens, u, axis=1).reshape(m * c, -1)[k * c + j]
-        return _take_rows(self.inv, images[k, j], gu)
-
 
 class _Chain:
     """A base and strong generating set, certified by Schreier closure or
-    by reaching a known order."""
+    by reaching known_order, a proven upper bound on the order."""
 
     def __init__(self, degree, gens, base_prefix=(), known_order=None, rattle=50):
         self.degree = degree
+        self._identity = np.arange(degree, dtype=np.int32).tobytes()
         self.levels = [_Level(int(b), degree) for b in base_prefix]
         self._target = known_order
         for a in gens:
@@ -237,14 +134,12 @@ class _Chain:
     # orders -----------------------------------------------------------------
 
     def order(self):
-        n = 1
-        for lvl in self.levels:
-            n *= len(lvl.points)
-        return n
+        return self.suffix_orders()[0]
 
     def _target_reached(self):
-        # Product of orbit lengths never exceeds the true order, so hitting
-        # a known order certifies completeness without the closure pass.
+        # Product of orbit lengths never exceeds the true order, so reaching
+        # a proven upper bound on it certifies completeness without the
+        # closure pass.
         return self._target is not None and self.order() == self._target
 
     def suffix_orders(self):
@@ -259,7 +154,8 @@ class _Chain:
 
     # construction -----------------------------------------------------------
 
-    def _sift_raw(self, a, start=0):
+    def _sift(self, a, start=0):
+        """The residue of sifting a from level start, and its stop level."""
         for idx in range(start, len(self.levels)):
             lvl = self.levels[idx]
             row = lvl.orbit.get(int(a[lvl.beta]))
@@ -269,30 +165,13 @@ class _Chain:
                 a = lvl.inverse(row)[a]
         return a, len(self.levels)
 
-    def _sift(self, A, start):
-        """_sift_raw on each row of A in place, from its start level;
-        returns the levels where the rows stopped."""
-        stop = np.full(len(A), len(self.levels))
-        for idx in range(int(start.min()), len(self.levels)):
-            lvl = self.levels[idx]
-            live = np.flatnonzero((start <= idx) & (stop == len(self.levels)))
-            rows = lvl.pos[A[live, lvl.beta]]
-            stop[live[rows < 0]] = idx
-            move, rows = live[rows > 0], rows[rows > 0]
-            if len(move):
-                for r in set(rows.tolist()):
-                    lvl.inverse(r)
-                A[move] = _take_rows(lvl.inv, rows, A[move])
-        return stop
-
     def _insert(self, a, from_level):
         """Sift a; if a residue survives, install it at the failing level."""
-        ident = np.arange(self.degree, dtype=np.int32)
-        r, lev = self._sift_raw(a, from_level)
-        if np.array_equal(r, ident):
+        r, lev = self._sift(a, from_level)
+        if r.tobytes() == self._identity:
             return False
         if lev == len(self.levels):
-            moved = np.nonzero(r != ident)[0]
+            moved = np.nonzero(r != np.arange(self.degree))[0]
             self.levels.append(_Level(int(moved[0]), self.degree))
         # the residue fixes every base point above lev, so it is a valid
         # strong generator for every level in (from_level, lev]
@@ -318,51 +197,30 @@ class _Chain:
         """Deterministic Schreier closure: on return every Schreier
         generator at every level >= i sifts to the identity.
 
-        The level's Schreier generators u_p g u_{p^g}^-1, in order of p
-        and then g, are built from its table a chunk of orbit points at
-        a time: the chunk's rows are inverted back to u_p, and then one
-        take gives the products u_p g and one the inverses of u_{p^g}.
-        The pairs (p, g) that are Schreier tree edges give the identity
-        and are skipped; repeats are dropped by comparing rows.  A stack
-        of them is sifted as a whole and its first non-trivial residue
-        installed; once the next level is closed, the rest sifts on from
-        where each row stopped.  That installs what sifting one generator
-        after another would."""
+        The level's Schreier generators u_p g u_{p^g}^-1 are sifted one at
+        a time from level i + 1, in order of p and then g: u_p is its
+        table row inverted back, and u_{p^g}^-1 a table row.  A pair
+        (p, g) that is the Schreier tree edge into p^g has u_{p^g} = g u_p,
+        so its Schreier generator is the identity and is skipped.  A
+        non-trivial residue is installed and the next level closed again
+        before the next Schreier generator is sifted."""
         if i >= len(self.levels):
             return
         lvl = self.levels[i]
-        if not lvl.gens:            # no strong generators: nothing to close
-            return self._close(i + 1)
-        gens = np.array(lvl.gens)
-        for row in range(len(lvl.points)):
-            lvl.inverse(row)
-        edges = np.array(lvl.parent) * len(gens) + lvl.label   # into each row
-        points = np.sort(lvl.points)
-        step = max(1, CHUNK_CODES // gens.size)
-        met = _Met(self.degree)
-        S = met.rows[:0]
-        changed = False
-        for a in range(0, len(points), step):
-            w = lvl.schreier_generators(gens, edges, points[a:a + step])
-            S = np.concatenate([S, met.new(w)])
-            if len(S) < len(w) and a + step < len(points):
-                continue            # sift once a chunk's worth is met
-            start = np.full(len(S), i + 1)
-            while len(S):
-                stop = self._sift(S, start)
-                rest = (stop < len(self.levels)) | (S != met.rows[0]).any(axis=1)
-                t = int(rest.argmax())
-                if not rest[t]:
-                    break
-                self._insert(S[t].copy(), i + 1)
-                self._close(i + 1)
-                changed = True
-                if self._target_reached():
-                    return
-                rest[:t + 1] = False
-                S, start = S[rest], stop[rest]
-            S = S[:0]
-        if not changed:
+        installed = False
+        for p in sorted(lvl.points):
+            row = lvl.orbit[p]
+            u = np.argsort(lvl.inverse(row))
+            for k, img in enumerate(lvl.images):
+                r = lvl.orbit[img[p]]
+                if lvl.parent[r] == row and lvl.label[r] == k:
+                    continue
+                if self._insert(lvl.inverse(r)[lvl.gens[k][u]], i + 1):
+                    self._close(i + 1)
+                    installed = True
+                    if self._target_reached():
+                        return
+        if not installed:
             self._close(i + 1)
 
     # queries ------------------------------------------------------------------
@@ -400,15 +258,19 @@ class PermGroup:
         self.generators.setflags(write=False)
         self._chain = None
         self._order = None        # certified order, once known
+        # a proven upper bound on the order, or None: reaching it certifies
+        # the chain with no prefix (actions.build_group_action sets it)
+        self._order_bound = None
 
     # -- chains ---------------------------------------------------------------
 
     def chain(self, base_prefix=()):
         """A verified chain whose base starts with base_prefix.
 
-        The chain with no prefix is kept.  A prefix chain is built afresh
-        with |G| as its target: reaching that order certifies it without
-        the closure pass.
+        The chain with no prefix is kept, and targets the certified order
+        or else the proven order bound, if either is known.  A prefix chain
+        is built afresh with |G| as its target.  Reaching the target
+        certifies a chain without the closure pass.
         """
         key = tuple(int(b) for b in base_prefix)
         if not all(0 <= b < self.degree for b in key):
@@ -416,7 +278,7 @@ class PermGroup:
         if not key and self._chain is not None:
             return self._chain
         ch = _Chain(self.degree, self.generators, base_prefix=key,
-                    known_order=self.order() if key else self._order)
+                    known_order=self.order() if key else self._order or self._order_bound)
         if ch.order().bit_length() > ORDER_BITS_CAP:
             raise PermError("order exceeds the 2^512 cap")
         if not key:
@@ -433,7 +295,7 @@ class PermGroup:
         g = np.asarray(g, dtype=np.int32)
         if g.shape != (self.degree,):
             raise PermError("degree mismatch")
-        r, _ = self.chain()._sift_raw(g)
+        r, _ = self.chain()._sift(g)
         return bool((r == np.arange(self.degree)).all())
 
     def base(self):

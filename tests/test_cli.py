@@ -316,6 +316,19 @@ def test_bad_descriptor_one_line_error(capsys, group, action, message):
     assert_one_line_error(capsys, code, message)
 
 
+@pytest.mark.parametrize("extra,message", [
+    ('"extensions":"dual"', "frob or frob:<int>, got 'dual'"),
+    ('"extensions":[1]', "frob or frob:<int>, got [1]"),
+    ('"extensions":["frob:x"]', "frob or frob:<int>, got ['frob:x']"),
+    ('"derived":"no"', "derived must be true or false, got 'no'"),
+])
+def test_bad_group_spec_one_line_error(capsys, extra, message):
+    code = main(["analyze", "--group", '{"family":"SL","d":3,"q":4,%s}' % extra,
+                 "--action", '{"kind":"projective_points","d":3,"q":4}',
+                 "--task", "order"])
+    assert_one_line_error(capsys, code, message)
+
+
 def assert_one_line_error(capsys, code, message):
     captured = capsys.readouterr()
     assert code == 1

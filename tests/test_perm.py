@@ -245,10 +245,11 @@ def test_mathieu_style_bigger_group():
     assert n == len(G.orbits()[0]) * G.stabilizer(0).order()
 
 
-# The tracemalloc peak of one chain build, in MiB, measured before the
-# closure kept its transversals as tables: a build may take half as much
-# again, but not a second store of them or a whole level's Schreier
-# generators at once.
+# The tracemalloc peak of one chain build with no order target, in MiB,
+# measured before the closure kept its transversals as tables: a build
+# may take half as much again, but not a second store of them.  The
+# sequential closure holds one Schreier generator at a time, and peaks
+# at 0.66 and 0.22 MiB on these.
 CHAIN_PEAK_MIB = {"SL3(4).2 pairs336": 1.47, "Sp4(4) forms136": 0.77}
 
 

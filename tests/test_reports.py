@@ -129,21 +129,6 @@ def test_closure_chain_pinned(name):
     assert closure_sha256(name) == CLOSURE_SHA256[name]
 
 
-@pytest.mark.parametrize("name", sorted(CLOSURE_SHA256))
-def test_closure_unchanged_in_one_point_chunks(monkeypatch, name):
-    # every chunk of Schreier generators holds one orbit point's few rows
-    monkeypatch.setattr(perm, "CHUNK_CODES", 1)
-    assert closure_sha256(name) == CLOSURE_SHA256[name]
-
-
-@pytest.mark.parametrize("name", sorted(CLOSURE_SHA256))
-def test_closure_unchanged_when_every_key_collides(monkeypatch, name):
-    # repeats are found by comparing rows; keys only choose which to compare
-    monkeypatch.setattr(perm, "_row_keys",
-                        lambda rows: np.zeros(len(rows), dtype=np.int32))
-    assert closure_sha256(name) == CLOSURE_SHA256[name]
-
-
 # Two larger actions in the paper's regime b >= 6, with the chains built
 # by default and with no random warm-up.
 LARGE_ACTIONS = {

@@ -69,7 +69,6 @@ ALLOWED = {
     "gf.find_special_alpha": "the full-orbit trace-equation element of PSU3",
     "groups.certified_order": "checks a spec's generators against the order formula",
     "groups.induced_on_nonzero_vectors": "the faithful action certified_order uses",
-    "groups.matrix_group_order": "the textbook order formulas",
     "groups.orthogonal_reflection": "the reflections generating orthogonal groups",
     "groups.outer_element": "the diagonal, field and duality automorphisms",
     "linalg.klein_map": "lines of PG(3, q) to points of the Klein quadric",
