@@ -7,8 +7,9 @@ parameter vector a of a quadratic form theta_a.  Rows are sorted by their
 bytes, so indices are deterministic, and a row's index is found by binary
 search; point labels are still representation-dependent and never
 asserted across builds with a different field or form convention.
-Construction re-checks the defining predicate of every candidate as a
-mask over the whole stack of candidate bases.
+Construction re-checks the defining predicate of every point as a mask
+over a stack of bases: the whole stack of candidates, or for totally
+singular subspaces the bases built a row at a time.
 
 Induction works on stacks of elements.  The generators of a group are
 grouped by (Frobenius power, duality), and each group acts on the whole
@@ -48,8 +49,6 @@ class ActionError(ValueError):
 def _keys(rows):
     """One void key per row of a 2-d array; keys order as the rows' bytes."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
-    if not rows.shape[1]:
-        return np.zeros(len(rows), dtype="V1")
     return rows.view(f"V{8 * rows.shape[1]}").ravel()
 
 
@@ -125,30 +124,32 @@ class ActionDomain:
 
 # -- subspace enumeration -----------------------------------------------------
 
+def _pattern_rows(F, d, pivots, r):
+    """Every candidate for row r of an RREF basis with these pivots: 1 at
+    pivots[r], 0 left of it and in the other pivot columns, and in the free
+    columns right of it the base-q digits of a counter, least significant first."""
+    free = [c for c in range(pivots[r] + 1, d) if c not in pivots]
+    out = np.zeros((F.q ** len(free), d), dtype=np.int64)
+    out[:, pivots[r]] = 1
+    out[:, free] = np.arange(len(out))[:, None] // F.q ** np.arange(len(free)) % F.q
+    return out
+
+
 def enumerate_subspaces(F, d, k):
     """All k-dimensional subspaces of GF(q)^d as one (n, k, d) stack of
     RREF bases: pivot patterns in lexicographic order, and within one the
     free entries (row by row, left to right) are the base-q digits of a
     counter, least significant first."""
-    q = F.q
-    out = np.zeros((gaussian_binomial(d, k, q), k, d), dtype=np.int64)
+    out = np.zeros((gaussian_binomial(d, k, F.q), k, d), dtype=np.int64)
     at = 0
     for pivots in itertools.combinations(range(d), k):
-        free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, d)
-                if c not in pivots]
-        block = out[at:at + q ** len(free)]
-        block[:, range(k), pivots] = 1
-        codes = np.arange(len(block))
-        for j, (r, c) in enumerate(free):
-            block[:, r, c] = codes // q**j % q
-        at += len(block)
+        rows = [_pattern_rows(F, d, pivots, r) for r in range(k)]
+        shape = [len(R) for R in reversed(rows)]        # row 0 varies fastest
+        block = out[at:at + math.prod(shape)].reshape(shape + [k, d])
+        for r, R in enumerate(rows):
+            block[..., r, :] = R.reshape([1] * (k - 1 - r) + [len(R)] + [1] * r + [d])
+        at += math.prod(shape)
     return out
-
-
-def _joint_ranks(F, top, S):
-    """dim(<top> + <S[i]>) for every basis S[i] of the stack S."""
-    T = np.concatenate([np.broadcast_to(top, (len(S),) + top.shape), S], axis=1)
-    return rank_stack(F, T)
 
 
 def gaussian_binomial(d, k, q):
@@ -159,15 +160,20 @@ def gaussian_binomial(d, k, q):
     return num // den
 
 
+def _check_grassmannian(d, k, q):
+    """Refuse k outside 1 <= k < d, or more k-subspaces of GF(q)^d than SIZE_CAP."""
+    if not 1 <= k < d:
+        raise ActionError(f"subspace dimension k={k} must satisfy 1 <= k < d={d}")
+    if gaussian_binomial(d, k, q) > SIZE_CAP:
+        raise ActionError("size cap exceeded")
+
+
 # -- domain builders ----------------------------------------------------------
 
 def build_projective_points(d, q):
     """All 1-subspaces of GF(q)^d; N = (q^d - 1)/(q - 1)."""
-    if d < 2:
-        raise ActionError("need d >= 2")
-    if (q**d - 1) // (q - 1) > SIZE_CAP:
-        raise ActionError("size cap exceeded")
     F = gf.field_of_order(q)
+    _check_grassmannian(d, 1, q)
     return ActionDomain("projective_points", enumerate_subspaces(F, d, 1), F, d,
                         (1,), {"d": d, "q": q})
 
@@ -175,8 +181,7 @@ def build_projective_points(d, q):
 def build_subspace_domain(d, q, k):
     """All k-subspaces of GF(q)^d (the linear-family domain)."""
     F = gf.field_of_order(q)
-    if gaussian_binomial(d, k, q) > SIZE_CAP:
-        raise ActionError("size cap exceeded")
+    _check_grassmannian(d, k, q)
     return ActionDomain("subspaces_k", enumerate_subspaces(F, d, k), F, d, (k,),
                         {"d": d, "q": q, "k": k})
 
@@ -195,6 +200,12 @@ def witt_index(form):
 def build_totally_singular(form, k, family=None):
     """All totally singular k-subspaces of the form's space.
 
+    The RREF bases are built a row at a time for each pivot pattern, never
+    the whole Grassmannian: row r is a candidate of _pattern_rows that is
+    singular (Q(v) = 0, or h(v, v) = 0) and orthogonal under the polar
+    form to the rows before it; a pattern stops when no partial basis is
+    left.  is_totally_singular re-checks the result.
+
     family in {'greek', 'latin'} selects one of the two classes of
     maximal totally singular subspaces of a plus-type quadratic space
     (same family iff the codimension of the intersection is even, i.e.
@@ -203,21 +214,40 @@ def build_totally_singular(form, k, family=None):
     """
     F = form.field
     d = form.dim
+    _check_grassmannian(d, k, F.q)
     if k > witt_index(form):
         raise ActionError(f"k={k} exceeds the Witt index {witt_index(form)}")
+    if family not in (None, "greek", "latin"):
+        raise ActionError(f"unknown family {family!r}: use 'greek' or 'latin'")
     if family is not None and (form.kind != "quadratic" or k != d // 2
                                or form.meta.get("witt_defect") != 0):
         raise ActionError("family split only for maximal t.s. subspaces, plus type")
-    if gaussian_binomial(d, k, F.q) > SIZE_CAP:
-        raise ActionError("size cap exceeded")
-    S = enumerate_subspaces(F, d, k)
+    found = []
+    for pivots in itertools.combinations(range(d), k):
+        P = np.zeros((1, 0, d), dtype=np.int64)     # the partial bases
+        for r in range(k):
+            C = _pattern_rows(F, d, pivots, r)
+            C = C[(linalg.eval_quadratic_batch(form, C) if form.kind == "quadratic"
+                   else linalg.eval_bilinear_batch(form, C, C)) == 0]
+            ok = np.ones((len(P), len(C)), dtype=bool)
+            for j in range(r):
+                ok &= linalg.eval_bilinear_batch(form, P[:, j, None], C[None]) == 0
+            a, b = np.nonzero(ok)
+            P = np.concatenate([P[a], C[b, None]], axis=1)
+            if not len(P):
+                break
+        else:
+            found.append(P)
+    S = np.concatenate(found)
+    if not is_totally_singular(form, S).all():
+        raise ActionError("a built basis is not totally singular")
     params = {"d": d, "q": F.q, "k": k, "form": form.kind}
-    dom = ActionDomain("totally_singular_k", S[is_totally_singular(form, S)], F, d,
-                       (k,), params, form=form)
+    dom = ActionDomain("totally_singular_k", S, F, d, (k,), params, form=form)
     if family is None:
         return dom
     [S] = dom.bases()
-    greek = (_joint_ranks(F, S[0], S) - k) % 2 == 0
+    greek = (rank_stack(F, np.concatenate([np.broadcast_to(S[0], S.shape), S], axis=1))
+             - k) % 2 == 0
     params["family"] = family
     return ActionDomain("max_isotropic_family", S[greek == (family == "greek")],
                         F, d, (k,), params, form=form)
@@ -241,6 +271,11 @@ def build_nonsingular_points(form):
                         (1,), params, form=form)
 
 
+# Pair domains take ranks over (small x big) blocks of about this many codes
+# (512 KiB of int64); blocks of BLOCK_CODES fall out of cache and run slower.
+PAIR_CODES = 1 << 16
+
+
 def build_pair_domain(d, q, k, mode):
     """Pairs {W, U} with dim W = k, dim U = d-k and either V = W + U
     (mode 'complement') or W <= U (mode 'incident'), i.e. dim(W + U) is d
@@ -254,10 +289,12 @@ def build_pair_domain(d, q, k, mode):
     small = enumerate_subspaces(F, d, k)
     big = enumerate_subspaces(F, d, d - k)
     span = d if mode == "complement" else d - k
+    step = max(1, PAIR_CODES // (len(big) * d * d))
     pairs = []
-    for W in small:
-        U = big[_joint_ranks(F, W, big) == span]
-        pairs.append(np.concatenate([np.broadcast_to(W, (len(U), k, d)), U], axis=1))
+    for a in range(0, len(small), step):
+        W = np.repeat(small[a:a + step], len(big), axis=0)
+        T = np.concatenate([W, np.tile(big, (len(W) // len(big), 1, 1))], axis=1)
+        pairs.append(T[rank_stack(F, T) == span])
     return ActionDomain(f"pair_{mode}", np.concatenate(pairs), F, d, (k, d - k),
                         {"d": d, "q": q, "k": k})
 
@@ -293,8 +330,7 @@ def build_nondegenerate_domain(form, k):
     algorithm downstream); no canonical orbit is selected here."""
     F = form.field
     d = form.dim
-    if gaussian_binomial(d, k, F.q) > SIZE_CAP:
-        raise ActionError("size cap exceeded")
+    _check_grassmannian(d, k, F.q)
     S = enumerate_subspaces(F, d, k)
     return ActionDomain("nondegenerate_k", S[is_nondegenerate(form, S)], F, d, (k,),
                         {"d": d, "q": F.q, "k": k, "form": form.kind}, form=form)

@@ -370,6 +370,10 @@ def _orthogonal_generators(spec):
     M = _reflections(form, nonsingular)
     if spec.family.startswith("Omega") or (q % 2 == 1 and spec.family.startswith("SO")):
         M = mat_mul(F, M[0], M[1:])       # products r_0 r_a of two reflections
+    if is_plus and (d, q) == (4, 2):
+        # the known exception: these generate a subgroup of index 2; the
+        # coordinate reversal preserves Q, has Dickson invariant 0, and completes it
+        M = np.concatenate([M, linalg.identity(F, d)[None, ::-1]])
     M = M[~(M == linalg.identity(F, d)).all(axis=(1, 2))]
     return [SemilinearElement(F, m, _trusted=True) for m in M], form
 

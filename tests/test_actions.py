@@ -77,6 +77,86 @@ def test_witt_index_guard():
         build_totally_singular(quadratic_minus(F4, 4), 2)
 
 
+# (form name, d, q): symplectic over q = 2..5, hermitian in d = 3, 4 (over
+# GF(q^2)), plus and minus quadratic over q = 2, 3, 4
+TS_GRID = ([("symplectic", 4, q) for q in (2, 3, 4, 5)]
+           + [("symplectic", 6, q) for q in (2, 3)]
+           + [("hermitian", d, q) for d in (3, 4) for q in (2, 3)]
+           + [(sign, d, q) for sign in ("plus", "minus") for d in (4, 6)
+              for q in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("name,d,q", TS_GRID,
+                         ids=[f"{n}-{d}-{q}" for n, d, q in TS_GRID])
+def test_totally_singular_rows_match_the_grassmannian_filter(name, d, q):
+    """The row-by-row build against the filter of the whole Grassmannian,
+    for every k up to the Witt index, and both families of the maximal
+    totally singular subspaces of a plus-type space."""
+    form = actions._form_from_name(name, d, q)
+    F = form.field
+    for k in range(1, actions.witt_index(form) + 1):
+        S = enumerate_subspaces(F, d, k)
+        ref = actions.ActionDomain("ref", S[linalg.is_totally_singular(form, S)],
+                                   F, d, (k,))
+        dom = build_totally_singular(form, k)
+        assert dom.N > 0 and np.array_equal(dom.codes, ref.codes)
+        if name != "plus" or k != d // 2:
+            continue
+        [R] = ref.bases()
+        meet = linalg.rank_stack(F, np.concatenate(
+            [np.broadcast_to(R[0], R.shape), R], axis=1)) - k
+        for family, parity in (("greek", 0), ("latin", 1)):
+            half = build_totally_singular(form, k, family)
+            assert half.N == ref.N // 2
+            assert np.array_equal(half.codes, ref.codes[meet % 2 == parity])
+
+
+def test_totally_singular_build_memory_is_bounded():
+    # ts3 Q+(6,3): filtering the 33,880 3-subspaces peaks at 11 MiB; the
+    # row-by-row build of its 80 planes stays near 0.06 MiB
+    import tracemalloc
+    form = quadratic_plus(F3, 6)
+    build_totally_singular(form, 3)       # one-time allocations stay out
+    tracemalloc.start()
+    try:
+        dom = build_totally_singular(form, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dom.N == 80
+    assert peak < 2**19, peak / 2**20
+
+
+def _pairs_one_member_at_a_time(d, q, k, mode):
+    """The pair domain's codes from one rank stack per small member."""
+    F = field_of_order(q)
+    big = enumerate_subspaces(F, d, d - k)
+    span = d if mode == "complement" else d - k
+    rows = []
+    for W in enumerate_subspaces(F, d, k):
+        T = np.concatenate([np.broadcast_to(W, (len(big), k, d)), big], axis=1)
+        rows.append(T[linalg.rank_stack(F, T) == span])
+    return actions.ActionDomain("ref", np.concatenate(rows), F, d, (k, d - k)).codes
+
+
+PAIR_GRID = [(3, 2, 1), (3, 3, 1), (3, 4, 1), (4, 2, 1), (4, 3, 1), (5, 2, 1),
+             (5, 2, 2)]
+
+
+@pytest.mark.parametrize("members", [None, 1, 3])
+@pytest.mark.parametrize("mode", ["complement", "incident"])
+@pytest.mark.parametrize("d,q,k", PAIR_GRID)
+def test_pair_domain_blocks_match_one_member_at_a_time(monkeypatch, d, q, k, mode,
+                                                       members):
+    """Byte-identical codes for any block size: the default, one small
+    member a block, and three a block (the last block often shorter)."""
+    if members:
+        monkeypatch.setattr(actions, "PAIR_CODES",
+                            members * gaussian_binomial(d, d - k, q) * d * d)
+    dom = build_pair_domain(d, q, k, mode)
+    assert dom.codes.tobytes() == _pairs_one_member_at_a_time(d, q, k, mode).tobytes()
+
+
 @pytest.mark.parametrize("sign,d,q,n", [
     ("-", 4, 4, 68), ("+", 4, 4, 60), ("+", 6, 2, 28), ("-", 6, 2, 36)])
 def test_nonsingular_counts(sign, d, q, n):

@@ -18,7 +18,7 @@ import cases  # noqa: E402
 import trace_layers  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", ["reproduce", "search"])
+@pytest.mark.parametrize("workload", ["reproduce", "search", "domains"])
 def test_traced_cases_have_no_mismatch(workload):
     tracer = trace_layers.Tracer()
     tracer.install()

@@ -306,6 +306,8 @@ def test_reports_byte_identical(tmp_path):
      "needs an integer 'd'"),
     ('{"family":"SL","d":3,"q":2}', '{"kind":"projective_points","d":3,"q":2.0}',
      "needs an integer 'q'"),
+    ('{"family":"SL","d":2,"q":2}', '{"kind":"projective_points","d":2,"q":1}',
+     "1 is not a prime power"),
     ('{"family":"SL","d":2,"q":2048}',
      '{"kind":"projective_points","d":2,"q":2048}',
      "field size 2^11 exceeds cap 1024"),
@@ -336,6 +338,33 @@ def assert_one_line_error(capsys, code, message):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert message in lines[0]
+
+
+@pytest.mark.parametrize("action", [
+    {"kind": "totally_singular_k", "form": "symplectic", "d": 4, "q": 2, "k": 0},
+    {"kind": "totally_singular_k", "form": "plus", "d": 4, "q": 3, "k": -1},
+    {"kind": "nondegenerate_k", "form": "symplectic", "d": 4, "q": 3, "k": 0},
+    {"kind": "nondegenerate_k", "form": "symplectic", "d": 6, "q": 2, "k": 7},
+    {"kind": "nondegenerate_k", "form": "symplectic", "d": 4, "q": 2, "k": -2},
+    {"kind": "subspaces_k", "d": 4, "q": 2, "k": 0},
+    {"kind": "subspaces_k", "d": 4, "q": 2, "k": 4},
+    {"kind": "subspaces_k", "d": 4, "q": 2, "k": 5},
+    {"kind": "subspaces_k", "d": 4, "q": 2, "k": -1},
+    {"kind": "projective_points", "d": 1, "q": 2},
+], ids=["ts-k0", "ts-negative", "nondeg-k0", "nondeg-k-above-d", "nondeg-negative",
+        "sub-k0", "sub-k-is-d", "sub-k-above-d", "sub-negative", "points-d1"])
+def test_subspace_dimension_out_of_range_one_line_error(capsys, action):
+    code = main(["dump-domain", "--action", json.dumps(action)])
+    k = action.get("k", 1)
+    assert_one_line_error(capsys, code, f"k={k} must satisfy 1 <= k < d={action['d']}")
+
+
+@pytest.mark.parametrize("family", ["foo", "Greek", 1])
+def test_unknown_isotropic_family_one_line_error(capsys, family):
+    action = {"kind": "max_isotropic_family", "form": "plus", "d": 4, "q": 2,
+              "k": 2, "family": family}
+    code = main(["dump-domain", "--action", json.dumps(action)])
+    assert_one_line_error(capsys, code, f"unknown family {family!r}")
 
 
 SL32 = ["--group", '{"family":"SL","d":3,"q":2}',

@@ -48,6 +48,10 @@ CERTIFIED = [
     ("SOplus", 6, 2, 40320),
     ("SOminus", 4, 4, 8160),
     ("SOplus", 4, 4, 7200),
+    # reflections generate only an index-2 subgroup of O+(4, 2)
+    ("GOplus", 4, 2, 72),
+    ("SOplus", 4, 2, 72),
+    ("OmegaPlus", 4, 2, 36),
 ]
 
 

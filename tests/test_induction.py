@@ -69,7 +69,7 @@ SUBSPACE_CASES = [
     ({"family": "OmegaMinus", "d": 4, "q": 4},
      {"kind": "nonsingular_1", "form": "-", "d": 4, "q": 4}),
     ({"family": "GL", "d": 3, "q": 3},
-     {"kind": "subspaces_k", "d": 3, "q": 3, "k": 0}),
+     {"kind": "subspaces_k", "d": 3, "q": 3, "k": 2}),
 ]
 
 
@@ -97,7 +97,7 @@ def test_empty_domain_induces_a_group_of_degree_zero():
 
 @pytest.mark.parametrize("action", [
     {"kind": "projective_points", "d": 4, "q": 2},
-    {"kind": "subspaces_k", "d": 4, "q": 2, "k": 0},
+    {"kind": "subspaces_k", "d": 4, "q": 2, "k": 3},
 ])
 def test_duality_off_the_middle_dimension_is_refused(action):
     # a duality carries k-spaces to (d-k)-spaces, whose rows have another width

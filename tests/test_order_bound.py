@@ -63,13 +63,12 @@ def _grid():
             for d, q in ((2, 4), (2, 8), (4, 2), (4, 3), (4, 4), (6, 2)):
                 if fam.startswith("Omega") and q % 2:
                     continue
-                # O+(4, 2) is not generated by reflections
-                small = "loose" if (d, q, sign) == (4, 2, "plus") else "exact"
-                out.append((fam, d, q, (), _pp(d, q), small))
+                out.append((fam, d, q, (), _pp(d, q), "exact"))
                 if d > 2:
-                    out.append((fam, d, q, (), _ts("quadratic_" + sign, d, q, 1), small))
+                    out.append((fam, d, q, (), _ts("quadratic_" + sign, d, q, 1),
+                                "exact"))
                 if q % 2 == 0:
-                    out.append((fam, d, q, (), ns(d, q), small))
+                    out.append((fam, d, q, (), ns(d, q), "exact"))
             out.append((fam, 2, 8, ("frob",), _pp(2, 8), "exact"))
             out.append((fam, 4, 4, ("frob",), _pp(4, 4),
                         # over GF(4) the minus form is not Frobenius-fixed, so
