@@ -1,5 +1,5 @@
 """Indexed point domains for the classical-group actions, and induction
-of permutations from semilinear elements.
+of permutations from classes of elements.
 
 A domain is one (N, w) int64 code array, a row per point: the flattened
 RREF basis of a subspace, the two bases of a pair side by side, or the
@@ -11,13 +11,15 @@ Construction re-checks the defining predicate of every point as a mask
 over a stack of bases: the whole stack of candidates, or for totally
 singular subspaces the bases built a row at a time.
 
-Induction works on stacks of elements.  The generators of a group are
-grouped by (Frobenius power, duality), and each group acts on the whole
-point array at once: for subspaces one batched product, one elimination
-and, for dualities, one annihilator; for forms one stacked inverse and
-one affine map; then one index lookup for all the images.  Stacks are cut
-so that each product holds about INDUCE_CODES codes.  `induce_images`
-returns the image rows; `induce_images([g], dom)[0]` is one element's.
+Induction works on one class of elements at a time: a matrix stack M
+(m, d, d) with one Frobenius power k and one duality flag, as the groups
+module gives them.  A class acts on the whole point array at once: for
+subspaces one batched product, one elimination and, for a duality, one
+annihilator (`_act_subspaces`); for forms one stacked inverse and one
+affine map (`_act_forms`); then one index lookup for all the images.
+Stacks are cut so that each product holds about INDUCE_CODES codes.
+`induce_images` returns the image rows; `build_group_action` induces the
+socle stack and then each outer element, in the spec's order.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ import numpy as np
 from . import gf, linalg
 from .gf import trace_bit
 from .groups import (
-    GroupSpec, SemilinearElement, act_subspaces, classical_generators,
-    in_matrix_group, matrix_group_order,
+    GroupSpec, classical_generators, in_matrix_group, matrix_group_order,
+    outer_element,
 )
 from .linalg import (
-    eval_form, is_nondegenerate, is_totally_singular, mat_mul,
-    quadratic_theta0, rank_stack, symplectic_form,
+    annihilator, eval_form, is_nondegenerate, is_totally_singular, mat_mul,
+    quadratic_theta0, rank_stack, rref_stack, symplectic_form,
 )
 from .perm import PermGroup, derived_subgroup
 
@@ -343,6 +345,18 @@ def build_nondegenerate_domain(form, k):
 INDUCE_CODES = 1 << 12
 
 
+def _act_subspaces(F, M, frob_power, dual, B):
+    """RREF bases (m, n, k', d) of the images of the row spaces of a stack
+    B (n, k, d) of rank-k bases under each element frob^k . M[j] of a
+    stack M (m, d, d); under duality elements, of the annihilators of
+    those images.  One batched product, RREF and annihilator."""
+    P = mat_mul(F, F.frob(B, frob_power), M[:, None])
+    R = rref_stack(F, P.reshape(len(M) * len(B), *B.shape[1:]))
+    if dual:
+        R = annihilator(F, R)
+    return R.reshape(len(M), len(B), *R.shape[1:])
+
+
 def _act_forms(dom, M, frob_power):
     """theta_a^g(u) = (theta_a(u g^{-1}))^{sigma^k} for each g = sigma^k . M[j]:
     recover the parameter of every image form from its values on the
@@ -362,36 +376,29 @@ def _act_forms(dom, M, frob_power):
     return mat_mul(F, w, theta0.polar_gram())
 
 
-def induce_images(elements, dom):
-    """The image of every point under every element: one (m, N) int32
-    array of image rows, computed a stack of elements with one
-    (frob_power, dual) at a time.  The lookup raises if an image falls
-    outside the domain (the domain is then not invariant: a construction
-    bug, per the domain contracts)."""
-    out = np.empty((len(elements), dom.N), dtype=np.int32)
+def induce_images(M, frob_power, dual, dom):
+    """The image of every point under each element of one class, the
+    elements frob^k . M[j] of a stack M (m, d, d) with k = frob_power,
+    each followed by the duality if dual: one (m, N) int32 array of image
+    rows.  The lookup raises if an image falls outside the domain (the
+    domain is then not invariant: a construction bug, per the domain
+    contracts)."""
+    out = np.empty((len(M), dom.N), dtype=np.int32)
     if not dom.N:                   # an empty domain: nothing to permute
         return out
-    groups = {}
-    for j, g in enumerate(elements):
-        groups.setdefault((g.frob_power, g.dual), []).append(j)
+    if not dom.dims and dual:
+        raise ActionError("duality elements do not act on the forms domain")
     step = max(1, INDUCE_CODES // (dom.N * dom.d * max(dom.dims + (1,))))
-    for (k, dual), at in groups.items():
-        for a in range(0, len(at), step):
-            js = at[a:a + step]
-            M = np.array([elements[j].matrix for j in js])
-            if not dom.dims and dual:
-                raise ActionError("duality elements do not act on the forms domain")
-            parts = ([act_subspaces(dom.field, M, k, dual, B) for B in dom.bases()]
-                     if dom.dims else [_act_forms(dom, M, k)])
-            if dual:
-                parts.reverse()     # the members of a pair swap dimensions
-            rows = np.concatenate([P.reshape(len(js) * dom.N, -1) for P in parts], axis=1)
-            out[js] = dom.indices(rows).reshape(len(js), -1)
+    for a in range(0, len(M), step):
+        S = M[a:a + step]
+        parts = ([_act_subspaces(dom.field, S, frob_power, dual, B)
+                  for B in dom.bases()]
+                 if dom.dims else [_act_forms(dom, S, frob_power)])
+        if dual:
+            parts.reverse()         # the members of a pair swap dimensions
+        rows = np.concatenate([P.reshape(len(S) * dom.N, -1) for P in parts], axis=1)
+        out[a:a + step] = dom.indices(rows).reshape(len(S), -1)
     return out
-
-
-def induce_group(elements, dom):
-    return PermGroup(dom.N, induce_images(elements, dom))
 
 
 def build_group_action(spec, dom):
@@ -409,18 +416,23 @@ def build_group_action(spec, dom):
         raise ActionError(f"group {spec.family}({spec.d},{spec.q}) acts on "
                           f"dimension {spec.d} but the domain's ambient "
                           f"dimension is {dom.d}")
-    gens, form = classical_generators(spec)
-    G = induce_group(gens, dom)
+    socle, form = classical_generators(spec)
+    outer = [outer_element(ext, spec) for ext in spec.extensions]
+    G = PermGroup(dom.N, np.concatenate(
+        [induce_images(socle, 0, False, dom)]
+        + [induce_images(A[None], k, dual, dom) for A, k, dual in outer]))
     if spec.derived:
         return derived_subgroup(G)
-    G._order_bound = _order_bound(spec, gens, form, dom)
+    G._order_bound = _order_bound(spec, socle, outer, form, dom)
     return G
 
 
-def _order_bound(spec, gens, form, dom):
-    """A proven upper bound U on the order of the group G that the
-    elements gens of the spec induce on dom, or None: for derived specs,
-    'diag', two extensions, or a failed check below.
+def _order_bound(spec, socle, outer, form, dom):
+    """A proven upper bound U on the order of the group G that the socle
+    stack and the outer elements of the spec induce on dom, or None: for
+    derived specs, two extensions, an outer element whose matrix is not
+    the identity ('diag', or 'frob' on a form it moves), or a failed check
+    below.
 
     Let X be the spec's matrix group, of order matrix_group_order(spec),
     and o its outer element, if any (else o = 1, n = 1): o^n = 1 for
@@ -442,30 +454,29 @@ def _order_bound(spec, gens, form, dom):
     on a scalar are equations over the prime field), and a conjugate of
     an element acting trivially acts trivially.  So o normalizes L,
     and Y = L<o> has order at most n |L| <= n |X|.  Y acts on dom, and
-    contains every element of gens, so G is the image of a subgroup of
+    contains every generator, so G is the image of a subgroup of
     Y; the kernel of that action contains S, so |G| <= |Y| / s <= U.
 
     The product of a chain's basic orbit lengths never exceeds |G| (see
     perm), so a chain that reaches U is complete and |G| = U.  A U above
     |G| is never reached, and the chain closes as one with no target.
     """
-    if spec.derived or len(spec.extensions) > 1 or "diag" in spec.extensions:
-        return None
     F = spec.matrix_field()
-    socle = gens[:len(gens) - len(spec.extensions)]
-    M = np.array([g.matrix for g in socle]).reshape(-1, spec.d, spec.d)
-    n, conjugates = 1, []
-    if spec.extensions and gens[-1].dual:
-        n, conjugates = 2, [np.swapaxes(linalg.inverse(F, M), 1, 2)]
-    elif spec.extensions:
-        k = gens[-1].frob_power
-        n = F.f // math.gcd(F.f, k)
-        conjugates = [F.frob(M, j * k) for j in range(1, n)]
-    if not all(in_matrix_group(spec, form, C).all() for C in [M] + conjugates):
+    I = linalg.identity(F, spec.d)
+    if spec.derived or len(outer) > 1 or any((A != I).any() for A, _, _ in outer):
         return None
-    Z = F.mul(np.arange(1, F.q)[:, None, None], linalg.identity(F, spec.d))
+    n, conjugates = 1, []
+    for _, k, dual in outer:        # at most one, with the identity matrix
+        if dual:
+            n, conjugates = 2, [np.swapaxes(linalg.inverse(F, socle), 1, 2)]
+        else:
+            n = F.f // math.gcd(F.f, k)
+            conjugates = [F.frob(socle, j * k) for j in range(1, n)]
+    if not all(in_matrix_group(spec, form, C).all() for C in [socle] + conjugates):
+        return None
+    Z = F.mul(np.arange(1, F.q)[:, None, None], I)
     Z = Z[in_matrix_group(spec, form, Z)]
-    images = induce_images([SemilinearElement(F, z) for z in Z], dom)
+    images = induce_images(Z, 0, False, dom)
     s = int((images == np.arange(dom.N)).all(axis=1).sum())
     return n * matrix_group_order(spec) // s
 
@@ -493,7 +504,7 @@ def build_domain(desc):
     def need(key):
         if key not in desc:
             raise ActionError(f"action descriptor {kind!r} is missing {key!r}")
-        if key != "form" and not isinstance(desc[key], int):
+        if key != "form" and type(desc[key]) is not int:   # nor is JSON true
             raise ActionError(f"action descriptor {kind!r} needs an integer {key!r}")
         return desc[key]
 

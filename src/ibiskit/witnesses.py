@@ -23,7 +23,7 @@ from .actions import (
     build_totally_singular, induce_images,
 )
 from .gf import field_of_order, trace_bit
-from .groups import GroupSpec
+from .groups import GroupSpec, in_matrix_group, transvection_symplectic
 from .ibis import (
     base_report, extend_to_irredundant_base, is_base, is_irredundant,
     minimal_base_sizes, same_pointwise_stabilizer,
@@ -281,11 +281,9 @@ def witness_nondegenerate_pair(d=4, q=3):
                   [0, 1, 0, 0],
                   [q - 1, 0, 0, 0],
                   [0, 0, 0, 1]], dtype=np.int64)
-    from .groups import SemilinearElement, preserves_form
-    g = SemilinearElement(F, M)
-    if not preserves_form(g, form):
+    if not in_matrix_group(GroupSpec("Sp", d, q), form, M[None])[0]:
         raise WitnessError("the exhibited g is not symplectic")
-    pg_perm = induce_images([g], dom)[0]
+    pg_perm = induce_images(M[None], 0, False, dom)[0]
     _check(checks, "g fixes W1 and W2 but moves W3",
            pg_perm[w1] == w1 and pg_perm[w2] == w2 and pg_perm[w3] != w3)
     orders = G.chain_orders((w1, w2, w3))
@@ -348,17 +346,14 @@ def witness_quadratic_forms(m=2, q=4):
     epsv = np.array([eps, 0, 1, 0], dtype=np.int64)   # eps e1 + e3 (= e_{m+1})
     i_eps = th(minus, epsv)
     # conjugation moves predicted by theta_a^{t_c} = theta_{a+(sqrt(theta_a(c))+1)c}
-    from .groups import transvection_symplectic
     form = symplectic_form(F, 4)
     one_plus_eps = int(F.add(1, eps))
     moves = [(e[1], F.add(epsv, e[1])), (e[3], F.add(epsv, e[3])),
              (e[2], F.add(epsv, F.mul(one_plus_eps, e[2])))]
-    ok_moves = True
-    for c, target in moves:
-        t = induce_images([transvection_symplectic(np.array(c), form)], minus)[0]
-        ok_moves &= t[i_eps] == th(minus, target)
+    T = np.array([transvection_symplectic(np.array(c), form) for c, _ in moves])
+    images = induce_images(T, 0, False, minus)[:, i_eps]
     _check(checks, "transvection images of theta_eps match the conjugation law",
-           ok_moves)
+           all(i == th(minus, target) for i, (_, target) in zip(images, moves)))
     twisted = F.add(epsv, F.mul(one_plus_eps, e[2]))
     prefix = [i_eps, th(minus, F.add(epsv, e[1])), th(minus, F.add(epsv, e[3])),
               th(minus, twisted)]

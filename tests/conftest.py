@@ -10,11 +10,11 @@ from ibiskit import linalg
 from ibiskit.actions import (
     build_domain, build_group_action, build_nonsingular_points,
     build_projective_points, build_quad_forms_domain, build_subspace_domain,
-    build_totally_singular,
+    build_totally_singular, induce_images,
 )
 from ibiskit.cli import TABLE_ROWS
 from ibiskit.gf import field_of_order
-from ibiskit.groups import GroupSpec
+from ibiskit.groups import GroupSpec, classical_generators, outer_element
 from ibiskit.ibis import DEFAULT_BUDGET, EnumerationResult, IbisError
 from ibiskit.linalg import (
     eval_form, quadratic_minus, quadratic_plus, symplectic_form,
@@ -135,6 +135,56 @@ def pair_point(dom, small_vectors, big_vectors):
 
 def form_point(dom, a):
     return dom.index_of(np.array(a))
+
+
+# -- the group law of (matrix, Frobenius power, duality) triples ----------------
+
+def generator_triples(spec):
+    """The generators of the spec as (M, k, dual) triples, in the order
+    build_group_action induces them: the socle stack, then one outer
+    element per extension."""
+    socle, _ = classical_generators(spec)
+    return ([(M, 0, False) for M in socle]
+            + [outer_element(ext, spec) for ext in spec.extensions])
+
+
+def compose(F, a, b):
+    """The triple of a followed by b, for v -> frob(v, k) . M and then,
+    with the duality flag, the annihilator: a duality in a turns b's
+    matrix into its inverse transpose."""
+    (Ma, ka, da), (Mb, kb, db) = a, b
+    right = linalg.inverse(F, Mb).T if da else Mb
+    return linalg.mat_mul(F, F.frob(Ma, kb), right), (ka + kb) % F.f, da ^ db
+
+
+def invert(F, a):
+    """The triple g^-1 with compose(F, g, g^-1) the identity."""
+    M, k, dual = a
+    M = F.frob(M, -k % F.f)
+    return (M.T if dual else linalg.inverse(F, M)), -k % F.f, dual
+
+
+def is_identity(a):
+    M, k, dual = a
+    return k == 0 and not dual and np.array_equal(M, np.eye(len(M), dtype=M.dtype))
+
+
+def same_element(a, b):
+    return np.array_equal(a[0], b[0]) and a[1:] == b[1:]
+
+
+def move_vectors(F, a, V):
+    """The images v -> frob(v, k) . M of the rows of V under a non-duality
+    triple."""
+    M, k, dual = a
+    assert not dual, "duality elements act on subspaces, not vectors"
+    return linalg.mat_mul(F, F.frob(np.asarray(V), k), M)
+
+
+def induced_rows(dom, elements):
+    """The image rows of a list of triples, one induce_images call each."""
+    return np.concatenate([induce_images(M[None], k, dual, dom)
+                           for M, k, dual in elements])
 
 
 # -- stabilizer-chain oracle ---------------------------------------------------

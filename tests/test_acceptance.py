@@ -135,7 +135,7 @@ def test_criterion_4_quadratic_forms_machinery():
     for c in all_row_vectors(F, 4):
         if not c.any():
             continue
-        [pi] = induce_images([transvection_symplectic(c, form)], dom)
+        [pi] = induce_images(transvection_symplectic(c, form)[None], 0, False, dom)
         for a in all_row_vectors(F, 4):
             coeff = int(F.add(int(F.frob(theta_value(dom, a, c), F.f - 1)), 1))
             img = F.add(a, F.mul(coeff, c))

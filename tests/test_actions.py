@@ -1,19 +1,26 @@
+import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
 
-from conftest import brute_nondegenerate, brute_totally_singular, vector_set
+from conftest import (
+    brute_nondegenerate, brute_totally_singular, compose, induced_rows, invert,
+    move_vectors, vector_set,
+)
 from ibiskit import actions, linalg
 from ibiskit.actions import (
-    ActionError, build_group_action, build_nondegenerate_domain,
+    ActionError, build_domain, build_group_action, build_nondegenerate_domain,
     build_nonsingular_points, build_pair_domain, build_projective_points,
     build_quad_forms_domain, build_subspace_domain, build_totally_singular,
     enumerate_subspaces, gaussian_binomial, induce_images, theta_value,
 )
+from ibiskit.cli import main
 from ibiskit.gf import field_of_order, make_field, trace_bit
 from ibiskit.groups import (
-    GroupSpec, classical_generators, outer_element, transvection_symplectic,
+    GroupError, GroupSpec, classical_generators, outer_element,
+    transvection_symplectic,
 )
 from ibiskit.linalg import quadratic_minus, quadratic_plus, symplectic_form
 
@@ -235,8 +242,9 @@ def test_induce_identity():
     spec = GroupSpec("SL", 3, 2)
     gens, _ = classical_generators(spec)
     dom = build_projective_points(3, 2)
-    e = gens[0] * gens[0].inverse_element()
-    assert (induce_images([e], dom)[0] == np.arange(dom.N)).all()
+    g = (gens[0], 0, False)
+    e = compose(F2, g, invert(F2, g))
+    assert (induced_rows(dom, [e])[0] == np.arange(dom.N)).all()
 
 
 def test_induced_homomorphism_random_pairs():
@@ -245,12 +253,32 @@ def test_induced_homomorphism_random_pairs():
     phi = outer_element("frob", spec)
     dom = build_quad_forms_domain(2, 4, "+")
     rng = random.Random(31)
-    pool = gens[:8] + [phi]
+    pool = [(M, 0, False) for M in gens[:8]] + [phi]
     for _ in range(12):
         a, b = pool[rng.randrange(len(pool))], pool[rng.randrange(len(pool))]
-        # a * b acts as a, then b: its images are b's images of a's
-        pa, pb, pab = induce_images([a, b, a * b], dom)
+        # compose(a, b) acts as a, then b: its images are b's images of a's
+        pa, pb, pab = induced_rows(dom, [a, b, compose(F4, a, b)])
         assert np.array_equal(pab, pb[pa])
+
+
+@pytest.mark.parametrize("extensions,digest", [
+    (("frob", "dual"),
+     "95f5ae49a640c5c4cbdfb39e41c31725449068c47dcc771cc56e15c2e0a30292"),
+    (("dual", "frob"),
+     "2971c68f77b1f01e6610cafe3f06c9db9d77dfbaf672e80f086d2cb2e7401124"),
+])
+def test_one_generator_row_per_extension_in_spec_order(capsys, extensions, digest):
+    # SL4(4) on its 2-spaces: the socle rows, then one row per outer
+    # element in the spec's order, which `dump-group` prints unchanged
+    spec = GroupSpec("SL", 4, 4, extensions)
+    action = {"kind": "subspaces_k", "d": 4, "q": 4, "k": 2}
+    dom = build_domain(action)
+    G = build_group_action(spec, dom)
+    outer = induced_rows(dom, [outer_element(ext, spec) for ext in extensions])
+    assert np.array_equal(G.generators[-2:], outer)
+    assert main(["dump-group", "--group", json.dumps(spec.serialize()),
+                 "--action", json.dumps(action)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_induced_homomorphism_on_pairs_domain_with_duality():
@@ -259,10 +287,11 @@ def test_induced_homomorphism_on_pairs_domain_with_duality():
     iota = outer_element("dual", spec)
     dom = build_pair_domain(3, 2, 1, "complement")
     assert dom.N == 28
-    [pi] = induce_images([iota], dom)
+    [pi] = induced_rows(dom, [iota])
     assert (pi[pi] == np.arange(dom.N)).all()
-    for g in gens[:4]:
-        lhs, pg = induce_images([iota * g * iota, g], dom)
+    for M in gens[:4]:
+        g = (M, 0, False)
+        lhs, pg = induced_rows(dom, [compose(F2, compose(F2, iota, g), iota), g])
         assert np.array_equal(lhs, pi[pg[pi]])
 
 
@@ -273,7 +302,7 @@ def test_forms_action_transvection_formula():
     eps = np.array([1, 0, 1, 0])  # eps.e1 + e3 with eps = 1, m = 2
     assert trace_bit(F, theta_value(dom, np.zeros(4, int), eps)) == 1
     t = transvection_symplectic(np.array([0, 1, 0, 0]), symplectic_form(F, 4))
-    [pi] = induce_images([t], dom)
+    [pi] = induce_images(t[None], 0, False, dom)
     i_eps = dom.index_of(eps)
     i_img = dom.index_of(np.array([1, 1, 1, 0]))
     assert pi[i_eps] == i_img
@@ -290,7 +319,7 @@ def test_forms_action_conjugation_law_exhaustive_22():
         if not c.any():
             continue
         t = transvection_symplectic(c, form)
-        [pi] = induce_images([t], dom)
+        [pi] = induce_images(t[None], 0, False, dom)
         for a in vecs:
             val = theta_value(dom, a, c)
             root = int(F.frob(val, F.f - 1))
@@ -332,10 +361,37 @@ def test_induced_order_examples():
     G = build_group_action(GroupSpec("Sp", 4, 3), dom)
     assert G.order() == 25920  # PSp_4(3)
     delta = outer_element("diag", GroupSpec("Sp", 4, 3))
-    [pd] = induce_images([delta], dom)
+    [pd] = induced_rows(dom, [delta])
     assert not G.is_member(pd)
     G2 = build_group_action(GroupSpec("Sp", 4, 3, extensions=("diag",)), dom)
     assert G2.order() == 51840
+
+
+@pytest.mark.parametrize("family,d,q,action,order", [
+    ("GOminus", 4, 4, "projective_points", 16320),
+    ("GOminus", 2, 4, "projective_points", 20),
+    ("SOminus", 4, 4, "projective_points", 16320),
+    ("GOminus", 4, 9, "projective_points", 1062720),
+    ("GOminus", 4, 4, "nonsingular_1", 16320),
+])
+def test_minus_type_frobenius_extends_by_its_order(family, d, q, action, order):
+    # over GF(4) and GF(9) the Frobenius moves the elliptic form; the outer
+    # element follows it with a plane matrix, so the socle has index 2
+    dom = build_domain({"kind": action, "form": "-", "d": d, "q": q})
+    G = build_group_action(GroupSpec(family, d, q, ("frob",)), dom)
+    socle = build_group_action(GroupSpec(family, d, q), dom)
+    assert G.order() == order == 2 * socle.order()
+
+
+@pytest.mark.parametrize("family,d,q", [
+    ("OmegaMinus", 2, 4), ("OmegaMinus", 4, 4), ("OmegaMinus", 4, 16),
+    ("SOminus", 2, 9), ("SOminus", 4, 9),
+])
+def test_minus_type_frobenius_refused_where_no_plane_matrix_exists(family, d, q):
+    # (frob . A)^f leaves the group for every plane matrix A carrying the
+    # twisted form back, so the group has no field automorphism of order f
+    with pytest.raises(GroupError, match="no outer element frob:1"):
+        outer_element("frob", GroupSpec(family, d, q))
 
 
 def test_omega_minus_transitive_68():
@@ -354,7 +410,7 @@ def test_induce_rejects_non_invariant_domain():
     bad_gens, _ = classical_generators(GroupSpec("SL", 4, 2))
     with pytest.raises(ActionError):
         for g in bad_gens:
-            induce_images([g], dom)
+            induce_images(g[None], 0, False, dom)
 
 
 def test_forms_action_functional_oracle():
@@ -365,24 +421,23 @@ def test_forms_action_functional_oracle():
         dom = build_quad_forms_domain(m, q, None)
         spec = GroupSpec("Sp", 2 * m, q)
         gens, _ = classical_generators(spec)
-        pool = list(gens[:6])
+        pool = [(M, 0, False) for M in gens[:6]]
         if F.f > 1:
             pool.append(outer_element("frob", spec))
-            pool.append(gens[0] * outer_element("frob", spec))
+            pool.append(compose(F, pool[0], outer_element("frob", spec)))
         rng = random.Random(19)
         vs = linalg.all_row_vectors(F, 2 * m)
         for g in pool:
-            [pi] = induce_images([g], dom)
-            ginv = g.inverse_element()
+            [pi] = induced_rows(dom, [g])
+            ginv = invert(F, g)
             for _ in range(6):
                 a = vs[rng.randrange(len(vs))]
                 img = dom.codes[pi[dom.index_of(a)]]
                 us = vs if exhaustive else [vs[rng.randrange(len(vs))]
                                             for _ in range(25)]
                 for u in us:
-                    moved = ginv.act_vectors(u[None, :])[0]
-                    expected = int(F.frob(theta_value(dom, a, moved),
-                                          g.frob_power))
+                    moved = move_vectors(F, ginv, u[None, :])[0]
+                    expected = int(F.frob(theta_value(dom, a, moved), g[1]))
                     assert theta_value(dom, img, u) == expected
 
 

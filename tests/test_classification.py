@@ -122,7 +122,6 @@ def test_incident_pair_chain_collapse():
     from ibiskit.gf import field_of_order
     from ibiskit.linalg import rref
     from ibiskit.actions import induce_images
-    from ibiskit.groups import SemilinearElement
     from ibiskit.ibis import is_irredundant, same_pointwise_stabilizer
 
     F = field_of_order(2)
@@ -152,7 +151,7 @@ def test_incident_pair_chain_collapse():
          [w1, w2, w3], w4),
     ]
     for M, fixed, moved in certs:
-        [p] = induce_images([SemilinearElement(F, M)], dom)
+        [p] = induce_images(M[None], 0, False, dom)
         assert all(p[w] == w for w in fixed) and p[moved] != moved
 
 

@@ -311,6 +311,17 @@ def test_reports_byte_identical(tmp_path):
     ('{"family":"SL","d":2,"q":2048}',
      '{"kind":"projective_points","d":2,"q":2048}',
      "field size 2^11 exceeds cap 1024"),
+    # JSON true is a Python int, but no integer parameter
+    ('{"family":"SL","d":3,"q":2}', '{"kind":"subspaces_k","d":3,"q":2,"k":true}',
+     "needs an integer 'k'"),
+    ('{"family":"SL","d":3,"q":2}', '{"kind":"projective_points","d":true,"q":2}',
+     "needs an integer 'd'"),
+    ('{"family":"SL","d":3,"q":2}', '{"kind":"projective_points","d":3,"q":true}',
+     "needs an integer 'q'"),
+    ('{"family":"SL","d":true,"q":2}', '{"kind":"projective_points","d":3,"q":2}',
+     "needs an integer 'd'"),
+    ('{"family":"SL","d":3,"q":true}', '{"kind":"projective_points","d":3,"q":2}',
+     "needs an integer 'q'"),
 ])
 def test_bad_descriptor_one_line_error(capsys, group, action, message):
     code = main(["analyze", "--group", group, "--action", action,

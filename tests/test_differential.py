@@ -13,7 +13,7 @@ import pytest
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
-from conftest import ACTIONS, action_group, sequential_chain
+from conftest import ACTIONS, action_group, generator_triples, sequential_chain
 from ibiskit import actions, linalg, perm
 from ibiskit.actions import _act_forms, build_domain, induce_images
 from ibiskit.groups import GroupSpec, classical_generators
@@ -107,17 +107,17 @@ def test_chain_matches_sequential_schreier_sims_on_actions(name, rattle):
 
 
 def _image_index(g, dom, i):
-    """The index of the image of point i under g, from that point alone:
-    the RREF of each member's basis times g (and, for a duality, the
-    annihilators, the members swapped); for the forms domain the
-    parameter that _act_forms gives for g alone."""
+    """The index of the image of point i under the triple g = (M, k, dual),
+    from that point alone: the RREF of each member's basis times g (and,
+    for a duality, the annihilators, the members swapped); for the forms
+    domain the parameter that _act_forms gives for g alone."""
     F = dom.field
+    M, k, dual = g
     if not dom.dims:
-        return dom.index_of(_act_forms(dom, g.matrix[None], g.frob_power)[0, i])
-    images = [linalg.rref(F, linalg.mat_mul(F, F.frob(B[i], g.frob_power),
-                                            g.matrix))[0]
+        return dom.index_of(_act_forms(dom, M[None], k)[0, i])
+    images = [linalg.rref(F, linalg.mat_mul(F, F.frob(B[i], k), M))[0]
               for B in dom.bases()]
-    if g.dual:
+    if dual:
         images = [linalg.annihilator(F, R[None])[0] for R in images[::-1]]
     return dom.index_of(np.vstack(images))
 
@@ -135,12 +135,16 @@ INDUCTION_CASES = dict(ACTIONS, **{
 def test_induced_generators_match_pointwise_images(monkeypatch, name):
     gdesc, adesc = INDUCTION_CASES[name]
     dom = build_domain(adesc)
-    gens, _ = classical_generators(GroupSpec.deserialize(gdesc))
-    rows = induce_images(gens, dom)
+    spec = GroupSpec.deserialize(gdesc)
+    socle, _ = classical_generators(spec)
+    gens = generator_triples(spec)
+    rows = np.concatenate([induce_images(socle, 0, False, dom)]
+                          + [induce_images(M[None], k, dual, dom)
+                             for M, k, dual in gens[len(socle):]])
     rng = random.Random(name)
     points = rng.sample(range(dom.N), min(dom.N, 12))
-    for g, row in zip(gens, rows):
+    for g, row in zip(gens, rows, strict=True):
         assert [row[i] for i in points] == [_image_index(g, dom, i) for i in points]
     # one element per stack induces the same permutations
     monkeypatch.setattr(actions, "INDUCE_CODES", 1)
-    assert np.array_equal(induce_images(gens, dom), rows)
+    assert np.array_equal(induce_images(socle, 0, False, dom), rows[:len(socle)])

@@ -3,13 +3,16 @@ import random
 import numpy as np
 import pytest
 
-from conftest import vector_set
+from conftest import (
+    compose, invert, is_identity, move_vectors, same_element, vector_set,
+)
 from ibiskit import linalg
+from ibiskit.actions import _act_subspaces
 from ibiskit.gf import field_of_order, make_field
 from ibiskit.groups import (
-    GroupError, GroupSpec, _upper_tri_rep, act_subspaces, certified_order,
+    GroupError, GroupSpec, _preserving, _upper_tri_rep, certified_order,
     classical_generators, induced_on_nonzero_vectors, matrix_group_order,
-    outer_element, preserves_form, transvection_symplectic,
+    outer_element, transvection_symplectic,
 )
 from ibiskit.linalg import eval_form, symplectic_form
 from ibiskit.perm import derived_subgroup
@@ -18,9 +21,15 @@ F2 = make_field(2, 1)
 F4 = make_field(2, 2)
 
 
-def act(g, B):
-    """The RREF bases of the images of the stack B under the element g."""
-    return act_subspaces(g.field, g.matrix[None], g.frob_power, g.dual, B)[0]
+def act(F, g, B):
+    """The RREF bases of the images of the stack B under the triple g."""
+    M, k, dual = g
+    return _act_subspaces(F, M[None], k, dual, B)[0]
+
+
+def triples(M):
+    """The matrices of a stack as (M, 0, no duality) triples."""
+    return [(m, 0, False) for m in M]
 
 
 CERTIFIED = [
@@ -66,8 +75,7 @@ def test_generators_preserve_forms_exactly():
     for family, d, q, _ in CERTIFIED:
         spec = GroupSpec(family, d, q)
         gens, form = classical_generators(spec)
-        for g in gens:
-            assert preserves_form(g, form)
+        assert form is None or _preserving(form, gens, 0).all()
 
 
 def test_transvection_involution_and_isometry():
@@ -78,13 +86,13 @@ def test_transvection_involution_and_isometry():
         if not a.any():
             continue
         t = transvection_symplectic(a, form)
-        assert (t * t).is_identity()
-        assert preserves_form(t, form)
+        assert np.array_equal(linalg.mat_mul(F4, t, t), linalg.identity(F4, 4))
+        assert _preserving(form, t[None], 0)[0]
         for _ in range(5):
             u = np.array([rng.randrange(4) for _ in range(4)])
             v = np.array([rng.randrange(4) for _ in range(4)])
-            ut = t.act_vectors(u[None, :])[0]
-            vt = t.act_vectors(v[None, :])[0]
+            ut = linalg.mat_mul(F4, u[None, :], t)[0]
+            vt = linalg.mat_mul(F4, v[None, :], t)[0]
             assert eval_form(form, ut, vt) == eval_form(form, u, v)
 
 
@@ -93,7 +101,7 @@ def test_transvection_moves_partner():
     # over GF(2) that is u + a
     form = symplectic_form(F2, 4)
     t = transvection_symplectic(np.array([1, 0, 0, 0]), form)
-    img = t.act_vectors(np.array([[0, 0, 1, 0]]))[0]
+    img = linalg.mat_mul(F2, np.array([[0, 0, 1, 0]]), t)[0]
     assert list(img) == [1, 0, 1, 0]
 
 
@@ -122,23 +130,25 @@ def test_semilinear_composition_associative():
     gens, _ = classical_generators(spec)
     rng = random.Random(8)
     frob = outer_element("frob", spec)
-    pool = gens[:6] + [frob]
+    pool = triples(gens[:6]) + [frob]
+    F = F4
     for _ in range(25):
         a, b, c = (pool[rng.randrange(len(pool))] for _ in range(3))
-        assert (a * b) * c == a * (b * c)
+        assert same_element(compose(F, compose(F, a, b), c),
+                            compose(F, a, compose(F, b, c)))
 
 
 def test_duality_conjugation_law():
     spec = GroupSpec("SL", 3, 2)
     gens, _ = classical_generators(spec)
     iota = outer_element("dual", spec)
-    assert (iota * iota).is_identity()
     F = F2
-    for g in gens[:6]:
-        conj = iota * g * iota
-        assert not conj.dual
-        expected = linalg.inverse(F, g.matrix).T
-        assert np.array_equal(conj.matrix, expected)
+    assert is_identity(compose(F, iota, iota))
+    for g in triples(gens[:6]):
+        conj = compose(F, compose(F, iota, g), iota)
+        assert not conj[2]
+        expected = linalg.inverse(F, g[0]).T
+        assert np.array_equal(conj[0], expected)
 
 
 def test_duality_reverses_inclusion_on_subspaces():
@@ -146,7 +156,7 @@ def test_duality_reverses_inclusion_on_subspaces():
     iota = outer_element("dual", spec)
     A = np.array([[1, 0, 0, 0]])
     B = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
-    [Ai], [Bi] = act(iota, A[None]), act(iota, B[None])
+    [Ai], [Bi] = act(F2, iota, A[None]), act(F2, iota, B[None])
     assert len(Ai) == 3 and len(Bi) == 2
     assert vector_set(F2, Bi) <= vector_set(F2, Ai)
 
@@ -154,10 +164,10 @@ def test_duality_reverses_inclusion_on_subspaces():
 def test_frobenius_outer_order():
     spec = GroupSpec("Sp", 4, 4)
     phi = outer_element("frob", spec)
-    assert not phi.is_identity()
-    assert (phi * phi).is_identity()  # f = 2
+    assert not is_identity(phi)
+    assert is_identity(compose(F4, phi, phi))  # f = 2
     full = outer_element("frob:2", spec)
-    assert full.is_identity()
+    assert is_identity(full)
 
 
 def similitude_scalar(g, form):
@@ -165,9 +175,9 @@ def similitude_scalar(g, form):
     sides folded to upper-triangular representatives for a quadratic
     form), or None when g is no similitude of the form."""
     F = form.field
-    M = g.matrix
+    M, k, _ = g
     lhs = linalg.mat_mul(F, linalg.mat_mul(F, M, form.gram), M.T)
-    target = F.frob(form.gram, g.frob_power)
+    target = F.frob(form.gram, k)
     if form.kind == "quadratic":
         lhs, target = _upper_tri_rep(F, lhs), _upper_tri_rep(F, target)
     i, j = np.argwhere(target)[0]
@@ -179,7 +189,7 @@ def test_diag_outer_is_symplectic_similitude():
     spec = GroupSpec("Sp", 4, 3)
     delta = outer_element("diag", spec)
     _, form = classical_generators(spec)
-    assert not preserves_form(delta, form)
+    assert not _preserving(form, delta[0][None], delta[1])[0]
     assert similitude_scalar(delta, form) not in (None, 1)
 
 
@@ -190,11 +200,15 @@ def test_frobenius_twist_form_check_direction():
     _, form = classical_generators(spec)
     assert form.meta["mu"] not in (0, 1)
     phi = outer_element("frob", GroupSpec("Sp", 4, 4))
-    assert not preserves_form(phi, form)
+    assert not _preserving(form, phi[0][None], phi[1])[0]
     assert similitude_scalar(phi, form) is None
     # while forms with prime-field Grams are twist-invariant
     _, sp_form = classical_generators(GroupSpec("Sp", 4, 4))
-    assert preserves_form(phi, sp_form)
+    assert _preserving(sp_form, phi[0][None], phi[1])[0]
+    # the minus-type outer element follows the twist with a matrix that
+    # carries the twisted form back
+    M, k, _ = outer_element("frob", GroupSpec("GOminus", 4, 4))
+    assert (M != linalg.identity(F4, 4)).any() and _preserving(form, M[None], k)[0]
 
 
 def test_outer_element_invalid_kinds():
@@ -216,8 +230,7 @@ def test_su_generators_have_det_one():
         spec = GroupSpec("SU", d, q)
         gens, _ = classical_generators(spec)
         E = spec.matrix_field()
-        for g in gens:
-            assert linalg.det(E, g.matrix) == 1
+        assert (linalg.det(E, gens) == 1).all()
 
 
 def test_su33_certified():
@@ -245,9 +258,10 @@ def test_semilinear_inverse():
     spec = GroupSpec("Sp", 4, 4)
     gens, _ = classical_generators(spec)
     phi = outer_element("frob", spec)
-    for g in list(gens[:5]) + [phi, gens[0] * phi]:
-        assert (g * g.inverse_element()).is_identity()
-        assert (g.inverse_element() * g).is_identity()
+    F = F4
+    for g in triples(gens[:5]) + [phi, compose(F, (gens[0], 0, False), phi)]:
+        assert is_identity(compose(F, g, invert(F, g)))
+        assert is_identity(compose(F, invert(F, g), g))
 
 
 def test_semilinear_subspace_action_is_homomorphism():
@@ -256,8 +270,10 @@ def test_semilinear_subspace_action_is_homomorphism():
     gens, _ = classical_generators(spec)
     iota = outer_element("dual", spec)
     phi = outer_element("frob", spec)
-    pool = gens[:5] + [iota, phi, gens[0] * iota, iota * gens[1] * phi]
     F = spec.matrix_field()
+    g0, g1 = triples(gens[:2])
+    pool = triples(gens[:5]) + [iota, phi, compose(F, g0, iota),
+                                compose(F, compose(F, iota, g1), phi)]
     rng = random.Random(6)
     subspaces = []
     while len(subspaces) < 6:
@@ -270,7 +286,7 @@ def test_semilinear_subspace_action_is_homomorphism():
         g1 = pool[rng.randrange(len(pool))]
         g2 = pool[rng.randrange(len(pool))]
         W = subspaces[rng.randrange(len(subspaces))]
-        assert np.array_equal(act(g2, act(g1, W)), act(g1 * g2, W))
+        assert np.array_equal(act(F, g2, act(F, g1, W)), act(F, compose(F, g1, g2), W))
 
 
 def test_semilinear_vector_action_matches_subspace_action():
@@ -279,10 +295,10 @@ def test_semilinear_vector_action_matches_subspace_action():
     F = field_of_order(3)
     rng = random.Random(4)
     for _ in range(10):
-        g = gens[rng.randrange(len(gens))]
+        g = (gens[rng.randrange(len(gens))], 0, False)
         v = np.array([rng.randrange(3) for _ in range(3)])
         if not v.any():
             continue
         W = linalg.rref(F, v[None])[0]
-        [img] = act(g, W[None])
-        assert tuple(g.act_vectors(v[None, :])[0]) in vector_set(F, img)
+        [img] = act(F, g, W[None])
+        assert tuple(move_vectors(F, g, v[None, :])[0]) in vector_set(F, img)

@@ -63,14 +63,11 @@ ALLOWED = {
     "actions.build_pair_domain": "builder of the pair domains",
     "actions.enumerate_subspaces": "all k-subspaces as one RREF stack",
     "actions.gaussian_binomial": "the number of k-subspaces",
-    "actions.induce_group": "the permutation group of a set of elements",
     "actions.witt_index": "the largest totally singular dimension of a form",
     "actions.theta_value": "theta_a(u) on the quadratic-forms domain",
     "gf.find_special_alpha": "the full-orbit trace-equation element of PSU3",
     "groups.certified_order": "checks a spec's generators against the order formula",
     "groups.induced_on_nonzero_vectors": "the faithful action certified_order uses",
-    "groups.orthogonal_reflection": "the reflections generating orthogonal groups",
-    "groups.outer_element": "the diagonal, field and duality automorphisms",
     "linalg.klein_map": "lines of PG(3, q) to points of the Klein quadric",
     "linalg.pfaffian4": "the Pfaffian of a 4 x 4 skew matrix",
     "linalg.pfaffian_quadric_form": "the Pfaffian as a quadratic form",
@@ -80,12 +77,6 @@ METHODS_ALLOWED = {
     "gf.FiniteField.__eq__": "build_group_action refuses a domain over another field",
     "gf.FiniteField.__repr__": "names the fields in that refusal's message",
     "groups.GroupSpec.__post_init__": "the dataclass hook that validates a spec",
-    "groups.SemilinearElement.__mul__":
-        "the group law that the induction-homomorphism tests compare against",
-    "groups.SemilinearElement.inverse_element":
-        "the inverse in that group law, which the forms-action tests apply",
-    "groups.SemilinearElement.__eq__":
-        "equal matrix, field power and duality; the associativity test compares",
     "ibis.BaseReport.__len__": "a base's length, which the witness catalog compares",
 }
 
