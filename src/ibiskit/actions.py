@@ -500,6 +500,20 @@ def build_domain(desc):
     if "kind" not in desc:
         raise ActionError("action descriptor is missing 'kind'")
     kind = desc["kind"]
+    # nonsingular_1 reads "sign" in place of a missing "form"
+    form = "sign" if "form" not in desc and "sign" in desc else "form"
+    reads = {"projective_points": "d q", "subspaces_k": "d q k", "pair_complement": "d q k",
+             "pair_incident": "d q k", "quad_forms_plus": "m q", "quad_forms_minus": "m q",
+             "totally_singular_k": "form d q k family", "nondegenerate_k": "form d q k",
+             "max_isotropic_family": "form d q k family", "nonsingular_1": f"{form} d q",
+             }.get(kind if isinstance(kind, str) else None)
+    if reads is None:
+        raise ActionError(f"unknown domain kind {kind!r}")
+    reads = ["kind"] + reads.split()
+    for key in desc:
+        if key not in reads:
+            raise ActionError(f"action descriptor {kind!r} has key {key!r}, which it "
+                              f"does not read; it reads: {', '.join(reads)}")
 
     def need(key):
         if key not in desc:
@@ -525,10 +539,8 @@ def build_domain(desc):
     if kind in ("quad_forms_plus", "quad_forms_minus"):
         return build_quad_forms_domain(need("m"), need("q"),
                                        "+" if kind.endswith("plus") else "-")
-    if kind == "nondegenerate_k":
-        form = _form_from_name(need("form"), need("d"), need("q"))
-        return build_nondegenerate_domain(form, need("k"))
-    raise ActionError(f"unknown domain kind {kind!r}")
+    form = _form_from_name(need("form"), need("d"), need("q"))     # nondegenerate_k
+    return build_nondegenerate_domain(form, need("k"))
 
 
 def _form_from_name(name, d, q):

@@ -20,6 +20,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import ibis, witnesses
 from .actions import build_domain, build_group_action
 from .groups import GroupSpec
@@ -127,7 +129,8 @@ def cmd_analyze(args):
     if task == "order":
         report["order"] = str(G.order())
     elif task == "orbits":
-        report["orbit_sizes"] = sorted(len(o) for o in G.orbits())
+        sizes = np.bincount(G.orbits())
+        report["orbit_sizes"] = sorted(sizes[sizes > 0].tolist())
     elif task == "base-find":
         if "size" in job:
             enum = enumerate_irredundant_base_sizes(G, budget)
@@ -179,7 +182,9 @@ def compute_table_row(row):
 
 
 def cmd_table(args):
-    selector = [s.strip() for s in args.rows.split(",")] if args.rows else None
+    selector = None if args.rows is None else [s.strip() for s in args.rows.split(",")]
+    if "" in (selector or ()):      # "" is a substring of every name
+        raise CliError(f"--rows {args.rows!r} has an empty entry")
     rows = [r for r in TABLE_ROWS
             if selector is None or any(s in r[0] for s in selector)]
     unmatched = [s for s in selector or () if not any(s in r[0] for r in TABLE_ROWS)]

@@ -94,6 +94,11 @@ class GroupSpec:
     def deserialize(cls, data):
         if not isinstance(data, dict):
             raise GroupError("group descriptor must be a JSON object")
+        reads = ("family", "d", "q", "extensions", "derived")
+        for key in data:
+            if key not in reads:
+                raise GroupError(f"group descriptor has key {key!r}, which it does not "
+                                 f"read; it reads: {', '.join(reads)}")
         for key in ("family", "d", "q"):
             if key not in data:
                 raise GroupError(f"group descriptor is missing {key!r}")

@@ -1,7 +1,7 @@
 """Irredundant-base analysis: base testing and extension, the
 exhaustive search over base lengths (which also finds a base of a given
 length), the IBIS decision with witnesses, minimal-base sizes,
-witness-chain verification, and the big-integer parabolic bound for E7.
+pointwise-stabilizer equality, and the big-integer parabolic bound for E7.
 
 Both exhaustive searches step from a pointwise stabilizer H to H_p
 through one store (_Stabilizers) that keeps each distinct stabilizer
@@ -63,7 +63,6 @@ class BaseReport:
 @dataclass(frozen=True)
 class IbisVerdict:
     status: str                  # "IBIS" | "NotIBIS" | "Unknown"
-    method: str                  # always "exhaustive"
     rank: int | None = None
     witnesses: tuple = ()
     lengths: frozenset = frozenset()
@@ -71,7 +70,7 @@ class IbisVerdict:
     budget_used: int = 0
 
     def serialize(self):
-        out = {"status": self.status, "method": self.method,
+        out = {"status": self.status, "method": "exhaustive",
                "budget_used": self.budget_used,
                "lengths": sorted(self.lengths)}
         if self.rank is not None:
@@ -115,7 +114,7 @@ def extend_to_irredundant_base(G, prefix=()):
     while H.order() > 1:
         p = int(np.flatnonzero(~H.fixed_points())[0])
         points.append(p)
-        H = H.stabilizer(p)
+        H = H.pointwise_stabilizer((p,))
     return base_report(G, points)
 
 
@@ -136,10 +135,10 @@ class _Stabilizers:
     H = G_(F), F = fix(H), a kept group whose key contains F and p lies
     in H_p = G_(F + p), and equals H_p when its order is |H| / |p^H|
     (orbit-stabilizer).  find() takes H_p from the kept groups that way
-    and only when none matches builds a chain: H.stabilizer(p) rebuilds
-    H's chain based at p with the certified |H| as its target.  Each
-    kept group's orbits are computed once, and step() is find() with
-    |p^H| read off them, tabled per (id, point).
+    and only when none matches builds one: H.pointwise_stabilizer((p,))
+    builds H's chain based at p with the certified |H| as its target.
+    Each kept group's orbit labels are computed once, and step() is
+    find() with |p^H| read off them, tabled per (id, point).
     """
 
     def __init__(self, G):
@@ -149,12 +148,11 @@ class _Stabilizers:
         self.orders = []    # id -> certified order
         self.tables = []    # id -> None, or its orbits() once computed
         self.steps = {}     # id * degree + point -> id of its stabilizer
-        self.ids = {}       # fixed-point key -> id
         self.by_order = {}  # order -> ids
         self._keep(_key(G.fixed_points()), G.order(), G)
 
     def _keep(self, key, order, group):
-        k = self.ids[key] = len(self.keys)
+        k = len(self.keys)
         self.by_order.setdefault(order, []).append(k)
         self.groups.append(group)
         self.keys.append(key)
@@ -164,15 +162,12 @@ class _Stabilizers:
 
     def orbits(self, k):
         """The least point of each non-trivial orbit of the group with id
-        k, in ascending order, and the orbit length of every point."""
+        k, in ascending order, and every point's orbit length: int lists."""
         if self.tables[k] is None:
-            minima, lengths = [], [1] * self.degree
-            for ob in self.groups[k].orbits():
-                if len(ob) > 1:
-                    minima.append(ob[0])
-                    for q in ob:
-                        lengths[q] = len(ob)
-            self.tables[k] = minima, lengths
+            lab = self.groups[k].orbits()
+            lengths = np.bincount(lab)[lab]
+            minima = np.flatnonzero((lab == np.arange(self.degree)) & (lengths > 1))
+            self.tables[k] = minima.tolist(), lengths.tolist()
         return self.tables[k]
 
     def find(self, k, p, orbit_length):
@@ -184,7 +179,7 @@ class _Stabilizers:
         for i in self.by_order.get(order, ()):
             if keys[i] & target == target:
                 return i
-        Hp = self.groups[k].stabilizer(p)
+        Hp = self.groups[k].pointwise_stabilizer((p,))
         return self._keep(_key(Hp.fixed_points()), order, Hp)
 
     def step(self, k, p):
@@ -324,11 +319,11 @@ def decide_ibis(G, budget=DEFAULT_BUDGET, seed=None):
         if not (all(w.is_base and w.is_irredundant for w in pair)
                 and len(pair[0]) < len(pair[1])):
             raise IbisError("NotIBIS witnesses failed re-certification")
-        return IbisVerdict("NotIBIS", "exhaustive", witnesses=pair, **common)
+        return IbisVerdict("NotIBIS", witnesses=pair, **common)
     if enum.complete:
-        return IbisVerdict("IBIS", "exhaustive", rank=min(enum.lengths),
+        return IbisVerdict("IBIS", rank=min(enum.lengths),
                            witnesses=wits, **common)
-    return IbisVerdict("Unknown", "exhaustive", **common)
+    return IbisVerdict("Unknown", **common)
 
 
 def same_pointwise_stabilizer(G, seq_a, seq_b):
@@ -338,14 +333,6 @@ def same_pointwise_stabilizer(G, seq_a, seq_b):
     A = G.pointwise_stabilizer(seq_a)
     B = G.pointwise_stabilizer(seq_b)
     return bool(np.array_equal(A.fixed_points(), B.fixed_points()))
-
-
-def verify_witness_chain(G, chain_a, chain_b):
-    """True iff both chains are irredundant and reach the same pointwise
-    stabilizer."""
-    if not (is_irredundant(G, chain_a) and is_irredundant(G, chain_b)):
-        return False
-    return same_pointwise_stabilizer(G, chain_a, chain_b)
 
 
 # -- E7 parabolic arithmetic -------------------------------------------------------

@@ -14,11 +14,11 @@ order.  The bound is an order already certified, or for an induced
 classical group the one actions.build_group_action proves from its
 spec.  Orders are exact big integers, never Monte Carlo.
 
-The second way makes point stabilizers cheap: H.stabilizer(p) rebuilds
-H's chain based at p with |H| as its target, and the stabilizer it
-returns carries its certified order.  The searches in the ibis module
-step from a stabilizer to the next this way, and name a pointwise
-stabilizer by its fixed-point mask.
+The second way makes pointwise stabilizers cheap: H.pointwise_stabilizer(S)
+builds one chain of H based at S with |H| as its target, and returns the
+stabilizer with its certified order.  The searches in the ibis module
+step from H to H_p this way, name a pointwise stabilizer by its
+fixed-point mask, and read orbits as labels, each orbit's least point.
 
 A level of a chain keeps its basic orbit as a Schreier tree over rows,
 one per orbit point in order of discovery, with a map from point to
@@ -223,14 +223,6 @@ class _Chain:
         if not installed:
             self._close(i + 1)
 
-    # queries ------------------------------------------------------------------
-
-    def level_generators(self, k):
-        """Generators of the stabilizer of the first k base points, as rows."""
-        seen = {g.tobytes(): g for lvl in self.levels[k:] for g in lvl.gens}
-        return np.array(list(seen.values()), np.int32).reshape(len(seen), self.degree)
-
-
 class PermGroup:
     """A permutation group given by generator rows, with lazy certified
     BSGS.  `generators` is a read-only (m, N) int32 array: the given rows
@@ -302,23 +294,25 @@ class PermGroup:
         return self.chain().base()
 
     def orbits(self):
-        """All orbits, as sorted lists of points, ordered by least point."""
-        gens = self.generators.tolist()
-        seen = [False] * self.degree
-        out = []
-        for p in range(self.degree):
-            if seen[p]:
-                continue
-            seen[p] = True
-            ob = [p]
-            for x in ob:
-                for g in gens:
-                    y = g[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        ob.append(y)
-            out.append(sorted(ob))
-        return out
+        """The least point of each point's orbit, as an (N,) int array.
+
+        Each point starts as its own label, and two steps repeat until
+        nothing changes: a point takes the least label of itself and its
+        images under the generators and their inverses, then each label
+        is replaced by its own label.  Labels stay in their orbit and end
+        constant on it, so each ends as its orbit's least point.  With the
+        inverses a label crosses a long cycle in a few rounds, not one
+        round per point."""
+        lab = np.arange(self.degree)
+        inv = np.empty_like(self.generators)         # the inverse rows
+        np.put_along_axis(inv, self.generators, lab[None], axis=1)
+        rows = np.concatenate([lab[None], self.generators, inv])
+        while True:
+            new = lab[rows].min(0)
+            new = new[new]
+            if np.array_equal(new, lab):
+                return lab
+            lab = new
 
     def fixed_points(self):
         """Mask of the points that every element fixes.
@@ -328,20 +322,17 @@ class PermGroup:
         """
         return (self.generators == np.arange(self.degree)).all(axis=0)
 
-    def stabilizer(self, pt):
-        """The point stabilizer, read off a chain based at the point; its
-        order comes certified with it."""
-        ch = self.chain(base_prefix=(pt,))
-        sub = PermGroup(self.degree, ch.level_generators(1))
-        sub._order = ch.suffix_orders()[1]
-        return sub
-
     def pointwise_stabilizer(self, points):
-        """The pointwise stabilizer, one point stabilizer at a time."""
-        H = self
-        for p in points:
-            H = H.stabilizer(p)
-        return H
+        """The pointwise stabilizer of a point sequence, read off one chain
+        based at it: the group of the strong generators below the prefix,
+        with the prefix's suffix order as its certified order."""
+        pts = tuple(int(p) for p in points)
+        if not pts:
+            return self
+        ch, k = self.chain(base_prefix=pts), len(pts)
+        sub = PermGroup(self.degree, [g for lvl in ch.levels[k:] for g in lvl.gens])
+        sub._order = ch.suffix_orders()[k]
+        return sub
 
     def chain_orders(self, points):
         """[|G|, |G_p1|, |G_p1,p2|, ...] along the given point sequence."""

@@ -278,20 +278,53 @@ def sequential_chain(degree, gens, rattle=50):
     return [(beta, lvl_gens) for beta, lvl_gens, _ in levels]
 
 
+# -- orbit and stabilizer oracles ------------------------------------------------
+
+def orbit_lists(G):
+    """Oracle for PermGroup.orbits: all orbits, as sorted lists of points
+    ordered by least point, each grown breadth first from its least
+    point over the generators."""
+    gens = G.generators.tolist()
+    seen = [False] * G.degree
+    out = []
+    for p in range(G.degree):
+        if seen[p]:
+            continue
+        seen[p] = True
+        ob = [p]
+        for x in ob:
+            for g in gens:
+                y = g[x]
+                if not seen[y]:
+                    seen[y] = True
+                    ob.append(y)
+        out.append(sorted(ob))
+    return out
+
+
+def stabilizer_per_point(G, points):
+    """Oracle for PermGroup.pointwise_stabilizer: one point stabilizer at
+    a time, each read off its own chain."""
+    H = G
+    for p in points:
+        H = H.pointwise_stabilizer((p,))
+    return H
+
+
 # -- search oracles ---------------------------------------------------------
 
 def recording_stabilizer_keys(monkeypatch):
-    """The fixed-point keys of the chains PermGroup.stabilizer builds from
-    now on, in a list that grows as it is called."""
+    """The fixed-point keys of the stabilizers PermGroup.pointwise_stabilizer
+    builds from now on, in a list that grows as it is called."""
     keys = []
-    stabilizer = PermGroup.stabilizer
+    pointwise_stabilizer = PermGroup.pointwise_stabilizer
 
-    def recorded(self, p):
-        H = stabilizer(self, p)
+    def recorded(self, points):
+        H = pointwise_stabilizer(self, points)
         keys.append(H.fixed_points().tobytes())
         return H
 
-    monkeypatch.setattr(PermGroup, "stabilizer", recorded)
+    monkeypatch.setattr(PermGroup, "pointwise_stabilizer", recorded)
     return keys
 
 
@@ -383,7 +416,7 @@ def plain_enumeration(G, node_budget=DEFAULT_BUDGET):
             lengths.add(len(chain))
             witnesses.setdefault(len(chain), tuple(chain))
             return
-        for ob in H.orbits():
+        for ob in orbit_lists(H):
             if len(ob) == 1:
                 continue
             nodes += 1
@@ -391,7 +424,7 @@ def plain_enumeration(G, node_budget=DEFAULT_BUDGET):
                 complete = False
                 return
             chain.append(ob[0])
-            dfs(H.stabilizer(ob[0]), chain)
+            dfs(H.pointwise_stabilizer((ob[0],)), chain)
             chain.pop()
 
     dfs(G, [])
@@ -423,7 +456,7 @@ def plain_minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
         """G_(points), memoised on the point set."""
         key = frozenset(points)
         if key not in memo:
-            memo[key] = stab(points[:-1]).stabilizer(points[-1])
+            memo[key] = stab(points[:-1]).pointwise_stabilizer(points[-1:])
         return memo[key]
 
     def independent(points):
@@ -448,7 +481,7 @@ def plain_minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
             if independent(cand):
                 dfs(stab(cand), cand, p + 1)
 
-    for ob in G.orbits():
+    for ob in orbit_lists(G):
         if len(ob) > 1:
             nodes += 1
             if nodes > node_budget:

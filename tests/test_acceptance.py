@@ -49,7 +49,7 @@ def test_criterion_1_table_rows():
         assert dom.N == degree, name
         verdict = decide_ibis(G)
         assert verdict.status == "IBIS", (name, verdict.status)
-        assert verdict.method == "exhaustive" and verdict.complete, name
+        assert verdict.serialize()["method"] == "exhaustive" and verdict.complete, name
         assert verdict.rank == rank, (name, verdict.rank, rank)
         assert time.time() - row_start < 60, f"{name} exceeded 60 s"
     announce(1, t0, "catalog IBIS rows certified by exhaustive enumeration")
@@ -222,9 +222,8 @@ def test_criterion_7_property_suite():
                                      "Sp4_4/omega_plus136", "PSL4_3/proj40"]:
         G, dom = named_case(name)
         pt = rng.randrange(G.degree)
-        orbit = next(o for o in G.orbits() if pt in o)
-        assert G.order() == len(orbit) * G.stabilizer(pt).order(), name
-        assert G.orbits() == [list(range(dom.N))], name
+        assert (G.orbits() == 0).all(), name
+        assert G.order() == dom.N * G.pointwise_stabilizer((pt,)).order(), name
 
     # BSGS verification: random products of <= 20 generators sift to identity
     for name in ("PSp4_3/proj40", "Sp4_4/omega_plus136", "PSL4_3/proj40"):
@@ -247,7 +246,7 @@ def test_criterion_7_property_suite():
     # subgroup monotonicity: irredundant for H <= G implies irredundant for G
     for name in ("PSp4_3/proj40", "Om6p2/ns28"):
         G, _ = named_case(name)
-        H = G.stabilizer(0)
+        H = G.pointwise_stabilizer((0,))
         found = 0
         while found < 6:
             seq = rng.sample(range(1, G.degree), rng.randrange(2, 5))

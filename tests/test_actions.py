@@ -338,15 +338,15 @@ def test_socle_transitive_on_acceptance_domains():
     ]
     for spec, dom in cases:
         G = build_group_action(spec, dom)
-        assert G.orbits() == [list(range(dom.N))]
+        assert (G.orbits() == 0).all()
 
 
 def test_forms_trace_classes_are_socle_orbits():
     # Sp4(2) on all 16 forms: orbits are the trace classes, sizes 10 and 6
     dom = build_quad_forms_domain(2, 2, None)
     G = build_group_action(GroupSpec("Sp", 4, 2), dom)
-    sizes = sorted(len(o) for o in G.orbits())
-    assert sizes == [6, 10]
+    counts = np.bincount(G.orbits())
+    assert sorted(counts[counts > 0].tolist()) == [6, 10]
 
 
 def test_derived_group_action():
@@ -377,7 +377,8 @@ def test_induced_order_examples():
 def test_minus_type_frobenius_extends_by_its_order(family, d, q, action, order):
     # over GF(4) and GF(9) the Frobenius moves the elliptic form; the outer
     # element follows it with a plane matrix, so the socle has index 2
-    dom = build_domain({"kind": action, "form": "-", "d": d, "q": q})
+    form = {"form": "-"} if action == "nonsingular_1" else {}
+    dom = build_domain({"kind": action, "d": d, "q": q, **form})
     G = build_group_action(GroupSpec(family, d, q, ("frob",)), dom)
     socle = build_group_action(GroupSpec(family, d, q), dom)
     assert G.order() == order == 2 * socle.order()
@@ -398,7 +399,7 @@ def test_omega_minus_transitive_68():
     dom = build_nonsingular_points(quadratic_minus(F4, 4))
     G = build_group_action(GroupSpec("OmegaMinus", 4, 4), dom)
     assert dom.N == 68
-    assert G.orbits() == [list(range(68))]
+    assert (G.orbits() == 0).all()
     assert G.order() == 4080
 
 
@@ -452,7 +453,7 @@ def test_unitary_isotropic_domains():
     for dom in (pts, lines):
         G = build_group_action(GroupSpec("SU", 4, 2), dom)
         assert G.order() == 25920
-        assert G.orbits() == [list(range(dom.N))]
+        assert (G.orbits() == 0).all()
 
 
 def test_domain_descriptor_roundtrip():

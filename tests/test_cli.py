@@ -378,6 +378,48 @@ def test_unknown_isotropic_family_one_line_error(capsys, family):
     assert_one_line_error(capsys, code, f"unknown family {family!r}")
 
 
+@pytest.mark.parametrize("group,action,message", [
+    ({"family": "SL", "d": 3, "q": 2, "derivd": True},
+     {"kind": "projective_points", "d": 3, "q": 2},
+     "group descriptor has key 'derivd', which it does not read; it reads: "
+     "family, d, q, extensions, derived"),
+    ({"family": "SL", "d": 3, "q": 2},
+     {"kind": "projective_points", "d": 3, "q": 2, "k": 2},
+     "action descriptor 'projective_points' has key 'k', which it does not read; "
+     "it reads: kind, d, q"),
+    ({"family": "OmegaPlus", "d": 4, "q": 2},
+     {"kind": "nonsingular_1", "form": "+", "sign": "-", "d": 4, "q": 2},
+     "action descriptor 'nonsingular_1' has key 'sign', which it does not read; "
+     "it reads: kind, form, d, q"),
+    ({"family": "SL", "d": 3, "q": 2},
+     {"kind": "quad_forms_minus", "m": 1, "d": 2, "q": 2},
+     "action descriptor 'quad_forms_minus' has key 'd', which it does not read; "
+     "it reads: kind, m, q"),
+], ids=["group-typo", "points-k", "form-and-sign", "forms-d"])
+def test_descriptor_key_not_read_one_line_error(capsys, group, action, message):
+    code = main(["analyze", "--group", json.dumps(group),
+                 "--action", json.dumps(action), "--task", "order"])
+    assert_one_line_error(capsys, code, message)
+
+
+def test_nonsingular_sign_alone_is_read(capsys):
+    group = '{"family":"OmegaMinus","d":4,"q":2}'
+    orders = []
+    for action in ({"kind": "nonsingular_1", "sign": "-", "d": 4, "q": 2},
+                   {"kind": "nonsingular_1", "form": "-", "d": 4, "q": 2}):
+        assert main(["analyze", "--group", group, "--action", json.dumps(action),
+                     "--task", "order"]) == 0
+        orders.append(json.loads(capsys.readouterr().out)["order"])
+    assert orders[0] == orders[1]
+
+
+@pytest.mark.parametrize("rows", ["SL3(2),", ",", "", "SL3, ,Sp4"])
+def test_table_refuses_an_empty_rows_entry(capsys, rows):
+    # "" is a substring of every row name, so it would select them all
+    assert_one_line_error(capsys, main(["table", "--rows", rows]),
+                          f"--rows {rows!r} has an empty entry")
+
+
 SL32 = ["--group", '{"family":"SL","d":3,"q":2}',
         "--action", '{"kind":"projective_points","d":3,"q":2}']
 

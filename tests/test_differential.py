@@ -60,7 +60,7 @@ def test_orders_match_sympy(seed):
     assert perm._Chain(n, G.generators, rattle=0).order() == S.order()
     rng = random.Random(seed)
     for p in rng.sample(range(n), 3):
-        assert G.stabilizer(p).order() == S.stabilizer(p).order()
+        assert G.pointwise_stabilizer((p,)).order() == S.stabilizer(p).order()
     for length in (1, 2, 4):
         points = rng.sample(range(n), length)
         assert G.chain_orders(points) == [

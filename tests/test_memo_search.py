@@ -180,7 +180,7 @@ def checked_store_lookups():
             j = method(store, k, p, *args)
             if (store, k, p, j) not in checked:
                 checked.add((store, k, p, j))
-                fresh = store.groups[k].stabilizer(p)
+                fresh = store.groups[k].pointwise_stabilizer((p,))
                 assert store.keys[j] == _key(fresh.fixed_points())
                 assert store.orders[j] == fresh.order()
             return j

@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import action_group, element_table
+from conftest import (
+    ACTIONS, action_group, element_table, orbit_lists, stabilizer_per_point,
+)
 from ibiskit import perm
 from ibiskit.perm import PermError, PermGroup, derived_subgroup
 
@@ -51,11 +54,86 @@ def test_composition_order():
 
 def test_orbit_trivial_group():
     G = PermGroup(5, [])
-    assert G.orbits() == [[0], [1], [2], [3], [4]]
+    assert G.orbits().tolist() == [0, 1, 2, 3, 4]
+    # and degree 0, with and without generator rows
+    assert PermGroup(0, []).orbits().tolist() == []
+    assert PermGroup(0, np.zeros((2, 0), np.int32)).orbits().tolist() == []
 
 
 def test_orbit_transitive_and_words():
-    assert sym(6).orbits() == [list(range(6))]
+    assert sym(6).orbits().tolist() == [0] * 6
+
+
+def reference_labels(G):
+    """The least point of each point's orbit, from the breadth-first walk."""
+    lab = np.empty(G.degree, dtype=int)
+    for ob in orbit_lists(G):
+        lab[ob] = ob[0]
+    return lab
+
+
+@st.composite
+def random_groups(draw, max_degree=40):
+    """A group of degree 0..max_degree whose generators act on one to four
+    blocks of points, each block by a random permutation, a rotation or
+    not at all, so that groups with several orbits turn up."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(0, max_degree)
+    points = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), min(max(n - 1, 0), rng.randint(0, 3))))
+    blocks = [points[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        g = list(range(n))
+        for block in blocks:
+            kind = rng.randrange(3)
+            images = (rng.sample(block, len(block)) if kind == 1
+                      else block[1:] + block[:1] if kind == 2 else block)
+            for x, y in zip(block, images):
+                g[x] = y
+        gens.append(g)
+    return PermGroup(n, gens)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(G=random_groups())
+def test_orbit_labels_match_the_walk_on_random_groups(G):
+    lab = G.orbits()
+    assert lab.shape == (G.degree,)
+    assert lab.tolist() == reference_labels(G).tolist()
+
+
+@pytest.mark.parametrize("name", list(ACTIONS))
+def test_orbit_labels_match_the_walk_on_the_actions(name):
+    G = action_group(name)
+    assert G.orbits().tolist() == reference_labels(G).tolist()
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_orbit_labels_of_one_long_cycle(shift):
+    # one 20000-cycle, and then two fixed points and a transposition
+    n = 20000
+    cycle = np.roll(np.arange(n), shift)
+    assert PermGroup(n, [cycle]).orbits().tolist() == [0] * n
+    G = PermGroup(n + 4, [np.append(cycle, [n, n + 1, n + 3, n + 2])])
+    assert G.orbits().tolist() == [0] * n + [n, n + 1, n + 2, n + 2]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(G=random_groups(max_degree=10), data=st.data())
+def test_pointwise_stabilizer_matches_the_per_point_loop(G, data):
+    # one chain based at the whole sequence gives the group that one
+    # chain per point gives, repeated points included
+    seq = data.draw(st.lists(st.integers(0, max(G.degree - 1, 0)),
+                             max_size=5 if G.degree else 0))
+    if seq and data.draw(st.booleans()):
+        seq.insert(data.draw(st.integers(0, len(seq))), seq[0])
+    H, ref = G.pointwise_stabilizer(seq), stabilizer_per_point(G, seq)
+    assert H.order() == ref.order()
+    assert H.fixed_points().tolist() == ref.fixed_points().tolist()
+    assert all(H.fixed_points()[p] for p in seq)
+    if not seq:
+        assert H is G
 
 
 def test_symmetric_group_order():
@@ -103,13 +181,13 @@ def test_orbit_stabilizer_identity():
     for G in (sym(6), cyclic(8), derived_subgroup(sym(5))):
         for _ in range(3):
             pt = rng.randrange(G.degree)
-            orbit = next(o for o in G.orbits() if pt in o)
-            assert G.order() == len(orbit) * G.stabilizer(pt).order()
+            orbit_length = (G.orbits() == G.orbits()[pt]).sum()
+            assert G.order() == orbit_length * G.pointwise_stabilizer((pt,)).order()
 
 
 def test_regular_action_trivial_stabilizer():
     G = cyclic(7)
-    assert G.stabilizer(0).order() == 1
+    assert G.pointwise_stabilizer((0,)).order() == 1
 
 
 def test_membership_and_sifting():
@@ -200,7 +278,7 @@ def test_stabilizer_of_bsgs_group_is_exact():
         rng.shuffle(img)
         G = PermGroup(n, [img, perm_from_cycles(n, (0, 1, 2))])
         pt = rng.randrange(n)
-        H = G.stabilizer(pt)
+        H = G.pointwise_stabilizer((pt,))
         table = element_table(G)
         brute = sum(1 for row in table if row[pt] == pt)
         assert H.order() == brute
@@ -242,7 +320,7 @@ def test_mathieu_style_bigger_group():
     # fallback: just check a transitive subgroup's orbit-stabilizer identity
     G = PermGroup(10, [a, perm_from_cycles(10, (0, 9))])
     n = G.order()
-    assert n == len(G.orbits()[0]) * G.stabilizer(0).order()
+    assert n == (G.orbits() == 0).sum() * G.pointwise_stabilizer((0,)).order()
 
 
 # The tracemalloc peak of one chain build with no order target, in MiB,
