@@ -273,7 +273,7 @@ def build_nonsingular_points(form):
                         (1,), params, form=form)
 
 
-# Pair domains take ranks over (small x big) blocks of about this many codes
+# Pair domains decide (small x big) blocks of about this many remainder codes
 # (512 KiB of int64); blocks of BLOCK_CODES fall out of cache and run slower.
 PAIR_CODES = 1 << 16
 
@@ -282,7 +282,13 @@ def build_pair_domain(d, q, k, mode):
     """Pairs {W, U} with dim W = k, dim U = d-k and either V = W + U
     (mode 'complement') or W <= U (mode 'incident'), i.e. dim(W + U) is d
     or d - k; k < d/2, so the pair is canonically ordered with the
-    k-dimensional member first."""
+    k-dimensional member first.
+
+    U is an RREF basis, so W + U = W' + U for W' = W reduced modulo U's
+    d - k pivot columns, and W' is zero there: dim(W + U) = d - k + rank
+    of the k x k remainder R = W K^T, W' read on U's k free columns
+    (K = free_column_kernel of U).  The pair is a complement when R has
+    rank k, incident when R is zero."""
     if mode not in ("complement", "incident"):
         raise ActionError(f"unknown pair mode {mode!r}")
     if not 1 <= k < d / 2:
@@ -290,13 +296,16 @@ def build_pair_domain(d, q, k, mode):
     F = gf.field_of_order(q)
     small = enumerate_subspaces(F, d, k)
     big = enumerate_subspaces(F, d, d - k)
-    span = d if mode == "complement" else d - k
-    step = max(1, PAIR_CODES // (len(big) * d * d))
+    KT = np.swapaxes(linalg.free_column_kernel(F, big), 1, 2)     # (n, d, k)
+    step = max(1, PAIR_CODES // (len(big) * k * k))
     pairs = []
     for a in range(0, len(small), step):
-        W = np.repeat(small[a:a + step], len(big), axis=0)
-        T = np.concatenate([W, np.tile(big, (len(W) // len(big), 1, 1))], axis=1)
-        pairs.append(T[rank_stack(F, T) == span])
+        W = small[a:a + step]
+        R = mat_mul(F, W[:, None], KT).reshape(-1, k, k)
+        keep = (rank_stack(F, R) == k if mode == "complement"
+                else ~R.reshape(len(R), -1).any(axis=1))
+        s, b = np.divmod(np.flatnonzero(keep), len(big))
+        pairs.append(np.concatenate([W[s], big[b]], axis=1))
     return ActionDomain(f"pair_{mode}", np.concatenate(pairs), F, d, (k, d - k),
                         {"d": d, "q": q, "k": k})
 
@@ -520,6 +529,9 @@ def build_domain(desc):
             raise ActionError(f"action descriptor {kind!r} is missing {key!r}")
         if key != "form" and type(desc[key]) is not int:   # nor is JSON true
             raise ActionError(f"action descriptor {kind!r} needs an integer {key!r}")
+        if key in ("d", "m") and desc[key] < 1:
+            raise ActionError(f"action descriptor {kind!r} needs a positive {key!r}, "
+                              f"got {desc[key]}")
         return desc[key]
 
     if kind == "projective_points":

@@ -11,9 +11,15 @@ Elimination runs on a whole stack of matrices at once (`rref_stack`,
 axes, and the Klein map takes a stack of lines; the one-matrix routines
 (`rref`, `det`, `inverse`) are the stack routines on a stack of one.
 Sums and meets of subspaces are ranks: dim(U + W) is the rank of the two
-bases together, and dim(U meet W) = dim U + dim W - dim(U + W).  So is
-non-degeneracy: the rank of the Gram matrix restricted to the subspace.
-Form values on whole arrays come from one Gram-sum loop (`_gram_sum`).
+bases together, and dim(U meet W) = dim U + dim W - dim(U + W); for an
+RREF basis U it is also dim U plus the rank of W reduced modulo U's pivot
+columns (`free_column_kernel`), the remainder the pair domains rank.  So
+is non-degeneracy: the rank of the Gram matrix restricted to the
+subspace.  Both subspace predicates evaluate only the upper triangle of
+that Gram, i < j for an alternating form and i <= j otherwise; the form's
+symmetry gives the rest.  Form values on whole arrays come from one
+Gram-sum loop (`_gram_sum`) over the nonzero Gram entries, which each
+FormSpec finds once.
 """
 
 from __future__ import annotations
@@ -54,10 +60,10 @@ def identity(F, n):
 
 def _eliminate(F, S):
     """Gauss-Jordan elimination of every matrix of the stack S (n, m, d)
-    at once.  Returns (R, scale): R[i] is the RREF of S[i] with its zero
-    rows last, and scale[i] the product of the pivots divided out,
+    at once.  Returns (R, scale, rank): R[i] is the RREF of S[i] with its
+    zero rows last, scale[i] the product of the pivots divided out,
     negated once per row swap (the determinant of a square S[i] of full
-    rank)."""
+    rank), and rank[i] the number of pivots."""
     R = np.array(S, dtype=np.int64)
     if R.ndim != 3:
         raise LinalgError("need a stack of matrices")
@@ -85,7 +91,7 @@ def _eliminate(F, S):
         R[at] = F.sub(R[at], F.mul(f[:, :, None], row[:, None, :]))
         R[idx, t] = row
         top[idx] += 1
-    return R, scale
+    return R, scale, top
 
 
 def rref_stack(F, S):
@@ -95,7 +101,7 @@ def rref_stack(F, S):
 
 def rank_stack(F, S):
     """The rank of every matrix of the stack S (n, m, d)."""
-    return rref_stack(F, S).any(axis=2).sum(axis=1)
+    return _eliminate(F, S)[2]
 
 
 def rref(F, A):
@@ -109,10 +115,12 @@ def rref(F, A):
     return R, (R != 0).argmax(axis=1).tolist()
 
 
-def annihilator(F, R):
-    """RREF bases of {x : R[i] x^T = 0} for a stack R (n, k, d) of RREF
-    bases of rank k: one vector per free column c of R[i], with 1 at c
-    and -R[i][r, c] at the pivot of each row r."""
+def free_column_kernel(F, R):
+    """For a stack R (n, k, d) of RREF bases of rank k, the stack K
+    (n, d - k, d) with K[i] R[i]^T = 0: one row per free column c of R[i],
+    with 1 at c and -R[i][r, c] at the pivot of each row r.  A row vector
+    w times K[i]^T is w reduced modulo the pivot columns of R[i], read on
+    its free columns."""
     n, k, d = R.shape
     stack = np.arange(n)[:, None]
     pivots = (R != 0).argmax(axis=2)
@@ -124,7 +132,13 @@ def annihilator(F, R):
     K[stack, j, free] = 1
     K[stack[:, :, None], j, pivots[:, :, None]] = F.neg(
         np.take_along_axis(R, free[:, None, :], axis=2))
-    return rref_stack(F, K)
+    return K
+
+
+def annihilator(F, R):
+    """RREF bases of {x : R[i] x^T = 0} for a stack R (n, k, d) of RREF
+    bases of rank k: the RREF of free_column_kernel."""
+    return rref_stack(F, free_column_kernel(F, R))
 
 
 def inverse(F, A):
@@ -143,8 +157,8 @@ def det(F, A):
     """Determinant, from the elimination's pivots: an int for one matrix,
     an array of them for a stack (n, d, d)."""
     A = np.asarray(A)
-    R, scale = _eliminate(F, A if A.ndim == 3 else A[None])
-    dets = np.where(R.any(axis=2).all(axis=1), scale, 0)
+    _, scale, rank = _eliminate(F, A if A.ndim == 3 else A[None])
+    dets = np.where(rank == A.shape[-1], scale, 0)
     return dets if A.ndim == 3 else int(dets[0])
 
 
@@ -183,13 +197,14 @@ class FormSpec:
         self.conj_power = conj_power
         self.dim = gram.shape[0]
         self.meta = {}
+        self._polar = field.add(gram, gram.T) if kind == "quadratic" else gram
+        # the nonzero Gram entries that _gram_sum runs over
+        self._terms = _nonzero_terms(gram)
+        self._polar_terms = _nonzero_terms(self._polar)
 
     def polar_gram(self):
         """Gram matrix of the polarization (for quadratic forms)."""
-        F = self.field
-        if self.kind == "quadratic":
-            return F.add(self.gram, self.gram.T)
-        return self.gram
+        return self._polar
 
     def conj(self, a):
         return self.field.frob(a, self.conj_power)
@@ -215,20 +230,28 @@ def eval_form(form, u, v=None):
     return int(eval_bilinear_batch(form, u[None], v[None])[0])
 
 
-def _gram_sum(F, gram, U, V):
-    """sum over the nonzero gram[i, j] of gram[i, j] U[..., i] V[..., j],
-    on matching rows (the last axis; leading axes broadcast)."""
-    out = np.zeros(np.broadcast_shapes(U.shape[:-1], V.shape[:-1]), dtype=np.int64)
-    for i, j in zip(*np.nonzero(gram)):
+def _nonzero_terms(gram):
+    """The nonzero entries of a Gram matrix as (i, j, gram[i, j]) int triples."""
+    return tuple((int(i), int(j), int(gram[i, j])) for i, j in zip(*np.nonzero(gram)))
+
+
+def _gram_sum(F, terms, U, V):
+    """sum over the terms (i, j, c) of c U[..., i] V[..., j], on matching
+    rows (the last axis; leading axes broadcast)."""
+    out = None
+    for i, j, c in terms:
         term = F.mul(U[..., i], V[..., j])
-        out = F.add(out, term if gram[i, j] == 1 else F.mul(int(gram[i, j]), term))
+        term = term if c == 1 else F.mul(c, term)
+        out = term if out is None else F.add(out, term)
+    if out is None:                             # the zero form
+        out = np.zeros(np.broadcast_shapes(U.shape[:-1], V.shape[:-1]), dtype=np.int64)
     return out
 
 
 def eval_quadratic_batch(form, U):
     """Quadratic values on the rows of U (the last axis)."""
     U = np.asarray(U, dtype=np.int64)
-    return _gram_sum(form.field, form.gram, U, U)
+    return _gram_sum(form.field, form._terms, U, U)
 
 
 def eval_bilinear_batch(form, U, V):
@@ -237,7 +260,7 @@ def eval_bilinear_batch(form, U, V):
     V = np.asarray(V, dtype=np.int64)
     if form.kind == "hermitian":
         V = form.conj(V)
-    return _gram_sum(form.field, form.polar_gram(), np.asarray(U, dtype=np.int64), V)
+    return _gram_sum(form.field, form._polar_terms, np.asarray(U, dtype=np.int64), V)
 
 
 # -- subspace predicates: boolean masks over a stack S of bases (n, k, d) ----
@@ -258,12 +281,14 @@ def _by_blocks(S, width, mask):
 
 def is_totally_singular(form, S):
     """True where the form vanishes on the row space of S[i]: for quadratic
-    forms Q on each basis row and the polar form on each pair of rows,
-    otherwise the form on every ordered pair of rows."""
+    forms Q on each basis row and the polar form on each pair of rows i < j,
+    for symplectic forms the form on each pair i < j (it is alternating),
+    and for hermitian forms on each pair i <= j (h(v, u) is the conjugate
+    of h(u, v))."""
     S = np.asarray(S, dtype=np.int64)
     _, k, d = S.shape
     quadratic = form.kind == "quadratic"
-    i, j = np.triu_indices(k, 1) if quadratic else np.indices((k, k)).reshape(2, -1)
+    i, j = np.triu_indices(k, 0 if form.kind == "hermitian" else 1)
 
     def mask(B):
         ok = ~eval_bilinear_batch(form, B[:, i], B[:, j]).any(axis=1)
@@ -280,17 +305,28 @@ def is_nondegenerate(form, S):
     non-zero on the radical <c.B>.  There Q on the polar radical is the
     square of a linear map, so a radical of dimension 2 or more holds a
     nonzero singular vector; M is symmetric, so c spans the annihilator
-    of its rows."""
+    of its rows.
+
+    Only the upper triangle of M is evaluated: i < j when the polar form
+    is alternating (symplectic, or quadratic in characteristic 2), so its
+    diagonal is zero, and i <= j otherwise.  The form's symmetry fills
+    the lower triangle: M[j, i] is -M[i, j] for a symplectic form, the
+    conjugate of M[i, j] for a hermitian one, and M[i, j] for the polar
+    form of a quadratic form."""
     F = form.field
     S = np.asarray(S, dtype=np.int64)
     _, k, d = S.shape
-    i, j = np.indices((k, k)).reshape(2, -1)
     char2_quadratic = form.kind == "quadratic" and F.p == 2
+    alternating = form.kind == "symplectic" or char2_quadratic
+    i, j = np.triu_indices(k, 1 if alternating else 0)
+    mirror = {"symplectic": F.neg, "hermitian": form.conj}.get(form.kind)
 
     def mask(B):
-        M = eval_bilinear_batch(form, B[:, i], B[:, j]).reshape(len(B), k, k)
-        R = rref_stack(F, M)
-        rank = R.any(axis=2).sum(axis=1)
+        x = eval_bilinear_batch(form, B[:, i], B[:, j])
+        M = np.zeros((len(B), k, k), dtype=np.int64)
+        M[:, j, i] = x if mirror is None else mirror(x)
+        M[:, i, j] = x
+        R, _, rank = _eliminate(F, M)
         ok = rank == k
         if char2_quadratic:
             at = np.flatnonzero(rank == k - 1)

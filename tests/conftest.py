@@ -553,3 +553,38 @@ def brute_nondegenerate(form, B):
             if form.kind != "quadratic" or eval_form(form, u) == 0:
                 return False
     return True
+
+
+# -- full-Gram subspace predicates: every ordered pair of basis rows ----------
+
+def full_gram(form, S):
+    """The restricted polar Gram (n, k, k) of every basis of the stack S
+    (n, k, d), from the form on every ordered pair of basis rows."""
+    k = S.shape[1]
+    i, j = np.indices((k, k)).reshape(2, -1)
+    return linalg.eval_bilinear_batch(form, S[:, i], S[:, j]).reshape(len(S), k, k)
+
+
+def full_gram_totally_singular(form, S):
+    """The full Gram has rank 0 (is zero) and, for a quadratic form, Q
+    vanishes on every basis row."""
+    ok = linalg.rank_stack(form.field, full_gram(form, S)) == 0
+    if form.kind == "quadratic":
+        ok &= ~linalg.eval_quadratic_batch(form, S).any(axis=1)
+    return ok
+
+
+def full_gram_nondegenerate(form, S):
+    """One rank of the full Gram: k, or for a quadratic form in
+    characteristic 2, k - 1 with Q nonzero on the radical."""
+    F = form.field
+    k = S.shape[1]
+    R = linalg.rref_stack(F, full_gram(form, S))
+    rank = R.any(axis=2).sum(axis=1)
+    ok = rank == k
+    if form.kind == "quadratic" and F.p == 2:
+        at = np.flatnonzero(rank == k - 1)
+        C = linalg.annihilator(F, R[at, :k - 1])
+        ok[at] = linalg.eval_quadratic_batch(
+            form, linalg.mat_mul(F, C, S[at])).any(axis=1)
+    return ok

@@ -146,8 +146,8 @@ def _pairs_one_member_at_a_time(d, q, k, mode):
     return actions.ActionDomain("ref", np.concatenate(rows), F, d, (k, d - k)).codes
 
 
-PAIR_GRID = [(3, 2, 1), (3, 3, 1), (3, 4, 1), (4, 2, 1), (4, 3, 1), (5, 2, 1),
-             (5, 2, 2)]
+PAIR_GRID = [(3, 2, 1), (3, 3, 1), (3, 4, 1), (4, 2, 1), (4, 3, 1), (4, 4, 1),
+             (5, 2, 1), (5, 3, 1), (5, 2, 2)]
 
 
 @pytest.mark.parametrize("members", [None, 1, 3])
@@ -156,10 +156,11 @@ PAIR_GRID = [(3, 2, 1), (3, 3, 1), (3, 4, 1), (4, 2, 1), (4, 3, 1), (5, 2, 1),
 def test_pair_domain_blocks_match_one_member_at_a_time(monkeypatch, d, q, k, mode,
                                                        members):
     """Byte-identical codes for any block size: the default, one small
-    member a block, and three a block (the last block often shorter)."""
+    member a block, and three a block (the last block often shorter).  A
+    block holds a k x k remainder per (small, big) pair."""
     if members:
         monkeypatch.setattr(actions, "PAIR_CODES",
-                            members * gaussian_binomial(d, d - k, q) * d * d)
+                            members * gaussian_binomial(d, d - k, q) * k * k)
     dom = build_pair_domain(d, q, k, mode)
     assert dom.codes.tobytes() == _pairs_one_member_at_a_time(d, q, k, mode).tobytes()
 

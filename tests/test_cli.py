@@ -370,6 +370,21 @@ def test_subspace_dimension_out_of_range_one_line_error(capsys, action):
     assert_one_line_error(capsys, code, f"k={k} must satisfy 1 <= k < d={action['d']}")
 
 
+@pytest.mark.parametrize("action,key", [
+    ({"kind": "quad_forms_plus", "m": 0, "q": 2}, "m"),
+    ({"kind": "quad_forms_minus", "m": -1, "q": 2}, "m"),
+    ({"kind": "nondegenerate_k", "form": "symplectic", "d": -2, "q": 3, "k": 1}, "d"),
+    ({"kind": "totally_singular_k", "form": "hermitian", "d": -1, "q": 2, "k": 1}, "d"),
+    ({"kind": "nonsingular_1", "form": "+", "d": 0, "q": 2}, "d"),
+    ({"kind": "projective_points", "d": 0, "q": 2}, "d"),
+    ({"kind": "pair_incident", "d": -3, "q": 2, "k": 1}, "d"),
+], ids=["forms-m0", "forms-m-negative", "nondeg-d-negative", "ts-d-negative",
+        "nonsingular-d0", "points-d0", "pair-d-negative"])
+def test_non_positive_dimension_one_line_error(capsys, action, key):
+    code = main(["dump-domain", "--action", json.dumps(action)])
+    assert_one_line_error(capsys, code, f"needs a positive {key!r}, got {action[key]}")
+
+
 @pytest.mark.parametrize("family", ["foo", "Greek", 1])
 def test_unknown_isotropic_family_one_line_error(capsys, family):
     action = {"kind": "max_isotropic_family", "form": "plus", "d": 4, "q": 2,

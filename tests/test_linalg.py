@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
-    annihilator_set, brute_nondegenerate, brute_totally_singular, span_vectors,
-    vector_set,
+    annihilator_set, brute_nondegenerate, brute_totally_singular,
+    full_gram_nondegenerate, full_gram_totally_singular, span_vectors, vector_set,
 )
 from ibiskit import linalg
 from ibiskit.actions import enumerate_subspaces, gaussian_binomial
@@ -259,6 +259,29 @@ def test_subspace_masks_match_brute_force(kind, q, m, data):
     for r in rows:
         assert ts[r] == brute_totally_singular(form, S[r])
         assert nd[r] == brute_nondegenerate(form, S[r])
+
+
+# symplectic up to d = 6 at q = 3, so that k = 3 is covered
+GRAM_GRID = ([("symplectic", 3, d) for d in (2, 4, 6)]
+             + [("hermitian", q, d) for d in (3, 4) for q in (2, 3)]
+             + [(kind, q, d) for kind in ("plus", "minus") for q in (2, 3)
+                for d in (4, 6)]
+             + [(kind, 4, 4) for kind in ("plus", "minus")])
+
+
+@pytest.mark.parametrize("kind,q,d", GRAM_GRID,
+                         ids=[f"{kind}-{q}-{d}" for kind, q, d in GRAM_GRID])
+def test_gram_triangle_matches_the_full_gram(kind, q, d):
+    # the predicates evaluate the upper triangle of the restricted Gram and
+    # mirror it by the form's symmetry; the oracle evaluates every ordered
+    # pair of basis rows
+    form = FORM_KINDS[kind](q, d)
+    for k in range(1, d):
+        S = enumerate_subspaces(form.field, d, k)
+        assert np.array_equal(is_nondegenerate(form, S),
+                              full_gram_nondegenerate(form, S)), k
+        assert np.array_equal(is_totally_singular(form, S),
+                              full_gram_totally_singular(form, S)), k
 
 
 @pytest.mark.parametrize("kind,q,d,k", [("symplectic", 3, 4, 2), ("hermitian", 2, 4, 2),

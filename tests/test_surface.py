@@ -20,7 +20,10 @@ that only tests call.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import ibiskit
 
@@ -145,3 +148,25 @@ def test_reference_scan_sees_both_import_forms():
     refs = references(trees["witnesses"], trees)
     assert ("ibis", "base_report") in refs
     assert ("linalg", "eval_bilinear_batch") in refs
+
+
+COLD_START = """
+import sys
+from ibiskit.actions import build_domain, build_group_action
+from ibiskit.ibis import decide_ibis
+dom = build_domain({"kind": "nondegenerate_k", "form": "symplectic", "d": 4, "q": 3,
+                    "k": 2})
+build_domain({"kind": "pair_complement", "d": 3, "q": 3, "k": 1})
+verdict = decide_ibis(build_group_action({"family": "Sp", "d": 4, "q": 3}, dom))
+print(verdict.status, "numpy.ma" in sys.modules)
+"""
+
+
+def test_cold_start_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 12 ms in a fresh
+    # interpreter; a domain build, a group induction and a decision need none
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", COLD_START], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["NotIBIS", "False"]
