@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from . import gf, linalg
+from . import gf, linalg, perm
 from .gf import trace_bit
 from .groups import (
     GroupSpec, classical_generators, in_matrix_group, matrix_group_order,
@@ -324,9 +324,9 @@ def build_quad_forms_domain(m, q, sign):
     theta0 = quadratic_theta0(F, d)
     vs = linalg.all_row_vectors(F, d)
     traces = trace_bit(F, linalg.eval_quadratic_batch(theta0, vs))
-    if sign in ("+", 1, "plus"):
+    if sign == "+":
         keep, kind = traces == 0, "quad_forms_plus"
-    elif sign in ("-", -1, "minus"):
+    elif sign == "-":
         keep, kind = traces == 1, "quad_forms_minus"
     elif sign is None:
         keep, kind = np.ones(len(vs), bool), "quad_forms_all"
@@ -425,6 +425,9 @@ def build_group_action(spec, dom):
         raise ActionError(f"group {spec.family}({spec.d},{spec.q}) acts on "
                           f"dimension {spec.d} but the domain's ambient "
                           f"dimension is {dom.d}")
+    if dom.N > perm.DEGREE_CAP:
+        raise ActionError(f"the domain has {dom.N} points, more than the permutation "
+                          f"degree cap {perm.DEGREE_CAP}")
     socle, form = classical_generators(spec)
     outer = [outer_element(ext, spec) for ext in spec.extensions]
     G = PermGroup(dom.N, np.concatenate(
@@ -565,5 +568,5 @@ def _form_from_name(name, d, q):
         return linalg.quadratic_minus(F, d)
     if name == "hermitian":
         E = gf.make_field(F.p, 2 * F.f)
-        return linalg.hermitian_form(E, d, conj_power=F.f)
+        return linalg.hermitian_form(E, d)
     raise ActionError(f"unknown form name {name!r}")

@@ -6,15 +6,25 @@ packed base-p as code = c_0 + c_1 p + ... + c_{f-1} p^{f-1}.  The same
 encoding is the wire format for serialization.  Every operation takes
 codes or numpy arrays of them, so one call does a whole array.
 
-The modulus is the monic irreducible polynomial of degree f over GF(p)
-with the least integer encoding (irreducibility certified by trial
-division), so field construction is reproducible across runs.  Every
-field has one representation: q x q addition and multiplication tables
-and length-q negation and inversion vectors on codes, so each
-arithmetic operation is one lookup.  The addition table comes from the
-base-p digits of the codes; the multiplication table from the powers of
-a generator whose order q - 1 is certified.  SIZE_CAP bounds q so that
-each table stays within 8 MiB.
+Every field has one representation: q x q addition and multiplication
+tables and length-q negation and inversion vectors on codes, so each
+arithmetic operation is one lookup.  A field is built from its own
+base-p digit tables, with no polynomial arithmetic beside them:
+
+- addition, negation and the multiples by a scalar of GF(p) act digit by
+  digit on the codes;
+- the modulus m is the monic irreducible polynomial of degree f with the
+  least integer encoding.  Modulo a candidate m, "times x" shifts the
+  digits up and folds the top digit back in as a multiple of x^f, and
+  a b = sum_i a_i (x^i b) is a sum of such maps.  A candidate is
+  accepted when no monic code of degree 1..f/2 is a zero divisor, since
+  a proper factor of m of that degree would be one;
+- the generator is the least code g whose "times g" map returns 1 to
+  itself only after q - 1 steps.  That walk is the power table, and the
+  multiplication table and the inverses come from it and its log.
+
+So field construction is reproducible across runs.  SIZE_CAP bounds q
+so that each table stays within 8 MiB.
 """
 
 from __future__ import annotations
@@ -41,72 +51,6 @@ def _is_prime(n):
     return True
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-# -- polynomial helpers over GF(p), coefficient tuples c_0..c_deg --------
-
-def _poly_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _poly_mod(a, m, p):
-    """Remainder of a modulo the monic polynomial m, over GF(p)."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        lead = a[-1]
-        if lead:
-            for i in range(dm + 1):
-                a[len(a) - 1 - dm + i] = (a[len(a) - 1 - dm + i] - lead * m[i]) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_mulmod(a, b, m, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_mod(out, m, p)
-
-
-def _monic_polys(deg, p):
-    for low in range(p**deg):
-        c, rest = [], low
-        for _ in range(deg):
-            c.append(rest % p)
-            rest //= p
-        yield tuple(c) + (1,)
-
-
-def _is_irreducible(m, p):
-    """Trial division against every monic polynomial of degree <= f/2."""
-    f = len(m) - 1
-    if f == 1:
-        return True
-    for deg in range(1, f // 2 + 1):
-        for d in _monic_polys(deg, p):
-            if not _poly_mod(m, d, p):
-                return False
-    return True
-
-
 class FiniteField:
     """GF(p^f) with a fixed modulus and multiplicative generator.
 
@@ -123,81 +67,71 @@ class FiniteField:
         self.p = p
         self.f = f
         self.q = p**f
-
-        self.modulus = self._least_irreducible()
-        self.generator_code = self._find_generator()
         self._build_tables()
         self._frob_tables = None     # built on first use of frob
         self._embeddings = {}
 
-    # -- construction ----------------------------------------------------
-
-    def _least_irreducible(self):
-        for m in _monic_polys(self.f, self.p):
-            if _is_irreducible(m, self.p):
-                return m
-        raise GFError("no irreducible modulus found")  # unreachable
-
-    def _code_to_poly(self, code):
-        c, rest = [], int(code)
-        for _ in range(self.f):
-            c.append(rest % self.p)
-            rest //= self.p
-        return _poly_trim(c)
-
-    def _poly_to_code(self, poly):
-        code = 0
-        for c in reversed(poly):
-            code = code * self.p + c
-        return code
-
-    def _mul_code(self, a, b):
-        return self._poly_to_code(
-            _poly_mulmod(self._code_to_poly(a), self._code_to_poly(b), self.modulus, self.p))
-
-    def _find_generator(self):
-        q = self.q
-        rs = _prime_factors(q - 1)
-        for g in range(1, q):
-            if all(self._pow_code(g, (q - 1) // r) != 1 for r in rs):
-                return g
-        raise GFError("no generator found")  # unreachable
-
     def _build_tables(self):
-        p, q = self.p, self.q
+        p, f, q = self.p, self.f, self.q
         codes = np.arange(q, dtype=np.int64)
-        self._add = np.zeros((q, q), dtype=np.int64)
-        self._neg = np.zeros(q, dtype=np.int64)
-        rest, place = codes, 1
-        for _ in range(self.f):
-            digit = rest % p
-            self._add += place * ((digit[:, None] + digit[None, :]) % p)
-            self._neg += place * (-digit % p)
-            rest, place = rest // p, place * p
+        digits = codes[:, None] // p ** np.arange(f) % p   # digits[c, i] = c_i
+        # add, neg and scale[s, c] = s c for s in GF(p) act digit by digit:
+        # starting from their tables on one digit, a code below p^(k+1) is
+        # its top digit times p^k plus a code below p^k
+        r = np.arange(p, dtype=np.int64)
+        add, neg, scale = (r[:, None] + r) % p, -r % p, r[:, None] * r % p
+        for k in range(1, f):
+            n = p**k
+            add = (add[:p, None, :p, None] * n + add[:, None, :]).reshape(p * n, p * n)
+            neg = (neg[:p, None] * n + neg).ravel()
+            scale = (scale[:, :p, None] * n + scale[:, None, :]).reshape(p, p * n)
+        self._add, self._neg = add, neg
 
-        # exp[k] = g^k for k in [0, q - 1); reaching 1 again only after
-        # q - 1 steps certifies the generator's order
-        exp = np.zeros(q - 1, dtype=np.int64)
-        x = 1
-        for k in range(q - 1):
-            exp[k] = x
-            x = self._mul_code(x, self.generator_code)
-        assert x == 1, "generator order certification failed"
+        def times(a, powers):
+            """The rows b -> a b for the codes a, from powers[i] = (b -> x^i b)."""
+            a = np.asarray(a)[..., None]
+            out = scale[digits[a, 0], powers[0]]
+            for i in range(1, len(powers)):
+                out = add[out, scale[digits[a, i], powers[i]]]
+            return out
+
+        top, shifted = codes // (q // p), codes % (q // p) * p
+
+        def powers_of_x(low, n):
+            """[b -> x^i b for i < n] modulo m = x^f + low, where x^f = -low."""
+            times_x = add[shifted, scale[top, neg[low]]]
+            powers = [codes]
+            for _ in range(n - 1):
+                powers.append(times_x[powers[-1]])
+            return powers
+
+        # the monic codes of degree 0..f/2 (the code 1 is no zero divisor)
+        monic = np.concatenate([np.arange(p**k, 2 * p**k) for k in range(f // 2 + 1)])
+        low = next(low for low in range(q)
+                   if times(monic, powers_of_x(low, f // 2 + 1))[:, 1:].all())
+        self.modulus = tuple(int(c) for c in digits[low]) + (1,)
+        powers = powers_of_x(low, f)
+
+        # exp[k] = g^k for k in [0, q - 1), by doubling along the times-g
+        # map; reaching 1 again only after q - 1 steps certifies the order
+        # of g, and so that the modulus is irreducible
+        for g in range(1, q):
+            exp, step = np.ones(1, dtype=np.int64), times(g, powers)
+            while len(exp) < q - 1:
+                exp = np.concatenate([exp, step[exp]])
+                step = step[step]
+            exp = exp[: q - 1]
+            if not (exp[1:] == 1).any():
+                break
+        else:
+            raise GFError("no generator found")  # unreachable
+        self.generator_code = g
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         self._mul = np.zeros((q, q), dtype=np.int64)
         self._mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
         self._inv = np.zeros(q, dtype=np.int64)
         self._inv[exp] = exp[-np.arange(q - 1) % (q - 1)]
-
-    def _pow_code(self, a, e):
-        r, b = 1, a
-        while e:
-            if e & 1:
-                r = self._mul_code(r, b)
-            b = self._mul_code(b, b)
-            e >>= 1
-        return r
 
     # -- vectorized arithmetic on integer-code arrays ---------------------
 
@@ -258,22 +192,16 @@ class FiniteField:
             return self._embeddings[key]
         if sub.p != self.p or self.f % sub.f != 0:
             raise GFError("not a subfield")
-        for r in range(self.q):
-            # evaluate sub.modulus at r inside self
-            acc = 0
-            for c in reversed(sub.modulus):
-                acc = int(self.add(self.mul(acc, r), c % self.p))
-            if acc == 0:
-                root = r
-                break
-        else:
-            raise GFError("no root of subfield modulus found")  # unreachable
+        # sub's modulus at every code of this field at once
+        codes = np.arange(self.q)
+        value = np.zeros(self.q, dtype=np.int64)
+        for c in reversed(sub.modulus):
+            value = self._add[self._mul[value, codes], c]
+        root = np.flatnonzero(value == 0)[0]
+        # every sub code at once, by Horner over its base-p digit columns
         emb = np.zeros(sub.q, dtype=np.int64)
-        for code in range(sub.q):
-            acc = 0
-            for c in reversed(sub._code_to_poly(code)):
-                acc = int(self.add(self.mul(acc, root), c))
-            emb[code] = acc
+        for i in reversed(range(sub.f)):
+            emb = self._add[self._mul[emb, root], codes[: sub.q] // self.p**i % self.p]
         self._embeddings[key] = emb
         return emb
 
@@ -325,19 +253,12 @@ def find_special_alpha(q):
     orbit always exists among them.  Returns the least such alpha's code.
     """
     F = field_of_order(q)
-    p, f = F.p, F.f
-    E = make_field(p, 2 * f)
-    sols = []
-    for code in range(E.q):
-        if int(E.add(E.add(code, E.frob(code, f)), 1)) == 0:
-            sols.append(code)
+    E = make_field(F.p, 2 * F.f)
+    codes = np.arange(E.q)
+    sols = np.flatnonzero(E.add(E.add(codes, E.frob(codes, F.f)), 1) == 0)
     assert len(sols) == q, "trace-equation solution count must be q"
-    for code in sols:
-        orbit = {code}
-        c = code
-        for _ in range(2 * f - 1):
-            c = int(E.frob(c, 1))
-            orbit.add(c)
-        if len(orbit) == 2 * f:
-            return code
-    raise GFError(f"no full-orbit solution for q={q}")  # not reachable per theory
+    # a full orbit: no Frobenius power below 2f fixes the code
+    full = np.all([E.frob(sols, k) != sols for k in range(1, 2 * F.f)], axis=0)
+    if not full.any():
+        raise GFError(f"no full-orbit solution for q={q}")  # not reachable per theory
+    return int(sols[full][0])

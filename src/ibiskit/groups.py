@@ -195,7 +195,7 @@ def _standard_form(spec):
     if spec.family == "Sp":
         return symplectic_form(F, spec.d)
     if spec.is_unitary:
-        return hermitian_form(F, spec.d, conj_power=F.f // 2)
+        return hermitian_form(F, spec.d)
     if "plus" in spec.family.lower():
         return quadratic_plus(F, spec.d)
     return quadratic_minus(F, spec.d)
@@ -234,55 +234,39 @@ def _unitary_generators(spec, form):
     F0 = gf.field_of_order(spec.q)
     E = form.field
     q, d = spec.q, spec.d
-    conj = lambda x: int(E.frob(x, F0.f))
     mu = E.generator_code
-    inv = lambda x: int(E.inv(np.asarray(x)))
-
-    def solve_trace(rhs):
-        """Least t in GF(q^2) with t + t^q = rhs."""
-        for t in range(E.q):
-            if int(E.add(t, E.frob(t, F0.f))) == rhs:
-                return t
-        raise GroupError("trace equation unsolvable")  # unreachable
-
-    span_E = [int(E.power(np.asarray(mu), k)) for k in range(2 * F0.f)]
+    codes = np.arange(E.q)
+    trace = E.add(codes, E.frob(codes, F0.f))     # t + t^q, GF(q^2) -> GF(q)
+    span = np.array(_field_spanning_scalars(E))
+    bar = E.neg(E.frob(span, F0.f))               # -t^q for t in span
     if d == 3:
         # upper unipotents [[1, s, t], [0, 1, -s^q], [0, 0, 1]],
-        # constrained by t + t^q + s^{q+1} = 0
-        params = [(0, t) for t in span_E if int(E.add(t, E.frob(t, F0.f))) == 0 and t]
-        params += [(s, solve_trace(int(E.neg(E.mul(s, E.frob(s, F0.f)))))) for s in span_E]
-        entries = [{(0, 1): s, (0, 2): t, (1, 2): int(E.neg(conj(s)))}
-                   for s, t in params]
-        entries += [{(0, 0): mu, (1, 1): int(E.power(np.asarray(mu), q - 1)),
-                     (2, 2): inv(E.power(np.asarray(mu), q))},
-                    {(0, 0): 0, (2, 2): 0, (0, 2): 1, (2, 0): 1, (1, 1): int(E.neg(1))}]
+        # constrained by t + t^q + s^{q+1} = 0: s = 0 with each t of span
+        # of trace 0, and each s of span with the least t
+        least = (trace == E.mul(span, bar)[:, None]).argmax(axis=1)
+        entries = [{(0, 2): t} for t in span[trace[span] == 0]]
+        entries += [{(0, 1): s, (0, 2): t, (1, 2): b} for s, t, b in zip(span, least, bar)]
+        entries += [{(0, 0): mu, (1, 1): E.power(mu, q - 1), (2, 2): E.inv(E.power(mu, q))},
+                    {(0, 0): 0, (2, 2): 0, (0, 2): 1, (2, 0): 1, (1, 1): E.neg(1)}]
     else:
         # hyperbolic pairs (e1, e4), (e2, e3) for the anti-diagonal form:
         # e3 -> e3 - t^q e4, and e2 -> e2 - t^q e4
-        entries = [cells for t in span_E
-                   for cells in ({(0, 1): t, (2, 3): int(E.neg(conj(t)))},
-                                 {(0, 2): t, (1, 3): int(E.neg(conj(t)))})]
-        trace_zero = [t for t in range(E.q)
-                      if t and int(E.add(t, E.frob(t, F0.f))) == 0]
-        entries += [{ij: t} for t in trace_zero[: 2 * F0.f] for ij in ((0, 3), (1, 2))]
-        a0 = _embed_scalar(E, F0, F0.generator_code)
-        entries += [{(0, 0): a0, (3, 3): inv(a0)}, {(1, 1): a0, (2, 2): inv(a0)}]
+        entries = [cells for t, b in zip(span, bar)
+                   for cells in ({(0, 1): t, (2, 3): b}, {(0, 2): t, (1, 3): b})]
+        entries += [{ij: t} for t in np.flatnonzero(trace == 0)[1: 2 * F0.f + 1]
+                    for ij in ((0, 3), (1, 2))]
+        a0 = E.from_subfield_root(F0)[F0.generator_code]
+        entries += [{(0, 0): a0, (3, 3): E.inv(a0)}, {(1, 1): a0, (2, 2): E.inv(a0)}]
         # double transpositions: determinant 1 in every characteristic
         entries += [{(a, a): 0, (b, b): 0, (c, c): 0, (e, e): 0,
                      (a, b): 1, (b, a): 1, (c, e): 1, (e, c): 1}
                     for (a, b), (c, e) in (((0, 1), (3, 2)), ((0, 3), (1, 2)))]
     if spec.family == "GU":
-        entries.append({(0, 0): mu, (d - 1, d - 1): inv(E.frob(mu, F0.f))})
+        entries.append({(0, 0): mu, (d - 1, d - 1): E.inv(E.frob(mu, F0.f))})
     M = _elementary(E, d, entries)
     if spec.family == "SU" and np.any(linalg.det(E, M) != 1):
         raise GroupError("SU generator with nontrivial determinant")
     return M
-
-
-def _embed_scalar(E, F0, code):
-    """Carry a GF(q) scalar into GF(q^2) through the cached embedding."""
-    emb = E.from_subfield_root(F0)
-    return int(emb[code])
 
 
 def _orthogonal_generators(spec, form):

@@ -174,7 +174,7 @@ class FormSpec:
 
     KINDS = ("symplectic", "hermitian", "quadratic")
 
-    def __init__(self, kind, field, gram, conj_power=0):
+    def __init__(self, kind, field, gram):
         if kind not in self.KINDS:
             raise LinalgError(f"unknown form kind {kind!r}")
         gram = np.asarray(gram, dtype=np.int64)
@@ -187,14 +187,11 @@ class FormSpec:
             if np.any(np.tril(gram, -1)):
                 raise LinalgError("quadratic gram must be upper triangular")
         if kind == "hermitian":
-            if conj_power == 0:
-                conj_power = field.f // 2
-            if np.any(field.frob(gram.T, conj_power) != gram):
+            if np.any(field.frob(gram.T, field.f // 2) != gram):
                 raise LinalgError("hermitian gram must equal its conjugate transpose")
         self.kind = kind
         self.field = field
         self.gram = gram
-        self.conj_power = conj_power
         self.dim = gram.shape[0]
         self.meta = {}
         self._polar = field.add(gram, gram.T) if kind == "quadratic" else gram
@@ -207,7 +204,7 @@ class FormSpec:
         return self._polar
 
     def conj(self, a):
-        return self.field.frob(a, self.conj_power)
+        return self.field.frob(a, self.field.f // 2)
 
     def serialize(self):
         return {"kind": self.kind, "gram": [list(map(int, r)) for r in self.gram]}
@@ -350,12 +347,12 @@ def symplectic_form(field, d):
     return FormSpec("symplectic", field, g)
 
 
-def hermitian_form(field, d, conj_power=0):
+def hermitian_form(field, d):
     """Anti-diagonal hermitian Gram over GF(q^2)."""
     g = np.zeros((d, d), dtype=np.int64)
     for i in range(d):
         g[i, d - 1 - i] = 1
-    return FormSpec("hermitian", field, g, conj_power=conj_power)
+    return FormSpec("hermitian", field, g)
 
 
 def quadratic_theta0(field, d):

@@ -35,7 +35,9 @@ import random
 
 import numpy as np
 
-DEGREE_CAP = 10**6
+# the level-0 inverse table of a transitive group holds N int32 rows of
+# length N, so this keeps it within 1 GiB
+DEGREE_CAP = 2**14
 ORDER_BITS_CAP = 512
 
 

@@ -84,7 +84,7 @@ def named_case(name):
         "PSU3_2/iso9": lambda: _case(
             GroupSpec("SU", 3, 2),
             build_totally_singular(
-                linalg.hermitian_form(field_of_order(4), 3, conj_power=1), 1)),
+                linalg.hermitian_form(field_of_order(4), 3), 1)),
     }
     G, dom = builders[name]()
     return G, dom

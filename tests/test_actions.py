@@ -220,6 +220,12 @@ def test_quad_forms_rejects_odd_q():
         build_quad_forms_domain(2, 3, "+")
 
 
+@pytest.mark.parametrize("sign", [1, -1, "plus", "minus"])
+def test_quad_forms_sign_is_plus_minus_or_none(sign):
+    with pytest.raises(ActionError, match="unknown sign"):
+        build_quad_forms_domain(1, 4, sign)
+
+
 def test_nondegenerate_domain_sp42():
     form = symplectic_form(F2, 4)
     dom = build_nondegenerate_domain(form, 2)
@@ -447,7 +453,7 @@ def test_unitary_isotropic_domains():
     # SU4(2): 45 isotropic points and 27 totally singular lines, with the
     # induced group of full projective-unitary order, transitive on both
     E = make_field(2, 2)
-    h = linalg.hermitian_form(E, 4, conj_power=1)
+    h = linalg.hermitian_form(E, 4)
     pts = build_totally_singular(h, 1)
     lines = build_totally_singular(h, 2)
     assert pts.N == 45 and lines.N == 27

@@ -88,7 +88,7 @@ def test_unitary_point_action_chains_q3():
     q = 3
     F0 = field_of_order(q)
     E = make_field(F0.p, 2 * F0.f)
-    dom = build_totally_singular(hermitian_form(E, 3, conj_power=F0.f), 1)
+    dom = build_totally_singular(hermitian_form(E, 3), 1)
     assert dom.N == q**3 + 1
     G0 = build_group_action(GroupSpec("SU", 3, q), dom)
     GA = build_group_action(GroupSpec("GU", 3, q, extensions=("frob",)), dom)
@@ -186,7 +186,7 @@ def test_minus_type_hermitian_duality_counts():
     F2 = field_of_order(2)
     E = make_field(2, 2)
     Qm = quadratic_minus(F2, 6)
-    h = hermitian_form(E, 4, conj_power=1)
+    h = hermitian_form(E, 4)
     counts_o = [build_totally_singular(Qm, k).N for k in (1, 2)]
     counts_u = [build_totally_singular(h, k).N for k in (1, 2)]
     assert counts_o == [27, 45]

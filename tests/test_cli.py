@@ -342,6 +342,21 @@ def test_bad_group_spec_one_line_error(capsys, extra, message):
     assert_one_line_error(capsys, code, message)
 
 
+def test_domain_over_the_degree_cap_one_line_error(capsys, monkeypatch):
+    # a domain above perm.DEGREE_CAP is refused before any induction
+    from ibiskit import actions, perm
+
+    def no_induction(*args):
+        raise AssertionError("induced a domain over the degree cap")
+
+    monkeypatch.setattr(perm, "DEGREE_CAP", 6)
+    monkeypatch.setattr(actions, "induce_images", no_induction)
+    code = main(["analyze", "--group", '{"family":"SL","d":3,"q":2}',
+                 "--action", '{"kind":"projective_points","d":3,"q":2}',
+                 "--task", "order"])
+    assert_one_line_error(capsys, code, "7 points, more than the permutation degree cap 6")
+
+
 def assert_one_line_error(capsys, code, message):
     captured = capsys.readouterr()
     assert code == 1

@@ -315,3 +315,67 @@ def test_size_cap_is_the_table_cap():
     assert make_field(2, 10).q == 1024
     with pytest.raises(GFError, match="exceeds cap 1024"):
         make_field(2, 11)
+
+
+# -- the field representation, pinned ------------------------------------------
+
+@pytest.mark.parametrize("q", TIER1_QS)
+def test_modulus_and_generator_are_the_least(q):
+    pytest.importorskip("sympy")
+    from sympy import factorint
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+    F = field_of_order(q)
+    # monic candidates x^f + (the polynomial of code low), least low first
+    low = next(low for low in range(q)
+               if gf_irreducible_p([1] + _poly(F, low), F.p, ZZ))
+    assert F.modulus == tuple(reversed([1] + _poly(F, low)))
+    assert all(type(c) is int for c in F.modulus)
+    primitive = [g for g in range(1, q)
+                 if all(F.power(g, (q - 1) // r) != 1 for r in factorint(q - 1))]
+    assert type(F.generator_code) is int and F.generator_code == primitive[0]
+
+
+@pytest.mark.parametrize("p,f", [(2, 4), (2, 6), (3, 4), (5, 2), (2, 10)])
+def test_subfield_embeddings_send_x_to_the_least_root(p, f):
+    E = make_field(p, f)
+    for k in [k for k in range(1, f + 1) if f % k == 0]:
+        F = make_field(p, k)
+        emb = E.from_subfield_root(F)
+        a, b = np.divmod(np.arange(F.q * F.q), F.q)
+        assert (emb[F.add(a, b)] == E.add(emb[a], emb[b])).all()
+        assert (emb[F.mul(a, b)] == E.mul(emb[a], emb[b])).all()
+        assert len(set(emb.tolist())) == F.q
+        if k > 1:
+            def value(r):
+                acc = 0
+                for c in reversed(F.modulus):
+                    acc = int(E.add(E.mul(acc, r), c))
+                return acc
+            assert emb[p] == min(r for r in range(E.q) if value(r) == 0)
+
+
+def _prime_powers(cap):
+    primes = [p for p in range(2, cap + 1) if all(p % d for d in range(2, p))]
+    return sorted((p**f, p, f) for p in primes for f in range(1, 11) if p**f <= cap)
+
+
+# sha256 over every field with q <= 1024, in the order of q, of its modulus,
+# generator and its add, mul, neg and inv tables as int64 bytes, computed
+# when the fields were still built by polynomial arithmetic over GF(p)
+ALL_FIELDS_SHA256 = "f843d4db9c1d16da7eeeee2c92334864343f0c1d0d4104a6ddc80e328d1f2ead"
+
+
+@pytest.mark.slow
+def test_every_field_representation_is_pinned():
+    import hashlib
+    from ibiskit.gf import FiniteField
+    fields = _prime_powers(1024)
+    assert len(fields) == 198
+    h = hashlib.sha256()
+    for _, p, f in fields:
+        F = FiniteField(p, f)           # uncached, so each is freed in turn
+        h.update(repr((F.modulus, F.generator_code)).encode())
+        for table in (F._add, F._mul, F._neg, F._inv):
+            h.update(np.ascontiguousarray(table, dtype=np.int64).tobytes())
+    assert h.hexdigest() == ALL_FIELDS_SHA256

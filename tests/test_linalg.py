@@ -227,8 +227,7 @@ def test_totally_singular_examples():
 
 FORM_KINDS = {
     "symplectic": lambda q, d: symplectic_form(field_of_order(q), d),
-    "hermitian": lambda q, d: hermitian_form(field_of_order(q * q), d,
-                                             conj_power=field_of_order(q).f),
+    "hermitian": lambda q, d: hermitian_form(field_of_order(q * q), d),
     "plus": lambda q, d: quadratic_plus(field_of_order(q), d),
     "minus": lambda q, d: quadratic_minus(field_of_order(q), d),
 }
