@@ -516,7 +516,7 @@ def build_domain(desc):
     form = "sign" if "form" not in desc and "sign" in desc else "form"
     reads = {"projective_points": "d q", "subspaces_k": "d q k", "pair_complement": "d q k",
              "pair_incident": "d q k", "quad_forms_plus": "m q", "quad_forms_minus": "m q",
-             "totally_singular_k": "form d q k family", "nondegenerate_k": "form d q k",
+             "totally_singular_k": "form d q k", "nondegenerate_k": "form d q k",
              "max_isotropic_family": "form d q k family", "nonsingular_1": f"{form} d q",
              }.get(kind if isinstance(kind, str) else None)
     if reads is None:
@@ -530,7 +530,8 @@ def build_domain(desc):
     def need(key):
         if key not in desc:
             raise ActionError(f"action descriptor {kind!r} is missing {key!r}")
-        if key != "form" and type(desc[key]) is not int:   # nor is JSON true
+        # every key but the two names is an integer, and JSON true is not
+        if key not in ("form", "family") and type(desc[key]) is not int:
             raise ActionError(f"action descriptor {kind!r} needs an integer {key!r}")
         if key in ("d", "m") and desc[key] < 1:
             raise ActionError(f"action descriptor {kind!r} needs a positive {key!r}, "
@@ -543,7 +544,8 @@ def build_domain(desc):
         return build_subspace_domain(need("d"), need("q"), need("k"))
     if kind in ("totally_singular_k", "max_isotropic_family"):
         form = _form_from_name(need("form"), need("d"), need("q"))
-        return build_totally_singular(form, need("k"), desc.get("family"))
+        family = need("family") if kind == "max_isotropic_family" else None
+        return build_totally_singular(form, need("k"), family)
     if kind == "nonsingular_1":
         form = _form_from_name(desc.get("form", desc.get("sign", "+")),
                                need("d"), need("q"))

@@ -5,10 +5,10 @@ Subcommands: analyze, table, witness, e7, dump-group, dump-domain.
 Exit codes: 0 success, 1 error, 2 inconclusive (an Unknown verdict, or
 a budget that ran out first).  Reports carry "schema": 2 and are
 byte-stable for a fixed descriptor and budget, except for the
-wall-clock runtime column of the table command.  Every analyze task is
-deterministic: base-find with a size takes its base from the exhaustive
-enumeration, and --budget counts search nodes for every task.  Only
-witness takes --seed, which only L3.14 reads.
+wall-clock runtime column of the table command.  Every report is
+deterministic: base-find with a size and witness L3.14 take their base
+from the exhaustive enumeration, and --budget counts search nodes for
+every analyze task.
 """
 
 from __future__ import annotations
@@ -213,13 +213,8 @@ def cmd_table(args):
 
 
 def cmd_witness(args):
-    params = {}
-    for key in ("d", "q", "m"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    if args.seed and args.lemma == "L3.14":
-        params["seed"] = args.seed
+    params = {key: getattr(args, key) for key in ("d", "q")
+              if getattr(args, key) is not None}
     report = {"schema": SCHEMA, **witnesses.run_witness(args.lemma, **params)}
     _emit(args, report)
     return 0 if report["ok"] else 1
@@ -261,8 +256,7 @@ def make_parser():
                                             "classical group actions")
     sub = p.add_subparsers(dest="command", required=True)
 
-    options = {"seed": {"type": int, "default": 0},
-               "budget": {"type": int, "default": ibis.DEFAULT_BUDGET},
+    options = {"budget": {"type": int, "default": ibis.DEFAULT_BUDGET},
                "threads": {"type": int, "default": 1},
                "format": {"choices": ("json", "csv"), "default": "csv"},
                "out": {"default": None}}
@@ -291,8 +285,7 @@ def make_parser():
     sp.add_argument("lemma", choices=sorted(witnesses.CATALOG))
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    flags(sp, "seed")
+    flags(sp)
     sp.set_defaults(fn=cmd_witness)
 
     sp = sub.add_parser("e7", help="parabolic suborbit bound arithmetic")

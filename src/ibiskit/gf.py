@@ -205,9 +205,6 @@ class FiniteField:
         self._embeddings[key] = emb
         return emb
 
-    def describe(self):
-        return {"p": self.p, "f": self.f, "modulus": list(self.modulus)}
-
     def __repr__(self):
         return f"GF({self.p}^{self.f})" if self.f > 1 else f"GF({self.p})"
 

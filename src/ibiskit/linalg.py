@@ -206,9 +206,6 @@ class FormSpec:
     def conj(self, a):
         return self.field.frob(a, self.field.f // 2)
 
-    def serialize(self):
-        return {"kind": self.kind, "gram": [list(map(int, r)) for r in self.gram]}
-
 
 def eval_form(form, u, v=None):
     """Evaluate the form: one argument for quadratic, two otherwise."""

@@ -142,7 +142,7 @@ def test_criterion_4_quadratic_forms_machinery():
             assert pi[dom.index_of(a)] == dom.index_of(img)
 
     # stabilizer orders and the size-4/size-5 bases of the even-q case
-    rep = run_witness("P5.1", m=2, q=4)
+    rep = run_witness("P5.1", q=4)
     assert rep["ok"], rep
     got96 = next(c for c in rep["checks"] if "2(q-1)q^2" in c["claim"])
     assert got96["detail"]["got"] == "96"
@@ -191,7 +191,7 @@ def test_criterion_6_witness_catalog():
         run_witness("L3.3"),
         run_witness("L3.13", q=4),
         run_witness("L3.13", q=5),
-        run_witness("L6.1", d=4, q=3),
+        run_witness("L6.1", q=3),
     ]
     for rep in reports:
         assert rep["ok"], rep

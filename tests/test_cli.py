@@ -322,6 +322,10 @@ def test_reports_byte_identical(tmp_path):
      "needs an integer 'd'"),
     ('{"family":"SL","d":3,"q":true}', '{"kind":"projective_points","d":3,"q":2}',
      "needs an integer 'q'"),
+    # without its family this would be all six lines of the plus quadric
+    ('{"family":"OmegaPlus","d":4,"q":2}',
+     '{"kind":"max_isotropic_family","form":"plus","d":4,"q":2,"k":2}',
+     "action descriptor 'max_isotropic_family' is missing 'family'"),
 ])
 def test_bad_descriptor_one_line_error(capsys, group, action, message):
     code = main(["analyze", "--group", group, "--action", action,
@@ -425,7 +429,13 @@ def test_unknown_isotropic_family_one_line_error(capsys, family):
      {"kind": "quad_forms_minus", "m": 1, "d": 2, "q": 2},
      "action descriptor 'quad_forms_minus' has key 'd', which it does not read; "
      "it reads: kind, m, q"),
-], ids=["group-typo", "points-k", "form-and-sign", "forms-d"])
+    # a family belongs to max_isotropic_family, which splits these lines
+    ({"family": "OmegaPlus", "d": 4, "q": 2},
+     {"kind": "totally_singular_k", "form": "plus", "d": 4, "q": 2, "k": 2,
+      "family": "greek"},
+     "action descriptor 'totally_singular_k' has key 'family', which it does not "
+     "read; it reads: kind, form, d, q, k"),
+], ids=["group-typo", "points-k", "form-and-sign", "forms-d", "ts-family"])
 def test_descriptor_key_not_read_one_line_error(capsys, group, action, message):
     code = main(["analyze", "--group", json.dumps(group),
                  "--action", json.dumps(action), "--task", "order"])
@@ -516,6 +526,9 @@ def test_table_call_of_the_benchmark(capsys):
     ["analyze", "--group", '{"family":"SL","d":3,"q":2}',
      "--action", '{"kind":"projective_points","d":3,"q":2}', "--task", "ibis",
      "--seed", "1"],
+    ["witness", "L3.14", "--seed", "1"],
+    ["witness", "P5.1", "--m", "2"],
+    ["witness", "L3.2", "--m", "3"],
 ])
 def test_unread_flags_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -531,7 +544,7 @@ def test_e7_refuses_q_that_is_not_a_prime_power(capsys, q):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["L3.2", "--m", "3"], "L3.2 takes no parameter 'm'"),
+    (["L3.3", "--d", "4"], "L3.3 takes no parameter 'd'"),
     (["L3.3", "--q", "3"], "L3.3 takes no parameter 'q'"),
     (["L3.14", "--d", "4"], "L3.14 takes no parameter 'd'"),
     (["P5.1", "--d", "4"], "P5.1 takes no parameter 'd'"),
@@ -539,6 +552,8 @@ def test_e7_refuses_q_that_is_not_a_prime_power(capsys, q):
     (["L6.1", "--q", "2"], "GF(2) has no lam"),
     (["L3.2", "--q", "4"], "(d, q) != (3, 4)"),
     (["L3.14", "--q", "2"], "need q >= 3"),
+    (["L6.1", "--d", "4"], "L6.1 takes no parameter 'd'"),
+    (["P7.2-q2", "--d", "6"], "P7.2-q2 takes no parameter 'd'"),
 ])
 def test_witness_refuses_parameters_it_cannot_use(capsys, argv, message):
     assert_one_line_error(capsys, main(["witness"] + argv), message)

@@ -465,13 +465,6 @@ def test_matrix_type_wrapper():
         mat_mul(F3, [[1, 2], [0, 1]], [[1, 0, 0]])
 
 
-def test_form_serialization():
-    phi = symplectic_form(F3, 4)
-    data = phi.serialize()
-    assert data["kind"] == "symplectic"
-    assert data["gram"][0][2] == 1 and data["gram"][2][0] == 2
-
-
 def test_form_constructor_guards():
     import numpy as np
     with pytest.raises(LinalgError):

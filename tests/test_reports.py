@@ -27,7 +27,7 @@ WITNESS_SHA256 = {
     "L3.2": "964d638d058402b959c4744c8a615b2f6579c5e883f4f307cd5fb2c7552e63fb",
     "L3.3": "0c946f92f9c504173cf505ad19b0b036fbe94c1024bbc79443ebd28ec8c2b83e",
     "L3.13": "852903d7bc6653e01518e2a2fe2100060bc730ef4de77fbe5cdd71156aab58d6",
-    "L3.14": "6b6b4bd35d668e780efbafa5f6afe1b5b8565aa1cf38a29f6a227cf31d9f5f66",
+    "L3.14": "3389a4a8691d3579ce976da7e7868942e350fc1c6c8fd993dd95b089a2abfd4c",
     "L6.1": "13a46b3dbbed0adde2ca05e6e4f3d529813679682351188c7251db0d8be765a8",
     "P5.1": "b37860c74f2080e5f195e5ec4d71e2025c8d2189b46d9e9bc6c5c24dfd010ffd",
     "P7.2-q2": "49ecf6914a5ae2f885b42fdb6b9aae8c3e72b2ceb00cbb491be2d1f849f8232b",

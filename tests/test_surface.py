@@ -71,6 +71,8 @@ ALLOWED = {
     "gf.find_special_alpha": "the full-orbit trace-equation element of PSU3",
     "groups.certified_order": "checks a spec's generators against the order formula",
     "groups.induced_on_nonzero_vectors": "the faithful action certified_order uses",
+    "ibis.is_base": "the base predicate, for library callers and the tests",
+    "ibis.is_irredundant": "the irredundance predicate, for library callers and the tests",
     "linalg.klein_map": "lines of PG(3, q) to points of the Klein quadric",
     "linalg.pfaffian4": "the Pfaffian of a 4 x 4 skew matrix",
     "linalg.pfaffian_quadric_form": "the Pfaffian as a quadratic form",

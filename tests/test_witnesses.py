@@ -1,12 +1,17 @@
+import json
+
+import numpy as np
 import pytest
 
+from conftest import vector_set
 from ibiskit import witnesses
 from ibiskit.actions import (
     build_group_action, build_projective_points, build_totally_singular,
 )
+from ibiskit.cli import main
 from ibiskit.gf import field_of_order
 from ibiskit.groups import GroupSpec
-from ibiskit.ibis import is_irredundant
+from ibiskit.ibis import base_report, is_irredundant
 from ibiskit.linalg import symplectic_form
 from ibiskit.witnesses import CATALOG, WitnessError, run_witness
 
@@ -42,24 +47,44 @@ def test_report_shape():
 
 
 def test_two_subspaces_requires_d4():
-    with pytest.raises(WitnessError):
+    # the chains are verified at d = 4 only, so d is no parameter
+    assert run_witness("L3.3")["params"]["d"] == 4
+    with pytest.raises(WitnessError, match="takes no parameter 'd'"):
         run_witness("L3.3", d=5)
 
 
-def test_symplectic_lines_seeded_search_deterministic():
-    a = run_witness("L3.14", q=3, seed=11)
-    b = run_witness("L3.14", q=3, seed=11)
-    assert a == b and a["ok"]
+def test_symplectic_lines_report_ignores_seed(capsys):
+    reports = [run_witness("L3.14", seed=s) for s in (0, 1, 5, 11)]
+    reports.append(run_witness("L3.14"))
+    assert main(["witness", "L3.14"]) == 0
+    cli_report = json.loads(capsys.readouterr().out)
+    assert cli_report.pop("schema") == 2
+    assert all(r == cli_report for r in reports) and cli_report["ok"]
+
+
+def test_symplectic_lines_four_base_spans_and_meets_in_zero():
+    # the length-4 base of L3.14, re-checked by brute force over GF(3)^4
+    [four] = [c["detail"] for c in run_witness("L3.14")["checks"]
+              if c["claim"].startswith("an irredundant base of length 4")]
+    assert four == [0, 1, 4, 34]
+    F = field_of_order(3)
+    dom = build_totally_singular(symplectic_form(F, 4), 2)
+    rep = base_report(build_group_action(GroupSpec("Sp", 4, 3), dom), four)
+    assert len(rep) == 4 and rep.is_base and rep.is_irredundant
+    [B] = dom.bases(four)
+    lines = [vector_set(F, W) for W in B]
+    assert len(vector_set(F, np.concatenate(B))) == 3**4
+    assert set.intersection(*lines) == {(0, 0, 0, 0)}
 
 
 def test_quadratic_forms_witness_rejects_odd_q():
-    with pytest.raises(WitnessError):
-        run_witness("P5.1", m=2, q=3)
+    with pytest.raises(WitnessError, match="needs even q > 2"):
+        run_witness("P5.1", q=3)
 
 
 def test_nondegenerate_pair_other_prime():
     # the construction goes through at q = 5 as well (1 + 2^2 = 5 != 0)
-    rep = run_witness("L6.1", d=4, q=5)
+    rep = run_witness("L6.1", q=5)
     assert rep["ok"], rep
 
 
