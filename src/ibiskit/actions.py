@@ -60,7 +60,7 @@ class ActionDomain:
     subspace, or the two members of a pair), or for the forms domain
     (dims = ()) the parameter vector of the form."""
 
-    def __init__(self, kind, codes, field, d, dims, params=None, form=None):
+    def __init__(self, kind, codes, field, d, dims, form=None):
         if len(codes) > SIZE_CAP:
             raise ActionError(f"domain size {len(codes)} exceeds cap")
         codes = np.asarray(codes, dtype=np.int64)
@@ -74,7 +74,6 @@ class ActionDomain:
         self.field = field
         self.d = d
         self.dims = tuple(dims)
-        self.params = dict(params or {})
         self.form = form
         if np.any(self._keys[1:] == self._keys[:-1]):
             raise ActionError("domain points are not pairwise distinct")
@@ -119,9 +118,6 @@ class ActionDomain:
         """The index of one point given by its codes: a basis, a pair's two
         bases stacked, or a parameter vector."""
         return int(self.indices(np.ravel(pt)[None])[0])
-
-    def describe(self):
-        return {"kind": self.kind, "N": self.N, **self.params}
 
 
 # -- subspace enumeration -----------------------------------------------------
@@ -176,16 +172,14 @@ def build_projective_points(d, q):
     """All 1-subspaces of GF(q)^d; N = (q^d - 1)/(q - 1)."""
     F = gf.field_of_order(q)
     _check_grassmannian(d, 1, q)
-    return ActionDomain("projective_points", enumerate_subspaces(F, d, 1), F, d,
-                        (1,), {"d": d, "q": q})
+    return ActionDomain("projective_points", enumerate_subspaces(F, d, 1), F, d, (1,))
 
 
 def build_subspace_domain(d, q, k):
     """All k-subspaces of GF(q)^d (the linear-family domain)."""
     F = gf.field_of_order(q)
     _check_grassmannian(d, k, q)
-    return ActionDomain("subspaces_k", enumerate_subspaces(F, d, k), F, d, (k,),
-                        {"d": d, "q": q, "k": k})
+    return ActionDomain("subspaces_k", enumerate_subspaces(F, d, k), F, d, (k,))
 
 
 def witt_index(form):
@@ -243,16 +237,14 @@ def build_totally_singular(form, k, family=None):
     S = np.concatenate(found)
     if not is_totally_singular(form, S).all():
         raise ActionError("a built basis is not totally singular")
-    params = {"d": d, "q": F.q, "k": k, "form": form.kind}
-    dom = ActionDomain("totally_singular_k", S, F, d, (k,), params, form=form)
+    dom = ActionDomain("totally_singular_k", S, F, d, (k,), form=form)
     if family is None:
         return dom
     [S] = dom.bases()
     greek = (rank_stack(F, np.concatenate([np.broadcast_to(S[0], S.shape), S], axis=1))
              - k) % 2 == 0
-    params["family"] = family
     return ActionDomain("max_isotropic_family", S[greek == (family == "greek")],
-                        F, d, (k,), params, form=form)
+                        F, d, (k,), form=form)
 
 
 def build_nonsingular_points(form):
@@ -265,12 +257,9 @@ def build_nonsingular_points(form):
                           "only in even characteristic")
     d = form.dim
     S = enumerate_subspaces(F, d, 1)
-    params = {"d": d, "q": F.q, "witt_defect": form.meta.get("witt_defect")}
-    if "mu" in form.meta:
-        params["mu"] = int(form.meta["mu"])   # elliptic-form parameter choice
     return ActionDomain("nonsingular_1",
                         S[linalg.eval_quadratic_batch(form, S[:, 0]) != 0], F, d,
-                        (1,), params, form=form)
+                        (1,), form=form)
 
 
 # Pair domains decide (small x big) blocks of about this many remainder codes
@@ -306,8 +295,7 @@ def build_pair_domain(d, q, k, mode):
                 else ~R.reshape(len(R), -1).any(axis=1))
         s, b = np.divmod(np.flatnonzero(keep), len(big))
         pairs.append(np.concatenate([W[s], big[b]], axis=1))
-    return ActionDomain(f"pair_{mode}", np.concatenate(pairs), F, d, (k, d - k),
-                        {"d": d, "q": q, "k": k})
+    return ActionDomain(f"pair_{mode}", np.concatenate(pairs), F, d, (k, d - k))
 
 
 def build_quad_forms_domain(m, q, sign):
@@ -332,7 +320,7 @@ def build_quad_forms_domain(m, q, sign):
         keep, kind = np.ones(len(vs), bool), "quad_forms_all"
     else:
         raise ActionError(f"unknown sign {sign!r}")
-    return ActionDomain(kind, vs[keep], F, d, (), {"m": m, "q": q}, form=theta0)
+    return ActionDomain(kind, vs[keep], F, d, (), form=theta0)
 
 
 def build_nondegenerate_domain(form, k):
@@ -344,7 +332,7 @@ def build_nondegenerate_domain(form, k):
     _check_grassmannian(d, k, F.q)
     S = enumerate_subspaces(F, d, k)
     return ActionDomain("nondegenerate_k", S[is_nondegenerate(form, S)], F, d, (k,),
-                        {"d": d, "q": F.q, "k": k, "form": form.kind}, form=form)
+                        form=form)
 
 
 # -- permutation induction -----------------------------------------------------
@@ -512,12 +500,10 @@ def build_domain(desc):
     if "kind" not in desc:
         raise ActionError("action descriptor is missing 'kind'")
     kind = desc["kind"]
-    # nonsingular_1 reads "sign" in place of a missing "form"
-    form = "sign" if "form" not in desc and "sign" in desc else "form"
     reads = {"projective_points": "d q", "subspaces_k": "d q k", "pair_complement": "d q k",
              "pair_incident": "d q k", "quad_forms_plus": "m q", "quad_forms_minus": "m q",
              "totally_singular_k": "form d q k", "nondegenerate_k": "form d q k",
-             "max_isotropic_family": "form d q k family", "nonsingular_1": f"{form} d q",
+             "max_isotropic_family": "form d q k family", "nonsingular_1": "form d q",
              }.get(kind if isinstance(kind, str) else None)
     if reads is None:
         raise ActionError(f"unknown domain kind {kind!r}")
@@ -547,8 +533,7 @@ def build_domain(desc):
         family = need("family") if kind == "max_isotropic_family" else None
         return build_totally_singular(form, need("k"), family)
     if kind == "nonsingular_1":
-        form = _form_from_name(desc.get("form", desc.get("sign", "+")),
-                               need("d"), need("q"))
+        form = _form_from_name(need("form"), need("d"), need("q"))
         return build_nonsingular_points(form)
     if kind in ("pair_complement", "pair_incident"):
         return build_pair_domain(need("d"), need("q"), need("k"),

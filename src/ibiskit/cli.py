@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 
@@ -68,11 +69,15 @@ def _emit(args, payload, text=None):
     else:
         body = text
     if getattr(args, "out", None):
-        import os
         tmp = args.out + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(body)
-        os.replace(tmp, args.out)
+        fh = open(tmp, "w")
+        try:
+            with fh:
+                fh.write(body)
+            os.replace(tmp, args.out)
+        except OSError:
+            os.remove(tmp)
+            raise
     else:
         sys.stdout.write(body)
 
@@ -123,7 +128,7 @@ def cmd_analyze(args):
     dom = build_domain(job["action"])
     G = build_group_action(spec, dom)
     report = {"schema": SCHEMA, "group": spec.serialize(),
-              "action": dom.describe(), "task": task, "budget": budget,
+              "action": dict(job["action"], N=dom.N), "task": task, "budget": budget,
               "degree": dom.N}
     exit_code = 0
     if task == "order":
@@ -244,7 +249,7 @@ def cmd_dump_domain(args):
     # the group is allowed, so that one jobfile serves both dump commands
     job = _build_job(args, "action", optional=("group",))
     dom = build_domain(job["action"])
-    payload = {"schema": SCHEMA, "domain": dom.describe(),
+    payload = {"schema": SCHEMA, "domain": dict(job["action"], N=dom.N),
                "points": dom.serialize_points()}
     _emit(args, payload)
     return 0

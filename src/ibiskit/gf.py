@@ -7,9 +7,10 @@ encoding is the wire format for serialization.  Every operation takes
 codes or numpy arrays of them, so one call does a whole array.
 
 Every field has one representation: q x q addition and multiplication
-tables and length-q negation and inversion vectors on codes, so each
-arithmetic operation is one lookup.  A field is built from its own
-base-p digit tables, with no polynomial arithmetic beside them:
+tables, length-q negation and inversion vectors, and the exp/log tables
+of the generator on codes, so each arithmetic operation is one lookup.
+A field is built from its own base-p digit tables, with no polynomial
+arithmetic beside them:
 
 - addition, negation and the multiples by a scalar of GF(p) act digit by
   digit on the codes;
@@ -20,8 +21,9 @@ base-p digit tables, with no polynomial arithmetic beside them:
   accepted when no monic code of degree 1..f/2 is a zero divisor, since
   a proper factor of m of that degree would be one;
 - the generator is the least code g whose "times g" map returns 1 to
-  itself only after q - 1 steps.  That walk is the power table, and the
-  multiplication table and the inverses come from it and its log.
+  itself only after q - 1 steps.  That walk is the exp table, and the
+  multiplication table, the inverses, every power a^e and the Frobenius
+  tables x -> x^(p^k) come from it and its log.
 
 So field construction is reproducible across runs.  SIZE_CAP bounds q
 so that each table stays within 8 MiB.
@@ -68,8 +70,6 @@ class FiniteField:
         self.f = f
         self.q = p**f
         self._build_tables()
-        self._frob_tables = None     # built on first use of frob
-        self._embeddings = {}
 
     def _build_tables(self):
         p, f, q = self.p, self.f, self.q
@@ -128,6 +128,7 @@ class FiniteField:
         self.generator_code = g
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
+        self._exp, self._log = exp, log
         self._mul = np.zeros((q, q), dtype=np.int64)
         self._mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
         self._inv = np.zeros(q, dtype=np.int64)
@@ -157,53 +158,24 @@ class FiniteField:
         return self._mul[a, self.inv(b)]
 
     def power(self, a, e):
-        a = np.asarray(a)
-        r = np.ones_like(a)
-        b = a.copy()
-        e = int(e)
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
+        """a^e for codes a and integer exponents e, broadcast together: one
+        lookup exp[log(a) e mod (q - 1)].  0^0 = 1, and 0^e = 0 for e > 0."""
+        a, e = np.asarray(a), np.asarray(e)
+        zero = a == 0
+        if np.any(zero & (e < 0)):
+            raise ZeroDivisionError("division by zero in GF")
+        out = self._exp[self._log[a] * (e % (self.q - 1)) % (self.q - 1)]
+        return np.where(zero, e == 0, out)
+
+    @functools.cached_property
+    def _frob(self):
+        """_frob[k] = (x -> x^(p^k)) for k < f, built on first use."""
+        return self.power(np.arange(self.q), self.p ** np.arange(self.f)[:, None])
 
     def frob(self, a, k=1):
         """x -> x^(p^k), vectorized; k is reduced mod f.  In
         characteristic 2, frob(x, f - 1) is the square root of x."""
-        k %= self.f
-        if self._frob_tables is None:
-            tabs = []
-            base = np.arange(self.q)
-            t = base
-            for _ in range(self.f):
-                tabs.append(t)
-                t = self.power(t, self.p)
-            self._frob_tables = tabs
-        return self._frob_tables[k][np.asarray(a)]
-
-    def from_subfield_root(self, sub):
-        """Embedding GF(p^k) -> self via the least root of sub's modulus.
-
-        Returns the array mapping sub codes to codes in this field; cached.
-        """
-        key = (sub.p, sub.f)
-        if key in self._embeddings:
-            return self._embeddings[key]
-        if sub.p != self.p or self.f % sub.f != 0:
-            raise GFError("not a subfield")
-        # sub's modulus at every code of this field at once
-        codes = np.arange(self.q)
-        value = np.zeros(self.q, dtype=np.int64)
-        for c in reversed(sub.modulus):
-            value = self._add[self._mul[value, codes], c]
-        root = np.flatnonzero(value == 0)[0]
-        # every sub code at once, by Horner over its base-p digit columns
-        emb = np.zeros(sub.q, dtype=np.int64)
-        for i in reversed(range(sub.f)):
-            emb = self._add[self._mul[emb, root], codes[: sub.q] // self.p**i % self.p]
-        self._embeddings[key] = emb
-        return emb
+        return self._frob[k % self.f][np.asarray(a)]
 
     def __repr__(self):
         return f"GF({self.p}^{self.f})" if self.f > 1 else f"GF({self.p})"

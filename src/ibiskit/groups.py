@@ -174,7 +174,7 @@ def _reflections(form, A):
 
 def _field_spanning_scalars(F):
     """Scalars whose F_p-span is all of F: powers of the generator."""
-    return [int(F.power(np.asarray(F.generator_code), k)) for k in range(F.f)]
+    return F.power(F.generator_code, np.arange(F.f))
 
 
 def _elementary(F, d, entries):
@@ -237,7 +237,7 @@ def _unitary_generators(spec, form):
     mu = E.generator_code
     codes = np.arange(E.q)
     trace = E.add(codes, E.frob(codes, F0.f))     # t + t^q, GF(q^2) -> GF(q)
-    span = np.array(_field_spanning_scalars(E))
+    span = _field_spanning_scalars(E)
     bar = E.neg(E.frob(span, F0.f))               # -t^q for t in span
     if d == 3:
         # upper unipotents [[1, s, t], [0, 1, -s^q], [0, 0, 1]],
@@ -246,7 +246,7 @@ def _unitary_generators(spec, form):
         least = (trace == E.mul(span, bar)[:, None]).argmax(axis=1)
         entries = [{(0, 2): t} for t in span[trace[span] == 0]]
         entries += [{(0, 1): s, (0, 2): t, (1, 2): b} for s, t, b in zip(span, least, bar)]
-        entries += [{(0, 0): mu, (1, 1): E.power(mu, q - 1), (2, 2): E.inv(E.power(mu, q))},
+        entries += [{(0, 0): mu, (1, 1): E.power(mu, q - 1), (2, 2): E.power(mu, -q)},
                     {(0, 0): 0, (2, 2): 0, (0, 2): 1, (2, 0): 1, (1, 1): E.neg(1)}]
     else:
         # hyperbolic pairs (e1, e4), (e2, e3) for the anti-diagonal form:
@@ -255,7 +255,7 @@ def _unitary_generators(spec, form):
                    for cells in ({(0, 1): t, (2, 3): b}, {(0, 2): t, (1, 3): b})]
         entries += [{ij: t} for t in np.flatnonzero(trace == 0)[1: 2 * F0.f + 1]
                     for ij in ((0, 3), (1, 2))]
-        a0 = E.from_subfield_root(F0)[F0.generator_code]
+        a0 = E.power(mu, q + 1)                   # a generator of GF(q)*
         entries += [{(0, 0): a0, (3, 3): E.inv(a0)}, {(1, 1): a0, (2, 2): E.inv(a0)}]
         # double transpositions: determinant 1 in every characteristic
         entries += [{(a, a): 0, (b, b): 0, (c, c): 0, (e, e): 0,

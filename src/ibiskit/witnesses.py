@@ -329,8 +329,9 @@ def witness_quadratic_forms(q=4):
 
     minus = build_quad_forms_domain(2, q, "-")
     Gm = build_group_action(GroupSpec("Sp", 4, q), minus)
+    # eps: a generator of GF(q)* of absolute trace 1
     eps = next(c for c in range(1, q)
-               if trace_bit(F, c) == 1 and _is_generator(F, c))
+               if trace_bit(F, c) == 1 and (F.power(c, np.arange(1, q - 1)) != 1).all())
     epsv = np.array([eps, 0, 1, 0], dtype=np.int64)   # eps e1 + e3 (= e_{m+1})
     i_eps = th(minus, epsv)
     # conjugation moves predicted by theta_a^{t_c} = theta_{a+(sqrt(theta_a(c))+1)c}
@@ -366,15 +367,6 @@ def witness_quadratic_forms(q=4):
     return _finish("P5.1", {"m": 2, "q": q,
                             "plus_degree": plus.N, "minus_degree": minus.N},
                    checks)
-
-
-def _is_generator(F, c):
-    x, n = 1, 0
-    while True:
-        x = int(F.mul(x, c))
-        n += 1
-        if x == 1:
-            return n == F.q - 1
 
 
 # -- non-singular points -------------------------------------------------------------

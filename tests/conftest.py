@@ -137,6 +137,22 @@ def form_point(dom, a):
     return dom.index_of(np.array(a))
 
 
+# -- field power oracle ----------------------------------------------------------
+
+def power_by_squaring(F, a, e):
+    """Oracle for FiniteField.power at an exponent e >= 0: square-and-multiply
+    over the mul table, with no use of the exp/log tables."""
+    assert e >= 0, "the oracle takes a^-e as inv(a)^e"
+    b = np.asarray(a)
+    r = np.ones_like(b)
+    while e:
+        if e & 1:
+            r = F.mul(r, b)
+        b = F.mul(b, b)
+        e >>= 1
+    return r
+
+
 # -- the group law of (matrix, Frobenius power, duality) triples ----------------
 
 def generator_triples(spec):

@@ -472,4 +472,4 @@ def test_domain_descriptor_roundtrip():
     assert dom2.N == 40
     dom3 = build_domain({"kind": "nonsingular_1", "form": "-", "d": 4, "q": 4})
     assert dom3.N == 68
-    assert dom3.describe()["kind"] == "nonsingular_1"
+    assert dom3.kind == "nonsingular_1"

@@ -155,6 +155,39 @@ def test_dump_domain(tmp_path):
     assert len(data["points"]) == 6
 
 
+# one descriptor of each domain kind: in the form kinds the report must keep
+# the form's name (plus or minus quadric) and the q of the descriptor, not q^2
+@pytest.mark.parametrize("action", [
+    {"kind": "projective_points", "d": 3, "q": 3},
+    {"kind": "subspaces_k", "d": 4, "q": 2, "k": 2},
+    {"kind": "pair_complement", "d": 3, "q": 2, "k": 1},
+    {"kind": "pair_incident", "d": 3, "q": 2, "k": 1},
+    {"kind": "quad_forms_plus", "m": 1, "q": 4},
+    {"kind": "quad_forms_minus", "m": 1, "q": 4},
+    {"kind": "totally_singular_k", "form": "minus", "d": 4, "q": 3, "k": 1},
+    {"kind": "max_isotropic_family", "form": "plus", "d": 4, "q": 3, "k": 2,
+     "family": "greek"},
+    {"kind": "nonsingular_1", "form": "-", "d": 4, "q": 2},
+    {"kind": "nondegenerate_k", "form": "hermitian", "d": 3, "q": 2, "k": 1},
+], ids=lambda action: action["kind"])
+def test_dump_domain_report_rebuilds_its_points(tmp_path, action):
+    out, again = tmp_path / "d.json", tmp_path / "again.json"
+    assert main(["dump-domain", "--action", json.dumps(action), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    domain = dict(data["domain"])
+    assert domain.pop("N") == len(data["points"])
+    assert main(["dump-domain", "--action", json.dumps(domain), "--out", str(again)]) == 0
+    assert json.loads(again.read_text())["points"] == data["points"]
+
+
+def test_out_that_cannot_be_replaced_leaves_no_temp_file(tmp_path, capsys):
+    # the report is written to DIR.tmp, which cannot replace a directory
+    out = tmp_path / "report"
+    out.mkdir()
+    assert_one_line_error(capsys, main(["e7", "2", "--out", str(out)]), "Is a directory")
+    assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+
 def test_base_find_with_size(tmp_path):
     out = tmp_path / "b.json"
     job = {"group": {"family": "Sp", "d": 4, "q": 3},
@@ -442,15 +475,17 @@ def test_descriptor_key_not_read_one_line_error(capsys, group, action, message):
     assert_one_line_error(capsys, code, message)
 
 
-def test_nonsingular_sign_alone_is_read(capsys):
-    group = '{"family":"OmegaMinus","d":4,"q":2}'
-    orders = []
-    for action in ({"kind": "nonsingular_1", "sign": "-", "d": 4, "q": 2},
-                   {"kind": "nonsingular_1", "form": "-", "d": 4, "q": 2}):
-        assert main(["analyze", "--group", group, "--action", json.dumps(action),
-                     "--task", "order"]) == 0
-        orders.append(json.loads(capsys.readouterr().out)["order"])
-    assert orders[0] == orders[1]
+@pytest.mark.parametrize("action,message", [
+    ({"kind": "nonsingular_1", "sign": "-", "d": 4, "q": 2},
+     "action descriptor 'nonsingular_1' has key 'sign', which it does not read; "
+     "it reads: kind, form, d, q"),
+    ({"kind": "nonsingular_1", "d": 4, "q": 2},
+     "action descriptor 'nonsingular_1' is missing 'form'"),
+], ids=["sign", "no-form"])
+def test_nonsingular_reads_its_form_under_form_only(capsys, action, message):
+    code = main(["analyze", "--group", '{"family":"OmegaMinus","d":4,"q":2}',
+                 "--action", json.dumps(action), "--task", "order"])
+    assert_one_line_error(capsys, code, message)
 
 
 @pytest.mark.parametrize("rows", ["SL3(2),", ",", "", "SL3, ,Sp4"])

@@ -8,7 +8,7 @@ from conftest import (
     unpruned_enumeration,
 )
 from ibiskit import ibis
-from ibiskit.actions import build_group_action, build_quad_forms_domain
+from ibiskit.actions import build_domain, build_group_action, build_quad_forms_domain
 from ibiskit.groups import GroupSpec
 from ibiskit.ibis import (
     EnumerationResult, IbisError, decide_ibis, enumerate_irredundant_base_sizes,
@@ -65,6 +65,23 @@ def test_decision_matches_brute_force(name):
     brute = unpruned_enumeration(G)
     assert brute.complete
     check_against(decide_ibis(G), brute.lengths, G)
+
+
+@pytest.mark.parametrize("family,order", [("SU", 14_742_000_000),
+                                          ("GU", 29_484_000_000)])
+def test_unitary_groups_on_the_isotropic_points_of_h3_25(family, order):
+    # the torus takes a = mu^(q+1) as its generator of GF(q)*, which at
+    # q = 5 is not the image of GF(5)'s own generator: the orders over the
+    # scalars and the verdict pin the group at such a q
+    dom = build_domain({"kind": "totally_singular_k", "form": "hermitian",
+                        "d": 4, "q": 5, "k": 1})
+    assert dom.N == 3276
+    G = build_group_action(GroupSpec(family, 4, 5), dom)
+    assert G.order() == order
+    verdict = decide_ibis(G)
+    assert verdict.status == "NotIBIS" and verdict.lengths == {5, 6}
+    assert [tuple(w.points) for w in verdict.witnesses] == [(0, 1, 2, 26, 156),
+                                                          (0, 1, 2, 26, 27, 151)]
 
 
 def test_early_stop_fires_on_the_336_pairs():

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import power_by_squaring
 from ibiskit.gf import (
     GFError, field_of_order, find_special_alpha, make_field, trace_bit,
 )
@@ -78,7 +79,7 @@ def test_frobenius_identity_cases():
         x = np.arange(F.q)
         assert (F.frob(x, 0) == x).all()
         assert (F.frob(x, f) == x).all()
-        assert (F.frob(x, 1) == F.power(x, p)).all()
+        assert (F.frob(x, 1) == power_by_squaring(F, x, p)).all()
 
 
 def test_frobenius_involution_gf9():
@@ -88,11 +89,11 @@ def test_frobenius_involution_gf9():
 
 
 def absolute_trace(F, x):
-    """x + x^p + ... + x^(p^(f-1)) by repeated powering (no Frobenius
-    table)."""
+    """x + x^p + ... + x^(p^(f-1)) by square-and-multiply (no Frobenius
+    or exp/log table)."""
     acc = 0
     for i in range(F.f):
-        acc = int(F.add(acc, F.power(x, F.p**i)))
+        acc = int(F.add(acc, power_by_squaring(F, x, F.p**i)))
     return acc
 
 
@@ -161,10 +162,10 @@ def test_multiplicative_order_exhaustive():
                  for k in range(1, 7))]
     for q in qs:
         F = field_of_order(q)
-        assert (F.power(np.arange(1, q), q - 1) == 1).all()
+        assert (power_by_squaring(F, np.arange(1, q), q - 1) == 1).all()
         # and the generator's order is exactly q - 1
         g = F.generator_code
-        assert all(F.power(g, (q - 1) // r) != 1
+        assert all(power_by_squaring(F, g, (q - 1) // r) != 1
                    for r in range(2, q) if (q - 1) % r == 0)
 
 
@@ -311,6 +312,23 @@ def test_field_axioms_on_tables(q):
     assert (F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))).all()
 
 
+@pytest.mark.parametrize("q", [q for q in TIER1_QS if q <= 64])
+def test_power_matches_square_and_multiply(q):
+    F = field_of_order(q)
+    units = np.arange(1, q)
+    es = np.arange(-2 * (q - 1), 2 * (q - 1) + 1)
+    # a^-e is inv(a)^e
+    expect = np.stack([power_by_squaring(F, units, e) if e >= 0
+                       else power_by_squaring(F, F.inv(units), -e) for e in es], axis=1)
+    assert (F.power(units[:, None], es) == expect).all()
+    assert all((F.power(units, e) == expect[:, i]).all() for i, e in enumerate(es))
+    zero = F.power(0, es[es >= 0])
+    assert zero[0] == 1 and not zero[1:].any()
+    for a in (0, np.arange(q)):
+        with pytest.raises(ZeroDivisionError):
+            F.power(a, -1)
+
+
 def test_size_cap_is_the_table_cap():
     assert make_field(2, 10).q == 1024
     with pytest.raises(GFError, match="exceeds cap 1024"):
@@ -332,27 +350,9 @@ def test_modulus_and_generator_are_the_least(q):
     assert F.modulus == tuple(reversed([1] + _poly(F, low)))
     assert all(type(c) is int for c in F.modulus)
     primitive = [g for g in range(1, q)
-                 if all(F.power(g, (q - 1) // r) != 1 for r in factorint(q - 1))]
+                 if all(power_by_squaring(F, g, (q - 1) // r) != 1
+                        for r in factorint(q - 1))]
     assert type(F.generator_code) is int and F.generator_code == primitive[0]
-
-
-@pytest.mark.parametrize("p,f", [(2, 4), (2, 6), (3, 4), (5, 2), (2, 10)])
-def test_subfield_embeddings_send_x_to_the_least_root(p, f):
-    E = make_field(p, f)
-    for k in [k for k in range(1, f + 1) if f % k == 0]:
-        F = make_field(p, k)
-        emb = E.from_subfield_root(F)
-        a, b = np.divmod(np.arange(F.q * F.q), F.q)
-        assert (emb[F.add(a, b)] == E.add(emb[a], emb[b])).all()
-        assert (emb[F.mul(a, b)] == E.mul(emb[a], emb[b])).all()
-        assert len(set(emb.tolist())) == F.q
-        if k > 1:
-            def value(r):
-                acc = 0
-                for c in reversed(F.modulus):
-                    acc = int(E.add(E.mul(acc, r), c))
-                return acc
-            assert emb[p] == min(r for r in range(E.q) if value(r) == 0)
 
 
 def _prime_powers(cap):
