@@ -60,14 +60,13 @@ class ActionDomain:
     subspace, or the two members of a pair), or for the forms domain
     (dims = ()) the parameter vector of the form."""
 
-    def __init__(self, kind, codes, field, d, dims, form=None):
+    def __init__(self, codes, field, d, dims, form=None):
         if len(codes) > SIZE_CAP:
             raise ActionError(f"domain size {len(codes)} exceeds cap")
         codes = np.asarray(codes, dtype=np.int64)
         codes = codes.reshape(len(codes), d * sum(dims) if dims else d)
         keys = _keys(codes)
         order = np.argsort(keys, kind="stable")
-        self.kind = kind
         self.codes = codes[order]
         self.codes.setflags(write=False)
         self._keys = keys[order]
@@ -168,18 +167,12 @@ def _check_grassmannian(d, k, q):
 
 # -- domain builders ----------------------------------------------------------
 
-def build_projective_points(d, q):
-    """All 1-subspaces of GF(q)^d; N = (q^d - 1)/(q - 1)."""
-    F = gf.field_of_order(q)
-    _check_grassmannian(d, 1, q)
-    return ActionDomain("projective_points", enumerate_subspaces(F, d, 1), F, d, (1,))
-
-
 def build_subspace_domain(d, q, k):
-    """All k-subspaces of GF(q)^d (the linear-family domain)."""
+    """All k-subspaces of GF(q)^d (the linear-family domain); at k = 1 the
+    projective points, N = (q^d - 1)/(q - 1)."""
     F = gf.field_of_order(q)
     _check_grassmannian(d, k, q)
-    return ActionDomain("subspaces_k", enumerate_subspaces(F, d, k), F, d, (k,))
+    return ActionDomain(enumerate_subspaces(F, d, k), F, d, (k,))
 
 
 def witt_index(form):
@@ -237,14 +230,13 @@ def build_totally_singular(form, k, family=None):
     S = np.concatenate(found)
     if not is_totally_singular(form, S).all():
         raise ActionError("a built basis is not totally singular")
-    dom = ActionDomain("totally_singular_k", S, F, d, (k,), form=form)
+    dom = ActionDomain(S, F, d, (k,), form=form)
     if family is None:
         return dom
     [S] = dom.bases()
     greek = (rank_stack(F, np.concatenate([np.broadcast_to(S[0], S.shape), S], axis=1))
              - k) % 2 == 0
-    return ActionDomain("max_isotropic_family", S[greek == (family == "greek")],
-                        F, d, (k,), form=form)
+    return ActionDomain(S[greek == (family == "greek")], F, d, (k,), form=form)
 
 
 def build_nonsingular_points(form):
@@ -257,8 +249,7 @@ def build_nonsingular_points(form):
                           "only in even characteristic")
     d = form.dim
     S = enumerate_subspaces(F, d, 1)
-    return ActionDomain("nonsingular_1",
-                        S[linalg.eval_quadratic_batch(form, S[:, 0]) != 0], F, d,
+    return ActionDomain(S[linalg.eval_quadratic_batch(form, S[:, 0]) != 0], F, d,
                         (1,), form=form)
 
 
@@ -295,7 +286,7 @@ def build_pair_domain(d, q, k, mode):
                 else ~R.reshape(len(R), -1).any(axis=1))
         s, b = np.divmod(np.flatnonzero(keep), len(big))
         pairs.append(np.concatenate([W[s], big[b]], axis=1))
-    return ActionDomain(f"pair_{mode}", np.concatenate(pairs), F, d, (k, d - k))
+    return ActionDomain(np.concatenate(pairs), F, d, (k, d - k))
 
 
 def build_quad_forms_domain(m, q, sign):
@@ -308,19 +299,15 @@ def build_quad_forms_domain(m, q, sign):
         raise ActionError("the forms domain lives in characteristic 2")
     if q ** (2 * m) > SIZE_CAP:
         raise ActionError("size cap exceeded")
+    if sign not in ("+", "-", None):
+        raise ActionError(f"unknown sign {sign!r}")
     d = 2 * m
     theta0 = quadratic_theta0(F, d)
     vs = linalg.all_row_vectors(F, d)
-    traces = trace_bit(F, linalg.eval_quadratic_batch(theta0, vs))
-    if sign == "+":
-        keep, kind = traces == 0, "quad_forms_plus"
-    elif sign == "-":
-        keep, kind = traces == 1, "quad_forms_minus"
-    elif sign is None:
-        keep, kind = np.ones(len(vs), bool), "quad_forms_all"
-    else:
-        raise ActionError(f"unknown sign {sign!r}")
-    return ActionDomain(kind, vs[keep], F, d, (), form=theta0)
+    if sign is not None:
+        traces = trace_bit(F, linalg.eval_quadratic_batch(theta0, vs))
+        vs = vs[traces == int(sign == "-")]
+    return ActionDomain(vs, F, d, (), form=theta0)
 
 
 def build_nondegenerate_domain(form, k):
@@ -331,8 +318,7 @@ def build_nondegenerate_domain(form, k):
     d = form.dim
     _check_grassmannian(d, k, F.q)
     S = enumerate_subspaces(F, d, k)
-    return ActionDomain("nondegenerate_k", S[is_nondegenerate(form, S)], F, d, (k,),
-                        form=form)
+    return ActionDomain(S[is_nondegenerate(form, S)], F, d, (k,), form=form)
 
 
 # -- permutation induction -----------------------------------------------------
@@ -493,6 +479,23 @@ def theta_value(dom, a, u):
 
 # -- descriptor dispatch -------------------------------------------------------
 
+# Every domain kind a descriptor may name: kind -> (builder, the keys the
+# descriptor reads after 'kind', in order, the builder arguments the kind
+# fixes).  A 'form' is read with d and q as the FormSpec of that name.
+DOMAIN_KINDS = {
+    "projective_points": (build_subspace_domain, "d q", {"k": 1}),
+    "subspaces_k": (build_subspace_domain, "d q k", {}),
+    "totally_singular_k": (build_totally_singular, "form d q k", {}),
+    "max_isotropic_family": (build_totally_singular, "form d q k family", {}),
+    "nonsingular_1": (build_nonsingular_points, "form d q", {}),
+    "pair_complement": (build_pair_domain, "d q k", {"mode": "complement"}),
+    "pair_incident": (build_pair_domain, "d q k", {"mode": "incident"}),
+    "quad_forms_plus": (build_quad_forms_domain, "m q", {"sign": "+"}),
+    "quad_forms_minus": (build_quad_forms_domain, "m q", {"sign": "-"}),
+    "nondegenerate_k": (build_nondegenerate_domain, "form d q k", {}),
+}
+
+
 def build_domain(desc):
     """Build a domain from a JSON-style descriptor {kind, params...}."""
     if not isinstance(desc, dict):
@@ -500,20 +503,16 @@ def build_domain(desc):
     if "kind" not in desc:
         raise ActionError("action descriptor is missing 'kind'")
     kind = desc["kind"]
-    reads = {"projective_points": "d q", "subspaces_k": "d q k", "pair_complement": "d q k",
-             "pair_incident": "d q k", "quad_forms_plus": "m q", "quad_forms_minus": "m q",
-             "totally_singular_k": "form d q k", "nondegenerate_k": "form d q k",
-             "max_isotropic_family": "form d q k family", "nonsingular_1": "form d q",
-             }.get(kind if isinstance(kind, str) else None)
-    if reads is None:
+    if not isinstance(kind, str) or kind not in DOMAIN_KINDS:
         raise ActionError(f"unknown domain kind {kind!r}")
+    builder, reads, fixed = DOMAIN_KINDS[kind]
     reads = ["kind"] + reads.split()
     for key in desc:
         if key not in reads:
             raise ActionError(f"action descriptor {kind!r} has key {key!r}, which it "
                               f"does not read; it reads: {', '.join(reads)}")
-
-    def need(key):
+    args = {}
+    for key in reads[1:]:
         if key not in desc:
             raise ActionError(f"action descriptor {kind!r} is missing {key!r}")
         # every key but the two names is an integer, and JSON true is not
@@ -522,27 +521,10 @@ def build_domain(desc):
         if key in ("d", "m") and desc[key] < 1:
             raise ActionError(f"action descriptor {kind!r} needs a positive {key!r}, "
                               f"got {desc[key]}")
-        return desc[key]
-
-    if kind == "projective_points":
-        return build_projective_points(need("d"), need("q"))
-    if kind == "subspaces_k":
-        return build_subspace_domain(need("d"), need("q"), need("k"))
-    if kind in ("totally_singular_k", "max_isotropic_family"):
-        form = _form_from_name(need("form"), need("d"), need("q"))
-        family = need("family") if kind == "max_isotropic_family" else None
-        return build_totally_singular(form, need("k"), family)
-    if kind == "nonsingular_1":
-        form = _form_from_name(need("form"), need("d"), need("q"))
-        return build_nonsingular_points(form)
-    if kind in ("pair_complement", "pair_incident"):
-        return build_pair_domain(need("d"), need("q"), need("k"),
-                                 kind.split("_")[1])
-    if kind in ("quad_forms_plus", "quad_forms_minus"):
-        return build_quad_forms_domain(need("m"), need("q"),
-                                       "+" if kind.endswith("plus") else "-")
-    form = _form_from_name(need("form"), need("d"), need("q"))     # nondegenerate_k
-    return build_nondegenerate_domain(form, need("k"))
+        args[key] = desc[key]
+    if "form" in args:
+        args["form"] = _form_from_name(args["form"], args.pop("d"), args.pop("q"))
+    return builder(**args, **fixed)
 
 
 def _form_from_name(name, d, q):

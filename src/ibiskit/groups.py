@@ -48,8 +48,13 @@ class GroupError(ValueError):
     pass
 
 
-FAMILIES = ("GL", "SL", "Sp", "GU", "SU", "GOplus", "GOminus",
-            "SOplus", "SOminus", "OmegaPlus", "OmegaMinus")
+# Every family a spec may name -> the constructor (field, d) of the
+# standard form its matrix group preserves, None for GL and SL.
+FAMILIES = {"GL": None, "SL": None, "Sp": symplectic_form,
+            "GU": hermitian_form, "SU": hermitian_form,
+            "GOplus": quadratic_plus, "GOminus": quadratic_minus,
+            "SOplus": quadratic_plus, "SOminus": quadratic_minus,
+            "OmegaPlus": quadratic_plus, "OmegaMinus": quadratic_minus}
 
 
 @dataclass(frozen=True)
@@ -61,10 +66,9 @@ class GroupSpec:
     derived: bool = False
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise GroupError(f"unknown family {self.family!r}")
-        if self.family in ("Sp", "GOplus", "GOminus", "SOplus", "SOminus",
-                           "OmegaPlus", "OmegaMinus") and self.d % 2:
+        if FAMILIES[self.family] not in (None, hermitian_form) and self.d % 2:
             raise GroupError(f"{self.family} needs even dimension")
         if not (isinstance(self.extensions, (list, tuple)) and all(
                 isinstance(kind, str) and re.fullmatch(r"dual|diag|frob(:-?\d+)?", kind)
@@ -77,7 +81,7 @@ class GroupSpec:
 
     @property
     def is_unitary(self):
-        return self.family in ("GU", "SU")
+        return FAMILIES[self.family] is hermitian_form
 
     def matrix_field(self):
         """The field the matrices live over: GF(q^2) for unitary."""
@@ -189,16 +193,8 @@ def _elementary(F, d, entries):
 
 def _standard_form(spec):
     """The form the spec's matrix group preserves, or None for GL and SL."""
-    F = spec.matrix_field()
-    if spec.family in ("GL", "SL"):
-        return None
-    if spec.family == "Sp":
-        return symplectic_form(F, spec.d)
-    if spec.is_unitary:
-        return hermitian_form(F, spec.d)
-    if "plus" in spec.family.lower():
-        return quadratic_plus(F, spec.d)
-    return quadratic_minus(F, spec.d)
+    make = FAMILIES[spec.family]
+    return None if make is None else make(spec.matrix_field(), spec.d)
 
 
 def _linear_generators(spec):
@@ -281,7 +277,7 @@ def _orthogonal_generators(spec, form):
     M = _reflections(form, nonsingular)
     if spec.family.startswith("Omega") or (q % 2 == 1 and spec.family.startswith("SO")):
         M = mat_mul(F, M[0], M[1:])       # products r_0 r_a of two reflections
-    if "plus" in spec.family.lower() and (d, q) == (4, 2):
+    if FAMILIES[spec.family] is quadratic_plus and (d, q) == (4, 2):
         # the known exception: these generate a subgroup of index 2; the
         # coordinate reversal preserves Q, has Dickson invariant 0, and completes it
         M = np.concatenate([M, linalg.identity(F, d)[None, ::-1]])
@@ -301,14 +297,11 @@ def classical_generators(spec):
     tests call it.
     """
     form = _standard_form(spec)
-    if spec.family in ("GL", "SL"):
+    if form is None:
         M = _linear_generators(spec)
-    elif spec.family == "Sp":
-        M = _symplectic_generators(spec, form)
-    elif spec.is_unitary:
-        M = _unitary_generators(spec, form)
     else:
-        M = _orthogonal_generators(spec, form)
+        M = {"symplectic": _symplectic_generators, "hermitian": _unitary_generators,
+             "quadratic": _orthogonal_generators}[form.kind](spec, form)
     M = M[~(M == linalg.identity(spec.matrix_field(), spec.d)).all(axis=(1, 2))]
     if form is not None and not _preserving(form, M, 0).all():
         raise GroupError(f"{spec.family} generator fails the form check")
@@ -322,7 +315,7 @@ def outer_element(kind, spec):
     F = spec.matrix_field()
     d = spec.d
     if kind == "dual":
-        if spec.family not in ("GL", "SL"):
+        if FAMILIES[spec.family] is not None:
             raise GroupError("duality is a linear-family automorphism")
         return linalg.identity(F, d), 0, True
     if kind.startswith("frob"):
@@ -330,7 +323,7 @@ def outer_element(kind, spec):
         return _frobenius_companion(spec, k), k, False
     if kind == "diag":
         M = linalg.identity(F, d)
-        if spec.family in ("GL", "SL"):
+        if FAMILIES[spec.family] is None:
             M[0, 0] = F.generator_code
         elif spec.family == "Sp":
             for i in range(d // 2):
@@ -400,7 +393,7 @@ def matrix_group_order(spec):
     if fam == "SU":
         return matrix_group_order(GroupSpec("GU", d, q)) // (q + 1)
     m = d // 2
-    eps = 1 if "plus" in fam.lower() else -1
+    eps = 1 if FAMILIES[fam] is quadratic_plus else -1
     omega = q**(m * (m - 1)) * (q**m - eps)
     for i in range(1, m):
         omega *= q**(2 * i) - 1

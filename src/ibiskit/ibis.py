@@ -210,8 +210,6 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
     _two_lengths (the IBIS decision) it also stops, incomplete, before
     expanding a node once two lengths are certified.
     """
-    if G.degree > 10**4:
-        raise IbisError("degree too large for a completeness guarantee")
     nodes = 0
     complete = True
     store = _Stabilizers(G)
@@ -264,8 +262,6 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     is counted before it is expanded, so complete=False once the budget
     runs out, and at node_budget=0 no stabilizer is built.
     """
-    if G.degree > 10**3:
-        raise IbisError("degree too large for minimal-base completeness")
     sizes = set()
     nodes = 0
     complete = True

@@ -19,8 +19,8 @@ import numpy as np
 from . import linalg
 from .actions import (
     build_group_action, build_nondegenerate_domain, build_nonsingular_points,
-    build_projective_points, build_quad_forms_domain, build_subspace_domain,
-    build_totally_singular, induce_images,
+    build_quad_forms_domain, build_subspace_domain, build_totally_singular,
+    induce_images,
 )
 from .gf import field_of_order, trace_bit
 from .groups import GroupSpec, in_matrix_group, transvection_symplectic
@@ -43,6 +43,13 @@ def _check(checks, claim, ok, detail=None):
         entry["detail"] = detail
     checks.append(entry)
     return bool(ok)
+
+
+def _check_base(checks, claim, rep):
+    """Check that a base report is an irredundant base, with its
+    stabilizer orders as the detail."""
+    return _check(checks, claim, rep.is_base and rep.is_irredundant,
+                  detail=[str(n) for n in rep.stab_orders])
 
 
 def _sub(dom, *vectors):
@@ -68,7 +75,7 @@ def witness_projective_chains(d=3, q=3):
     and q = 4; at q = 2 the sum of fixed vectors is fixed at every d."""
     if q <= 2 or d < 3 or (d, q) == (3, 4):
         raise WitnessError("the chain pair needs d >= 3, q > 2 and (d, q) != (3, 4)")
-    dom = build_projective_points(d, q)
+    dom = build_subspace_domain(d, q, 1)
     G = build_group_action(GroupSpec("SL", d, q), dom)
     a, b = _projective_chains(dom, d)
     rep_a, rep_b = base_report(G, a), base_report(G, b)
@@ -132,7 +139,7 @@ def witness_symplectic_points(q=4):
     for the socle, and of cardinality 5 for the extended group."""
     if q <= 3:
         raise WitnessError("the displayed chains need q > 3")
-    dom = build_projective_points(4, q)
+    dom = build_subspace_domain(4, q, 1)
     G0 = build_group_action(GroupSpec("Sp", 4, q), dom)
     ext = _sp4_extension(q)
     # basis e1, e2, f1, f2 at coordinates 0, 1, 2, 3
@@ -146,9 +153,7 @@ def witness_symplectic_points(q=4):
     _check(checks, "|(G0)_{w1..w4}| = (q-1)^2/gcd(2,q-1)",
            rep6.stab_orders[4] == expect4,
            detail={"got": str(rep6.stab_orders[4]), "expected": expect4})
-    _check(checks, "six-point chain is an irredundant base for the socle",
-           rep6.is_base and rep6.is_irredundant,
-           detail=[str(n) for n in rep6.stab_orders])
+    _check_base(checks, "six-point chain is an irredundant base for the socle", rep6)
     if not ext:
         return _finish("L3.13", {"q": q, "degree": dom.N}, checks)
     A = build_group_action(GroupSpec("Sp", 4, q, extensions=ext), dom)
@@ -159,9 +164,8 @@ def witness_symplectic_points(q=4):
     five = [_sub(dom, e1), _sub(dom, e2), _sub(dom, f1), _sub(dom, f2),
             _sub(dom, avec)]
     rep5 = base_report(A, five)
-    _check(checks, "five-point chain is an irredundant base for the extension",
-           rep5.is_base and rep5.is_irredundant,
-           detail=[str(n) for n in rep5.stab_orders])
+    _check_base(checks, "five-point chain is an irredundant base for the extension",
+                rep5)
     return _finish("L3.13", {"q": q, "degree": dom.N, "extension": list(ext)},
                    checks)
 
@@ -190,9 +194,7 @@ def witness_symplectic_lines(q=3, seed=None):
            rep.stab_orders[4] == expect4,
            detail={"got": str(rep.stab_orders[4]), "expected": expect4})
     if q == 3:
-        _check(checks, "w1..w5 is an irredundant base of length 5",
-               rep.is_base and rep.is_irredundant,
-               detail=[str(n) for n in rep.stab_orders])
+        _check_base(checks, "w1..w5 is an irredundant base of length 5", rep)
         _check(checks, "witness spans V and meets in 0",
                _span_and_meet_ok(F, dom.bases(idx[:5])[0]))
         enum = enumerate_irredundant_base_sizes(G)
@@ -205,9 +207,7 @@ def witness_symplectic_lines(q=3, seed=None):
         _check(checks, "lengths 4 != 5 certify NotIBIS", {4, 5} <= enum.lengths)
     else:
         rep6 = base_report(G, idx)
-        _check(checks, "w1..w6 is an irredundant base of length 6",
-               rep6.is_base and rep6.is_irredundant,
-               detail=[str(n) for n in rep6.stab_orders])
+        _check_base(checks, "w1..w6 is an irredundant base of length 6", rep6)
     return _finish("L3.14", {"q": q, "degree": dom.N}, checks)
 
 
@@ -310,19 +310,16 @@ def witness_quadratic_forms(q=4):
            orders3[3] == q, detail={"got": str(orders3[3]), "expected": q})
     base4 = [zero, th(plus, e[1]), th(plus, e[0]), th(plus, lam * e[3])]
     rep4 = base_report(G, base4)
-    bases = [_check(checks, "theta_0, theta_e2, theta_e1, theta_{lam e4} is an "
-                            "irredundant base of size 4 on the plus class",
-                    rep4.is_base and rep4.is_irredundant,
-                    detail=[str(n) for n in rep4.stab_orders])]
+    bases = [_check_base(checks, "theta_0, theta_e2, theta_e1, theta_{lam e4} is an "
+                                 "irredundant base of size 4 on the plus class", rep4)]
     # a = e1 + lam' e3 with lam' != 0 of absolute trace zero
     lamp = next(c for c in range(1, q) if trace_bit(F, c) == 0)
     base5 = [zero, th(plus, e[1]), th(plus, e[0] + lamp * e[2]),
              th(plus, e[3]), th(plus, e[0])]
     rep5 = base_report(G, base5)
-    bases.append(_check(checks, "the five-term chain through theta_{e1 + lam' e3} "
-                                "is an irredundant base of size 5 on the plus class",
-                        rep5.is_base and rep5.is_irredundant,
-                        detail=[str(n) for n in rep5.stab_orders]))
+    bases.append(_check_base(checks, "the five-term chain through theta_{e1 + lam' e3} "
+                                     "is an irredundant base of size 5 on the plus class",
+                             rep5))
     _check(checks, "intermediate orders 2q and 2 along the size-5 base",
            rep5.stab_orders[3] == 2 * q and rep5.stab_orders[4] == 2,
            detail=[str(n) for n in rep5.stab_orders])
@@ -359,9 +356,8 @@ def witness_quadratic_forms(q=4):
           th(minus, F.add(epsv, F.mul(coeff, e[0]))),
           th(minus, twisted)]
     rep4m = base_report(Gm, a4)
-    bases.append(_check(checks, "the size-4 minus chain is an irredundant base",
-                        rep4m.is_base and rep4m.is_irredundant,
-                        detail=[str(n) for n in rep4m.stab_orders]))
+    bases.append(_check_base(checks, "the size-4 minus chain is an irredundant base",
+                             rep4m))
     _check(checks, "plus and minus classes both carry bases of sizes 4 and 5 "
                    "(not IBIS)", all(bases))
     return _finish("P5.1", {"m": 2, "q": q,
@@ -387,12 +383,8 @@ def witness_nonsingular_sequences():
     checks = []
     rep6 = base_report(G, seq6)
     rep5 = base_report(G, seq5)
-    _check(checks, "the displayed length-6 sequence is an irredundant base",
-           rep6.is_base and rep6.is_irredundant,
-           detail=[str(n) for n in rep6.stab_orders])
-    _check(checks, "the displayed length-5 sequence is an irredundant base",
-           rep5.is_base and rep5.is_irredundant,
-           detail=[str(n) for n in rep5.stab_orders])
+    _check_base(checks, "the displayed length-6 sequence is an irredundant base", rep6)
+    _check_base(checks, "the displayed length-5 sequence is an irredundant base", rep5)
     _check(checks, "lengths 6 != 5: the full orthogonal group is not IBIS",
            len(rep6) != len(rep5))
     return _finish("P7.2-q2", {"d": 6, "q": 2, "degree": dom.N}, checks)

@@ -9,8 +9,8 @@ import numpy as np
 from ibiskit import linalg
 from ibiskit.actions import (
     build_domain, build_group_action, build_nonsingular_points,
-    build_projective_points, build_quad_forms_domain, build_subspace_domain,
-    build_totally_singular, induce_images,
+    build_quad_forms_domain, build_subspace_domain, build_totally_singular,
+    induce_images,
 )
 from ibiskit.cli import TABLE_ROWS
 from ibiskit.gf import field_of_order
@@ -29,32 +29,32 @@ def named_case(name):
     """(PermGroup, ActionDomain) for the named acceptance configuration."""
     builders = {
         "SL3_2/proj7": lambda: _case(GroupSpec("SL", 3, 2),
-                                     build_projective_points(3, 2)),
+                                     build_subspace_domain(3, 2, 1)),
         "SL4_2/proj15": lambda: _case(GroupSpec("SL", 4, 2),
-                                      build_projective_points(4, 2)),
+                                      build_subspace_domain(4, 2, 1)),
         "Sp4_2/vec15": lambda: _case(GroupSpec("Sp", 4, 2),
-                                     build_projective_points(4, 2)),
+                                     build_subspace_domain(4, 2, 1)),
         "Sp4_2'/vec15": lambda: _case(GroupSpec("Sp", 4, 2, derived=True),
-                                      build_projective_points(4, 2)),
+                                      build_subspace_domain(4, 2, 1)),
         "PGL2_5/proj6": lambda: _case(GroupSpec("GL", 2, 5),
-                                      build_projective_points(2, 5)),
+                                      build_subspace_domain(2, 5, 1)),
         "SL2_4/minus6": lambda: _case(GroupSpec("Sp", 2, 4),
                                       build_quad_forms_domain(1, 4, "-")),
         "SL2_8/minus28": lambda: _case(GroupSpec("Sp", 2, 8),
                                        build_quad_forms_domain(1, 8, "-")),
         "PSp4_3/proj40": lambda: _case(GroupSpec("Sp", 4, 3),
-                                       build_projective_points(4, 3)),
+                                       build_subspace_domain(4, 3, 1)),
         "PSp4_3/lines40": lambda: _case(
             GroupSpec("Sp", 4, 3),
             build_totally_singular(symplectic_form(field_of_order(3), 4), 2)),
         "GL4_2/sub35": lambda: _case(GroupSpec("GL", 4, 2),
                                      build_subspace_domain(4, 2, 2)),
         "PSL3_3/proj13": lambda: _case(GroupSpec("SL", 3, 3),
-                                       build_projective_points(3, 3)),
+                                       build_subspace_domain(3, 3, 1)),
         "PSL4_3/proj40": lambda: _case(GroupSpec("SL", 4, 3),
-                                       build_projective_points(4, 3)),
+                                       build_subspace_domain(4, 3, 1)),
         "AutPSL2_4/proj5": lambda: _case(GroupSpec("SL", 2, 4, extensions=("frob",)),
-                                         build_projective_points(2, 4)),
+                                         build_subspace_domain(2, 4, 1)),
         "Om4p4/ns60": lambda: _case(
             GroupSpec("OmegaPlus", 4, 4),
             build_nonsingular_points(quadratic_plus(field_of_order(4), 4))),

@@ -12,8 +12,8 @@ from conftest import (
 from ibiskit import actions, linalg
 from ibiskit.actions import (
     ActionError, build_domain, build_group_action, build_nondegenerate_domain,
-    build_nonsingular_points, build_pair_domain, build_projective_points,
-    build_quad_forms_domain, build_subspace_domain, build_totally_singular,
+    build_nonsingular_points, build_pair_domain, build_quad_forms_domain,
+    build_subspace_domain, build_totally_singular,
     enumerate_subspaces, gaussian_binomial, induce_images, theta_value,
 )
 from ibiskit.cli import main
@@ -41,7 +41,7 @@ def test_enumerate_subspaces_counts():
 
 @pytest.mark.parametrize("d,q,n", [(3, 2, 7), (2, 5, 6), (4, 3, 40)])
 def test_projective_point_counts(d, q, n):
-    assert build_projective_points(d, q).N == n
+    assert build_subspace_domain(d, q, 1).N == n
 
 
 def test_totally_singular_counts():
@@ -103,7 +103,7 @@ def test_totally_singular_rows_match_the_grassmannian_filter(name, d, q):
     F = form.field
     for k in range(1, actions.witt_index(form) + 1):
         S = enumerate_subspaces(F, d, k)
-        ref = actions.ActionDomain("ref", S[linalg.is_totally_singular(form, S)],
+        ref = actions.ActionDomain(S[linalg.is_totally_singular(form, S)],
                                    F, d, (k,))
         dom = build_totally_singular(form, k)
         assert dom.N > 0 and np.array_equal(dom.codes, ref.codes)
@@ -143,7 +143,7 @@ def _pairs_one_member_at_a_time(d, q, k, mode):
     for W in enumerate_subspaces(F, d, k):
         T = np.concatenate([np.broadcast_to(W, (len(big), k, d)), big], axis=1)
         rows.append(T[linalg.rank_stack(F, T) == span])
-    return actions.ActionDomain("ref", np.concatenate(rows), F, d, (k, d - k)).codes
+    return actions.ActionDomain(np.concatenate(rows), F, d, (k, d - k)).codes
 
 
 PAIR_GRID = [(3, 2, 1), (3, 3, 1), (3, 4, 1), (4, 2, 1), (4, 3, 1), (4, 4, 1),
@@ -248,7 +248,7 @@ def test_nondegenerate_domain_sp62_oracle():
 def test_induce_identity():
     spec = GroupSpec("SL", 3, 2)
     gens, _ = classical_generators(spec)
-    dom = build_projective_points(3, 2)
+    dom = build_subspace_domain(3, 2, 1)
     g = (gens[0], 0, False)
     e = compose(F2, g, invert(F2, g))
     assert (induced_rows(dom, [e])[0] == np.arange(dom.N)).all()
@@ -337,7 +337,7 @@ def test_forms_action_conjugation_law_exhaustive_22():
 
 def test_socle_transitive_on_acceptance_domains():
     cases = [
-        (GroupSpec("SL", 3, 2), build_projective_points(3, 2)),
+        (GroupSpec("SL", 3, 2), build_subspace_domain(3, 2, 1)),
         (GroupSpec("Sp", 4, 3), build_totally_singular(symplectic_form(F3, 4), 2)),
         (GroupSpec("OmegaMinus", 4, 4),
          build_nonsingular_points(quadratic_minus(F4, 4))),
@@ -357,14 +357,14 @@ def test_forms_trace_classes_are_socle_orbits():
 
 
 def test_derived_group_action():
-    dom = build_projective_points(4, 2)  # nonzero vectors of F_2^4
+    dom = build_subspace_domain(4, 2, 1)  # nonzero vectors of F_2^4
     G = build_group_action(GroupSpec("Sp", 4, 2, derived=True), dom)
     assert G.order() == 360
 
 
 def test_induced_order_examples():
     # scalars act trivially: the induced group is the projective one
-    dom = build_projective_points(4, 3)
+    dom = build_subspace_domain(4, 3, 1)
     G = build_group_action(GroupSpec("Sp", 4, 3), dom)
     assert G.order() == 25920  # PSp_4(3)
     delta = outer_element("diag", GroupSpec("Sp", 4, 3))
@@ -472,4 +472,42 @@ def test_domain_descriptor_roundtrip():
     assert dom2.N == 40
     dom3 = build_domain({"kind": "nonsingular_1", "form": "-", "d": 4, "q": 4})
     assert dom3.N == 68
-    assert dom3.kind == "nonsingular_1"
+
+
+# One valid descriptor per domain kind, the keys it reads as the refusal
+# messages list them, and its N from the counting formulas.
+KIND_EXAMPLES = {
+    "projective_points": ({"d": 3, "q": 2}, "kind, d, q", 7),
+    "subspaces_k": ({"d": 4, "q": 2, "k": 2}, "kind, d, q, k", 35),
+    "totally_singular_k": ({"form": "symplectic", "d": 4, "q": 3, "k": 2},
+                           "kind, form, d, q, k", 40),
+    "max_isotropic_family": ({"form": "plus", "d": 4, "q": 2, "k": 2, "family": "greek"},
+                             "kind, form, d, q, k, family", 3),
+    "nonsingular_1": ({"form": "-", "d": 4, "q": 4}, "kind, form, d, q", 68),
+    "pair_complement": ({"d": 3, "q": 2, "k": 1}, "kind, d, q, k", 28),
+    "pair_incident": ({"d": 3, "q": 2, "k": 1}, "kind, d, q, k", 21),
+    "quad_forms_plus": ({"m": 1, "q": 4}, "kind, m, q", 10),
+    "quad_forms_minus": ({"m": 1, "q": 4}, "kind, m, q", 6),
+    "nondegenerate_k": ({"form": "symplectic", "d": 4, "q": 2, "k": 2},
+                        "kind, form, d, q, k", 20),
+}
+
+
+def test_kind_examples_cover_the_table():
+    assert set(KIND_EXAMPLES) == set(actions.DOMAIN_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_EXAMPLES))
+def test_each_kind_reads_exactly_its_keys(kind):
+    params, reads, n = KIND_EXAMPLES[kind]
+    assert build_domain({"kind": kind, **params}).N == n
+    with pytest.raises(ActionError) as exc:
+        build_domain({"kind": kind, **params, "extra": 1})
+    assert str(exc.value) == (f"action descriptor {kind!r} has key 'extra', which it "
+                              f"does not read; it reads: {reads}")
+    for key in params:
+        desc = {"kind": kind, **params}
+        del desc[key]
+        with pytest.raises(ActionError) as exc:
+            build_domain(desc)
+        assert str(exc.value) == f"action descriptor {kind!r} is missing {key!r}"

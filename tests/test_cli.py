@@ -527,6 +527,17 @@ def test_minimal_bases_budget_zero_is_inconclusive(capsys):
     assert report["complete"] is False and report["minimal_base_sizes"] == []
 
 
+def test_minimal_bases_over_a_thousand_points_stops_at_the_budget(capsys):
+    # Sp10(2) on its 1023 points: the node budget, not the degree, bounds
+    # the search, which stops incomplete with the sizes found so far
+    code = main(["analyze", "--group", '{"family":"Sp","d":10,"q":2}',
+                 "--action", '{"kind":"projective_points","d":10,"q":2}',
+                 "--task", "minimal-bases", "--budget", "1000"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["degree"] == 1023
+    assert report["complete"] is False and report["minimal_base_sizes"] == [10]
+
+
 @pytest.mark.parametrize("budget", [0, 1, 3, 10, 100])
 def test_budget_used_within_budget(capsys, budget):
     code = main(["analyze", "--group", '{"family":"Sp","d":4,"q":3}',

@@ -10,9 +10,9 @@ from ibiskit import linalg
 from ibiskit.actions import _act_subspaces
 from ibiskit.gf import field_of_order, make_field
 from ibiskit.groups import (
-    GroupError, GroupSpec, _preserving, _upper_tri_rep, certified_order,
-    classical_generators, induced_on_nonzero_vectors, matrix_group_order,
-    outer_element, transvection_symplectic,
+    FAMILIES, GroupError, GroupSpec, _preserving, _standard_form, _upper_tri_rep,
+    certified_order, classical_generators, induced_on_nonzero_vectors,
+    matrix_group_order, outer_element, transvection_symplectic,
 )
 from ibiskit.linalg import eval_form, symplectic_form
 from ibiskit.perm import derived_subgroup
@@ -252,6 +252,16 @@ def test_group_spec_validation_and_serialization():
         GroupSpec("XX", 4, 2)
     spec = GroupSpec("Sp", 4, 4, extensions=("frob",), derived=False)
     assert GroupSpec.deserialize(spec.serialize()) == spec
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_odd_dimension_refused_exactly_with_an_alternating_or_quadratic_form(family):
+    form = _standard_form(GroupSpec(family, 4, 2))
+    if form is not None and form.kind in ("symplectic", "quadratic"):
+        with pytest.raises(GroupError, match=f"^{family} needs even dimension$"):
+            GroupSpec(family, 3, 2)
+    else:
+        assert GroupSpec(family, 3, 2).d == 3
 
 
 def test_semilinear_inverse():

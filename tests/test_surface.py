@@ -22,10 +22,13 @@ that only tests call.
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import ibiskit
+from ibiskit.actions import DOMAIN_KINDS
+from ibiskit.groups import FAMILIES
 
 SRC = pathlib.Path(ibiskit.__file__).parent
 
@@ -172,3 +175,18 @@ def test_cold_start_does_not_import_numpy_ma():
     out = subprocess.run([sys.executable, "-c", COLD_START], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["NotIBIS", "False"]
+
+
+def _readme_list(label, stop):
+    """The names README's command-line section lists after `label`, up to
+    `stop`: each in backquotes, or one backquoted comma-separated list;
+    parenthesised remarks are skipped."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    part = text.split(label, 1)[1].split(stop, 1)[0]
+    spans = re.findall(r"`([^`]*)`", re.sub(r"\([^)]*\)", "", part))
+    return [name.strip() for span in spans for name in span.split(",")]
+
+
+def test_readme_lists_the_family_and_kind_tables():
+    assert _readme_list("Group families:", " with optional") == list(FAMILIES)
+    assert _readme_list("Domain kinds:", "\n\n") == list(DOMAIN_KINDS)

@@ -6,7 +6,7 @@ import pytest
 from conftest import vector_set
 from ibiskit import witnesses
 from ibiskit.actions import (
-    build_group_action, build_projective_points, build_totally_singular,
+    build_group_action, build_subspace_domain, build_totally_singular,
 )
 from ibiskit.cli import main
 from ibiskit.gf import field_of_order
@@ -98,7 +98,7 @@ def test_projective_chains_guard_refuses_exactly_where_they_fail(d, q):
         run_witness("L3.2", d=d, q=q)
     # the refused parameters are those where the chain of length 5 has a
     # redundant point
-    dom = build_projective_points(d, q)
+    dom = build_subspace_domain(d, q, 1)
     G = build_group_action(GroupSpec("SL", d, q), dom)
     assert not is_irredundant(G, witnesses._projective_chains(dom, d)[1])
 
