@@ -132,21 +132,38 @@ def _pattern_rows(F, d, pivots, r):
     return out
 
 
-def enumerate_subspaces(F, d, k):
-    """All k-dimensional subspaces of GF(q)^d as one (n, k, d) stack of
-    RREF bases: pivot patterns in lexicographic order, and within one the
-    free entries (row by row, left to right) are the base-q digits of a
-    counter, least significant first."""
-    out = np.zeros((gaussian_binomial(d, k, F.q), k, d), dtype=np.int64)
-    at = 0
+def enumerate_subspaces(F, d, k, admit=None):
+    """The k-subspaces of GF(q)^d that admit keeps, as one (n, k, d) stack
+    of RREF bases built a row at a time for each pivot pattern: row r is a
+    candidate of C = _pattern_rows that admit(P, C) keeps after a partial
+    basis of the stack P, a (len(P), len(C)) mask (None keeps them all).
+    Patterns come in lexicographic order, and within one the free entries
+    (row by row, left to right) are the base-q digits of a counter, least
+    significant first.  Before row r is built, the bases found plus len(P)
+    times the row's candidates may not exceed SIZE_CAP; with admit None
+    that refuses exactly the Grassmannians over SIZE_CAP."""
+    _check_dimension(d, k)
+    found, held = [], 0
     for pivots in itertools.combinations(range(d), k):
-        rows = [_pattern_rows(F, d, pivots, r) for r in range(k)]
-        shape = [len(R) for R in reversed(rows)]        # row 0 varies fastest
-        block = out[at:at + math.prod(shape)].reshape(shape + [k, d])
-        for r, R in enumerate(rows):
-            block[..., r, :] = R.reshape([1] * (k - 1 - r) + [len(R)] + [1] * r + [d])
-        at += math.prod(shape)
-    return out
+        P = np.zeros((1, 0, d), dtype=np.int64)     # the partial bases
+        for r in range(k):
+            if held + len(P) * F.q ** (d - k - pivots[r] + r) > SIZE_CAP:
+                raise ActionError("size cap exceeded")
+            C = _pattern_rows(F, d, pivots, r)
+            ok = np.ones((len(P), len(C)), dtype=bool) if admit is None else admit(P, C)
+            c, a = np.nonzero(ok.T)                 # the earlier rows vary fastest
+            P = np.concatenate([P[a], C[c, None]], axis=1)
+            if not len(P):
+                break
+        else:
+            found.append(P)
+            held += len(P)
+    return np.concatenate(found)
+
+
+def _check_dimension(d, k):
+    if not 1 <= k < d:
+        raise ActionError(f"subspace dimension k={k} must satisfy 1 <= k < d={d}")
 
 
 def gaussian_binomial(d, k, q):
@@ -157,21 +174,12 @@ def gaussian_binomial(d, k, q):
     return num // den
 
 
-def _check_grassmannian(d, k, q):
-    """Refuse k outside 1 <= k < d, or more k-subspaces of GF(q)^d than SIZE_CAP."""
-    if not 1 <= k < d:
-        raise ActionError(f"subspace dimension k={k} must satisfy 1 <= k < d={d}")
-    if gaussian_binomial(d, k, q) > SIZE_CAP:
-        raise ActionError("size cap exceeded")
-
-
 # -- domain builders ----------------------------------------------------------
 
 def build_subspace_domain(d, q, k):
     """All k-subspaces of GF(q)^d (the linear-family domain); at k = 1 the
     projective points, N = (q^d - 1)/(q - 1)."""
     F = gf.field_of_order(q)
-    _check_grassmannian(d, k, q)
     return ActionDomain(enumerate_subspaces(F, d, k), F, d, (k,))
 
 
@@ -187,13 +195,10 @@ def witt_index(form):
 
 
 def build_totally_singular(form, k, family=None):
-    """All totally singular k-subspaces of the form's space.
-
-    The RREF bases are built a row at a time for each pivot pattern, never
-    the whole Grassmannian: row r is a candidate of _pattern_rows that is
-    singular (Q(v) = 0, or h(v, v) = 0) and orthogonal under the polar
-    form to the rows before it; a pattern stops when no partial basis is
-    left.  is_totally_singular re-checks the result.
+    """All totally singular k-subspaces of the form's space, never built
+    from the whole Grassmannian: enumerate_subspaces admits a row when it
+    is singular (Q(v) = 0, or h(v, v) = 0) and orthogonal under the polar
+    form to the rows before it.  is_totally_singular re-checks the result.
 
     family in {'greek', 'latin'} selects one of the two classes of
     maximal totally singular subspaces of a plus-type quadratic space
@@ -203,7 +208,7 @@ def build_totally_singular(form, k, family=None):
     """
     F = form.field
     d = form.dim
-    _check_grassmannian(d, k, F.q)
+    _check_dimension(d, k)
     if k > witt_index(form):
         raise ActionError(f"k={k} exceeds the Witt index {witt_index(form)}")
     if family not in (None, "greek", "latin"):
@@ -211,23 +216,18 @@ def build_totally_singular(form, k, family=None):
     if family is not None and (form.kind != "quadratic" or k != d // 2
                                or form.meta.get("witt_defect") != 0):
         raise ActionError("family split only for maximal t.s. subspaces, plus type")
-    found = []
-    for pivots in itertools.combinations(range(d), k):
-        P = np.zeros((1, 0, d), dtype=np.int64)     # the partial bases
-        for r in range(k):
-            C = _pattern_rows(F, d, pivots, r)
-            C = C[(linalg.eval_quadratic_batch(form, C) if form.kind == "quadratic"
-                   else linalg.eval_bilinear_batch(form, C, C)) == 0]
-            ok = np.ones((len(P), len(C)), dtype=bool)
-            for j in range(r):
-                ok &= linalg.eval_bilinear_batch(form, P[:, j, None], C[None]) == 0
-            a, b = np.nonzero(ok)
-            P = np.concatenate([P[a], C[b, None]], axis=1)
-            if not len(P):
-                break
-        else:
-            found.append(P)
-    S = np.concatenate(found)
+
+    def admit(P, C):
+        value = (linalg.eval_quadratic_batch(form, C) if form.kind == "quadratic"
+                 else linalg.eval_bilinear_batch(form, C, C))
+        s = np.flatnonzero(value == 0)          # the singular candidates
+        ok = np.zeros((len(P), len(C)), dtype=bool)
+        ok[:, s] = True
+        for j in range(P.shape[1]):
+            ok[:, s] &= linalg.eval_bilinear_batch(form, P[:, j, None], C[None, s]) == 0
+        return ok
+
+    S = enumerate_subspaces(F, d, k, admit)
     if not is_totally_singular(form, S).all():
         raise ActionError("a built basis is not totally singular")
     dom = ActionDomain(S, F, d, (k,), form=form)
@@ -268,12 +268,16 @@ def build_pair_domain(d, q, k, mode):
     d - k pivot columns, and W' is zero there: dim(W + U) = d - k + rank
     of the k x k remainder R = W K^T, W' read on U's k free columns
     (K = free_column_kernel of U).  The pair is a complement when R has
-    rank k, incident when R is zero."""
+    rank k, incident when R is zero.  The count of pairs, [d k]_q q^(k(d-k))
+    or [d k]_q [d-k k]_q, meets SIZE_CAP before any member is built."""
     if mode not in ("complement", "incident"):
         raise ActionError(f"unknown pair mode {mode!r}")
     if not 1 <= k < d / 2:
         raise ActionError("pair domains need 1 <= k < d/2")
     F = gf.field_of_order(q)
+    if gaussian_binomial(d, k, q) * (q ** (k * (d - k)) if mode == "complement"
+                                     else gaussian_binomial(d - k, k, q)) > SIZE_CAP:
+        raise ActionError("size cap exceeded")
     small = enumerate_subspaces(F, d, k)
     big = enumerate_subspaces(F, d, d - k)
     KT = np.swapaxes(linalg.free_column_kernel(F, big), 1, 2)     # (n, d, k)
@@ -315,10 +319,8 @@ def build_nondegenerate_domain(form, k):
     into several socle orbits is the caller's concern (run the orbit
     algorithm downstream); no canonical orbit is selected here."""
     F = form.field
-    d = form.dim
-    _check_grassmannian(d, k, F.q)
-    S = enumerate_subspaces(F, d, k)
-    return ActionDomain(S[is_nondegenerate(form, S)], F, d, (k,), form=form)
+    S = enumerate_subspaces(F, form.dim, k)
+    return ActionDomain(S[is_nondegenerate(form, S)], F, form.dim, (k,), form=form)
 
 
 # -- permutation induction -----------------------------------------------------

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import math
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +40,113 @@ def test_enumerate_subspaces_counts():
         for B in pts:
             R, pivots = linalg.rref(F, B)
             assert np.array_equal(R, B) and len(pivots) == k
+
+
+# q -> (cases, sha256 of the stacks enumerate_subspaces(F, d, k) in the
+# order 2 <= d <= 7, 1 <= k < d, every case of at most SIZE_CAP subspaces):
+# the bytes the Grassmannian gave when it was built by broadcasting, one
+# block per pivot pattern, before the row-at-a-time build replaced it
+ENUMERATION_DIGESTS = {
+    2: (21, "896b499e65af5b55478cf15c6f5edaf0427a6937a1eb10d145f31846aa4ee944"),
+    3: (21, "d48d0662cc1dec391abcf58fea384232670d19846597ccf38b7440b0ed03b6bf"),
+    4: (17, "c06987d1276656c62b96bbc3452e145379ccad5d48027a576a403737140cb50f"),
+    5: (16, "6210dcd487938399de4a07c71d9f7d58d61a574c155cabcf0520bcd3398170d6"),
+    7: (14, "d7a561e65c4e503dbf06070babfe225bf27df4f1dbb9a25c1ced783aa63e7de9"),
+    8: (14, "1db60df58b2ca3dbbc3963f7413424e965353671ad5b2f794dfdafa1d911606d"),
+    9: (14, "f9ae4776ff9a52ac53dae8af3554073e1df544530033729eff4dac635ffafa4d"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(ENUMERATION_DIGESTS))
+def test_enumerate_subspaces_bytes_are_pinned(q):
+    F = field_of_order(q)
+    cases = [(d, k) for d in range(2, 8) for k in range(1, d)
+             if gaussian_binomial(d, k, q) <= actions.SIZE_CAP]
+    digest = hashlib.sha256()
+    for d, k in cases:
+        S = enumerate_subspaces(F, d, k)
+        assert S.dtype == np.int64 and S.shape == (gaussian_binomial(d, k, q), k, d)
+        digest.update(S.tobytes())
+    assert (len(cases), digest.hexdigest()) == ENUMERATION_DIGESTS[q]
+
+
+@pytest.mark.parametrize("q,d,k", [(q, d, k) for q in (2, 3, 4) for d in range(2, 6)
+                                   for k in range(1, d)])
+def test_enumeration_refuses_exactly_the_grassmannians_over_the_cap(monkeypatch,
+                                                                     q, d, k):
+    n = gaussian_binomial(d, k, q)
+    monkeypatch.setattr(actions, "SIZE_CAP", n)
+    assert len(enumerate_subspaces(field_of_order(q), d, k)) == n
+    monkeypatch.setattr(actions, "SIZE_CAP", n - 1)
+    with pytest.raises(ActionError, match="^size cap exceeded$"):
+        enumerate_subspaces(field_of_order(q), d, k)
+
+
+@pytest.mark.parametrize("mode", ["complement", "incident"])
+@pytest.mark.parametrize("d,q,k", [(3, 2, 1), (4, 3, 1), (5, 2, 2)])
+def test_pair_domain_refuses_from_its_count(monkeypatch, d, q, k, mode):
+    # [d k]_q q^(k(d-k)) complements and [d k]_q [d-k k]_q incident pairs
+    n = gaussian_binomial(d, k, q) * (q ** (k * (d - k)) if mode == "complement"
+                                      else gaussian_binomial(d - k, k, q))
+    monkeypatch.setattr(actions, "SIZE_CAP", n)
+    assert build_pair_domain(d, q, k, mode).N == n
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated the members of an oversize pair domain")
+
+    monkeypatch.setattr(actions, "SIZE_CAP", n - 1)
+    monkeypatch.setattr(actions, "enumerate_subspaces", no_enumeration)
+    with pytest.raises(ActionError, match="^size cap exceeded$"):
+        build_pair_domain(d, q, k, mode)
+
+
+# A refused build may hold a stack of up to SIZE_CAP partial bases, never
+# the Grassmannian: the first case used to ask numpy for 59.3 GiB.
+OVERSIZE = {
+    "enumerate-9-6-3": lambda: enumerate_subspaces(field_of_order(9), 6, 3),
+    "points-21-2": lambda: build_domain({"kind": "projective_points", "d": 21, "q": 2}),
+    "subspaces-12-2-3": lambda: build_domain({"kind": "subspaces_k", "d": 12, "q": 2,
+                                              "k": 3}),
+    "nondeg-8-5-4": lambda: build_domain({"kind": "nondegenerate_k", "form": "symplectic",
+                                          "d": 8, "q": 5, "k": 4}),
+    "nonsingular-30-2": lambda: build_domain({"kind": "nonsingular_1", "form": "+",
+                                              "d": 30, "q": 2}),
+    "complement-12-2-1": lambda: build_domain({"kind": "pair_complement", "d": 12,
+                                               "q": 2, "k": 1}),
+    "incident-12-2-2": lambda: build_domain({"kind": "pair_incident", "d": 12, "q": 2,
+                                             "k": 2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZE))
+def test_oversize_subspace_domains_refused_with_bounded_memory(name):
+    field_of_order(9), field_of_order(5)     # field tables stay out of the peak
+    tracemalloc.start()
+    try:
+        with pytest.raises(ActionError, match="^size cap exceeded$"):
+            OVERSIZE[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**28, peak / 2**20
+
+
+@pytest.mark.parametrize("desc,n", [
+    ({"kind": "max_isotropic_family", "form": "plus", "d": 8, "q": 3, "k": 4,
+      "family": "greek"}, math.prod(3**i + 1 for i in range(4)) // 2),
+    ({"kind": "totally_singular_k", "form": "plus", "d": 10, "q": 2, "k": 5},
+     math.prod(2**i + 1 for i in range(5))),
+    ({"kind": "totally_singular_k", "form": "minus", "d": 8, "q": 3, "k": 3},
+     math.prod(3**i + 1 for i in range(2, 5))),
+], ids=["family-Q+(8,3)", "ts5-Q+(10,2)", "ts3-Q-(8,3)"])
+def test_totally_singular_domains_beyond_the_grassmannian_cap_build(desc, n):
+    # their Grassmannians exceed SIZE_CAP, which bounds only what the
+    # row-at-a-time build holds
+    assert gaussian_binomial(desc["d"], desc["k"], desc["q"]) > actions.SIZE_CAP
+    t0 = time.perf_counter()
+    dom = build_domain(desc)
+    assert time.perf_counter() - t0 < 2
+    assert dom.N == n
 
 
 @pytest.mark.parametrize("d,q,n", [(3, 2, 7), (2, 5, 6), (4, 3, 40)])
@@ -372,6 +482,16 @@ def test_induced_order_examples():
     assert not G.is_member(pd)
     G2 = build_group_action(GroupSpec("Sp", 4, 3, extensions=("diag",)), dom)
     assert G2.order() == 51840
+
+
+@pytest.mark.parametrize("family,d,q,order", [("SL", 3, 4, 60480), ("SL", 2, 9, 720)])
+def test_linear_diag_induces_the_projective_general_linear_group(family, d, q, order):
+    # diag(alpha, 1, ..., 1) has every determinant, so with SL it induces
+    # PGL_d(q) on the points, of order |GL_d(q)| / (q - 1)
+    dom = build_subspace_domain(d, q, 1)
+    G = build_group_action(GroupSpec(family, d, q, ("diag",)), dom)
+    assert G._order_bound is None       # the diag matrix is not the identity
+    assert G.order() == order == math.prod(q**d - q**i for i in range(d)) // (q - 1)
 
 
 @pytest.mark.parametrize("family,d,q,action,order", [

@@ -49,6 +49,28 @@ def test_analyze_jobfile_and_order(tmp_path):
     assert json.loads(out.read_text())["order"] == "1451520"
 
 
+PSP43_POINTS = ["--group", '{"family":"Sp","d":4,"q":3}',
+                "--action", '{"kind":"projective_points","d":4,"q":3}']
+
+
+def test_analyze_orbits(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["analyze", *PSP43_POINTS, "--task", "orbits", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["orbit_sizes"] == [40]
+
+
+def test_analyze_base_find_without_size_extends_to_an_irredundant_base(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["analyze", *PSP43_POINTS, "--task", "base-find",
+                 "--out", str(out)]) == 0
+    base = json.loads(out.read_text())["base"]
+    assert base["is_base"] and base["is_irredundant"]
+    orders = [int(n) for n in base["stab_orders"]]
+    assert len(orders) == len(base["points"]) + 1
+    assert orders[0] == 25920 and orders[-1] == 1       # |PSp4(3)|, then trivial
+    assert all(a > b for a, b in zip(orders, orders[1:]))
+
+
 @pytest.mark.parametrize("content", ["[1, 2]", "3", '"job"', "null"])
 def test_jobfile_not_an_object_one_line_error(tmp_path, capsys, content):
     job = tmp_path / "job.json"
@@ -414,12 +436,27 @@ def assert_one_line_error(capsys, code, message):
     {"kind": "subspaces_k", "d": 4, "q": 2, "k": 5},
     {"kind": "subspaces_k", "d": 4, "q": 2, "k": -1},
     {"kind": "projective_points", "d": 1, "q": 2},
+    # the k range is refused before the Witt index and the family
+    {"kind": "totally_singular_k", "form": "symplectic", "d": 4, "q": 2, "k": 4},
+    {"kind": "max_isotropic_family", "form": "plus", "d": 4, "q": 2, "k": 0,
+     "family": "greek"},
 ], ids=["ts-k0", "ts-negative", "nondeg-k0", "nondeg-k-above-d", "nondeg-negative",
-        "sub-k0", "sub-k-is-d", "sub-k-above-d", "sub-negative", "points-d1"])
+        "sub-k0", "sub-k-is-d", "sub-k-above-d", "sub-negative", "points-d1",
+        "ts-k-is-d", "family-k0"])
 def test_subspace_dimension_out_of_range_one_line_error(capsys, action):
     code = main(["dump-domain", "--action", json.dumps(action)])
     k = action.get("k", 1)
     assert_one_line_error(capsys, code, f"k={k} must satisfy 1 <= k < d={action['d']}")
+
+
+@pytest.mark.parametrize("action", [
+    {"kind": "nonsingular_1", "form": "+", "d": 30, "q": 2},
+    {"kind": "pair_complement", "d": 12, "q": 2, "k": 1},
+], ids=["nonsingular-30-2", "complement-12-2-1"])
+def test_oversize_domain_one_line_error(capsys, action):
+    # each was an _ArrayMemoryError traceback (240 GiB and 8,386,560 pairs)
+    code = main(["dump-domain", "--action", json.dumps(action)])
+    assert_one_line_error(capsys, code, "size cap exceeded")
 
 
 @pytest.mark.parametrize("action,key", [
