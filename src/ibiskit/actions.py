@@ -445,6 +445,12 @@ def _order_bound(spec, socle, outer, form, dom):
     contains every generator, so G is the image of a subgroup of
     Y; the kernel of that action contains S, so |G| <= |Y| / s <= U.
 
+    A scalar matrix fixes every subspace, and the annihilator of a fixed
+    subspace is fixed too, so on a subspace or pair domain every scalar
+    of X fixes every point: there s is the number of scalars of X, with
+    no induction.  On the forms domain s is counted on the induced
+    permutations.
+
     The product of a chain's basic orbit lengths never exceeds |G| (see
     perm), so a chain that reaches U is complete and |G| = U.  A U above
     |G| is never reached, and the chain closes as one with no target.
@@ -464,8 +470,10 @@ def _order_bound(spec, socle, outer, form, dom):
         return None
     Z = F.mul(np.arange(1, F.q)[:, None, None], I)
     Z = Z[in_matrix_group(spec, form, Z)]
-    images = induce_images(Z, 0, False, dom)
-    s = int((images == np.arange(dom.N)).all(axis=1).sum())
+    s = len(Z)
+    if not dom.dims:                # the forms domain
+        images = induce_images(Z, 0, False, dom)
+        s = int((images == np.arange(dom.N)).all(axis=1).sum())
     return n * matrix_group_order(spec) // s
 
 

@@ -78,14 +78,14 @@ class _Level:
         self.built = [True]
         self.inv = np.arange(degree, dtype=np.int32)[None]
 
-    def add_generator(self, g):
-        """Append a generator and extend the orbit: points already in it
-        need only the new generator, points it reaches need all of them."""
+    def add_generator(self, g, img):
+        """Append a generator, given as its row and as that row's list, and
+        extend the orbit: points already in it need only the new
+        generator, points it reaches need all of them."""
         k, n = len(self.gens), len(self.points)
         self.gens.append(g)
-        self.images.append(g.tolist())
+        self.images.append(img)
         orbit, points, parent, label = self.orbit, self.points, self.parent, self.label
-        img = self.images[k]
         for j in range(n):
             r = img[points[j]]
             if r not in orbit:
@@ -113,7 +113,9 @@ class _Level:
         if path and len(self.inv) < len(self.points):     # room for every point
             degree = self.inv.shape[1]
             cap = max(len(self.points), min(degree, 2 * len(self.inv)))
-            self.inv = np.resize(self.inv, (cap, degree))   # the built rows kept
+            inv = np.empty((cap, degree), dtype=np.int32)
+            inv[:len(self.inv)] = self.inv                  # the built rows kept
+            self.inv = inv
         for r in reversed(path):    # u = g u' has u^-1[g[y]] = u'^-1[y]
             self.inv[r][self.gens[self.label[r]]] = self.inv[self.parent[r]]
             self.built[r] = True
@@ -130,7 +132,10 @@ class _Chain:
         self.levels = [_Level(int(b), degree) for b in base_prefix]
         self._target = known_order
         for a in gens:
-            self._insert(a, 0)
+            # past the target the chain is complete: the rest sift to the
+            # identity
+            if self._insert(a, 0) and self._target_reached():
+                break
         if rattle and len(gens) and not self._target_reached():
             self._rattle(gens, rattle)
         if not self._target_reached():
@@ -180,9 +185,9 @@ class _Chain:
             self.levels.append(_Level(int(moved[0]), self.degree))
         # the residue fixes every base point above lev, so it is a valid
         # strong generator for every level in (from_level, lev]
-        for j in range(from_level, lev + 1):
-            if j < len(self.levels):
-                self.levels[j].add_generator(r)
+        img = r.tolist()
+        for lvl in self.levels[from_level:lev + 1]:
+            lvl.add_generator(r, img)
         return True
 
     def _rattle(self, gens, count):
