@@ -17,6 +17,8 @@ module gives them.  A class acts on the whole point array at once: for
 subspaces one batched product, one elimination and, for a duality, one
 annihilator (`_act_subspaces`); for forms one stacked inverse and one
 affine map (`_act_forms`); then one index lookup for all the images.
+A pair domain acts on each distinct member once, not once per pair
+(`ActionDomain.members`), and reads each pair's image off its members'.
 Stacks are cut so that each product holds about INDUCE_CODES codes.
 `induce_images` returns the image rows; `build_group_action` induces the
 socle stack and then each outer element, in the spec's order.
@@ -74,6 +76,7 @@ class ActionDomain:
         self.d = d
         self.dims = tuple(dims)
         self.form = form
+        self._members = None
         if np.any(self._keys[1:] == self._keys[:-1]):
             raise ActionError("domain points are not pairwise distinct")
 
@@ -89,6 +92,22 @@ class ActionDomain:
         cuts = np.cumsum((0,) + self.dims) * self.d
         return [rows[:, a:b].reshape(len(rows), k, self.d)
                 for a, b, k in zip(cuts, cuts[1:], self.dims)]
+
+    def members(self):
+        """One (B, at) per member of a point, as bases() orders them: the
+        distinct RREF bases B (n, k, d) that the member takes over the
+        domain, and `at`, which reads B[at] as bases()'s stack.  A pair's
+        members recur across pairs, so B holds each once and `at` is an
+        (N,) index array; a subspace is its own member (`at` is every
+        row)."""
+        if self._members is None:
+            parts = self.bases()
+            if len(parts) == 1:
+                self._members = [(parts[0], slice(None))]
+            else:
+                self._members = [(B, at.ravel()) for B, at in
+                                 (np.unique(B, axis=0, return_inverse=True) for B in parts)]
+        return self._members
 
     def serialize_points(self):
         """The points as nested lists of codes: a basis, a pair of bases,
@@ -373,11 +392,12 @@ def induce_images(M, frob_power, dual, dom):
         return out
     if not dom.dims and dual:
         raise ActionError("duality elements do not act on the forms domain")
+    members = dom.members()
     step = max(1, INDUCE_CODES // (dom.N * dom.d * max(dom.dims + (1,))))
     for a in range(0, len(M), step):
         S = M[a:a + step]
-        parts = ([_act_subspaces(dom.field, S, frob_power, dual, B)
-                  for B in dom.bases()]
+        parts = ([_act_subspaces(dom.field, S, frob_power, dual, B)[:, at]
+                  for B, at in members]
                  if dom.dims else [_act_forms(dom, S, frob_power)])
         if dual:
             parts.reverse()         # the members of a pair swap dimensions
@@ -445,12 +465,6 @@ def _order_bound(spec, socle, outer, form, dom):
     contains every generator, so G is the image of a subgroup of
     Y; the kernel of that action contains S, so |G| <= |Y| / s <= U.
 
-    A scalar matrix fixes every subspace, and the annihilator of a fixed
-    subspace is fixed too, so on a subspace or pair domain every scalar
-    of X fixes every point: there s is the number of scalars of X, with
-    no induction.  On the forms domain s is counted on the induced
-    permutations.
-
     The product of a chain's basic orbit lengths never exceeds |G| (see
     perm), so a chain that reaches U is complete and |G| = U.  A U above
     |G| is never reached, and the chain closes as one with no target.
@@ -470,10 +484,8 @@ def _order_bound(spec, socle, outer, form, dom):
         return None
     Z = F.mul(np.arange(1, F.q)[:, None, None], I)
     Z = Z[in_matrix_group(spec, form, Z)]
-    s = len(Z)
-    if not dom.dims:                # the forms domain
-        images = induce_images(Z, 0, False, dom)
-        s = int((images == np.arange(dom.N)).all(axis=1).sum())
+    images = induce_images(Z, 0, False, dom)
+    s = int((images == np.arange(dom.N)).all(axis=1).sum())
     return n * matrix_group_order(spec) // s
 
 

@@ -7,9 +7,6 @@ Both exhaustive searches step from a pointwise stabilizer H to H_p
 through one store (_Stabilizers) that keeps each distinct stabilizer
 once, named by its fixed points, since G_(S) = G_(fix(G_(S))): a point
 is redundant exactly when the stabilizer of its predecessors fixes it.
-A group's store lives as long as the group and is shared by every
-search on it, so a second search reuses the stabilizers, orbit tables
-and steps of the first; what a search counts or memoises stays its own.
 
 The depth-first enumeration prunes to one representative point per
 orbit of the current stabilizer (extending by points in the same orbit
@@ -28,12 +25,9 @@ only while the sequence stays independent.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
-
-from .perm import PermGroup
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -133,12 +127,9 @@ def _key(mask):
 
 
 class _Stabilizers:
-    """The pointwise stabilizers of G that the searches on G have reached,
-    each kept once under an id, with its fixed-point key and certified
-    order; id 0 is a twin of G, a PermGroup on G's generators with G's
-    certified order, so that the store holds no reference to G.  The
-    store lives as long as G (see _store) and every search on G shares
-    it.
+    """The pointwise stabilizers of G that a search has reached, each kept
+    once under an id, with its fixed-point key and certified order; id 0
+    is G.
 
     A kept group is G_(its key) and fixes every point of its key, so for
     H = G_(F), F = fix(H), a kept group whose key contains F and p lies
@@ -158,9 +149,7 @@ class _Stabilizers:
         self.tables = []    # id -> None, or its orbits() once computed
         self.steps = {}     # id * degree + point -> id of its stabilizer
         self.by_order = {}  # order -> ids
-        twin = PermGroup(G.degree, G.generators)
-        twin._order = G.order()
-        self._keep(_key(G.fixed_points()), twin._order, twin)
+        self._keep(_key(G.fixed_points()), G.order(), G)
 
     def _keep(self, key, order, group):
         k = len(self.keys)
@@ -202,18 +191,6 @@ class _Stabilizers:
         return j
 
 
-# every group's store, dropped with the group
-_STORES = weakref.WeakKeyDictionary()
-
-
-def _store(G):
-    """G's store, created by the first search on G."""
-    store = _STORES.get(G)
-    if store is None:
-        store = _STORES[G] = _Stabilizers(G)
-    return store
-
-
 # -- exhaustive enumeration ----------------------------------------------------
 
 def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
@@ -224,10 +201,9 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
     Explores one representative per orbit of the current stabilizer, its
     least point (conjugate subtrees realize the same length sets), and
     records the first witness chain found per length.  A subtree depends
-    only on its stabilizer, a kept group of G's store reached by step(),
-    so each complete subtree is kept, for this call, as {length: first
-    suffix in DFS order} under the group's id and never searched again;
-    the store itself is shared with the other searches on G.  Returns
+    only on its stabilizer, a kept group of the store reached by step(),
+    so each complete subtree is kept as {length: first suffix in DFS
+    order} under the group's id and never searched again.  Returns
     EnumerationResult with complete=False when the node budget is
     exhausted (nodes are counted before they are expanded, so then
     nodes > node_budget); a subtree cut short is not kept.  With
@@ -236,7 +212,7 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
     """
     nodes = 0
     complete = True
-    store = _store(G)
+    store = _Stabilizers(G)
     memo = {}           # id -> {length: first suffix} of its complete subtree
     certified = set()   # lengths of the bases found so far
 
@@ -285,12 +261,12 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     member: each node carries the ids of the stabilizers of S with one
     member left out.  Sizes are read off the nodes with |H| = 1.  A node
     is counted before it is expanded, so complete=False once the budget
-    runs out, and at node_budget=0 no step is taken.
+    runs out, and at node_budget=0 no stabilizer is built.
     """
     sizes = set()
     nodes = 0
     complete = True
-    store = _store(G)
+    store = _Stabilizers(G)
     keys, orders, step = store.keys, store.orders, store.step
 
     def dfs(k, points, others):

@@ -412,6 +412,36 @@ def test_induced_homomorphism_on_pairs_domain_with_duality():
         assert np.array_equal(lhs, pi[pg[pi]])
 
 
+@pytest.mark.parametrize("d,q,k,mode,n", [
+    (3, 2, 1, "complement", 7), (3, 4, 1, "complement", 21),
+    (4, 2, 1, "incident", 15), (5, 2, 2, "complement", 155),
+    (5, 2, 2, "incident", 155)])
+def test_pair_members_are_the_distinct_member_bases(d, q, k, mode, n):
+    # each member position takes every subspace of its dimension, once,
+    # and B[at] gives back bases()'s stack
+    dom = build_pair_domain(d, q, k, mode)
+    for (B, at), stack in zip(dom.members(), dom.bases(), strict=True):
+        assert len(B) == n == len({b.tobytes() for b in B})
+        assert at.shape == (dom.N,) and np.array_equal(B[at], stack)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_pair_induction_by_members_matches_induction_by_pairs(dual):
+    # acting on each distinct member once gives the image rows of acting
+    # on both members of every pair
+    spec = GroupSpec("SL", 3, 4, ("frob",))
+    dom = build_pair_domain(3, 4, 1, "complement")
+    F = dom.field
+    M, _ = classical_generators(spec)
+    frob = 1 if dual else 0
+    parts = [actions._act_subspaces(F, M, frob, dual, B) for B in dom.bases()]
+    if dual:
+        parts.reverse()
+    rows = np.concatenate([P.reshape(len(M) * dom.N, -1) for P in parts], axis=1)
+    expected = dom.indices(rows).reshape(len(M), dom.N)
+    assert np.array_equal(induce_images(M, frob, dual, dom), expected)
+
+
 def test_forms_action_transvection_formula():
     # theta_eps^{t_{e2}} = theta_{eps+e2} on the minus domain at m=2, q=2
     dom = build_quad_forms_domain(2, 2, "-")

@@ -18,25 +18,19 @@ from conftest import (
 )
 from ibiskit.actions import build_domain, build_group_action
 from ibiskit.groups import GroupSpec
+from ibiskit import ibis
 from ibiskit.ibis import (
-    _STORES, DEFAULT_BUDGET, IbisVerdict, _key, _Stabilizers, base_report,
-    decide_ibis, enumerate_irredundant_base_sizes, is_base, minimal_base_sizes,
+    DEFAULT_BUDGET, _key, _Stabilizers, base_report, decide_ibis,
+    enumerate_irredundant_base_sizes, is_base, minimal_base_sizes,
 )
 from ibiskit.perm import PermGroup
-
-
-def unsearched(G):
-    """A new group on G's generators, which no search has run on, so
-    that it has no store yet."""
-    return PermGroup(G.degree, G.generators)
 
 
 @pytest.mark.parametrize("name", list(ACTIONS))
 def test_memoised_enumeration_matches_plain(monkeypatch, name):
     # and the memoised search builds one chain per stabilizer the plain
-    # search reaches, never a second for a stabilizer it holds; a second
-    # search on the group builds none
-    G = unsearched(group(name))
+    # search reaches, never a second for a stabilizer it holds
+    G = group(name)
     keys = recording_stabilizer_keys(monkeypatch)
     memo = enumerate_irredundant_base_sizes(G)
     memo_keys = list(keys)
@@ -48,11 +42,6 @@ def test_memoised_enumeration_matches_plain(monkeypatch, name):
     assert memo.nodes <= plain.nodes
     assert len(set(memo_keys)) == len(memo_keys)
     assert set(memo_keys) == set(keys)
-    keys.clear()
-    again = enumerate_irredundant_base_sizes(G)
-    assert keys == []
-    assert (again.lengths, again.witnesses, again.nodes) == \
-        (memo.lengths, memo.witnesses, memo.nodes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,16 +71,13 @@ def test_minimal_base_sizes_match_plain_within_a_budget(budget):
 
 
 def test_minimal_base_sizes_budget_before_the_first_step(monkeypatch):
-    # node_budget=0 expands no node, so no stabilizer chain is built; a
-    # second search with budget 1 finds its one step in the group's store
-    G = unsearched(named_case("GL4_2/sub35")[0])
+    # node_budget=0 expands no node, so no stabilizer chain is built
+    G, _ = named_case("GL4_2/sub35")
     keys = recording_stabilizer_keys(monkeypatch)
     res = minimal_base_sizes(G, node_budget=0)
     assert keys == [] and not res.complete and res.lengths == frozenset()
     res = minimal_base_sizes(G, node_budget=1)
     assert len(keys) == 1 and not res.complete
-    again = minimal_base_sizes(G, node_budget=1)
-    assert len(keys) == 1 and (again.lengths, again.nodes) == (res.lengths, res.nodes)
 
 
 @st.composite
@@ -228,47 +214,26 @@ def test_store_lookups_on_actions(name):
     assert checked
 
 
-def _outcome(res):
-    """What a search or decision reports: a verdict's serialization, or
-    an enumeration's lengths, completeness, witnesses and node count."""
-    if isinstance(res, IbisVerdict):
-        return res.serialize()
-    return res.lengths, res.complete, res.witnesses, res.nodes
+@pytest.mark.parametrize("search", [
+    enumerate_irredundant_base_sizes, minimal_base_sizes, decide_ibis,
+    lambda G: enumerate_irredundant_base_sizes(G, node_budget=5)])
+def test_search_frees_its_store_on_return(monkeypatch, search):
+    # a search's store, with every stabilizer it kept, is freed when the
+    # search returns, with no help from the cyclic collector
+    stores = []
 
+    class Recorded(_Stabilizers):
+        def __init__(self, G):
+            super().__init__(G)
+            stores.append(weakref.ref(self))
 
-# decide, enumerate under growing budgets (the cut-short ones leave a
-# partial store behind), find the minimal-base sizes, decide again
-SHARED_STORE_CALLS = (
-    [decide_ibis]
-    + [lambda G, b=b: enumerate_irredundant_base_sizes(G, node_budget=b)
-       for b in (0, 1, 5, 37, 100, DEFAULT_BUDGET)]
-    + [minimal_base_sizes, decide_ibis])
-
-
-@pytest.mark.parametrize("name", list(ACTIONS))
-def test_searches_sharing_a_store_match_searches_on_fresh_groups(name):
-    G = group(name)
-    fresh = [_outcome(call(unsearched(G))) for call in SHARED_STORE_CALLS]
-    H = unsearched(G)
-    with checked_store_lookups() as checked:
-        shared = [_outcome(call(H)) for call in SHARED_STORE_CALLS]
-    assert shared == fresh
-    assert {store for store, *_ in checked} == {_STORES[H]}
-
-
-def test_store_dies_with_its_group():
-    # the store holds no reference to its group, so dropping the group
-    # frees the store at once, with no help from the cyclic collector
-    G = unsearched(group("GL4(2) sub35"))
+    monkeypatch.setattr(ibis, "_Stabilizers", Recorded)
+    G = group("GL4(2) sub35")
     enabled = gc.isenabled()
     gc.disable()
     try:
-        enumerate_irredundant_base_sizes(G)
-        minimal_base_sizes(G)
-        decide_ibis(G)
-        store = weakref.ref(_STORES[G])
-        del G
-        assert store() is None
+        search(G)
+        assert len(stores) == 1 and stores[0]() is None
     finally:
         if enabled:
             gc.enable()

@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import ACTIONS
-from ibiskit import linalg, perm
-from ibiskit.actions import _order_bound, build_domain, build_group_action, induce_images
-from ibiskit.groups import (
-    GroupError, GroupSpec, classical_generators, in_matrix_group, outer_element,
-)
+from ibiskit import perm
+from ibiskit.actions import _order_bound, build_domain, build_group_action
+from ibiskit.groups import GroupError, GroupSpec, classical_generators, outer_element
 
 
 def _pp(d, q):
@@ -108,27 +106,6 @@ def test_bound_built_chain_matches_the_closure(family, d, q, ext, action, expect
         assert bound is None
     else:
         assert (bound == closed.order()) == (expected == "exact")
-
-
-SUBSPACE_GRID = [row for row in GRID if row[5] != "no group"
-                 and not row[4]["kind"].startswith("quad_forms")]
-
-
-@pytest.mark.parametrize("family,d,q,ext,action,expected", SUBSPACE_GRID,
-                         ids=[f"{f}{d}_{q}{''.join('.' + e for e in x)}/{a['kind']}"
-                              for f, d, q, x, a, _ in SUBSPACE_GRID])
-def test_scalars_counted_without_induction_on_subspace_and_pair_domains(
-        family, d, q, ext, action, expected):
-    # _order_bound takes s = the number of scalars of X on these domains:
-    # induced, every one of them fixes every point
-    spec = GroupSpec(family, d, q, ext)
-    dom = build_domain(action)
-    _, form = classical_generators(spec)
-    F = spec.matrix_field()
-    Z = F.mul(np.arange(1, F.q)[:, None, None], linalg.identity(F, d))
-    Z = Z[in_matrix_group(spec, form, Z)]
-    assert dom.dims and len(Z)
-    assert (induce_images(Z, 0, False, dom) == np.arange(dom.N)).all()
 
 
 def test_no_bound_for_derived_diag_or_two_extensions():
