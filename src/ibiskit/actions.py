@@ -3,10 +3,12 @@ of permutations from classes of elements.
 
 A domain is one (N, w) int64 code array, a row per point: the flattened
 RREF basis of a subspace, the two bases of a pair side by side, or the
-parameter vector a of a quadratic form theta_a.  Rows are sorted by their
-bytes, so indices are deterministic, and a row's index is found by binary
-search; point labels are still representation-dependent and never
-asserted across builds with a different field or form convention.
+parameter vector a of a quadratic form theta_a.  Each row has one int64
+key that orders as the row's bytes (linalg.row_keys); the rows are sorted
+by it, so indices are deterministic, checked distinct by it, and a row's
+index is found by searchsorted on it; point labels are still
+representation-dependent and never asserted across builds with a
+different field or form convention.
 Construction re-checks the defining predicate of every point as a mask
 over a stack of bases: the whole stack of candidates, or for totally
 singular subspaces the bases built a row at a time.
@@ -39,7 +41,7 @@ from .groups import (
 )
 from .linalg import (
     annihilator, eval_form, is_nondegenerate, is_totally_singular, mat_mul,
-    quadratic_theta0, rank_stack, rref_stack, symplectic_form,
+    quadratic_theta0, rank_stack, row_keys, rref_stack, symplectic_form,
 )
 from .perm import PermGroup, derived_subgroup
 
@@ -50,10 +52,9 @@ class ActionError(ValueError):
     pass
 
 
-def _keys(rows):
-    """One void key per row of a 2-d array; keys order as the rows' bytes."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(f"V{8 * rows.shape[1]}").ravel()
+def _are_codes(field, rows):
+    """Whether every entry of rows is a code of the field, 0 <= c < q."""
+    return not rows.size or rows.view(np.uint64).max() < field.q  # a negative wraps past q
 
 
 class ActionDomain:
@@ -67,7 +68,11 @@ class ActionDomain:
             raise ActionError(f"domain size {len(codes)} exceeds cap")
         codes = np.asarray(codes, dtype=np.int64)
         codes = codes.reshape(len(codes), d * sum(dims) if dims else d)
-        keys = _keys(codes)
+        if not _are_codes(field, codes):
+            raise ActionError(f"domain codes are not elements of {field!r}")
+        # each row's key, and the distinct partial keys of the earlier key
+        # steps, which lookups rank against (linalg.row_keys)
+        keys, self._steps = row_keys(field.q, codes)
         order = np.argsort(keys, kind="stable")
         self.codes = codes[order]
         self.codes.setflags(write=False)
@@ -105,8 +110,11 @@ class ActionDomain:
             if len(parts) == 1:
                 self._members = [(parts[0], slice(None))]
             else:
-                self._members = [(B, at.ravel()) for B, at in
-                                 (np.unique(B, axis=0, return_inverse=True) for B in parts)]
+                self._members = []
+                for B in parts:
+                    keys = row_keys(self.field.q, B.reshape(len(B), -1))[0]
+                    _, first, at = np.unique(keys, return_index=True, return_inverse=True)
+                    self._members.append((B[first], at))
         return self._members
 
     def serialize_points(self):
@@ -121,9 +129,9 @@ class ActionDomain:
         """The index of every row of rows (n, w); raises if one is not a
         point."""
         rows = np.asarray(rows, dtype=np.int64)
-        ok = rows.shape[1:] == self.codes.shape[1:]
+        ok = rows.shape[1:] == self.codes.shape[1:] and _are_codes(self.field, rows)
         if ok:
-            keys = _keys(rows)
+            keys = row_keys(self.field.q, rows, self._steps)[0]
             at = np.searchsorted(self._keys, keys)
             hit = at < self.N
             hit[hit] = self._keys[at[hit]] == keys[hit]
@@ -160,24 +168,41 @@ def enumerate_subspaces(F, d, k, admit=None):
     (row by row, left to right) are the base-q digits of a counter, least
     significant first.  Before row r is built, the bases found plus len(P)
     times the row's candidates may not exceed SIZE_CAP; with admit None
-    that refuses exactly the Grassmannians over SIZE_CAP."""
+    that refuses exactly the Grassmannians over SIZE_CAP.  A partial basis
+    is held as the indices of its rows among the candidates, so no basis
+    is copied per row: the codes are gathered once, for admit's P and
+    for the result."""
     _check_dimension(d, k)
-    found, held = [], 0
+    # the kept patterns' candidate rows, and each kept basis's rows in them
+    table, found, held = [], [], 0
     for pivots in itertools.combinations(range(d), k):
-        P = np.zeros((1, 0, d), dtype=np.int64)     # the partial bases
+        # row j of partial basis i is row chosen[j][i] of the rows stacked
+        rows, chosen, n = [], [], 1
         for r in range(k):
-            if held + len(P) * F.q ** (d - k - pivots[r] + r) > SIZE_CAP:
+            if held + n * F.q ** (d - k - pivots[r] + r) > SIZE_CAP:
                 raise ActionError("size cap exceeded")
             C = _pattern_rows(F, d, pivots, r)
-            ok = np.ones((len(P), len(C)), dtype=bool) if admit is None else admit(P, C)
+            ok = (np.ones((n, len(C)), dtype=bool) if admit is None
+                  else admit(_stacked(rows, chosen, d), C))
             c, a = np.nonzero(ok.T)                 # the earlier rows vary fastest
-            P = np.concatenate([P[a], C[c, None]], axis=1)
-            if not len(P):
+            chosen = [s[a] for s in chosen] + [c + sum(map(len, rows))]
+            rows.append(C)
+            n = len(c)
+            if not n:
                 break
         else:
-            found.append(P)
-            held += len(P)
-    return np.concatenate(found)
+            found.append(np.stack(chosen, axis=1) + sum(map(len, table)))
+            table += rows
+            held += n
+    return np.concatenate(table).take(np.concatenate(found), axis=0)
+
+
+def _stacked(rows, chosen, d):
+    """The bases (n, r, d) whose row j is row chosen[j] of the rows stacked
+    (one basis with no rows when there are none)."""
+    if not rows:
+        return np.zeros((1, 0, d), dtype=np.int64)
+    return np.concatenate(rows).take(np.stack(chosen, axis=1), axis=0)
 
 
 def _check_dimension(d, k):
@@ -453,7 +478,9 @@ def _order_bound(spec, socle, outer, form, dom):
     - o normalizes what they generate: every conjugate c^j(h),
       0 < j < n, lies in X;
     and then U = n |X| / s, where s counts the scalars of X whose
-    induced permutation fixes every point.
+    induced permutation fixes every point: all of them on a subspace
+    domain, since a scalar fixes every subspace, and on the forms domain
+    those the induction finds.
 
     Proof that |G| <= U.  Let S be those s scalars and L the group
     generated by S and the c^j(h), 0 <= j < n.  Each of them lies in X,
@@ -484,8 +511,10 @@ def _order_bound(spec, socle, outer, form, dom):
         return None
     Z = F.mul(np.arange(1, F.q)[:, None, None], I)
     Z = Z[in_matrix_group(spec, form, Z)]
-    images = induce_images(Z, 0, False, dom)
-    s = int((images == np.arange(dom.N)).all(axis=1).sum())
+    if dom.dims:                    # a scalar fixes every subspace
+        s = len(Z)
+    else:
+        s = int((induce_images(Z, 0, False, dom) == np.arange(dom.N)).all(axis=1).sum())
     return n * matrix_group_order(spec) // s
 
 

@@ -336,6 +336,44 @@ def test_nondegenerate_mask_memory_bounded():
     assert peak < 32 * 2**20
 
 
+def _counting_eliminations(monkeypatch):
+    """A list that gets the stack size of every call of _eliminate."""
+    sizes = []
+    eliminate = linalg._eliminate
+
+    def counted(F, S):
+        sizes.append(len(S))
+        return eliminate(F, S)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("codes", [linalg.BLOCK_CODES, 24 * 1000])
+def test_nondegenerate_eliminates_each_distinct_gram_once(monkeypatch, codes):
+    # Sp6(3) on 2-spaces: the 11,011 restricted Grams have one independent
+    # entry, so 3 values, and each block eliminates those 3 only
+    monkeypatch.setattr(linalg, "BLOCK_CODES", codes)
+    phi = symplectic_form(F3, 6)
+    S = enumerate_subspaces(F3, 6, 2)
+    sizes = _counting_eliminations(monkeypatch)
+    assert int(is_nondegenerate(phi, S).sum()) == 3**4 * (3**6 - 1) // (3**2 - 1)
+    assert len(sizes) == -(-len(S) // (codes // (2 * 2 * 6))) and max(sizes) <= 3
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_char2_nondegenerate_eliminates_each_distinct_gram_once(monkeypatch, kind):
+    # in characteristic 2 the annihilator of a rank-(k - 1) Gram is also
+    # taken once per distinct Gram: k = 3 has 3 independent entries, so
+    # every elimination, the annihilator's included, sees at most 2^3
+    form = FORM_KINDS[kind](2, 6)
+    S = enumerate_subspaces(F2, 6, 3)
+    expected = full_gram_nondegenerate(form, S)
+    sizes = _counting_eliminations(monkeypatch)
+    assert np.array_equal(is_nondegenerate(form, S), expected)
+    assert len(sizes) == 2 and max(sizes) <= 2**3
+
+
 def test_nonsingular_point_example():
     Q = quadratic_plus(F2, 4)  # X1X2 + X3X4
     assert eval_form(Q, np.array([1, 1, 0, 0])) != 0

@@ -12,8 +12,11 @@ import pytest
 
 from conftest import ACTIONS
 from ibiskit import perm
-from ibiskit.actions import _order_bound, build_domain, build_group_action
-from ibiskit.groups import GroupError, GroupSpec, classical_generators, outer_element
+from ibiskit.actions import _order_bound, build_domain, build_group_action, induce_images
+from ibiskit.groups import (
+    GroupError, GroupSpec, classical_generators, in_matrix_group, matrix_group_order,
+    outer_element,
+)
 
 
 def _pp(d, q):
@@ -125,6 +128,28 @@ def test_no_bound_when_a_generator_leaves_the_matrix_group():
     M = np.eye(4, dtype=np.int64)
     M[0, 1] = 1                     # a transvection of SL4(3) that moves the form
     assert _order_bound(spec, np.concatenate([socle, M[None]]), [], form, dom) is None
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_scalar_count_matches_their_induction(name):
+    """_order_bound takes s = every scalar of X on a subspace domain
+    without inducing them; on every table row and search action the
+    induced scalars agree, and the bound is n |X| / s with that count."""
+    gdesc, adesc = ACTIONS[name]
+    spec = GroupSpec.deserialize(gdesc)
+    dom = build_domain(adesc)
+    socle, form = classical_generators(spec)
+    F = spec.matrix_field()
+    Z = F.mul(np.arange(1, F.q)[:, None, None], np.eye(spec.d, dtype=np.int64))
+    Z = Z[in_matrix_group(spec, form, Z)]
+    s = int((induce_images(Z, 0, False, dom) == np.arange(dom.N)).all(axis=1).sum())
+    if dom.dims:
+        assert s == len(Z)
+    assert set(spec.extensions) <= {"dual"}
+    outer = [outer_element(ext, spec) for ext in spec.extensions]
+    bound = _order_bound(spec, socle, outer, form, dom)
+    n = 2 if spec.extensions else 1
+    assert bound == (None if spec.derived else n * matrix_group_order(spec) // s)
 
 
 def _count_closures(monkeypatch):

@@ -1,6 +1,6 @@
-"""Pinned reports: the sha256 of the table, of every witness report and
-of four induced groups, and of the stabilizer chains of three of them
-and of two larger actions.
+"""Pinned reports: the sha256 of the table, of every witness report, of
+four induced groups and of fourteen domain dumps, and of the stabilizer
+chains of three of the groups and of two larger actions.
 
 A change that alters a report's bytes fails here; when the change is
 meant, update the pin and give the old and new digests in CHANGES.md.
@@ -158,3 +158,73 @@ def test_large_chain_pinned(name, rattle):
     kw = {"rattle": 0} if rattle == "rattle0" else {}
     ch = perm._Chain(G.degree, G.generators, **kw)
     assert chain_sha256(ch) == LARGE_CHAIN_SHA256[name, rattle]
+
+
+# `ibiskit dump-domain` of one small descriptor per domain kind, and of
+# four that the row keys' edge cases reach: codes of two bytes (q = 1024,
+# q = 512) and rows of 64 and 132 codes, keyed in more than one step.
+DUMP_DOMAIN = {
+    "projective_points d3 q4": {"kind": "projective_points", "d": 3, "q": 4},
+    "subspaces_k d4 q3 k2": {"kind": "subspaces_k", "d": 4, "q": 3, "k": 2},
+    "totally_singular_k symplectic d4 q3 k2":
+        {"kind": "totally_singular_k", "form": "symplectic", "d": 4, "q": 3, "k": 2},
+    "max_isotropic_family plus d6 q2 latin":
+        {"kind": "max_isotropic_family", "form": "plus", "d": 6, "q": 2, "k": 3,
+         "family": "latin"},
+    "nonsingular_1 minus d4 q4": {"kind": "nonsingular_1", "form": "minus", "d": 4, "q": 4},
+    "pair_complement d3 q4 k1": {"kind": "pair_complement", "d": 3, "q": 4, "k": 1},
+    "pair_incident d5 q2 k2": {"kind": "pair_incident", "d": 5, "q": 2, "k": 2},
+    "quad_forms_plus m2 q4": {"kind": "quad_forms_plus", "m": 2, "q": 4},
+    "quad_forms_minus m2 q2": {"kind": "quad_forms_minus", "m": 2, "q": 2},
+    "nondegenerate_k hermitian d3 q4 k2":
+        {"kind": "nondegenerate_k", "form": "hermitian", "d": 3, "q": 4, "k": 2},
+    "projective_points d2 q1024": {"kind": "projective_points", "d": 2, "q": 1024},
+    "projective_points d3 q512": {"kind": "projective_points", "d": 3, "q": 512},
+    "pair_complement d8 q2 k1": {"kind": "pair_complement", "d": 8, "q": 2, "k": 1},
+    "subspaces_k d12 q2 k11": {"kind": "subspaces_k", "d": 12, "q": 2, "k": 11},
+}
+DUMP_DOMAIN_SHA256 = {
+    "projective_points d3 q4":
+        "1b80f20a86b27c42ab4e176e7395c825cf06f0e607c38c6bda552bce65133cbd",
+    "subspaces_k d4 q3 k2":
+        "86677d673bcd398d9ede02705ad34667456ee891690d09bb6d89fa66f524c399",
+    "totally_singular_k symplectic d4 q3 k2":
+        "b53af9a4994e595f0475116d0b2061d06d3f1bdeb63cf9ae20b7317beef3b29c",
+    "max_isotropic_family plus d6 q2 latin":
+        "82bb5428efccdf63fb2c1798519df686c4d235c76f500ea5db9d61bcbd2860f1",
+    "nonsingular_1 minus d4 q4":
+        "a82e5bce4b4d5178c74defe351170838ce34b80b260c42d0b502ea7f1c6183b0",
+    "pair_complement d3 q4 k1":
+        "a70c12f528d22780cd5d11ea61688edf92ddc4656c1065b734bd27a6a9fdcda5",
+    "pair_incident d5 q2 k2":
+        "53582a140ff9c6e8c1cc4e1fb231087b609617d4260c0498e08ff1a1e4c9bd12",
+    "quad_forms_plus m2 q4":
+        "e90b43a0754be79686541fee37e20d3cd8c0aec2afe6a5c14f5eedf47a171456",
+    "quad_forms_minus m2 q2":
+        "5814a70b49c0036994967a92462041ba3e20d010832df30791f0eec174d09865",
+    "nondegenerate_k hermitian d3 q4 k2":
+        "2f971f746940c21f7cc65a239c06d3ff2c95608761f533d23b527df988dfdefd",
+    "projective_points d2 q1024":
+        "2a772286e4ef121b26e97e4f97790658de52b787212f5726b3cca818ecb60787",
+    "projective_points d3 q512":
+        "b7c167945feb433356c7ea3b4c1da91c8b56d34a7579fb1283561c86db379e95",
+    "pair_complement d8 q2 k1":
+        "e00b57b3e1ca7029c6d18c81642e4b4cf894e451316acbf8a415536a1fab62ef",
+    "subspaces_k d12 q2 k11":
+        "9f252104782c401df4496a73e90a881f40f86347946fcdbe4b501aba95723e93",
+}
+
+
+def test_every_domain_kind_is_pinned():
+    from ibiskit.actions import DOMAIN_KINDS
+    assert {a["kind"] for a in DUMP_DOMAIN.values()} == set(DOMAIN_KINDS)
+    assert set(DUMP_DOMAIN) == set(DUMP_DOMAIN_SHA256)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=[pytest.mark.slow] if name in (
+        "projective_points d3 q512", "pair_complement d8 q2 k1") else [])
+    for name in sorted(DUMP_DOMAIN)])
+def test_dump_domain_pinned(capsys, name):
+    assert main(["dump-domain", "--action", json.dumps(DUMP_DOMAIN[name])]) == 0
+    assert sha256(capsys.readouterr().out) == DUMP_DOMAIN_SHA256[name]
