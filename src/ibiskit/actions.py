@@ -11,7 +11,8 @@ representation-dependent and never asserted across builds with a
 different field or form convention.
 Construction re-checks the defining predicate of every point as a mask
 over a stack of bases: the whole stack of candidates, or for totally
-singular subspaces the bases built a row at a time.
+singular subspaces the bases that enumerate_subspaces builds from singular,
+mutually orthogonal rows, one stacked step per row for every pivot pattern.
 
 Induction works on one class of elements at a time: a matrix stack M
 (m, d, d) with one Frobenius power k and one duality flag, as the groups
@@ -148,61 +149,113 @@ class ActionDomain:
 
 # -- subspace enumeration -----------------------------------------------------
 
-def _pattern_rows(F, d, pivots, r):
-    """Every candidate for row r of an RREF basis with these pivots: 1 at
-    pivots[r], 0 left of it and in the other pivot columns, and in the free
-    columns right of it the base-q digits of a counter, least significant first."""
-    free = [c for c in range(pivots[r] + 1, d) if c not in pivots]
-    out = np.zeros((F.q ** len(free), d), dtype=np.int64)
-    out[:, pivots[r]] = 1
-    out[:, free] = np.arange(len(out))[:, None] // F.q ** np.arange(len(free)) % F.q
-    return out
+# Subspace enumeration and pair domains work in blocks of about this many
+# codes or pairs (512 KiB of int64); blocks of BLOCK_CODES fall out of
+# cache and run slower.
+PAIR_CODES = 1 << 16
 
 
-def enumerate_subspaces(F, d, k, admit=None):
-    """The k-subspaces of GF(q)^d that admit keeps, as one (n, k, d) stack
-    of RREF bases built a row at a time for each pivot pattern: row r is a
-    candidate of C = _pattern_rows that admit(P, C) keeps after a partial
-    basis of the stack P, a (len(P), len(C)) mask (None keeps them all).
-    Patterns come in lexicographic order, and within one the free entries
-    (row by row, left to right) are the base-q digits of a counter, least
-    significant first.  Before row r is built, the bases found plus len(P)
-    times the row's candidates may not exceed SIZE_CAP; with admit None
-    that refuses exactly the Grassmannians over SIZE_CAP.  A partial basis
-    is held as the indices of its rows among the candidates, so no basis
-    is copied per row: the codes are gathered once, for admit's P and
-    for the result."""
+def enumerate_subspaces(F, d, k, form=None):
+    """The k-subspaces of GF(q)^d, or with a form only its totally singular
+    ones, as one (n, k, d) stack of RREF bases built a row at a time, each
+    row in one step for every pivot pattern.  Row r's candidates in a
+    pattern have 1 at pivots[r], 0 left of it and in the other pivot
+    columns, and in the free columns right of it the base-q digits of a
+    counter, least significant first.  Each partial basis extends by each
+    candidate of its pattern; with a form, only by a singular one (Q(v) =
+    0, or h(v, v) = 0) orthogonal under the polar form to its rows, read
+    off one table of the form on each held row and its pattern's
+    candidates.  The table is made in blocks of about PAIR_CODES codes,
+    the (candidate, partial basis) pairs in blocks of about PAIR_CODES
+    pairs.  The bases come pattern by pattern (lexicographic),
+    candidate-major within one with the partial bases varying fastest, so
+    the free entries (row by row, left to right) count up in base q.
+
+    SIZE_CAP bounds the candidates of row 0 (no later row has more), each
+    pattern's partial bases times its candidates, the table, and the
+    partial bases a row keeps.  Without a form the last is the
+    Grassmannian at row k - 1 and bounds the others, so exactly the
+    Grassmannians over SIZE_CAP are refused."""
     _check_dimension(d, k)
-    # the kept patterns' candidate rows, and each kept basis's rows in them
-    table, found, held = [], [], 0
-    for pivots in itertools.combinations(range(d), k):
-        # row j of partial basis i is row chosen[j][i] of the rows stacked
-        rows, chosen, n = [], [], 1
-        for r in range(k):
-            if held + n * F.q ** (d - k - pivots[r] + r) > SIZE_CAP:
+    q = F.q
+    # row 0 has q^(d-k-c) candidates in each of the comb(d-1-c, k-1)
+    # patterns with first pivot c; too many are refused before any pattern
+    # is listed
+    if sum(math.comb(d - 1 - c, k - 1) * q ** (d - k - c)
+           for c in range(d - k + 1)) > SIZE_CAP:
+        raise ActionError("size cap exceeded")
+    pivots = np.array(list(itertools.combinations(range(d), k)), dtype=np.int64)
+    pivotal = (pivots[:, :, None] == np.arange(d)).any(axis=1)
+    n = np.ones(len(pivots), dtype=np.int64)        # partial bases per pattern
+    # the candidates of the rows built, the pattern of each, and chosen[j, i],
+    # the row j of partial basis i (the partial bases come pattern by pattern)
+    rows, owner = np.zeros((0, d), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    chosen = np.zeros((0, len(n)), dtype=np.int64)
+    for r in range(k):
+        free = (np.arange(d) > pivots[:, r, None]) & ~pivotal
+        counts = np.where(n > 0, q ** free.sum(axis=1), 0)   # at most row 0's
+        if (n * counts).max(initial=0) > SIZE_CAP:
+            raise ActionError("size cap exceeded")
+        at = np.repeat(np.arange(len(n)), counts)   # each candidate's pattern
+        counter = np.arange(len(at)) - np.repeat(_starts(counts), counts)
+        # the digits in place, so the table is the one large array
+        C = (q ** np.where(free, np.cumsum(free, axis=1) - 1, 0))[at]
+        np.floor_divide(counter[:, None], C, out=C)
+        C %= q
+        C *= free[at]
+        C[np.arange(len(C)), pivots[at, r]] = 1
+        if form is not None:
+            value = (linalg.eval_quadratic_batch(form, C) if form.kind == "quadratic"
+                     else linalg.eval_bilinear_batch(form, C, C))
+            C, at = C[value == 0], at[value == 0]
+        s = np.bincount(at, minlength=len(n))
+        if form is not None:
+            # orth[start[t] + c]: the form vanishes on row t and candidate c
+            # of its pattern
+            sizes = s[owner]
+            if sizes.sum() > SIZE_CAP:
                 raise ActionError("size cap exceeded")
-            C = _pattern_rows(F, d, pivots, r)
-            ok = (np.ones((n, len(C)), dtype=bool) if admit is None
-                  else admit(_stacked(rows, chosen, d), C))
-            c, a = np.nonzero(ok.T)                 # the earlier rows vary fastest
-            chosen = [s[a] for s in chosen] + [c + sum(map(len, rows))]
-            rows.append(C)
-            n = len(c)
-            if not n:
-                break
-        else:
-            found.append(np.stack(chosen, axis=1) + sum(map(len, table)))
-            table += rows
-            held += n
-    return np.concatenate(table).take(np.concatenate(found), axis=0)
+            orth = np.empty(sizes.sum(), dtype=bool)
+            for lo, t, c in _runs(sizes, max(1, PAIR_CODES // d)):
+                orth[lo:lo + len(t)] = linalg.eval_bilinear_batch(
+                    form, rows[t], C[_starts(s)[owner[t]] + c]) == 0
+            start = _starts(sizes)[chosen]
+        # the pairs: candidate c of pattern p = at[c] with each partial basis
+        # a of p, the partial bases varying fastest
+        kept, found = [(np.zeros(0, dtype=np.int64),) * 2], 0
+        for _, c, a in _runs(n[at], PAIR_CODES):
+            a += _starts(n)[at[c]]
+            if form is not None:
+                ok = orth[start[:, a] + c - _starts(s)[at[c]]].all(axis=0)
+                c, a = c[ok], a[ok]
+            found += len(c)
+            if found > SIZE_CAP:
+                raise ActionError("size cap exceeded")
+            kept.append((c, a))
+        c, a = map(np.concatenate, zip(*kept))
+        n = np.bincount(at[c], minlength=len(n))
+        chosen = np.concatenate([chosen.take(a, axis=1), len(rows) + c[None]])
+        rows, owner = np.concatenate([rows, C]), np.concatenate([owner, at])
+    return rows.take(chosen.T, axis=0)
 
 
-def _stacked(rows, chosen, d):
-    """The bases (n, r, d) whose row j is row chosen[j] of the rows stacked
-    (one basis with no rows when there are none)."""
-    if not rows:
-        return np.zeros((1, 0, d), dtype=np.int64)
-    return np.concatenate(rows).take(np.stack(chosen, axis=1), axis=0)
+def _starts(sizes):
+    """Where each of consecutive blocks of these sizes starts."""
+    return np.cumsum(sizes) - sizes
+
+
+def _runs(lengths, step):
+    """Runs of these lengths laid end to end, in blocks of whole runs of
+    about step elements (more when one run is longer): (lo, i, j) per
+    block, element lo + x of the block being element j[x] of run i[x]."""
+    ends = np.cumsum(lengths)
+    a = 0
+    while a < len(lengths):
+        lo = ends[a] - lengths[a]
+        b = max(a + 1, np.searchsorted(ends, lo + step, side="right"))
+        i = np.repeat(np.arange(a, b), lengths[a:b])
+        yield lo, i, np.arange(len(i)) - np.repeat(_starts(lengths[a:b]), lengths[a:b])
+        a = b
 
 
 def _check_dimension(d, k):
@@ -240,9 +293,10 @@ def witt_index(form):
 
 def build_totally_singular(form, k, family=None):
     """All totally singular k-subspaces of the form's space, never built
-    from the whole Grassmannian: enumerate_subspaces admits a row when it
-    is singular (Q(v) = 0, or h(v, v) = 0) and orthogonal under the polar
-    form to the rows before it.  is_totally_singular re-checks the result.
+    from the whole Grassmannian: enumerate_subspaces(F, d, k, form) extends
+    a partial basis only by singular rows (Q(v) = 0, or h(v, v) = 0)
+    orthogonal under the polar form to its rows, row by row for every
+    pivot pattern at once.  is_totally_singular re-checks the result.
 
     family in {'greek', 'latin'} selects one of the two classes of
     maximal totally singular subspaces of a plus-type quadratic space
@@ -261,17 +315,7 @@ def build_totally_singular(form, k, family=None):
                                or form.meta.get("witt_defect") != 0):
         raise ActionError("family split only for maximal t.s. subspaces, plus type")
 
-    def admit(P, C):
-        value = (linalg.eval_quadratic_batch(form, C) if form.kind == "quadratic"
-                 else linalg.eval_bilinear_batch(form, C, C))
-        s = np.flatnonzero(value == 0)          # the singular candidates
-        ok = np.zeros((len(P), len(C)), dtype=bool)
-        ok[:, s] = True
-        for j in range(P.shape[1]):
-            ok[:, s] &= linalg.eval_bilinear_batch(form, P[:, j, None], C[None, s]) == 0
-        return ok
-
-    S = enumerate_subspaces(F, d, k, admit)
+    S = enumerate_subspaces(F, d, k, form)
     if not is_totally_singular(form, S).all():
         raise ActionError("a built basis is not totally singular")
     dom = ActionDomain(S, F, d, (k,), form=form)
@@ -295,11 +339,6 @@ def build_nonsingular_points(form):
     S = enumerate_subspaces(F, d, 1)
     return ActionDomain(S[linalg.eval_quadratic_batch(form, S[:, 0]) != 0], F, d,
                         (1,), form=form)
-
-
-# Pair domains decide (small x big) blocks of about this many remainder codes
-# (512 KiB of int64); blocks of BLOCK_CODES fall out of cache and run slower.
-PAIR_CODES = 1 << 16
 
 
 def build_pair_domain(d, q, k, mode):

@@ -131,14 +131,42 @@ def test_oversize_subspace_domains_refused_with_bounded_memory(name):
     assert peak < 2**28, peak / 2**20
 
 
-@pytest.mark.parametrize("desc,n", [
-    ({"kind": "max_isotropic_family", "form": "plus", "d": 8, "q": 3, "k": 4,
-      "family": "greek"}, math.prod(3**i + 1 for i in range(4)) // 2),
-    ({"kind": "totally_singular_k", "form": "plus", "d": 10, "q": 2, "k": 5},
-     math.prod(2**i + 1 for i in range(5))),
-    ({"kind": "totally_singular_k", "form": "minus", "d": 8, "q": 3, "k": 3},
-     math.prod(3**i + 1 for i in range(2, 5))),
-], ids=["family-Q+(8,3)", "ts5-Q+(10,2)", "ts3-Q-(8,3)"])
+# Totally singular builds that SIZE_CAP refuses, one for each thing it
+# bounds: row 0's candidates, one pattern's partial bases times its
+# candidates, the table of the form on held rows and candidates, and the
+# partial bases a row keeps.
+TS_OVERSIZE = {"row0-Q+(20,2)": ("plus", 20, 2, 1), "pattern-Q+(10,3)": ("plus", 10, 3, 2),
+               "table-Q+(12,2)": ("plus", 12, 2, 3), "kept-Q-(12,2)": ("minus", 12, 2, 5)}
+
+
+@pytest.mark.parametrize("name", sorted(TS_OVERSIZE))
+def test_oversize_totally_singular_domains_refused_with_bounded_memory(name):
+    form, d, q, k = TS_OVERSIZE[name]
+    form = actions._form_from_name(form, d, q)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ActionError, match="^size cap exceeded$"):
+            build_totally_singular(form, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**28, peak / 2**20
+
+
+# name -> (descriptor, N): totally singular domains whose Grassmannians
+# exceed SIZE_CAP
+HEAVY_TS = {
+    "family-Q+(8,3)": ({"kind": "max_isotropic_family", "form": "plus", "d": 8, "q": 3,
+                        "k": 4, "family": "greek"},
+                       math.prod(3**i + 1 for i in range(4)) // 2),
+    "ts5-Q+(10,2)": ({"kind": "totally_singular_k", "form": "plus", "d": 10, "q": 2, "k": 5},
+                     math.prod(2**i + 1 for i in range(5))),
+    "ts3-Q-(8,3)": ({"kind": "totally_singular_k", "form": "minus", "d": 8, "q": 3, "k": 3},
+                    math.prod(3**i + 1 for i in range(2, 5))),
+}
+
+
+@pytest.mark.parametrize("desc,n", list(HEAVY_TS.values()), ids=list(HEAVY_TS))
 def test_totally_singular_domains_beyond_the_grassmannian_cap_build(desc, n):
     # their Grassmannians exceed SIZE_CAP, which bounds only what the
     # row-at-a-time build holds
@@ -147,6 +175,41 @@ def test_totally_singular_domains_beyond_the_grassmannian_cap_build(desc, n):
     dom = build_domain(desc)
     assert time.perf_counter() - t0 < 2
     assert dom.N == n
+
+
+@pytest.mark.parametrize("name", list(HEAVY_TS))
+def test_heavy_totally_singular_builds_stay_under_16_mib(name):
+    # the table and the pairs are made in blocks: built whole, the pairs of
+    # Q+(10,2) k=5 take the traced peak past 18 MiB
+    desc, n = HEAVY_TS[name]
+    build_domain(desc)                      # one-time allocations stay out
+    tracemalloc.start()
+    try:
+        dom = build_domain(desc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dom.N == n
+    assert peak < 16 * 2**20, peak / 2**20
+
+
+def test_totally_singular_rows_take_one_stacked_step_each(monkeypatch):
+    # Q+(10,2) k=5 has comb(10, 5) = 252 pivot patterns: a form evaluation
+    # per pattern and row makes tens of thousands of gf.mul calls, one
+    # stacked step per row a few hundred
+    from ibiskit import gf
+    calls = []
+    mul = gf.FiniteField.mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    desc, n = HEAVY_TS["ts5-Q+(10,2)"]
+    build_domain(desc)
+    monkeypatch.setattr(gf.FiniteField, "mul", counted)
+    assert build_domain(desc).N == n
+    assert 0 < len(calls) < 1000, len(calls)
 
 
 @pytest.mark.parametrize("d,q,n", [(3, 2, 7), (2, 5, 6), (4, 3, 40)])
@@ -182,6 +245,23 @@ def test_max_isotropic_family_split():
                 assert (3 - (len(meet).bit_length() - 1)) % 2 == parity
 
 
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (4, 2), (4, 3), (4, 4), (6, 2), (6, 3),
+                                 (6, 4), (8, 2), (8, 3)])
+def test_families_partition_the_maximal_totally_singular_subspaces(d, q):
+    # Q+(d, q) has prod (q^i + 1), i < d/2, maximal totally singular
+    # subspaces, half in each family
+    form = quadratic_plus(field_of_order(q), d)
+    k = d // 2
+    full = build_totally_singular(form, k)
+    greek, latin = (build_totally_singular(form, k, family) for family in ("greek", "latin"))
+    assert full.N == math.prod(q**i + 1 for i in range(k))
+    assert greek.N == latin.N == full.N // 2
+    # distinct (ActionDomain refuses a repeated point) and together all of them
+    both = actions.ActionDomain(np.concatenate([greek.codes, latin.codes]), form.field,
+                                d, (k,))
+    assert np.array_equal(both.codes, full.codes)
+
+
 def test_family_split_requires_plus_maximal():
     with pytest.raises(ActionError):
         build_totally_singular(symplectic_form(F2, 4), 2, family="greek")
@@ -194,24 +274,28 @@ def test_witt_index_guard():
         build_totally_singular(quadratic_minus(F4, 4), 2)
 
 
-# (form name, d, q): symplectic over q = 2..5, hermitian in d = 3, 4 (over
-# GF(q^2)), plus and minus quadratic over q = 2, 3, 4
-TS_GRID = ([("symplectic", 4, q) for q in (2, 3, 4, 5)]
-           + [("symplectic", 6, q) for q in (2, 3)]
-           + [("hermitian", d, q) for d in (3, 4) for q in (2, 3)]
-           + [(sign, d, q) for sign in ("plus", "minus") for d in (4, 6)
-              for q in (2, 3, 4)])
+# (form name, d, q): every form kind in d <= 6 over q = 2, 3, 4 (hermitian
+# over GF(q^2), q = 2, 3), and symplectic d = 4 over q = 5
+TS_GRID = ([("symplectic", d, q) for d in (2, 4, 6) for q in (2, 3, 4)]
+           + [("symplectic", 4, 5)]
+           + [("hermitian", d, q) for d in range(2, 7) for q in (2, 3)]
+           + [(sign, d, q) for sign in ("plus", "minus") for d in (2, 4, 6)
+              for q in (2, 3, 4) if (sign, d) != ("minus", 2)])
 
 
 @pytest.mark.parametrize("name,d,q", TS_GRID,
                          ids=[f"{n}-{d}-{q}" for n, d, q in TS_GRID])
 def test_totally_singular_rows_match_the_grassmannian_filter(name, d, q):
     """The row-by-row build against the filter of the whole Grassmannian,
-    for every k up to the Witt index, and both families of the maximal
-    totally singular subspaces of a plus-type space."""
+    for every k up to the Witt index whose Grassmannian SIZE_CAP admits
+    (all but k = 2, 3 of hermitian d = 6 over GF(9)), and both families
+    of the maximal totally singular subspaces of a plus-type space."""
     form = actions._form_from_name(name, d, q)
     F = form.field
     for k in range(1, actions.witt_index(form) + 1):
+        if gaussian_binomial(d, k, F.q) > actions.SIZE_CAP:
+            assert (name, d, q) == ("hermitian", 6, 3)
+            continue
         S = enumerate_subspaces(F, d, k)
         ref = actions.ActionDomain(S[linalg.is_totally_singular(form, S)],
                                    F, d, (k,))

@@ -1,6 +1,7 @@
 """Pinned reports: the sha256 of the table, of every witness report, of
-four induced groups and of fourteen domain dumps, and of the stabilizer
-chains of three of the groups and of two larger actions.
+four induced groups, of fourteen domain dumps and 53 totally singular
+ones, and of the stabilizer chains of three of the groups and of two
+larger actions.
 
 A change that alters a report's bytes fails here; when the change is
 meant, update the pin and give the old and new digests in CHANGES.md.
@@ -228,3 +229,132 @@ def test_every_domain_kind_is_pinned():
 def test_dump_domain_pinned(capsys, name):
     assert main(["dump-domain", "--action", json.dumps(DUMP_DOMAIN[name])]) == 0
     assert sha256(capsys.readouterr().out) == DUMP_DOMAIN_SHA256[name]
+
+
+# `ibiskit dump-domain` of the totally singular grid: symplectic, plus,
+# minus and hermitian forms, d in (4, 6), q in (2, 3, 4), every k up to the
+# Witt index that SIZE_CAP admits (hermitian d6 q3 k >= 2 and d6 q4 are
+# refused), and both families of the maximal totally singular subspaces of
+# Q+(6,3) and Q+(8,2).  A name reads "form d q k" or "form d q family".
+TS_DUMP_SHA256 = {
+    "symplectic d4 q2 k1":
+        "cb8df7c4e403fa4a03c5333cde8abf8ef12365a8d699a9e0b5474c208034bb0b",
+    "symplectic d4 q2 k2":
+        "e3ecceea092c5510689dca98e9e1b69e99f9bb78d370e356b3d1f0aac053c5bb",
+    "symplectic d4 q3 k1":
+        "13c0d54bbfe6b2c4cde48cfcd2d42bc022f6abf8eed42d1a84f9736d0ae20c30",
+    "symplectic d4 q3 k2":
+        "b53af9a4994e595f0475116d0b2061d06d3f1bdeb63cf9ae20b7317beef3b29c",
+    "symplectic d4 q4 k1":
+        "b564fecdd2856291d18a03c253a214ebb9e24a73f2c7998353901876f7d1c2dd",
+    "symplectic d4 q4 k2":
+        "fc655841e5591d2a0f8aea451116e2084709938a7fda19d8e9691fcbdda343a8",
+    "symplectic d6 q2 k1":
+        "6391b632ea3dd2e1ab920510fb6ca3fb493eeb50550b816190806ce70a43dc68",
+    "symplectic d6 q2 k2":
+        "584c1977787c9ad5351567afa6367058899a605756477c82a2949121b36d23c5",
+    "symplectic d6 q2 k3":
+        "222e878a99200b8615490c410893acff6d42de74fde169d3a37488050c1bf830",
+    "symplectic d6 q3 k1":
+        "d67b845dfa5e724d58b9a950007d8aef6f0186e1c8e951def6b80e02a27ec797",
+    "symplectic d6 q3 k2":
+        "431c55ffa792317a886c64871d152724c0d1cb182f3dbb7b58a6d0a5d9e44dae",
+    "symplectic d6 q3 k3":
+        "dc63bc449af14fa7a6c54c59959deba17db91c5141c1aaedc56615fc1ae92028",
+    "symplectic d6 q4 k1":
+        "783487f1e6ad3bc6de7d6bb4880dd16e92d2d60a8d5b6962efa2061aa0296e24",
+    "symplectic d6 q4 k2":
+        "ee03258008fbec56f645457d8d35186de8bee5a389f3fd48774299801e97fbc5",
+    "symplectic d6 q4 k3":
+        "4b3de3d7d068a86663758d099e0f315bf0a8d422dae5966ddd6dcf6ba36286d3",
+    "plus d4 q2 k1":
+        "db675df9ac1ab4e2a9b4619ada44ff1cdbfde3487c80eb4dbab39481e1e59b1b",
+    "plus d4 q2 k2":
+        "5947d0452b678a4bf91406b186c953f8eb0b7b2fd225dbefd6529354932daf8a",
+    "plus d4 q3 k1":
+        "8a032ec7ca0225227f5c388cd9a10bce70bd9827785682c8e5de60e8051a998b",
+    "plus d4 q3 k2":
+        "f95d0fe652949e9bf0654c713b4acb171be2086d1759cf2a1c9e468a54b2734d",
+    "plus d4 q4 k1":
+        "e691955428869c820b1a3a8117eb5366415163af2a6fa03e7d9c6533b4c94e02",
+    "plus d4 q4 k2":
+        "1ef533a1cb0bc2b6bf8052f93557122108b5021a6e2a79e0d099ea4c3453378a",
+    "plus d6 q2 k1":
+        "958d23a5132e109625d19a3cc5b5d9f5003f8b6898c35b195cfa506c1e367a2c",
+    "plus d6 q2 k2":
+        "292594ba4ddf2cc2d6e508315e6e37369b7823869d27b8b289f78de45c716b5b",
+    "plus d6 q2 k3":
+        "437761181ccc3a5ec106590ddd84f0203f8b35d160f4f9c36ff7c3bb78aa4676",
+    "plus d6 q3 k1":
+        "192a535560c48041f26237a830e0726bc4e6da5ae22c82187f001d343b368c74",
+    "plus d6 q3 k2":
+        "6bcb405b9270a47794e16b5abceb04c79d1ee511cbde708321b60f02ceb91edf",
+    "plus d6 q3 k3":
+        "25fc7bfb949dc33f781bc1246b7a2d87d9fbc05d40df514d661561a796ed1c5d",
+    "plus d6 q4 k1":
+        "fc79e229980232a51f7a22363d95e77405ae3b92839d3c79ab0f8ca3afb74a16",
+    "plus d6 q4 k2":
+        "22a60a49b05cdba38ab64a1b2ed2d3eb4b16d17d1ba0e9b986e32d28a7dfe8d0",
+    "plus d6 q4 k3":
+        "fccdd5e33d015cb03c6de991af02f254a98c3f5259e43fd2984a1c3952e3fb07",
+    "minus d4 q2 k1":
+        "96b65c6b2a99b926e986fbce08f2e202c1f132dde8f24db3b274f1d725a17b82",
+    "minus d4 q3 k1":
+        "d64848131b114177359d40f8a7eb58dade7b45209bca8cfc6534e49d1696fde6",
+    "minus d4 q4 k1":
+        "98c4825db5f07670b4af8ba6a3de6bc07ee0a66907aadd791bcaf5bac8770d4c",
+    "minus d6 q2 k1":
+        "6e3c822e67e66c729a1a26860cbad5f8a6188cc95484170bab87d6bff97297ab",
+    "minus d6 q2 k2":
+        "5961d96dad04e28b32cf71bcd995c444baa814c9148bcdae2fff6394300c09cd",
+    "minus d6 q3 k1":
+        "765de3c5bfe47cc406589321485e56a8c6f4c5da80355faedc940092fa4c3bf5",
+    "minus d6 q3 k2":
+        "29a0999163146c114ba981908897e249615891819b78541cf66268742b1f6335",
+    "minus d6 q4 k1":
+        "4a06c5a2882921d57b576467bc5a5ab245e8ae5763b4d5883bd21c964432b77c",
+    "minus d6 q4 k2":
+        "d2f0a2c043f2aa2b1b69f5e6dbdd2c13d6ad2ef1ea892dae66ce435d670bc6cb",
+    "hermitian d4 q2 k1":
+        "345ee4224defe12c5fc6055738b36f31b83227bdc602d7c8ea753129f7bd5362",
+    "hermitian d4 q2 k2":
+        "cbd2b02fc1dee356b30a993bf0fd30554f2472c968d9e9fa6aa123174345bb7a",
+    "hermitian d4 q3 k1":
+        "45d6407746ea07d828cfb0ae6ad80db1a882de5091d90a2015ace440c4c52eaa",
+    "hermitian d4 q3 k2":
+        "b06647a0bb19d99bf10448903c78d184253d36296edc5964ca068d95654a8741",
+    "hermitian d4 q4 k1":
+        "89fb84c870677a1d2b3a8e19d8045d85fc0df875b325bd485e8beb26188b6b91",
+    "hermitian d4 q4 k2":
+        "da20b5da63470d24511ba6e60c164bcf6841950ee108eeb764bf7e5cc2c8ce30",
+    "hermitian d6 q2 k1":
+        "2ea1e056d5020cb272c78bf83c0806c827c94e7f30b48c61053100dc3f51e8c6",
+    "hermitian d6 q2 k2":
+        "345e89dc17bf46020f2f396cdf6cffc492ef9ac60f3e3e4fc6374770c161d18f",
+    "hermitian d6 q2 k3":
+        "3c2388c3655f21552a5b2edb62f1dd12598cc649334d699065b8df558bc964cd",
+    "hermitian d6 q3 k1":
+        "c62b2594f7a26420bbaf3631d8a30b1836fe0dc726a899aa2e9d05759b756a4a",
+    "plus d6 q3 greek":
+        "11debc59f7fb88786d1dd6142f3b232bb05019ae1efe04f94c3ce2c956d88252",
+    "plus d6 q3 latin":
+        "b26bf9190e1b20d48bec04c0142987aae518099370434c306bdc119b8f6cf666",
+    "plus d8 q2 greek":
+        "0fdc6510b7957fe280cbf4726b210c6416f75be3f57bccbc82c64258ae839ca4",
+    "plus d8 q2 latin":
+        "848b0af63d28696c05616534587c49f602f30d297fe55721f6e99382fa3a4aea",
+}
+
+
+def ts_descriptor(name):
+    form, d, q, last = name.split()
+    desc = {"form": form, "d": int(d[1:]), "q": int(q[1:])}
+    if last.startswith("k"):
+        return {"kind": "totally_singular_k", **desc, "k": int(last[1:])}
+    return {"kind": "max_isotropic_family", **desc, "k": desc["d"] // 2, "family": last}
+
+
+@pytest.mark.parametrize("name", list(TS_DUMP_SHA256))
+def test_totally_singular_dump_pinned(capsys, name):
+    assert main(["dump-domain", "--action", json.dumps(ts_descriptor(name))]) == 0
+    assert sha256(capsys.readouterr().out) == TS_DUMP_SHA256[name]

@@ -67,7 +67,7 @@ ALLOWED = {
     "ibis.IbisVerdict": "the result of decide_ibis",
     # library steps and constructions of the paper
     "actions.build_pair_domain": "builder of the pair domains",
-    "actions.enumerate_subspaces": "all k-subspaces as one RREF stack",
+    "actions.enumerate_subspaces": "the k-subspaces, or a form's totally singular ones",
     "actions.gaussian_binomial": "the number of k-subspaces",
     "actions.witt_index": "the largest totally singular dimension of a form",
     "actions.theta_value": "theta_a(u) on the quadratic-forms domain",
