@@ -9,17 +9,16 @@ standard annihilator.  `classical_generators` gives the socle generators
 as one stack with k = 0 and no duality, and `outer_element` gives each
 outer element as one (matrix, k, dual) triple.
 
-Construction strategy: Chevalley-style root elements (transvections and
-their short-root companions) relative to the standard forms of linalg,
-built as stacks and checked against the form in one stacked product.
+Construction strategy: SL, GL and Sp take elementary matrices and
+symplectic root elements; one kernel, _root_elements, builds Omega from
+Eichler (Siegel) transformations, SU from those and unitary
+transvections, and the reflections GO and SO need outside Omega (Omega
+at odd q, which would need a spinor-norm test, is not constructed).
 `matrix_group_order` gives the textbook order of each matrix group and
 `in_matrix_group` tests membership in it; the actions module builds its
 proven bound on the order of an induced group from the two.
 `certified_order` compares the order of the induced permutation group
 on nonzero vectors with the formula; only the tests call it.
-Orthogonal groups are generated by reflections, and Omega (and SO in
-odd characteristic) by products of pairs of them (in characteristic 2
-the Dickson kernel), which avoids spinor-norm membership tests entirely.
 
 Projective groups are never formed as abstract quotients: scalars act
 trivially on every subspace domain, so inducing the matrix group on the
@@ -154,26 +153,33 @@ def _upper_tri_rep(F, A):
 
 # -- elementary constructions ------------------------------------------------
 
+def _root_elements(form, U, V, A):
+    """The stack (n, d, d) of M = I + c_u v - c_v u + a c_u u for the rows
+    u, v of U, V and the scalars a of A, with c_x = polar_gram . conj(x)^T:
+    x M = x + f(x, u) v - f(x, v) u + a f(x, u) u.  For u singular and v
+    orthogonal to it, M is an isometry exactly when a = -Q(v) (the
+    Eichler, or Siegel, transformation E(u, v)) or a + a^q = -h(v, v);
+    v = 0 gives the transvections, and a non-singular u with a = -1/Q(u)
+    the reflection r_u (D. E. Taylor, The Geometry of the Classical
+    Groups, 1992).  One stacked product."""
+    F = form.field
+    U, V = np.asarray(U, dtype=np.int64), np.asarray(V, dtype=np.int64)
+    bar = form.conj if form.kind == "hermitian" else (lambda X: X)
+    Cu, Cv = (mat_mul(F, bar(X), form.polar_gram().T)[:, :, None] for X in (U, V))
+    W = F.add(V, F.mul(np.asarray(A, dtype=np.int64)[:, None], U))
+    return F.add(linalg.identity(F, form.dim),
+                 F.sub(F.mul(Cu, W[:, None, :]), F.mul(Cv, U[:, None, :])))
+
+
 def transvection_symplectic(a, form):
     """The matrix of t_a: u -> u + phi(u, a) a, an involution preserving a
     symplectic form in characteristic 2."""
-    F = form.field
-    if F.p != 2:
+    if form.field.p != 2:
         raise GroupError("symplectic transvections here require characteristic 2")
     if not np.any(a):
         raise GroupError("transvection direction must be nonzero")
-    a = np.asarray(a, dtype=np.int64)
-    coeffs = mat_mul(F, form.gram, a[:, None])[:, 0]
-    return F.add(linalg.identity(F, form.dim), F.mul(coeffs[:, None], a[None, :]))
-
-
-def _reflections(form, A):
-    """The matrices (n, d, d) of the reflections r_a for the rows a of A,
-    all non-singular."""
-    F = form.field
-    coeffs = F.div(mat_mul(F, A, form.polar_gram().T),
-                   linalg.eval_quadratic_batch(form, A)[:, None])
-    return F.sub(linalg.identity(F, form.dim), F.mul(coeffs[:, :, None], A[:, None, :]))
+    a = np.asarray(a, dtype=np.int64)[None]
+    return _root_elements(form, a, 0 * a, [1])[0]
 
 
 def _field_spanning_scalars(F):
@@ -224,64 +230,61 @@ def _symplectic_generators(spec, form):
     return _elementary(F, d, entries)
 
 
+def _basis_root_pairs(form):
+    """The rows u = e_i, v = t e_j of the root elements E(u, v) with e_i
+    singular, e_j != e_i orthogonal to it, and t in _field_spanning_scalars."""
+    F, d = form.field, form.dim
+    i, j = np.nonzero((np.diagonal(form.gram) == 0)[:, None] & (form.polar_gram() == 0)
+                      & ~np.eye(d, dtype=bool))
+    t, I = _field_spanning_scalars(F), linalg.identity(F, d)
+    return I[np.repeat(i, len(t))], F.mul(np.tile(t, len(j))[:, None], I[np.repeat(j, len(t))])
+
+
 def _unitary_generators(spec, form):
-    if spec.d not in (3, 4):
-        raise GroupError("unitary constructions are provided for d in {3, 4}")
-    F0 = gf.field_of_order(spec.q)
+    """SU: the E(u, v) of _basis_root_pairs with the least a, and the
+    transvections of each isotropic e_i with a over an F_p-basis of the
+    trace-zero elements; GU adds diag(mu, 1, ..., 1, mu^-q)."""
     E = form.field
-    q, d = spec.q, spec.d
-    mu = E.generator_code
-    codes = np.arange(E.q)
-    trace = E.add(codes, E.frob(codes, F0.f))     # t + t^q, GF(q^2) -> GF(q)
-    span = _field_spanning_scalars(E)
-    bar = E.neg(E.frob(span, F0.f))               # -t^q for t in span
-    if d == 3:
-        # upper unipotents [[1, s, t], [0, 1, -s^q], [0, 0, 1]],
-        # constrained by t + t^q + s^{q+1} = 0: s = 0 with each t of span
-        # of trace 0, and each s of span with the least t
-        least = (trace == E.mul(span, bar)[:, None]).argmax(axis=1)
-        entries = [{(0, 2): t} for t in span[trace[span] == 0]]
-        entries += [{(0, 1): s, (0, 2): t, (1, 2): b} for s, t, b in zip(span, least, bar)]
-        entries += [{(0, 0): mu, (1, 1): E.power(mu, q - 1), (2, 2): E.power(mu, -q)},
-                    {(0, 0): 0, (2, 2): 0, (0, 2): 1, (2, 0): 1, (1, 1): E.neg(1)}]
-    else:
-        # hyperbolic pairs (e1, e4), (e2, e3) for the anti-diagonal form:
-        # e3 -> e3 - t^q e4, and e2 -> e2 - t^q e4
-        entries = [cells for t, b in zip(span, bar)
-                   for cells in ({(0, 1): t, (2, 3): b}, {(0, 2): t, (1, 3): b})]
-        entries += [{ij: t} for t in np.flatnonzero(trace == 0)[1: 2 * F0.f + 1]
-                    for ij in ((0, 3), (1, 2))]
-        a0 = E.power(mu, q + 1)                   # a generator of GF(q)*
-        entries += [{(0, 0): a0, (3, 3): E.inv(a0)}, {(1, 1): a0, (2, 2): E.inv(a0)}]
-        # double transpositions: determinant 1 in every characteristic
-        entries += [{(a, a): 0, (b, b): 0, (c, c): 0, (e, e): 0,
-                     (a, b): 1, (b, a): 1, (c, e): 1, (e, c): 1}
-                    for (a, b), (c, e) in (((0, 1), (3, 2)), ((0, 3), (1, 2)))]
+    q, f, mu = spec.q, E.f // 2, E.generator_code
+    trace = E.add(np.arange(E.q), form.conj(np.arange(E.q)))      # a + a^q
+    U, V = _basis_root_pairs(form)
+    A = (trace == E.neg(linalg.eval_bilinear_batch(form, V, V))[:, None]).argmax(axis=1)
+    # the trace-zero elements are t0 GF(q), and mu^(q+1) generates GF(q)*
+    T = np.repeat(linalg.identity(E, spec.d)[np.diagonal(form.gram) == 0], f, axis=0)
+    a = E.mul(np.flatnonzero(trace == 0)[1], E.power(mu, (q + 1) * np.arange(f)))
+    M = _root_elements(form, np.concatenate([U, T]), np.concatenate([V, 0 * T]),
+                       np.concatenate([A, np.resize(a, len(T))]))
     if spec.family == "GU":
-        entries.append({(0, 0): mu, (d - 1, d - 1): E.inv(E.frob(mu, F0.f))})
-    M = _elementary(E, d, entries)
-    if spec.family == "SU" and np.any(linalg.det(E, M) != 1):
-        raise GroupError("SU generator with nontrivial determinant")
+        D = linalg.identity(E, spec.d)
+        D[0, 0], D[-1, -1] = mu, E.mul(D[-1, -1], E.power(mu, -q))
+        M = np.concatenate([M, D[None]])
     return M
 
 
 def _orthogonal_generators(spec, form):
-    F = form.field
-    d, q = spec.d, spec.q
-    if spec.family.startswith("Omega") and q % 2 == 1:
+    """Omega: the E(u, v) of _basis_root_pairs with a = -Q(v).  GO and SO
+    add r_a (Q(a) = 1) and at odd q r_b (Q(b) a non-square), SO as r_a r_b.
+    The plane has no E(u, v): its reflections are those of its non-singular
+    points, and Omega (and SO at odd q) takes the products r_0 r_x."""
+    F, d, q = form.field, spec.d, spec.q
+    omega = spec.family.startswith("Omega")
+    if omega and q % 2 == 1:
         raise GroupError("Omega for odd q (spinor-norm kernel) is not constructed")
-    # one non-singular vector per point: its first nonzero coordinate is 1
-    vectors = linalg.all_row_vectors(F, d)
-    lead = vectors[np.arange(len(vectors)), (vectors != 0).argmax(axis=1)]
-    nonsingular = vectors[(lead == 1) & (linalg.eval_quadratic_batch(form, vectors) != 0)]
-    M = _reflections(form, nonsingular)
-    if spec.family.startswith("Omega") or (q % 2 == 1 and spec.family.startswith("SO")):
-        M = mat_mul(F, M[0], M[1:])       # products r_0 r_a of two reflections
-    if FAMILIES[spec.family] is quadratic_plus and (d, q) == (4, 2):
-        # the known exception: these generate a subgroup of index 2; the
-        # coordinate reversal preserves Q, has Dickson invariant 0, and completes it
-        M = np.concatenate([M, linalg.identity(F, d)[None, ::-1]])
-    return M
+    U, V = _basis_root_pairs(form)
+    M = _root_elements(form, U, V, F.neg(linalg.eval_quadratic_batch(form, V)))
+    if d == 2:
+        # one non-singular vector per point: its first nonzero coordinate is 1
+        X = linalg.all_row_vectors(F, d)
+        lead = X[np.arange(len(X)), (X != 0).argmax(axis=1)]
+        X = X[(lead == 1) & (linalg.eval_quadratic_batch(form, X) != 0)]
+    else:
+        # a = e_0 + e_h and b = e_0 + nu e_h, for e_0's hyperbolic partner e_h
+        I, h = linalg.identity(F, d), np.flatnonzero(form.polar_gram()[0])[0]
+        X = F.add(I[0], F.mul(np.array([1, F.generator_code][: 1 + q % 2])[:, None], I[h]))
+    R = _root_elements(form, X, 0 * X, F.div(F.neg(1), linalg.eval_quadratic_batch(form, X)))
+    if omega or (q % 2 == 1 and spec.family.startswith("SO")):
+        R = mat_mul(F, R[0], R[1:])       # products r_0 r_x of two reflections
+    return np.concatenate([M, R])
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,16 +397,12 @@ def matrix_group_order(spec):
         return matrix_group_order(GroupSpec("GU", d, q)) // (q + 1)
     m = d // 2
     eps = 1 if FAMILIES[fam] is quadratic_plus else -1
-    omega = q**(m * (m - 1)) * (q**m - eps)
+    n = q**(m * (m - 1)) * (q**m - eps)
     for i in range(1, m):
-        omega *= q**(2 * i) - 1
-    if fam.startswith("Omega"):
-        return omega
-    if q % 2 == 0:
-        return 2 * omega          # O = SO in characteristic 2
-    if fam.startswith("SO"):
-        return omega
-    return 2 * omega
+        n *= q**(2 * i) - 1
+    # |O| = 2n; SO has index 2 in O at odd q (O = SO in characteristic 2),
+    # and Omega has index 2 in SO
+    return 2 * n // {"GO": 1, "SO": 1 + q % 2, "Om": 2 + 2 * (q % 2)}[fam[:2]]
 
 
 def induced_on_nonzero_vectors(spec):

@@ -49,6 +49,15 @@ def test_analyze_jobfile_and_order(tmp_path):
     assert json.loads(out.read_text())["order"] == "1451520"
 
 
+def test_analyze_order_of_su52_on_its_points(capsys):
+    # no scalar of SU(5, 2) but 1, so it acts faithfully on the 341 points
+    assert main(["analyze", "--group", '{"family":"SU","d":5,"q":2}',
+                 "--action", '{"kind":"projective_points","d":5,"q":4}',
+                 "--task", "order"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["order"] == "13685760" and report["degree"] == 341
+
+
 PSP43_POINTS = ["--group", '{"family":"Sp","d":4,"q":3}',
                 "--action", '{"kind":"projective_points","d":4,"q":3}']
 

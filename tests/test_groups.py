@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from conftest import (
     compose, invert, is_identity, move_vectors, same_element, vector_set,
@@ -47,9 +49,17 @@ CERTIFIED = [
     ("Sp", 6, 2, 1451520),
     ("Sp", 2, 4, 60),
     ("Sp", 2, 8, 504),
+    ("SU", 2, 2, 6),              # SU_2(q) = SL_2(q)
     ("SU", 3, 2, 216),
     ("SU", 4, 2, 25920),
+    ("SU", 5, 2, 13685760),       # trivial center: SU_5(2) = PSU_5(2)
+    ("SU", 6, 2, 27590492160),    # 3 |PSU_6(2)|
+    ("SU", 3, 4, 62400),          # trivial center: SU_3(4) = PSU_3(4)
+    ("SU", 4, 3, 13063680),       # 4 |PSU_4(3)|
+    ("GU", 2, 2, 18),
     ("GU", 3, 2, 648),
+    ("GU", 5, 2, 41057280),
+    ("GU", 6, 2, 82771476480),
     ("OmegaPlus", 4, 4, 3600),
     ("OmegaMinus", 4, 4, 4080),
     ("OmegaPlus", 6, 2, 20160),
@@ -57,10 +67,26 @@ CERTIFIED = [
     ("SOplus", 6, 2, 40320),
     ("SOminus", 4, 4, 8160),
     ("SOplus", 4, 4, 7200),
-    # reflections generate only an index-2 subgroup of O+(4, 2)
+    # Omega+(4, 2) = SL_2(2) x SL_2(2); the reflections of O+(4, 2)
+    # generate only a subgroup of index 2
     ("GOplus", 4, 2, 72),
     ("SOplus", 4, 2, 72),
     ("OmegaPlus", 4, 2, 36),
+    ("OmegaPlus", 8, 2, 174182400),
+    ("OmegaMinus", 8, 2, 197406720),
+    # odd q: Omega < SO < GO, each of index 2
+    ("GOplus", 4, 3, 1152),
+    ("SOplus", 4, 3, 576),
+    ("GOminus", 4, 3, 1440),
+    ("SOminus", 4, 3, 720),
+    ("GOplus", 4, 5, 28800),
+    ("SOplus", 4, 5, 14400),
+    ("GOminus", 4, 5, 31200),
+    ("SOminus", 4, 5, 15600),
+    ("GOplus", 6, 3, 24261120),
+    ("SOplus", 6, 3, 12130560),
+    ("GOminus", 6, 3, 26127360),
+    ("SOminus", 6, 3, 13063680),
 ]
 
 
@@ -69,6 +95,25 @@ def test_certified_orders(family, d, q, expected):
     spec = GroupSpec(family, d, q)
     assert matrix_group_order(spec) == expected
     assert certified_order(spec) == expected
+
+
+@pytest.mark.parametrize("family,d,q,expected", [
+    row for row in CERTIFIED if GroupSpec(*row[:3]).matrix_field().q ** row[1] <= 301])
+def test_certified_orders_match_sympy(family, d, q, expected):
+    """sympy's order of the action on the at most 300 nonzero vectors."""
+    G = induced_on_nonzero_vectors(GroupSpec(family, d, q))
+    S = SympyGroup([SympyPermutation(g.tolist()) for g in G.generators])
+    assert S.order() == expected
+
+
+@pytest.mark.parametrize("family,d,expected", [
+    ("OmegaPlus", 4, 288),        # SL_2(3) o SL_2(3)
+    ("OmegaMinus", 4, 360),       # PSL_2(9)
+    ("OmegaPlus", 6, 6065280),    # SL_4(3) / <-1>
+    ("OmegaMinus", 6, 6531840),   # SU_4(3) / <-1>
+])
+def test_omega_order_at_odd_q(family, d, expected):
+    assert matrix_group_order(GroupSpec(family, d, 3)) == expected
 
 
 def test_generators_preserve_forms_exactly():
@@ -226,7 +271,7 @@ def test_unitary_form_is_hermitian_antidiagonal():
 
 
 def test_su_generators_have_det_one():
-    for (d, q) in [(3, 2), (4, 2), (3, 3)]:
+    for (d, q) in [(2, 3), (3, 2), (4, 2), (3, 3), (5, 2)]:
         spec = GroupSpec("SU", d, q)
         gens, _ = classical_generators(spec)
         E = spec.matrix_field()

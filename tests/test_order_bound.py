@@ -56,14 +56,18 @@ def _grid():
                     out.append(("Sp", d, q, ext, {"kind": kind, "m": d // 2, "q": q},
                                 "exact"))
     for fam in ("GU", "SU"):
-        for d, q in ((3, 2), (3, 3), (4, 2)):
+        for d, q in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)):
             for ext in ((), ("frob",), ("frob:2",)):
                 out.append((fam, d, q, ext, _pp(d, q * q), "exact"))
-                out.append((fam, d, q, ext, _ts("hermitian", d, q, 1), "exact"))
+                # the q + 1 isotropic points of a plane form a PG(1, q), on
+                # which GU (and SU at even q) induces PGL_2(q) = PGammaL_2(q)
+                loose = d == 2 and ext == ("frob",) and (fam == "GU" or q % 2 == 0)
+                out.append((fam, d, q, ext, _ts("hermitian", d, q, 1),
+                            "loose" if loose else "exact"))
     for sign in ("plus", "minus"):
         ns = lambda d, q: {"kind": "nonsingular_1", "form": sign, "d": d, "q": q}
         for fam in ("GO" + sign, "SO" + sign, "Omega" + sign.capitalize()):
-            for d, q in ((2, 4), (2, 8), (4, 2), (4, 3), (4, 4), (6, 2)):
+            for d, q in ((2, 4), (2, 8), (4, 2), (4, 3), (4, 4), (6, 2), (8, 2)):
                 if fam.startswith("Omega") and q % 2:
                     continue
                 out.append((fam, d, q, (), _pp(d, q), "exact"))

@@ -60,7 +60,7 @@ def test_witness_report_pinned(capsys, lemma):
 
 
 # `ibiskit dump-group` of four actions: one with the duality, the forms
-# domain, a group generated by 67 products of reflections, and a derived
+# domain, a group generated by 8 Eichler transformations, and a derived
 # group, whose generators are the commutators and conjugates that
 # derived_subgroup keeps.
 DUMP_GROUP_SHA256 = {
@@ -69,7 +69,7 @@ DUMP_GROUP_SHA256 = {
     "Sp4(4) forms136":
         "5746e33f63720c8bbaee48f9aa9eb932b2cc31b68e66c4d96a848a3afa3cba3b",
     "Om4-(4) ns1":
-        "58c22594dee612b0e1c9a779ac461ff2ab262cc9611db7f3ca541baf21f93dfa",
+        "2afd7dccdfd7e93b97d455a42795696d7683292c547a5f1b930cb351c4f1b0cf",
     "Sp4(2)' vectors":
         "10f32108efe2832ee423a03fcaa6f7c61743331b66a5883418a422347bfdaccb",
 }
@@ -81,7 +81,7 @@ CHAIN_SHA256 = {
     "Sp4(4) forms136":
         "9431898c5fa5ba3a458eef6eb416204c1ee43b7384040b03e63f0a50462ecea0",
     "Om4-(4) ns1":
-        "57d06a7744ff0b285b444e7377e092d17940d75218fe2b7e54a5669f6213ac15",
+        "b8544ca5e8d3871500e63423d6b9b29961fc375451de7921ee25ec998b5f920a",
 }
 
 # Chains built with no random warm-up, so that the Schreier closure
