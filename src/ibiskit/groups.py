@@ -426,12 +426,16 @@ def induced_on_nonzero_vectors(spec):
 @functools.lru_cache(maxsize=None)
 def certified_order(spec):
     """BSGS order of the induced vector action, checked against the
-    textbook formula; raises on mismatch."""
+    textbook formula; raises on mismatch.  The formula is the chain's
+    target when every generator lies in the matrix group it orders."""
     if spec.extensions or spec.derived:
         raise GroupError("certify the plain socle spec")
     G = induced_on_nonzero_vectors(spec)
-    n = G.order()
+    socle, form = classical_generators(spec)
     expect = matrix_group_order(spec)
+    if in_matrix_group(spec, form, socle).all():
+        G._order_bound = expect
+    n = G.order()
     if n != expect:
         raise GroupError(
             f"{spec.family}({spec.d},{spec.q}) order {n} != formula {expect}")

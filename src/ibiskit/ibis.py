@@ -4,9 +4,10 @@ length), the IBIS decision with witnesses, minimal-base sizes,
 pointwise-stabilizer equality, and the big-integer parabolic bound for E7.
 
 Both exhaustive searches step from a pointwise stabilizer H to H_p
-through one store (_Stabilizers) that keeps each distinct stabilizer
-once, named by its fixed points, since G_(S) = G_(fix(G_(S))): a point
-is redundant exactly when the stabilizer of its predecessors fixes it.
+through a store (_Stabilizers) that names each distinct stabilizer once
+by its fixed points, since G_(S) = G_(fix(G_(S))): a point is redundant
+exactly when the stabilizer of its predecessors fixes it.  The store
+holds no group; each search keeps the groups and tables it reads again.
 
 The depth-first enumeration prunes to one representative point per
 orbit of the current stabilizer (extending by points in the same orbit
@@ -126,69 +127,47 @@ def _key(mask):
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-class _Stabilizers:
-    """The pointwise stabilizers of G that a search has reached, each kept
-    once under an id, with its fixed-point key and certified order; id 0
-    is G.
+def _orbit_table(H):
+    """The least point of each non-trivial orbit of H, in ascending order,
+    and every point's orbit length: int lists."""
+    lab = H.orbits()
+    lengths = np.bincount(lab)[lab]
+    minima = np.flatnonzero((lab == np.arange(H.degree)) & (lengths > 1))
+    return minima.tolist(), lengths.tolist()
 
-    A kept group is G_(its key) and fixes every point of its key, so for
-    H = G_(F), F = fix(H), a kept group whose key contains F and p lies
-    in H_p = G_(F + p), and equals H_p when its order is |H| / |p^H|
-    (orbit-stabilizer).  find() takes H_p from the kept groups that way
-    and only when none matches builds one: H.pointwise_stabilizer((p,))
+
+class _Stabilizers:
+    """The pointwise stabilizers of G that a search has reached, each
+    named once under an id by its fixed-point key and certified order;
+    id 0 is G.  No group is kept: a search keeps what it reads again.
+
+    A kept stabilizer is G_(its key) and fixes every point of its key, so
+    for H = G_(F), F = fix(H), a kept key that contains F and p names a
+    subgroup of H_p = G_(F + p), and names H_p when its order is
+    |H| / |p^H| (orbit-stabilizer).  find() looks H_p up that way and
+    only when no key matches builds it: H.pointwise_stabilizer((p,))
     builds H's chain based at p with the certified |H| as its target.
-    Each kept group's orbit labels are computed once, and step() is
-    find() with |p^H| read off them, tabled per (id, point).
     """
 
     def __init__(self, G):
-        self.degree = G.degree
-        self.groups = []    # id -> PermGroup
-        self.keys = []      # id -> fixed-point key
-        self.orders = []    # id -> certified order
-        self.tables = []    # id -> None, or its orbits() once computed
-        self.steps = {}     # id * degree + point -> id of its stabilizer
-        self.by_order = {}  # order -> ids
-        self._keep(_key(G.fixed_points()), G.order(), G)
+        self.keys = [_key(G.fixed_points())]    # id -> fixed-point key
+        self.orders = [G.order()]               # id -> certified order
+        self.by_order = {G.order(): [0]}        # order -> ids
 
-    def _keep(self, key, order, group):
-        k = len(self.keys)
-        self.by_order.setdefault(order, []).append(k)
-        self.groups.append(group)
-        self.keys.append(key)
-        self.orders.append(order)
-        self.tables.append(None)
-        return k
-
-    def orbits(self, k):
-        """The least point of each non-trivial orbit of the group with id
-        k, in ascending order, and every point's orbit length: int lists."""
-        if self.tables[k] is None:
-            lab = self.groups[k].orbits()
-            lengths = np.bincount(lab)[lab]
-            minima = np.flatnonzero((lab == np.arange(self.degree)) & (lengths > 1))
-            self.tables[k] = minima.tolist(), lengths.tolist()
-        return self.tables[k]
-
-    def find(self, k, p, orbit_length):
-        """The id of the stabilizer of p in the group H with id k, given
-        |p^H| = orbit_length."""
+    def find(self, H, k, p, orbit_length):
+        """(id, H_p) for the stabilizer of p in the group H with id k,
+        given |p^H| = orbit_length; (id, None) when a kept key matched."""
         keys = self.keys
         order = self.orders[k] // orbit_length
         target = keys[k] | 1 << p
         for i in self.by_order.get(order, ()):
             if keys[i] & target == target:
-                return i
-        Hp = self.groups[k].pointwise_stabilizer((p,))
-        return self._keep(_key(Hp.fixed_points()), order, Hp)
-
-    def step(self, k, p):
-        """find(), tabled."""
-        at = k * self.degree + p
-        j = self.steps.get(at)
-        if j is None:
-            j = self.steps[at] = self.find(k, p, self.orbits(k)[1][p])
-        return j
+                return i, None
+        Hp = H.pointwise_stabilizer((p,))
+        self.by_order.setdefault(order, []).append(len(keys))
+        keys.append(_key(Hp.fixed_points()))
+        self.orders.append(order)
+        return len(keys) - 1, Hp
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -201,9 +180,9 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
     Explores one representative per orbit of the current stabilizer, its
     least point (conjugate subtrees realize the same length sets), and
     records the first witness chain found per length.  A subtree depends
-    only on its stabilizer, a kept group of the store reached by step(),
-    so each complete subtree is kept as {length: first suffix in DFS
-    order} under the group's id and never searched again.  Returns
+    only on its stabilizer, named in the store by find(), so each
+    complete subtree is kept as {length: first suffix in DFS order} under
+    the stabilizer's id and never searched again.  Returns
     EnumerationResult with complete=False when the node budget is
     exhausted (nodes are counted before they are expanded, so then
     nodes > node_budget); a subtree cut short is not kept.  With
@@ -216,7 +195,11 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
     memo = {}           # id -> {length: first suffix} of its complete subtree
     certified = set()   # lengths of the bases found so far
 
-    def suffixes(k, depth):
+    def suffixes(H, k, depth):
+        """H is the group with id k, or None when find() matched a kept
+        key: then k is trivial or memoised, since k's subtree was searched
+        when it was built (not an ancestor: those are larger) and nothing
+        is searched once the search is cut short."""
         nonlocal nodes, complete
         if store.orders[k] == 1:
             return {0: ()}
@@ -224,7 +207,8 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
         if found is not None:
             return found
         found = {}
-        for p in store.orbits(k)[0]:
+        minima, lengths = _orbit_table(H)
+        for p in minima:
             if _two_lengths and len(certified) > 1:
                 complete = False
                 return found
@@ -232,14 +216,15 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
             if nodes > node_budget:
                 complete = False
                 return found
-            for length, suffix in suffixes(store.step(k, p), depth + 1).items():
+            j, Hp = store.find(H, k, p, lengths[p])
+            for length, suffix in suffixes(Hp, j, depth + 1).items():
                 found.setdefault(length + 1, (p,) + suffix)
                 certified.add(depth + length + 1)
         if complete:
             memo[k] = found
         return found
 
-    witnesses = suffixes(0, 0)
+    witnesses = suffixes(G, 0, 0)
     del suffixes        # a recursive closure is a cycle: free it now, not at gc
     return EnumerationResult(frozenset(witnesses), complete, witnesses, nodes)
 
@@ -257,26 +242,43 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     least point p of each non-trivial orbit of H, as the enumeration
     does: H fixes S pointwise, so h in H maps S + p onto S + p^h, and
     independence and base-ness carry across.  S + p is kept when it is
-    still independent, which costs one tabled step of the store per
-    member: each node carries the ids of the stabilizers of S with one
-    member left out.  Sizes are read off the nodes with |H| = 1.  A node
-    is counted before it is expanded, so complete=False once the budget
-    runs out, and at node_budget=0 no stabilizer is built.
+    still independent, which costs one step per member: each node
+    carries the ids of the stabilizers of S with one member left out.
+    Steps are read again, so unlike the enumeration this search tables
+    them and keeps each group it reaches with its orbit table.  Sizes are
+    read off the nodes with |H| = 1.  A node is counted before it is
+    expanded, so complete=False once the budget runs out, and at
+    node_budget=0 no stabilizer is built.
     """
     sizes = set()
     nodes = 0
     complete = True
     store = _Stabilizers(G)
-    keys, orders, step = store.keys, store.orders, store.step
+    groups, tables = [G], [None]    # by id: the group, its _orbit_table once read
+    steps = {}          # id * degree + point -> id of its stabilizer
+
+    def orbits(k):
+        if tables[k] is None:
+            tables[k] = _orbit_table(groups[k])
+        return tables[k]
+
+    def step(k, p):
+        at = k * G.degree + p
+        if at not in steps:
+            steps[at], Hp = store.find(groups[k], k, p, orbits(k)[1][p])
+            if Hp is not None:
+                groups.append(Hp)
+                tables.append(None)
+        return steps[at]
 
     def dfs(k, points, others):
         """k is the id of G_(points), others[i] that of the stabilizer of
         points without points[i]."""
         nonlocal nodes, complete
-        if orders[k] == 1:
+        if store.orders[k] == 1:
             sizes.add(len(points))
             return
-        for p in store.orbits(k)[0]:
+        for p in orbits(k)[0]:
             nodes += 1
             if nodes > node_budget:
                 complete = False
@@ -286,7 +288,7 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
             moved = []
             for pt, j in zip(points, others):
                 j = step(j, p)
-                if keys[j] >> pt & 1:
+                if store.keys[j] >> pt & 1:
                     break
                 moved.append(j)
             else:
@@ -335,14 +337,6 @@ def same_pointwise_stabilizer(G, seq_a, seq_b):
 
 # -- E7 parabolic arithmetic -------------------------------------------------------
 
-def _e7_simple_order(q):
-    d = math.gcd(2, q - 1)
-    n = q**63
-    for i in (18, 14, 12, 10, 8, 6, 2):
-        n *= q**i - 1
-    return n // d
-
-
 def e7_bound_check(q):
     """Degree, suborbit size n2 and point-stabilizer order for E7(q) on the
     cosets of the parabolic P7, each evaluated by two independent
@@ -359,7 +353,7 @@ def e7_bound_check(q):
     n2_alt = q * sum(q**i for i in range(9)) * (q**4 + q**2 + 1) * (q**4 - q**2 + 1)
     p7 = (q**63 * (q**9 - 1) * (q**12 - 1) * (q**5 - 1) * (q**8 - 1)
           * (q**6 - 1) * (q**2 - 1) * (q - 1)) // d
-    order = _e7_simple_order(q)
+    order = q**63 * math.prod(q**i - 1 for i in (18, 14, 12, 10, 8, 6, 2)) // d
     if order % degree or order // degree != p7 or n2 != n2_alt:
         raise IbisError("E7 cross-evaluation mismatch")
     ell = 1

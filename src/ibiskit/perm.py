@@ -31,6 +31,7 @@ generator is the identity (see _Chain._close).
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -144,7 +145,7 @@ class _Chain:
     # orders -----------------------------------------------------------------
 
     def order(self):
-        return self.suffix_orders()[0]
+        return math.prod(len(lvl.points) for lvl in self.levels)
 
     def _target_reached(self):
         # Product of orbit lengths never exceeds the true order, so reaching
@@ -154,10 +155,8 @@ class _Chain:
 
     def suffix_orders(self):
         """Order of the stabilizer of the first k base points, k = 0..len."""
-        out = [1]
-        for lvl in reversed(self.levels):
-            out.append(out[-1] * len(lvl.points))
-        return out[::-1]
+        sizes = [len(lvl.points) for lvl in self.levels]
+        return [math.prod(sizes[k:]) for k in range(len(sizes) + 1)]
 
     def base(self):
         return [lvl.beta for lvl in self.levels]

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from ibiskit.cli import main
+from ibiskit import cli
+from ibiskit.cli import TABLE_ROWS, compute_table_row, main
+from ibiskit.ibis import decide_ibis
 
 
 def run(tmp_path, *argv, out=None):
@@ -335,6 +337,26 @@ def test_missing_job_key_one_line_error(tmp_path, capsys, argv, jobfile, message
         job.write_text(json.dumps(jobfile))
         argv = argv + [str(job)]
     assert_one_line_error(capsys, main(argv), message)
+
+
+def test_table_row_of_a_group_that_is_not_ibis():
+    # every row of TABLE_ROWS is IBIS, so the table's other verdicts are
+    # reached only by rows from elsewhere
+    row = ("PSp4(3) proj", {"family": "Sp", "d": 4, "q": 3},
+           {"kind": "projective_points", "d": 4, "q": 3}, 4)
+    out = compute_table_row(row)
+    del out["runtime"]
+    assert out == {"group": "PSp4(3) proj", "degree": 40, "expected_b": 4,
+                   "computed_b": "n/a (not IBIS)", "verdict": "NotIBIS"}
+
+
+def test_table_row_inconclusive_within_budget(monkeypatch):
+    monkeypatch.setattr(cli, "decide_ibis", lambda G: decide_ibis(G, budget=0))
+    out = compute_table_row(TABLE_ROWS[0])
+    del out["runtime"]
+    assert out == {"group": "SL3(2) proj", "degree": 7, "expected_b": 3,
+                   "computed_b": "skipped: inconclusive within budget",
+                   "verdict": "Unknown"}
 
 
 def test_table_contradiction_guard(monkeypatch, tmp_path):

@@ -8,7 +8,7 @@ from sympy.combinatorics import PermutationGroup as SympyGroup
 from conftest import (
     compose, invert, is_identity, move_vectors, same_element, vector_set,
 )
-from ibiskit import linalg
+from ibiskit import groups, linalg
 from ibiskit.actions import _act_subspaces
 from ibiskit.gf import field_of_order, make_field
 from ibiskit.groups import (
@@ -95,6 +95,17 @@ def test_certified_orders(family, d, q, expected):
     spec = GroupSpec(family, d, q)
     assert matrix_group_order(spec) == expected
     assert certified_order(spec) == expected
+
+
+@pytest.mark.parametrize("family,d,q", [("SU", 4, 2), ("GU", 3, 2), ("Sp", 4, 3)])
+def test_certified_order_refuses_generators_that_fall_short(monkeypatch, family, d, q):
+    # one generator lies in the matrix group, so the chain targets the
+    # formula, falls short of it, closes below it and is refused
+    spec = GroupSpec(family, d, q)
+    socle, form = classical_generators(spec)
+    monkeypatch.setattr(groups, "classical_generators", lambda s: (socle[:1], form))
+    with pytest.raises(GroupError, match="!= formula"):
+        certified_order.__wrapped__(spec)
 
 
 @pytest.mark.parametrize("family,d,q,expected", [

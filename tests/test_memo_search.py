@@ -7,6 +7,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -172,26 +173,24 @@ def test_enumeration_matches_plain_on_random_groups(case):
 
 @contextlib.contextmanager
 def checked_store_lookups():
-    """While active, every id that the store's find() or step() returns is
-    checked against a stabilizer built afresh: its key must be the fresh
+    """While active, every id that the store's find(H, k, p, ...) returns
+    is checked against H_p built afresh: its key must be the fresh
     group's fixed points, and its order the fresh group's order.  Yields
     the set of (store, id, point, returned id) checked."""
     checked = set()
+    find = _Stabilizers.find
 
-    def checking(method):
-        def wrapped(store, k, p, *args):
-            j = method(store, k, p, *args)
-            if (store, k, p, j) not in checked:
-                checked.add((store, k, p, j))
-                fresh = store.groups[k].pointwise_stabilizer((p,))
-                assert store.keys[j] == _key(fresh.fixed_points())
-                assert store.orders[j] == fresh.order()
-            return j
-        return wrapped
+    def checking(store, H, k, p, orbit_length):
+        j, Hp = find(store, H, k, p, orbit_length)
+        if (store, k, p, j) not in checked:
+            checked.add((store, k, p, j))
+            fresh = H.pointwise_stabilizer((p,))
+            assert store.keys[j] == _key(fresh.fixed_points())
+            assert store.orders[j] == fresh.order()
+        return j, Hp
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Stabilizers, "find", checking(_Stabilizers.find))
-        mp.setattr(_Stabilizers, "step", checking(_Stabilizers.step))
+        mp.setattr(_Stabilizers, "find", checking)
         yield checked
 
 
@@ -325,3 +324,31 @@ def test_minimal_base_sizes_sp62_minus_forms():
     res = minimal_base_sizes(G)
     assert res.complete and res.lengths == {6, 7}
     assert {6} <= res.lengths <= enumerate_irredundant_base_sizes(G).lengths
+
+
+# The tracemalloc peak of the enumeration on Sp8(2) over its 120
+# minus-type forms (8,411 nodes), in MiB.  The search holds a stabilizer
+# only while it searches below it, keeps a subtree as its suffixes, and
+# traces 0.32; a store that kept every stabilizer reached, with its
+# orbit and step tables, traced 1.57, and the bound is half that.
+SP82_MINUS_PEAK_MIB = 0.78
+
+
+def test_enumeration_keeps_no_stabilizer_it_does_not_read_again():
+    dom = build_domain({"kind": "quad_forms_minus", "m": 4, "q": 2})
+    G = build_group_action(GroupSpec("Sp", 8, 2), dom)
+    assert G.degree == 120 and G.order() == sp_order(4, 2)   # its chain stays out
+    tracing = tracemalloc.is_tracing()
+    if tracing:
+        tracemalloc.reset_peak()
+    else:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = enumerate_irredundant_base_sizes(G)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert res.complete and res.lengths == {8, 9} and res.nodes == 8411
+    assert peak <= SP82_MINUS_PEAK_MIB * 2**20, peak / 2**20
