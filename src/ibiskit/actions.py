@@ -3,8 +3,9 @@ of permutations from classes of elements.
 
 A domain is one (N, w) int64 code array, a row per point: the flattened
 RREF basis of a subspace, the two bases of a pair side by side, or the
-parameter vector a of a quadratic form theta_a.  Each row has one int64
-key that orders as the row's bytes (linalg.row_keys); the rows are sorted
+parameter vector a of a quadratic form theta_a.  Each row has one key
+that orders as the row's bytes (linalg.row_keys: a uint64 when the row's
+digits fit in 64 bits, its packed bytes when not); the rows are sorted
 by it, so indices are deterministic, checked distinct by it, and a row's
 index is found by searchsorted on it; point labels are still
 representation-dependent and never asserted across builds with a
@@ -71,9 +72,7 @@ class ActionDomain:
         codes = codes.reshape(len(codes), d * sum(dims) if dims else d)
         if not _are_codes(field, codes):
             raise ActionError(f"domain codes are not elements of {field!r}")
-        # each row's key, and the distinct partial keys of the earlier key
-        # steps, which lookups rank against (linalg.row_keys)
-        keys, self._steps = row_keys(field.q, codes)
+        keys = row_keys(field.q, codes)     # sorted, checked and searched
         order = np.argsort(keys, kind="stable")
         self.codes = codes[order]
         self.codes.setflags(write=False)
@@ -113,7 +112,7 @@ class ActionDomain:
             else:
                 self._members = []
                 for B in parts:
-                    keys = row_keys(self.field.q, B.reshape(len(B), -1))[0]
+                    keys = row_keys(self.field.q, B.reshape(len(B), -1))
                     _, first, at = np.unique(keys, return_index=True, return_inverse=True)
                     self._members.append((B[first], at))
         return self._members
@@ -132,7 +131,7 @@ class ActionDomain:
         rows = np.asarray(rows, dtype=np.int64)
         ok = rows.shape[1:] == self.codes.shape[1:] and _are_codes(self.field, rows)
         if ok:
-            keys = row_keys(self.field.q, rows, self._steps)[0]
+            keys = row_keys(self.field.q, rows)
             at = np.searchsorted(self._keys, keys)
             hit = at < self.N
             hit[hit] = self._keys[at[hit]] == keys[hit]
@@ -175,17 +174,23 @@ def enumerate_subspaces(F, d, k, form=None):
     pattern's partial bases times its candidates, the table, and the
     partial bases a row keeps.  Without a form the last is the
     Grassmannian at row k - 1 and bounds the others, so exactly the
-    Grassmannians over SIZE_CAP are refused."""
+    Grassmannians over SIZE_CAP are refused, before any pattern is
+    listed."""
     _check_dimension(d, k)
     q = F.q
-    # row 0 has q^(d-k-c) candidates in each of the comb(d-1-c, k-1)
-    # patterns with first pivot c; too many are refused before any pattern
-    # is listed
+    # row 0 has at least q^(d-k) candidates and the Grassmannian at least
+    # q^(k(d-k)) bases, powers refused before either is counted.  Row 0
+    # has q^(d-k-c) candidates in each of the comb(d-1-c, k-1) patterns
+    # with first pivot c; too many are refused before any pattern is listed
+    _refuse_power(q, d - k if form is not None else k * (d - k))
+    if form is None and gaussian_binomial(d, k, q) > SIZE_CAP:
+        raise ActionError("size cap exceeded")
     if sum(math.comb(d - 1 - c, k - 1) * q ** (d - k - c)
            for c in range(d - k + 1)) > SIZE_CAP:
         raise ActionError("size cap exceeded")
     pivots = np.array(list(itertools.combinations(range(d), k)), dtype=np.int64)
-    pivotal = (pivots[:, :, None] == np.arange(d)).any(axis=1)
+    pivotal = np.zeros((len(pivots), d), dtype=bool)
+    pivotal[np.arange(len(pivots))[:, None], pivots] = True
     n = np.ones(len(pivots), dtype=np.int64)        # partial bases per pattern
     # the candidates of the rows built, the pattern of each, and chosen[j, i],
     # the row j of partial basis i (the partial bases come pattern by pattern)
@@ -263,9 +268,17 @@ def _check_dimension(d, k):
         raise ActionError(f"subspace dimension k={k} must satisfy 1 <= k < d={d}")
 
 
+def _refuse_power(q, e):
+    """Refuse a build that holds at least q^e of something, q >= 2; the
+    exponent is capped where the power passes SIZE_CAP, so a huge e costs
+    nothing."""
+    if q ** min(e, SIZE_CAP.bit_length()) > SIZE_CAP:
+        raise ActionError("size cap exceeded")
+
+
 def gaussian_binomial(d, k, q):
     num = den = 1
-    for i in range(k):
+    for i in range(min(k, d - k)):        # [d k]_q = [d d-k]_q
         num *= q ** (d - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
@@ -352,12 +365,14 @@ def build_pair_domain(d, q, k, mode):
     of the k x k remainder R = W K^T, W' read on U's k free columns
     (K = free_column_kernel of U).  The pair is a complement when R has
     rank k, incident when R is zero.  The count of pairs, [d k]_q q^(k(d-k))
-    or [d k]_q [d-k k]_q, meets SIZE_CAP before any member is built."""
+    or [d k]_q [d-k k]_q, meets SIZE_CAP before any member is built, and
+    its lower bound q^(k(d-k)) before the count."""
     if mode not in ("complement", "incident"):
         raise ActionError(f"unknown pair mode {mode!r}")
     if not 1 <= k < d / 2:
         raise ActionError("pair domains need 1 <= k < d/2")
     F = gf.field_of_order(q)
+    _refuse_power(q, k * (d - k))
     if gaussian_binomial(d, k, q) * (q ** (k * (d - k)) if mode == "complement"
                                      else gaussian_binomial(d - k, k, q)) > SIZE_CAP:
         raise ActionError("size cap exceeded")
@@ -384,8 +399,7 @@ def build_quad_forms_domain(m, q, sign):
     F = gf.field_of_order(q)
     if F.p != 2:
         raise ActionError("the forms domain lives in characteristic 2")
-    if q ** (2 * m) > SIZE_CAP:
-        raise ActionError("size cap exceeded")
+    _refuse_power(q, 2 * m)
     if sign not in ("+", "-", None):
         raise ActionError(f"unknown sign {sign!r}")
     d = 2 * m
@@ -617,15 +631,22 @@ def build_domain(desc):
     return builder(**args, **fixed)
 
 
+# The forms a descriptor names, each built from GF(q) and d.
+FORMS = {
+    "symplectic": symplectic_form,
+    **dict.fromkeys(("quadratic_plus", "plus", "+"), linalg.quadratic_plus),
+    **dict.fromkeys(("quadratic_minus", "minus", "-"), linalg.quadratic_minus),
+    "hermitian": lambda F, d: linalg.hermitian_form(gf.make_field(F.p, 2 * F.f), d),
+}
+
+
 def _form_from_name(name, d, q):
+    """The named form on GF(q)^d, refused before its d x d Gram is built
+    when its domain could not be: a form domain is either k-subspaces
+    with k at most the Witt index d/2, whose row 0 has at least q^(d-k)
+    candidates, or filtered from a Grassmannian, of at least q^(d-1)."""
     F = gf.field_of_order(q)
-    if name == "symplectic":
-        return symplectic_form(F, d)
-    if name in ("quadratic_plus", "plus", "+"):
-        return linalg.quadratic_plus(F, d)
-    if name in ("quadratic_minus", "minus", "-"):
-        return linalg.quadratic_minus(F, d)
-    if name == "hermitian":
-        E = gf.make_field(F.p, 2 * F.f)
-        return linalg.hermitian_form(E, d)
-    raise ActionError(f"unknown form name {name!r}")
+    if not isinstance(name, str) or name not in FORMS:
+        raise ActionError(f"unknown form name {name!r}")
+    _refuse_power(q, d - d // 2)
+    return FORMS[name](F, d)

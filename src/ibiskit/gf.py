@@ -191,18 +191,19 @@ def make_field(p, f):
 
 
 def field_of_order(q):
-    """GF(q) for a prime power q."""
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            f = 0
-            n = q
-            while n > 1:
-                if n % p:
-                    raise GFError(f"{q} is not a prime power")
-                n //= p
-                f += 1
-            return make_field(p, f)
-    raise GFError(f"{q} is not a prime power")
+    """GF(q) for a prime power q.  Its prime is q's least divisor above 1,
+    looked for only up to SIZE_CAP: a larger q with none there is refused."""
+    p = next((p for p in range(2, min(q, SIZE_CAP) + 1) if q % p == 0), None)
+    if p is None:
+        raise GFError(f"field size {q} exceeds cap {SIZE_CAP}" if q > SIZE_CAP
+                      else f"{q} is not a prime power")
+    f, n = 0, q
+    while n % p == 0:
+        n //= p
+        f += 1
+    if n > 1:
+        raise GFError(f"{q} is not a prime power")
+    return make_field(p, f)
 
 
 def trace_bit(field, code):

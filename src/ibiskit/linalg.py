@@ -18,9 +18,10 @@ is non-degeneracy: the rank of the Gram matrix restricted to the
 subspace.  Both subspace predicates evaluate only the upper triangle of
 that Gram, i < j for an alternating form and i <= j otherwise; the form's
 symmetry gives the rest.  Many bases share a Gram, so non-degeneracy keys
-the triangles (`row_keys`: one int64 per row of codes, ordered as the
-row's bytes) and eliminates each distinct Gram once.  Form values on
-whole arrays come from one Gram-sum loop (`_gram_sum`) over the nonzero
+the triangles (`row_keys`: one key per row of codes, ordered as the
+row's bytes, a uint64 when the row's digits fit in 64 bits and its
+packed bytes when they do not) and eliminates each distinct Gram once.
+Form values on whole arrays come from one Gram-sum loop (`_gram_sum`) over the nonzero
 Gram entries, which each FormSpec finds once.
 """
 
@@ -54,59 +55,24 @@ def mat_mul(F, A, B):
     return out
 
 
-# A row key is built a chunk of codes at a time (_key_chunks): the first
-# chunk fills 63 bits, and each later one leaves RANK_BITS for the rank of
-# the key so far among the set's distinct partial keys, which is below
-# 2^20 for any set of at most 2^20 rows.
-RANK_BITS = 20
-
-
-def _key_chunks(w, base):
-    """The column ranges (a, b) of the chunks of a key over w digits."""
-    chunks, a, room = [], 0, 1 << 63
-    while a < w:
-        b = a + 1
-        while b < w and base ** (b + 1 - a) <= room:
-            b += 1
-        chunks.append((a, b))
-        a, room = b, 1 << (63 - RANK_BITS)
-    return chunks
-
-
-def row_keys(q, rows, steps=None):
-    """One int64 key per row of a stack rows (n, w) of GF(q) codes, which
-    orders the rows exactly as their int64 bytes do (little-endian: a
-    code's low byte first).  Each code is one digit: the code itself for
-    q <= 256, else (c mod 256) 4 + c div 256.  The digits are read a chunk
-    at a time; before the next chunk is appended, the key so far is
-    replaced by its rank among the set's distinct partial keys, so each
-    step fits in 63 bits, and a row of at most 63 bits takes one step.
-
-    With steps None the rows are the set (at most 2^RANK_BITS of them):
-    returns (keys, steps), steps being the sorted distinct partial keys
-    that each later chunk ranks against.  Given a set's steps, returns the
-    keys of the rows ranked against that set, negative for a row whose
-    partial key misses a step, and the steps."""
+def row_keys(q, rows):
+    """One key per row of a stack rows (n, w) of GF(q) codes, which orders
+    the rows exactly as their int64 bytes do (little-endian: a code's low
+    byte first).  Each code is one digit: the code itself for q <= 256,
+    else (c mod 256) 4 + c div 256.  A row whose w digits fit in 64 bits
+    keys as the uint64 they spell, the first most significant; a longer
+    row as one void key of its codes packed to bytes, uint8 for q <= 256
+    and little-endian uint16 above."""
     rows = np.asarray(rows, dtype=np.int64)
-    digits, base = (rows, q) if q <= 256 else ((rows & 255) << 2 | rows >> 8, 1024)
-    keys = np.zeros(len(rows), dtype=np.int64)     # a row of no codes keys as 0
-    found = []
-    for a, b in _key_chunks(rows.shape[1], base):
-        chunk = digits[:, a:b] @ base ** np.arange(b - a - 1, -1, -1, dtype=np.int64)
-        if not a:
-            keys = chunk
-            continue
-        if steps is None:
-            U, keys = np.unique(keys, return_inverse=True)
-        else:
-            U = steps[len(found)]
-            at = np.searchsorted(U, keys)
-            hit = at < len(U)
-            hit[hit] = U[at[hit]] == keys[hit]
-            keys = np.where(hit, at, -1)
-        found.append(U)
-        keys = keys * base ** (b - a) + chunk
-    return keys, found
+    w = rows.shape[1]
+    if q <= 256:
+        digits, base, packed = rows, q, np.dtype("u1")
+    else:
+        digits, base, packed = (rows & 255) << 2 | rows >> 8, 1024, np.dtype("<u2")
+    if base**w <= 1 << 64:
+        powers = np.uint64(base) ** np.arange(w - 1, -1, -1, dtype=np.uint64)
+        return digits.view(np.uint64) @ powers     # the codes are not negative
+    return rows.astype(packed).view(f"V{w * packed.itemsize}").ravel()
 
 
 def identity(F, n):
@@ -376,7 +342,7 @@ def is_nondegenerate(form, S):
 
     def mask(B):
         x = eval_bilinear_batch(form, B[:, i], B[:, j])
-        _, first, inv = np.unique(row_keys(F.q, x)[0], return_index=True,
+        _, first, inv = np.unique(row_keys(F.q, x), return_index=True,
                                   return_inverse=True)
         x = x[first]                    # each distinct Gram once
         M = np.zeros((len(x), k, k), dtype=np.int64)

@@ -131,6 +131,24 @@ def test_oversize_subspace_domains_refused_with_bounded_memory(name):
     assert peak < 2**28, peak / 2**20
 
 
+@pytest.mark.parametrize("desc", [
+    {"kind": "subspaces_k", "d": 800, "q": 2, "k": 799},
+    {"kind": "nondegenerate_k", "form": "symplectic", "d": 800, "q": 2, "k": 799},
+], ids=["subspaces", "nondegenerate"])
+def test_near_full_grassmannian_refused_before_its_pivot_patterns(desc):
+    # row 0 of a (d-1)-subspace has only (d-1) q + 1 candidates; the stack of
+    # its C(d, d-1) pivot patterns once peaked at 523 MiB before the refusal
+    field_of_order(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ActionError, match="^size cap exceeded$"):
+            build_domain(desc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**26, peak / 2**20
+
+
 # Totally singular builds that SIZE_CAP refuses, one for each thing it
 # bounds: row 0's candidates, one pattern's partial bases times its
 # candidates, the table of the form on held rows and candidates, and the

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -397,6 +398,9 @@ def test_reports_byte_identical(tmp_path):
     ('{"family":"SL","d":2,"q":2048}',
      '{"kind":"projective_points","d":2,"q":2048}',
      "field size 2^11 exceeds cap 1024"),
+    # refused with no search for its prime
+    ('{"family":"SL","d":2,"q":2}', '{"kind":"projective_points","d":2,"q":1000000007}',
+     "field size 1000000007 exceeds cap 1024"),
     # JSON true is a Python int, but no integer parameter
     ('{"family":"SL","d":3,"q":2}', '{"kind":"subspaces_k","d":3,"q":2,"k":true}',
      "needs an integer 'k'"),
@@ -480,13 +484,34 @@ def test_subspace_dimension_out_of_range_one_line_error(capsys, action):
     assert_one_line_error(capsys, code, f"k={k} must satisfy 1 <= k < d={action['d']}")
 
 
-@pytest.mark.parametrize("action", [
-    {"kind": "nonsingular_1", "form": "+", "d": 30, "q": 2},
-    {"kind": "pair_complement", "d": 12, "q": 2, "k": 1},
-], ids=["nonsingular-30-2", "complement-12-2-1"])
+# the first two were an _ArrayMemoryError traceback (240 GiB and 8,386,560
+# pairs); of the rest, each took seconds or more to count its points, or
+# failed with a MemoryError traceback on its Gram, its forms or its pivot
+# patterns
+OVERSIZE = {
+    "nonsingular-30-2": {"kind": "nonsingular_1", "form": "+", "d": 30, "q": 2},
+    "complement-12-2-1": {"kind": "pair_complement", "d": 12, "q": 2, "k": 1},
+    "points-100000-2": {"kind": "projective_points", "d": 100000, "q": 2},
+    "incident-1e8-2-1": {"kind": "pair_incident", "d": 10**8, "q": 2, "k": 1},
+    "complement-1e8-2-1": {"kind": "pair_complement", "d": 10**8, "q": 2, "k": 1},
+    "forms-minus-1e12-2": {"kind": "quad_forms_minus", "m": 10**12, "q": 2},
+    "nonsingular-30000-2": {"kind": "nonsingular_1", "form": "+", "d": 30000, "q": 2},
+    "nonsingular-1e6-2": {"kind": "nonsingular_1", "form": "+", "d": 10**6, "q": 2},
+    "ts-30000-2-1": {"kind": "totally_singular_k", "form": "symplectic", "d": 30000,
+                     "q": 2, "k": 1},
+    "ts-1e6-3-2": {"kind": "totally_singular_k", "form": "minus", "d": 10**6, "q": 3,
+                   "k": 2},
+    "subspaces-4000-2-3999": {"kind": "subspaces_k", "d": 4000, "q": 2, "k": 3999},
+    "nondeg-4000-2-3999": {"kind": "nondegenerate_k", "form": "hermitian", "d": 4000,
+                           "q": 2, "k": 3999},
+}
+
+
+@pytest.mark.parametrize("action", list(OVERSIZE.values()), ids=list(OVERSIZE))
 def test_oversize_domain_one_line_error(capsys, action):
-    # each was an _ArrayMemoryError traceback (240 GiB and 8,386,560 pairs)
+    t0 = time.perf_counter()
     code = main(["dump-domain", "--action", json.dumps(action)])
+    assert time.perf_counter() - t0 < 2
     assert_one_line_error(capsys, code, "size cap exceeded")
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -333,6 +334,16 @@ def test_size_cap_is_the_table_cap():
     assert make_field(2, 10).q == 1024
     with pytest.raises(GFError, match="exceeds cap 1024"):
         make_field(2, 11)
+
+
+@pytest.mark.parametrize("q", [10**9 + 7, 1000003**2])
+def test_field_of_order_refuses_a_large_q_without_a_prime_search(q):
+    # neither has a prime divisor up to the cap; the search up to q took
+    # seconds for 1000003 and would take hours for 10^9 + 7
+    t0 = time.perf_counter()
+    with pytest.raises(GFError, match=f"^field size {q} exceeds cap 1024$"):
+        field_of_order(q)
+    assert time.perf_counter() - t0 < 0.1
 
 
 # -- the field representation, pinned ------------------------------------------
