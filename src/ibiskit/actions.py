@@ -360,13 +360,14 @@ def build_pair_domain(d, q, k, mode):
     or d - k; k < d/2, so the pair is canonically ordered with the
     k-dimensional member first.
 
-    U is an RREF basis, so W + U = W' + U for W' = W reduced modulo U's
-    d - k pivot columns, and W' is zero there: dim(W + U) = d - k + rank
-    of the k x k remainder R = W K^T, W' read on U's k free columns
-    (K = free_column_kernel of U).  The pair is a complement when R has
-    rank k, incident when R is zero.  The count of pairs, [d k]_q q^(k(d-k))
-    or [d k]_q [d-k k]_q, meets SIZE_CAP before any member is built, and
-    its lower bound q^(k(d-k)) before the count."""
+    U is an RREF basis, the identity on its d - k pivot columns.  The W
+    inside U are L U, L over the RREF k-subspaces of GF(q)^(d-k); L U is
+    RREF, as it reads L on U's pivot columns.  W + U = W' + U for W' = W
+    reduced modulo those columns, so the pair is a complement when W'
+    on U's free columns, R = W K^T (K = free_column_kernel(U)), has rank
+    k.  Blocks hold about PAIR_CODES codes.  The count of pairs, [d k]_q
+    q^(k(d-k)) or [d k]_q [d-k k]_q, meets SIZE_CAP before any member is
+    built, and its lower bound q^(k(d-k)) before the count."""
     if mode not in ("complement", "incident"):
         raise ActionError(f"unknown pair mode {mode!r}")
     if not 1 <= k < d / 2:
@@ -376,18 +377,24 @@ def build_pair_domain(d, q, k, mode):
     if gaussian_binomial(d, k, q) * (q ** (k * (d - k)) if mode == "complement"
                                      else gaussian_binomial(d - k, k, q)) > SIZE_CAP:
         raise ActionError("size cap exceeded")
-    small = enumerate_subspaces(F, d, k)
     big = enumerate_subspaces(F, d, d - k)
-    KT = np.swapaxes(linalg.free_column_kernel(F, big), 1, 2)     # (n, d, k)
-    step = max(1, PAIR_CODES // (len(big) * k * k))
     pairs = []
-    for a in range(0, len(small), step):
-        W = small[a:a + step]
-        R = mat_mul(F, W[:, None], KT).reshape(-1, k, k)
-        keep = (rank_stack(F, R) == k if mode == "complement"
-                else ~R.reshape(len(R), -1).any(axis=1))
-        s, b = np.divmod(np.flatnonzero(keep), len(big))
-        pairs.append(np.concatenate([W[s], big[b]], axis=1))
+    if mode == "incident":
+        L = enumerate_subspaces(F, d - k, k)
+        step = max(1, PAIR_CODES // (len(L) * d * d))
+        for a in range(0, len(big), step):
+            U = np.repeat(big[a:a + step], len(L), axis=0)
+            W = mat_mul(F, np.tile(L, (len(U) // len(L), 1, 1)), U)
+            pairs.append(np.concatenate([W, U], axis=1))
+    else:
+        small = enumerate_subspaces(F, d, k)
+        KT = np.swapaxes(linalg.free_column_kernel(F, big), 1, 2)     # (n, d, k)
+        step = max(1, PAIR_CODES // (len(big) * k * k))
+        for a in range(0, len(small), step):
+            W = small[a:a + step]
+            R = mat_mul(F, W[:, None], KT).reshape(-1, k, k)
+            s, b = np.divmod(np.flatnonzero(rank_stack(F, R) == k), len(big))
+            pairs.append(np.concatenate([W[s], big[b]], axis=1))
     return ActionDomain(np.concatenate(pairs), F, d, (k, d - k))
 
 

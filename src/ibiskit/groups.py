@@ -54,6 +54,7 @@ FAMILIES = {"GL": None, "SL": None, "Sp": symplectic_form,
             "GOplus": quadratic_plus, "GOminus": quadratic_minus,
             "SOplus": quadratic_plus, "SOminus": quadratic_minus,
             "OmegaPlus": quadratic_plus, "OmegaMinus": quadratic_minus}
+FROB_CANDIDATES = 2**20     # the most plane matrices _frobenius_companion tries
 
 
 @dataclass(frozen=True)
@@ -345,28 +346,30 @@ def _frobenius_companion(spec, k):
     then A is the first matrix, the identity off the (x_m, x_d) plane,
     that carries the twisted form back (_preserving) and for which
     (frob^k . A)^n, with n the order of frob^k, lies in the matrix group
-    (in_matrix_group).  Raises when no such A exists.
-    """
+    (in_matrix_group).  The plane's entries (a00, a01, a10, a11) count up
+    in base q, a00 first, tried q^2 at a time, at most FROB_CANDIDATES.
+    Raises when none passes."""
     F = spec.matrix_field()
-    d, m = spec.d, spec.d // 2
+    d, m, q = spec.d, spec.d // 2, F.q
     form = _standard_form(spec)
-    A = linalg.identity(F, d)[None]
-    if form is None or _preserving(form, A, k)[0]:
-        return A[0]
-    A = np.tile(A, (F.q**4, 1, 1))
-    plane = [[m - 1], [d - 1]], [m - 1, d - 1]
-    A[(slice(None),) + plane] = linalg.all_row_vectors(F, 4).reshape(-1, 2, 2)
-    A = A[_preserving(form, A, k)]
+    A = linalg.identity(F, d)
+    if form is None or _preserving(form, A[None], k)[0]:
+        return A
     n = F.f // math.gcd(F.f, k)
-    P = A                 # the matrix of (frob^k . A)^j, for j = 1, ..., n
-    for j in range(1, n):
-        P = mat_mul(F, F.frob(A, j * k), P)
-    ok = np.flatnonzero(in_matrix_group(spec, form, P))
-    if not len(ok):
-        raise GroupError(f"no outer element frob:{k} of {spec.family}({d},{spec.q}): "
-                         f"no A on the (x_m, x_d) plane preserves the form with "
-                         f"(frob^{k} . A)^{n} in the group")
-    return A[ok[0]]
+    A = np.tile(A, (q * q, 1, 1))
+    A[:, m - 1, [m - 1, d - 1]] = linalg.all_row_vectors(F, 2)    # (a00, a01)
+    for b in range(min(q * q, -(-FROB_CANDIDATES // (q * q)))):
+        A[:, d - 1, [m - 1, d - 1]] = b % q, b // q                 # (a10, a11)
+        B = A[_preserving(form, A, k)]
+        P = B             # the matrix of (frob^k . B)^j, for j = 1, ..., n
+        for j in range(1, n):
+            P = mat_mul(F, F.frob(B, j * k), P)
+        ok = np.flatnonzero(in_matrix_group(spec, form, P))
+        if len(ok):
+            return B[ok[0]]
+    raise GroupError(f"no outer element frob:{k} of {spec.family}({d},{spec.q}): no A of the "
+                     f"{min(q**4, FROB_CANDIDATES)} tried on the (x_m, x_d) plane preserves "
+                     f"the form with (frob^{k} . A)^{n} in the group")
 
 
 # -- order formulas and certification ------------------------------------------

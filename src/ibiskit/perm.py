@@ -22,11 +22,11 @@ fixed-point mask, and read orbits as labels, each orbit's least point.
 
 A level of a chain keeps its basic orbit as a Schreier tree over rows,
 one per orbit point in order of discovery, with a map from point to
-row; the inverses of its transversal elements are an int32 table over
-the same rows, each row built when first needed (see _Level).  Sifting
-reads a table row.  The closure sifts a level's Schreier generators one
-at a time, skipping the pairs (p, g) that are tree edges, whose Schreier
-generator is the identity (see _Chain._close).
+row; the inverses of its transversal elements are int32 rows in a dict
+keyed by the same rows, each built when first needed (see _Level).
+Sifting reads one such row.  The closure sifts a level's Schreier
+generators one at a time, skipping the pairs (p, g) that are tree edges,
+whose Schreier generator is the identity (see _Chain._close).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import random
 
 import numpy as np
 
-# the level-0 inverse table of a transitive group holds N int32 rows of
+# the level-0 inverse rows of a transitive group are N int32 rows of
 # length N, so this keeps it within 1 GiB
 DEGREE_CAP = 2**14
 # derived_subgroup's degree cap: building and ordering derived Sp_d(2) on
@@ -53,20 +53,18 @@ class PermError(ValueError):
 
 class _Level:
     """A base point, its strong generators, its basic orbit and the
-    inverses of its transversal elements, as one table.
+    inverses of its transversal elements, as one dict of rows.
 
     Row j belongs to the j-th orbit point found, so row 0 is beta.  The
     Schreier tree is kept by row in lists: points[j], and the edge that
     reached it, from the point of row parent[j] by the generator g of
     index label[j]; orbit maps a point to its row.  The transversal
     element of row j is u = g u', u' the parent's, with u[beta] =
-    points[j]; row j of the table inv is its inverse u'^-1 g^-1, which is
-    all that sifting reads, and the closure inverts the rows it needs
-    back to u.  A table row is built on first use; built marks the rows
-    that are.  The table grows with the orbit and is never rebuilt."""
+    points[j]; inv[j] is the int32 row of its inverse u'^-1 g^-1, all
+    that sifting reads, and the closure inverts it back to u.  inv holds
+    row 0, the identity, from the start, and each other row once read."""
 
-    __slots__ = ("beta", "gens", "images", "orbit", "points", "parent", "label", "built",
-                 "inv")
+    __slots__ = ("beta", "gens", "images", "orbit", "points", "parent", "label", "inv")
 
     def __init__(self, beta, degree):
         self.beta = beta
@@ -76,16 +74,14 @@ class _Level:
         self.points = [beta]
         self.parent = [-1]
         self.label = [-1]
-        self.built = [True]
-        self.inv = np.arange(degree, dtype=np.int32)[None]
+        self.inv = {0: np.arange(degree, dtype=np.int32)}
 
     def add_generator(self, g, img):
         """Append a generator, given as its row and as that row's list, and
         extend the orbit: points already in it need only the new
         generator, points it reaches need all of them."""
         k, n = len(self.gens), len(self.points)
-        self.gens.append(g)
-        self.images.append(img)
+        self.gens.append(g), self.images.append(img)
         orbit, points, parent, label = self.orbit, self.points, self.parent, self.label
         for j in range(n):
             r = img[points[j]]
@@ -101,26 +97,19 @@ class _Level:
                     orbit[r] = len(points)
                     points.append(r), parent.append(j), label.append(i)
             j += 1
-        self.built += [False] * (len(points) - n)
 
     def inverse(self, row):
         """The inverse of a row's transversal element, built on first use
-        with the rows on its way from a built one."""
-        path = []
-        r = row
-        while not self.built[r]:
-            path.append(r)
-            r = self.parent[r]
-        if path and len(self.inv) < len(self.points):     # room for every point
-            degree = self.inv.shape[1]
-            cap = max(len(self.points), min(degree, 2 * len(self.inv)))
-            inv = np.empty((cap, degree), dtype=np.int32)
-            inv[:len(self.inv)] = self.inv                  # the built rows kept
-            self.inv = inv
+        with the rows on its way from a stored one."""
+        inv, path = self.inv, []
+        while row not in inv:
+            path.append(row)
+            row = self.parent[row]
         for r in reversed(path):    # u = g u' has u^-1[g[y]] = u'^-1[y]
-            self.inv[r][self.gens[self.label[r]]] = self.inv[self.parent[r]]
-            self.built[r] = True
-        return self.inv[row]
+            inv[r] = np.empty_like(inv[row])
+            inv[r][self.gens[self.label[r]]] = inv[row]
+            row = r
+        return inv[row]
 
 
 class _Chain:
@@ -208,7 +197,7 @@ class _Chain:
 
         The level's Schreier generators u_p g u_{p^g}^-1 are sifted one at
         a time from level i + 1, in order of p and then g: u_p is its
-        table row inverted back, and u_{p^g}^-1 a table row.  A pair
+        inverse row inverted back, and u_{p^g}^-1 an inverse row.  A pair
         (p, g) that is the Schreier tree edge into p^g has u_{p^g} = g u_p,
         so its Schreier generator is the identity and is skipped.  A
         non-trivial residue is installed and the next level closed again

@@ -100,6 +100,17 @@ def test_pair_domain_refuses_from_its_count(monkeypatch, d, q, k, mode):
         build_pair_domain(d, q, k, mode)
 
 
+def test_incident_pairs_are_listed_inside_each_big_member():
+    # deciding all [5 2]_4^2 candidate pairs by their remainder took 8.7 s;
+    # the codes' digest is the one that build gave
+    t0 = time.perf_counter()
+    dom = build_pair_domain(5, 4, 2, "incident")
+    assert time.perf_counter() - t0 < 2
+    assert dom.N == gaussian_binomial(5, 2, 4) * gaussian_binomial(3, 2, 4)
+    assert hashlib.sha256(dom.codes.tobytes()).hexdigest() == (
+        "7fbdc56df0c23d7f0790107a32a09d40b6b84263bcf1977fe3f61774daec75ec")
+
+
 # A refused build may hold a stack of up to SIZE_CAP partial bases, never
 # the Grassmannian: the first case used to ask numpy for 59.3 GiB.
 OVERSIZE = {
@@ -367,12 +378,15 @@ PAIR_GRID = [(3, 2, 1), (3, 3, 1), (3, 4, 1), (4, 2, 1), (4, 3, 1), (4, 4, 1),
 @pytest.mark.parametrize("d,q,k", PAIR_GRID)
 def test_pair_domain_blocks_match_one_member_at_a_time(monkeypatch, d, q, k, mode,
                                                        members):
-    """Byte-identical codes for any block size: the default, one small
-    member a block, and three a block (the last block often shorter).  A
-    block holds a k x k remainder per (small, big) pair."""
+    """Byte-identical codes for any block size: the default, one member a
+    block, and three a block (the last block often shorter).  A complement
+    block holds a k x k remainder per (small, big) pair, each small member
+    against every big one; an incident block the d x d codes of each pair
+    inside its big members."""
     if members:
-        monkeypatch.setattr(actions, "PAIR_CODES",
-                            members * gaussian_binomial(d, d - k, q) * k * k)
+        monkeypatch.setattr(actions, "PAIR_CODES", members * (
+            gaussian_binomial(d, d - k, q) * k * k if mode == "complement"
+            else gaussian_binomial(d - k, k, q) * d * d))
     dom = build_pair_domain(d, q, k, mode)
     assert dom.codes.tobytes() == _pairs_one_member_at_a_time(d, q, k, mode).tobytes()
 
@@ -641,6 +655,53 @@ def test_minus_type_frobenius_extends_by_its_order(family, d, q, action, order):
     G = build_group_action(GroupSpec(family, d, q, ("frob",)), dom)
     socle = build_group_action(GroupSpec(family, d, q), dom)
     assert G.order() == order == 2 * socle.order()
+
+
+# The plane entries (a00, a01, a10, a11) of outer_element("frob") of the
+# minus-type groups where they are not the identity's, None where it is
+# refused, the same for d = 4 and 6; pinned while all q^4 plane matrices
+# were tiled at once.
+FROB_PLANE = {
+    "GOminus": {4: (1, 3, 2, 0), 9: (1, 3, 4, 0), 16: (1, 15, 8, 0), 25: (9, 3, 6, 1)},
+    "SOminus": {4: (1, 3, 2, 0), 9: None, 16: (1, 15, 8, 0), 25: None},
+    "OmegaMinus": {4: None, 9: None, 16: None, 25: None},
+}
+
+
+@pytest.mark.parametrize("family,d", [
+    pytest.param(family, d, marks=[pytest.mark.slow] if d == 6 else [])
+    for family in FROB_PLANE for d in (4, 6)])
+def test_minus_type_frobenius_plane_matrix_pinned(family, d):
+    m = d // 2
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25):
+        plane = FROB_PLANE[family].get(q, (1, 0, 0, 1))
+        if plane is None:
+            with pytest.raises(GroupError, match="no outer element frob:1"):
+                outer_element("frob", GroupSpec(family, d, q))
+            continue
+        A, k, dual = outer_element("frob", GroupSpec(family, d, q))
+        expected = np.eye(d, dtype=np.int64)
+        expected[[[m - 1], [d - 1]], [m - 1, d - 1]] = np.reshape(plane, (2, 2))
+        assert A.dtype == np.int64 and np.array_equal(A, expected), q
+        assert (k, dual) == (1 % field_of_order(q).f, False)
+
+
+@pytest.mark.parametrize("family", ["GOminus", "OmegaMinus"])
+def test_minus_type_frobenius_scan_stays_under_16_mib(family):
+    # tiled at once, the 25^4 plane matrices peaked at 238 MiB; OmegaMinus
+    # tries them all
+    spec = GroupSpec(family, 4, 25)
+    spec.matrix_field()                 # one-time allocations stay out
+    tracemalloc.start()
+    try:
+        try:
+            outer_element("frob", spec)
+        except GroupError:
+            assert family == "OmegaMinus"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("family,d,q", [

@@ -515,6 +515,18 @@ def test_oversize_domain_one_line_error(capsys, action):
     assert_one_line_error(capsys, code, "size cap exceeded")
 
 
+def test_minus_type_frobenius_past_the_candidate_cap_one_line_error(capsys):
+    # tiling all 64^4 plane matrices at once was an _ArrayMemoryError
+    # traceback, and trying them all q^2 at a time takes about 26 s; none of
+    # the first 2^20 passes, and the search stops there
+    group = {"family": "OmegaMinus", "d": 4, "q": 64, "extensions": ["frob"]}
+    action = {"kind": "totally_singular_k", "form": "minus", "d": 4, "q": 64, "k": 1}
+    t0 = time.perf_counter()
+    code = main(["dump-group", "--group", json.dumps(group), "--action", json.dumps(action)])
+    assert time.perf_counter() - t0 < 10
+    assert_one_line_error(capsys, code, "no A of the 1048576 tried on the (x_m, x_d) plane")
+
+
 @pytest.mark.parametrize("action,key", [
     ({"kind": "quad_forms_plus", "m": 0, "q": 2}, "m"),
     ({"kind": "quad_forms_minus", "m": -1, "q": 2}, "m"),

@@ -324,6 +324,56 @@ def test_mathieu_style_bigger_group():
     assert n == (G.orbits() == 0).sum() * G.pointwise_stabilizer((0,)).order()
 
 
+def transversal(lvl, degree, row):
+    """The transversal element of a level's row, composed along its
+    Schreier tree from beta: u = g u', u' the parent's, g the edge's."""
+    path = []
+    while row:
+        path.append(row)
+        row = lvl.parent[row]
+    u = np.arange(degree)
+    for r in reversed(path):
+        u = lvl.gens[lvl.label[r]][u]
+    return u
+
+
+def check_inverse_rows(ch, seed):
+    """Read every inverse row of fresh copies of the chain's levels,
+    shuffled and deepest first, against the inverted transversals."""
+    rng = random.Random(seed)
+    for lvl in ch.levels:
+        fresh = perm._Level(lvl.beta, ch.degree)
+        for g in lvl.gens:
+            fresh.add_generator(g, g.tolist())
+        assert fresh.points == lvl.points and fresh.parent == lvl.parent
+        assert list(fresh.inv) == [0]
+        depth = [0] * len(fresh.points)
+        for r in range(1, len(depth)):
+            depth[r] = depth[fresh.parent[r]] + 1
+        rows = list(range(len(depth)))
+        rng.shuffle(rows)
+        for r in sorted(rows, key=lambda r: -depth[r]):
+            u = transversal(fresh, ch.degree, r)
+            assert u[lvl.beta] == lvl.points[r]
+            assert fresh.inverse(r).dtype == np.int32
+            assert fresh.inverse(r).tolist() == np.argsort(u).tolist()
+        assert sorted(fresh.inv) == list(range(len(depth)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(G=random_groups())
+def test_inverse_rows_match_the_inverted_transversals_on_random_groups(G):
+    check_inverse_rows(perm._Chain(G.degree, G.generators), G.degree)
+
+
+def test_inverse_rows_of_the_complement_pairs():
+    G = action_group("SL3(4).2 pairs336")
+    check_inverse_rows(perm._Chain(G.degree, G.generators, rattle=0), 336)
+    # reaching the order target, the chain built only the rows it sifted by
+    lvl = perm._Chain(G.degree, G.generators, known_order=G.order()).levels[0]
+    assert 1 <= len(lvl.inv) < len(lvl.points) == 336
+
+
 # The tracemalloc peak of one chain build with no order target, in MiB,
 # measured before the closure kept its transversals as tables: a build
 # may take half as much again, but not a second store of them.  The

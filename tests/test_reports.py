@@ -1,7 +1,7 @@
 """Pinned reports: the sha256 of the table, of every witness report, of
-four induced groups, of fourteen domain dumps and 53 totally singular
-ones, and of the stabilizer chains of three of the groups and of two
-larger actions.
+four induced groups, of fourteen domain dumps, five incident pair ones
+and 53 totally singular ones, and of the stabilizer chains of three of
+the groups and of two larger actions.
 
 A change that alters a report's bytes fails here; when the change is
 meant, update the pin and give the old and new digests in CHANGES.md.
@@ -229,6 +229,26 @@ def test_every_domain_kind_is_pinned():
 def test_dump_domain_pinned(capsys, name):
     assert main(["dump-domain", "--action", json.dumps(DUMP_DOMAIN[name])]) == 0
     assert sha256(capsys.readouterr().out) == DUMP_DOMAIN_SHA256[name]
+
+
+# `ibiskit dump-domain` of incident pair domains, pinned while every
+# candidate pair was still decided by its k x k remainder, before the W
+# inside each U were listed.
+INCIDENT_DUMP_SHA256 = {
+    "d4 q3 k1": "40285218176ce834e05426513bde28b2437f91fb3adc68971cee1049d596689f",
+    "d4 q4 k1": "c2a2bdfa50aa0c1e1b74e5c2e5122800c040ed1a9d83fc67b401229afc98e7f4",
+    "d5 q3 k2": "4a6cfc6bc7b548335d774a1b5140c5c1edcaace513a06593c3aaab6deaf20367",
+    "d6 q2 k2": "c76ac9e9719ca2f580bc4435ac058fdcbee097c3a5821e4fa021483e63ced01d",
+    "d3 q8 k1": "e0c7d0ea2a9c3d915b5ca4be698fa392e809882c35f91f23e617b480af1a3282",
+}
+
+
+@pytest.mark.parametrize("name", list(INCIDENT_DUMP_SHA256))
+def test_incident_pair_dump_pinned(capsys, name):
+    d, q, k = (int(part[1:]) for part in name.split())
+    action = {"kind": "pair_incident", "d": d, "q": q, "k": k}
+    assert main(["dump-domain", "--action", json.dumps(action)]) == 0
+    assert sha256(capsys.readouterr().out) == INCIDENT_DUMP_SHA256[name]
 
 
 # `ibiskit dump-domain` of the totally singular grid: symplectic, plus,
