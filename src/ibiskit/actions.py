@@ -401,21 +401,19 @@ def build_pair_domain(d, q, k, mode):
 def build_quad_forms_domain(m, q, sign):
     """The quadratic forms theta_a polarising to the standard symplectic
     form on GF(q)^{2m}, q even, parametrized by a; sign '+' keeps those
-    with Tr(theta_0(a)) = 0, '-' those with trace 1, None keeps all.
+    with Tr(theta_0(a)) = 0, '-' those with trace 1.
     """
     F = gf.field_of_order(q)
     if F.p != 2:
         raise ActionError("the forms domain lives in characteristic 2")
     _refuse_power(q, 2 * m)
-    if sign not in ("+", "-", None):
+    if sign not in ("+", "-"):
         raise ActionError(f"unknown sign {sign!r}")
     d = 2 * m
     theta0 = quadratic_theta0(F, d)
     vs = linalg.all_row_vectors(F, d)
-    if sign is not None:
-        traces = trace_bit(F, linalg.eval_quadratic_batch(theta0, vs))
-        vs = vs[traces == int(sign == "-")]
-    return ActionDomain(vs, F, d, (), form=theta0)
+    traces = trace_bit(F, linalg.eval_quadratic_batch(theta0, vs))
+    return ActionDomain(vs[traces == int(sign == "-")], F, d, (), form=theta0)
 
 
 def build_nondegenerate_domain(form, k):

@@ -20,7 +20,7 @@ NotIBIS only from two irredundant bases of different lengths that it
 found and that are re-checked before they are reported.  The
 minimal-base search walks independent sequences with the same pruning,
 one least point per orbit of the current stabilizer, keeping a point
-only while the sequence stays independent.
+only while the sequence stays independent, as read from orders.
 """
 
 from __future__ import annotations
@@ -189,6 +189,8 @@ def enumerate_irredundant_base_sizes(G, node_budget=DEFAULT_BUDGET,
     _two_lengths (the IBIS decision) it also stops, incomplete, before
     expanding a node once two lengths are certified.
     """
+    if node_budget < 0:
+        raise IbisError(f"budget must be >= 0, got {node_budget}")
     nodes = 0
     complete = True
     store = _Stabilizers(G)
@@ -241,15 +243,18 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     irredundant.  At a node S with H = G_(S) the search extends by the
     least point p of each non-trivial orbit of H, as the enumeration
     does: H fixes S pointwise, so h in H maps S + p onto S + p^h, and
-    independence and base-ness carry across.  S + p is kept when it is
-    still independent, which costs one step per member: each node
-    carries the ids of the stabilizers of S with one member left out.
-    Steps are read again, so unlike the enumeration this search tables
-    them and keeps each group it reaches with its orbit table.  Sizes are
-    read off the nodes with |H| = 1.  A node is counted before it is
-    expanded, so complete=False once the budget runs out, and at
-    node_budget=0 no stabilizer is built.
+    independence and base-ness carry across.  A node carries the ids of
+    the G_(S - s), s in S.  G_(S - s + p) contains H_p and is H_p exactly
+    when it fixes s, so S + p is independent when no |G_(S - s)| /
+    |p^G_(S - s)| is |H| / |p^H|, and only then takes stabilizer steps,
+    one for H and one per member.  Steps are read again, so unlike the
+    enumeration this search tables them and keeps each group it reaches
+    with its orbit table.  Sizes are read off the nodes with |H| = 1.  A
+    node is counted before the test, so complete=False once the budget
+    runs out, and at node_budget=0 no stabilizer is built.
     """
+    if node_budget < 0:
+        raise IbisError(f"budget must be >= 0, got {node_budget}")
     sizes = set()
     nodes = 0
     complete = True
@@ -271,30 +276,26 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
                 tables.append(None)
         return steps[at]
 
-    def dfs(k, points, others):
-        """k is the id of G_(points), others[i] that of the stabilizer of
-        points without points[i]."""
+    def dfs(k, others):
+        """k is the id of G_(S), others[i] that of G_(S - S[i])."""
         nonlocal nodes, complete
         if store.orders[k] == 1:
-            sizes.add(len(points))
+            sizes.add(len(others))
             return
-        for p in orbits(k)[0]:
+        minima, lengths = orbits(k)
+        for p in minima:
             nodes += 1
             if nodes > node_budget:
                 complete = False
                 return
-            # points + (p,) is independent when the stabilizer of the
-            # others still moves every earlier member
-            moved = []
-            for pt, j in zip(points, others):
-                j = step(j, p)
-                if store.keys[j] >> pt & 1:
+            order = store.orders[k] // lengths[p]
+            for j in others:
+                if store.orders[j] // orbits(j)[1][p] == order:
                     break
-                moved.append(j)
             else:
-                dfs(step(k, p), points + (p,), moved + [k])
+                dfs(step(k, p), [step(j, p) for j in others] + [k])
 
-    dfs(0, (), [])
+    dfs(0, [])
     del dfs             # a recursive closure is a cycle: free it now, not at gc
     return EnumerationResult(frozenset(sizes), complete, {}, nodes)
 
@@ -307,8 +308,6 @@ def decide_ibis(G, budget=DEFAULT_BUDGET, seed=None):
     only when it finishes with one, Unknown when the budget runs out.
     `budget_used` counts the nodes expanded, at most `budget`.  `seed` is
     accepted and ignored: nothing in the decision is random."""
-    if budget < 0:
-        raise IbisError(f"budget must be >= 0, got {budget}")
     enum = enumerate_irredundant_base_sizes(G, budget, _two_lengths=True)
     wits = tuple(base_report(G, enum.witnesses[L])
                  for L in sorted(enum.lengths))

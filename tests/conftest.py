@@ -8,7 +8,7 @@ import numpy as np
 
 from ibiskit import linalg
 from ibiskit.actions import (
-    build_domain, build_group_action, build_nonsingular_points,
+    ActionDomain, build_domain, build_group_action, build_nonsingular_points,
     build_quad_forms_domain, build_subspace_domain, build_totally_singular,
     induce_images,
 )
@@ -120,6 +120,14 @@ def action_group(name):
     gdesc, adesc = ACTIONS[name]
     dom = build_domain(adesc)
     return build_group_action(GroupSpec.deserialize(gdesc), dom)
+
+
+def all_quad_forms_domain(m, q):
+    """Every quadratic form theta_a polarising to the standard symplectic
+    form on GF(q)^{2m}: the '+' and '-' forms domains in one."""
+    plus, minus = (build_quad_forms_domain(m, q, sign) for sign in "+-")
+    return ActionDomain(np.vstack([plus.codes, minus.codes]), plus.field,
+                        2 * m, (), form=plus.form)
 
 
 def subspace_point(dom, *vectors):

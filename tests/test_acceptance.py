@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from conftest import named_case, unpruned_enumeration
+from conftest import all_quad_forms_domain, named_case, unpruned_enumeration
 
 from ibiskit.actions import (
     build_quad_forms_domain, build_subspace_domain, enumerate_subspaces,
@@ -130,7 +130,7 @@ def test_criterion_4_quadratic_forms_machinery():
     # conjugation law theta_a^{t_c} = theta_{a+(sqrt(theta_a(c))+1)c},
     # exhaustive at (2,2)
     F = make_field(2, 1)
-    dom = build_quad_forms_domain(2, 2, None)
+    dom = all_quad_forms_domain(2, 2)
     form = symplectic_form(F, 4)
     for c in all_row_vectors(F, 4):
         if not c.any():

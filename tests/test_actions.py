@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    brute_nondegenerate, brute_totally_singular, compose, induced_rows, invert,
-    move_vectors, vector_set,
+    all_quad_forms_domain, brute_nondegenerate, brute_totally_singular, compose,
+    induced_rows, invert, move_vectors, vector_set,
 )
 from ibiskit import actions, linalg
 from ibiskit.actions import (
@@ -446,7 +446,7 @@ def test_quad_forms_rejects_odd_q():
         build_quad_forms_domain(2, 3, "+")
 
 
-@pytest.mark.parametrize("sign", [1, -1, "plus", "minus"])
+@pytest.mark.parametrize("sign", [1, -1, "plus", "minus", None])
 def test_quad_forms_sign_is_plus_minus_or_none(sign):
     with pytest.raises(ActionError, match="unknown sign"):
         build_quad_forms_domain(1, 4, sign)
@@ -574,7 +574,7 @@ def test_forms_action_transvection_formula():
 def test_forms_action_conjugation_law_exhaustive_22():
     # theta_a^{t_c} = theta_{a + (sqrt(theta_a(c)) + 1) c} for all a, c != 0
     F = F2
-    dom = build_quad_forms_domain(2, 2, None)
+    dom = all_quad_forms_domain(2, 2)
     assert dom.N == 16
     form = symplectic_form(F, 4)
     vecs = linalg.all_row_vectors(F, 4)
@@ -606,7 +606,7 @@ def test_socle_transitive_on_acceptance_domains():
 
 def test_forms_trace_classes_are_socle_orbits():
     # Sp4(2) on all 16 forms: orbits are the trace classes, sizes 10 and 6
-    dom = build_quad_forms_domain(2, 2, None)
+    dom = all_quad_forms_domain(2, 2)
     G = build_group_action(GroupSpec("Sp", 4, 2), dom)
     counts = np.bincount(G.orbits())
     assert sorted(counts[counts > 0].tolist()) == [6, 10]
@@ -739,7 +739,7 @@ def test_forms_action_functional_oracle():
     # as an identity of functions on V
     for (m, q, exhaustive) in [(2, 2, True), (2, 4, False)]:
         F = field_of_order(q)
-        dom = build_quad_forms_domain(m, q, None)
+        dom = all_quad_forms_domain(m, q)
         spec = GroupSpec("Sp", 2 * m, q)
         gens, _ = classical_generators(spec)
         pool = [(M, 0, False) for M in gens[:6]]

@@ -460,6 +460,20 @@ def assert_one_line_error(capsys, code, message):
     assert message in lines[0]
 
 
+@pytest.mark.parametrize("text,message", [("", "error: out of memory"),
+                                          ("Unable to allocate 8 GiB", "8 GiB")])
+def test_out_of_memory_while_writing_a_report_one_line_error(monkeypatch, capsys,
+                                                             text, message):
+    # a report too large to serialize exits 1 with one error line, not a
+    # MemoryError traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError(text) if text else MemoryError
+
+    monkeypatch.setattr(cli.json, "dumps", exhausted)
+    code = main(["dump-domain", "--action", SL32[3]])
+    assert_one_line_error(capsys, code, message)
+
+
 @pytest.mark.parametrize("action", [
     {"kind": "totally_singular_k", "form": "symplectic", "d": 4, "q": 2, "k": 0},
     {"kind": "totally_singular_k", "form": "plus", "d": 4, "q": 3, "k": -1},

@@ -128,6 +128,15 @@ def test_negative_budget_rejected():
         decide_ibis(action_group("SL3(2) proj"), budget=-1)
 
 
+@pytest.mark.parametrize("search", [
+    enumerate_irredundant_base_sizes, ibis.minimal_base_sizes])
+def test_negative_budget_rejected_by_both_searches(search):
+    # as by decide_ibis above: a negative budget is refused, not read as a
+    # search cut short at once
+    with pytest.raises(IbisError, match="budget must be >= 0, got -1"):
+        search(action_group("SL3(2) proj"), -1)
+
+
 def test_uncertified_witnesses_raise(monkeypatch):
     # a NotIBIS verdict is only returned with two re-checked bases
     G = action_group("PSp4(3) proj40")

@@ -4,7 +4,9 @@ length sets in the paper's regime of base size >= 6."""
 import contextlib
 import functools
 import gc
+import hashlib
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -250,6 +252,173 @@ def test_budgeted_enumeration_sp44(budget):
     for length, chain in res.witnesses.items():
         rep = base_report(G, chain)
         assert len(rep) == length and rep.is_base and rep.is_irredundant
+
+
+# -- pinned minimal-base searches ---------------------------------------------
+
+MINIMAL_BUDGETS = (0, 1, 5, 37, 100, 1000)
+
+# sha256 of the minimal-base search's [sorted sizes, complete, nodes] at
+# each of MINIMAL_BUDGETS, on the search actions, the table rows and the
+# named cases.  Recorded before minimal_base_sizes read independence
+# from stabilizer orders, which changed none of them.
+MINIMAL_SHA256 = {
+    "SL3(4).2 pairs336":
+        "0b60c53f151560b7d710ee2bee0d566c85fe6fa40cf74b3da5950d3fafd03871",
+    "PSL4(3) proj40":
+        "f4344e6e0238fad570ae032344abeb631736902965e3a887fcf5d063b9eda4f7",
+    "PSp4(3) proj40":
+        "77d1c0f97e56dfeb134080877b9ebd813205a15a757fd884acb8f21a6f888683",
+    "GL4(2) sub35":
+        "45f7635ca4b474c025d1a592782e021f2201a7cae2b0a8fbd1d778fb8ecf1f5e",
+    "Sp4(4) forms136":
+        "dcac4c64b59c748b3cda70f6f39652bbe37eb5594ac818ecd1986015f750a2ea",
+    "SL3(2) proj":
+        "1f78e85f8074533dd8e1e5fb1887038d2a6ecf130cd7a08d5bbd9845e689c70f",
+    "SL4(2) proj":
+        "82127371bb7c8349c4b3755bab6fc3f67981565334b3b92afa2414a50a07fd4c",
+    "Sp4(2) vectors":
+        "5025d76ca18d8c902346291467eb4f91d52fc61b0a4d8e9baccc2a796d14376c",
+    "Sp4(2)' vectors":
+        "a98fc01871b151a570ecdb0ad16e40d510d6d7ef2960a22e8e0a3d6aaaaa7575",
+    "PGL2(5) line":
+        "1f78e85f8074533dd8e1e5fb1887038d2a6ecf130cd7a08d5bbd9845e689c70f",
+    "SL2(4) minus":
+        "9d8c1abb19996ccf602fdd1a6220e8bdfee69a378fd0576caf3ac1b8b937af01",
+    "SL2(8) minus":
+        "9ee83f5effb959ee9181bd7582791be8c753cda42e5ceb1fa5e18b22a2eade1d",
+    "Om4+(4) ns1":
+        "9c2905f45c21305902dbf1a1d5179e0b1d94e559351dc7458a836e93aef74f7a",
+    "Om4-(4) ns1":
+        "e4b3e24c8becf0908865fcee662a7258468d7df803dad33287eece0d99a8f7b9",
+    "SL3_2/proj7":
+        "1f78e85f8074533dd8e1e5fb1887038d2a6ecf130cd7a08d5bbd9845e689c70f",
+    "SL4_2/proj15":
+        "82127371bb7c8349c4b3755bab6fc3f67981565334b3b92afa2414a50a07fd4c",
+    "Sp4_2/vec15":
+        "5025d76ca18d8c902346291467eb4f91d52fc61b0a4d8e9baccc2a796d14376c",
+    "Sp4_2'/vec15":
+        "a98fc01871b151a570ecdb0ad16e40d510d6d7ef2960a22e8e0a3d6aaaaa7575",
+    "PGL2_5/proj6":
+        "1f78e85f8074533dd8e1e5fb1887038d2a6ecf130cd7a08d5bbd9845e689c70f",
+    "SL2_4/minus6":
+        "9d8c1abb19996ccf602fdd1a6220e8bdfee69a378fd0576caf3ac1b8b937af01",
+    "SL2_8/minus28":
+        "9ee83f5effb959ee9181bd7582791be8c753cda42e5ceb1fa5e18b22a2eade1d",
+    "PSp4_3/proj40":
+        "77d1c0f97e56dfeb134080877b9ebd813205a15a757fd884acb8f21a6f888683",
+    "PSp4_3/lines40":
+        "f7eb344fe7b8d3f8614a80c926b5d586629522cc41177d92c320a3ed1fbf04fa",
+    "GL4_2/sub35":
+        "45f7635ca4b474c025d1a592782e021f2201a7cae2b0a8fbd1d778fb8ecf1f5e",
+    "PSL3_3/proj13":
+        "ce449af827169d72076cdcabcb8f63ebbf25ed2d8e59e9e06a66995e9edc17b4",
+    "PSL4_3/proj40":
+        "f4344e6e0238fad570ae032344abeb631736902965e3a887fcf5d063b9eda4f7",
+    "AutPSL2_4/proj5":
+        "82127371bb7c8349c4b3755bab6fc3f67981565334b3b92afa2414a50a07fd4c",
+    "Om4p4/ns60":
+        "9c2905f45c21305902dbf1a1d5179e0b1d94e559351dc7458a836e93aef74f7a",
+    "Om4m4/ns68":
+        "e4b3e24c8becf0908865fcee662a7258468d7df803dad33287eece0d99a8f7b9",
+    "SO4p4/ns60":
+        "d2039eba1bb799166aaca254bb6c7198bdaf7ae7bdd1d3e3411ecebfc704948c",
+    "SO4m4/ns68":
+        "52e4559d7b4d950fec78d696841a466f932ccba0a9432045361a929cc28408c4",
+    "Om6p2/ns28":
+        "9fe937cf13623fbeef3a0959adf16110ea64e33166c69823e187b588c8c6da94",
+    "SO6p2/ns28":
+        "0ca594a50a027ae40dccfd75b39948e343ffccfebd87dfbd58e222101ae6f7f1",
+    "Sp4_2/omega_plus10":
+        "4fbaed7aac84e81dd50d2c5d35dca9b0eac0801be47ec3a4c371eb0480186af0",
+    "Sp4_2'/omega_plus10":
+        "9d8c1abb19996ccf602fdd1a6220e8bdfee69a378fd0576caf3ac1b8b937af01",
+    "Sp4_2/omega_minus6":
+        "35518db182421826333a2e3b89f25899644985d9bd0be32d876336324e386db8",
+    "Sp4_4/omega_plus136":
+        "dcac4c64b59c748b3cda70f6f39652bbe37eb5594ac818ecd1986015f750a2ea",
+    "PSU3_2/iso9":
+        "90a2675f21ee6a778d785d0db80f4accaad813681bca7ffe84373cc5e77ce07a",
+}
+
+
+@pytest.mark.parametrize("name", list(MINIMAL_SHA256))
+def test_minimal_search_outputs_pinned(name):
+    G = group(name) if name in ACTIONS else named_case(name)[0]
+    outs = []
+    for budget in MINIMAL_BUDGETS:
+        res = minimal_base_sizes(G, node_budget=budget)
+        outs.append([sorted(res.lengths), res.complete, res.nodes])
+    digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
+    assert digest == MINIMAL_SHA256[name]
+
+
+def independent_sets(G, cap):
+    """Up to cap independent point sets of G (each member moved by the
+    stabilizer of the others), the empty set first, grown depth first by
+    ascending points."""
+    out = []
+
+    def grow(S):
+        out.append(S)
+        moved = ~G.pointwise_stabilizer(S).fixed_points()
+        for p in range(max(S, default=-1) + 1, G.degree):
+            if len(out) >= cap:
+                return
+            T = S + (p,)
+            if moved[p] and all(
+                    not G.pointwise_stabilizer(T[:i] + T[i + 1:]).fixed_points()[T[i]]
+                    for i in range(len(S))):
+                grow(T)
+
+    grow(())
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=small_group_and_budget())
+@example(case=(KLEIN_TWO_SIZES, DEFAULT_BUDGET))
+def test_independence_read_from_orders_on_random_groups(case):
+    # for an independent S, s in S and p moved by G_(S): G_(S - s + p)
+    # contains G_(S + p), and equals it exactly when it fixes s, so it
+    # fixes s exactly when the two orders agree (in KLEIN_TWO_SIZES, a
+    # regular point p fixes the point s of a pair)
+    G, _ = case
+    for S in independent_sets(G, 16):
+        moved = ~G.pointwise_stabilizer(S).fixed_points()
+        for p in map(int, moved.nonzero()[0]):
+            order = G.pointwise_stabilizer(S + (p,)).order()
+            for i, s in enumerate(S):
+                K = G.pointwise_stabilizer(S[:i] + S[i + 1:] + (p,))
+                assert bool(K.fixed_points()[s]) == (K.order() == order)
+
+
+def counting_lookups(G, budget):
+    """The store lookups (find calls) of minimal_base_sizes(G, budget)."""
+    calls = 0
+    find = _Stabilizers.find
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return find(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Stabilizers, "find", counted)
+        minimal_base_sizes(G, node_budget=budget)
+    return calls
+
+
+def test_minimal_search_steps_only_for_independent_extensions():
+    # a stabilizer step per leave-one-out id for every candidate made 880
+    # lookups on GL4(2)/35 and 1,504 on OmegaMinus(6,4)/1365 in 1000
+    # nodes; stepping only for extensions the order test passes leaves
+    # 276 and 48
+    assert counting_lookups(group("GL4(2) sub35"), DEFAULT_BUDGET) <= 300
+    dom = build_domain({"kind": "projective_points", "d": 6, "q": 4})
+    G = build_group_action(GroupSpec("OmegaMinus", 6, 4), dom)
+    assert G.degree == 1365
+    assert counting_lookups(G, 1000) <= 100
 
 
 # -- base size >= 6 ----------------------------------------------------------
