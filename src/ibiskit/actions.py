@@ -10,10 +10,11 @@ by it, so indices are deterministic, checked distinct by it, and a row's
 index is found by searchsorted on it; point labels are still
 representation-dependent and never asserted across builds with a
 different field or form convention.
-Construction re-checks the defining predicate of every point as a mask
-over a stack of bases: the whole stack of candidates, or for totally
-singular subspaces the bases that enumerate_subspaces builds from singular,
-mutually orthogonal rows, one stacked step per row for every pivot pattern.
+Construction checks the defining predicate of every point as a mask over
+a stack of bases: enumerate_subspaces applies it to blocks of the bases it
+has built and gathers only those that pass, and for totally singular
+subspaces it builds them from singular, mutually orthogonal rows, one
+stacked step per row for every pivot pattern, and the mask re-checks them.
 
 Induction works on one class of elements at a time: a matrix stack M
 (m, d, d) with one Frobenius power k and one duality flag, as the groups
@@ -154,7 +155,7 @@ class ActionDomain:
 PAIR_CODES = 1 << 16
 
 
-def enumerate_subspaces(F, d, k, form=None):
+def enumerate_subspaces(F, d, k, form=None, admit=None):
     """The k-subspaces of GF(q)^d, or with a form only its totally singular
     ones, as one (n, k, d) stack of RREF bases built a row at a time, each
     row in one step for every pivot pattern.  Row r's candidates in a
@@ -169,6 +170,12 @@ def enumerate_subspaces(F, d, k, form=None):
     pairs.  The bases come pattern by pattern (lexicographic),
     candidate-major within one with the partial bases varying fastest, so
     the free entries (row by row, left to right) count up in base q.
+
+    admit, if given, is a mask over an (n, k, d) stack of bases: only the
+    bases it passes are returned, in the same order.  It sees the finished
+    bases in blocks of about PAIR_CODES codes, each gathered, masked and
+    dropped in turn, and the bases that pass are gathered once at the end,
+    so the whole stack is never held.
 
     SIZE_CAP bounds the candidates of row 0 (no later row has more), each
     pattern's partial bases times its candidates, the table, and the
@@ -241,6 +248,12 @@ def enumerate_subspaces(F, d, k, form=None):
         n = np.bincount(at[c], minlength=len(n))
         chosen = np.concatenate([chosen.take(a, axis=1), len(rows) + c[None]])
         rows, owner = np.concatenate([rows, C]), np.concatenate([owner, at])
+    if admit is not None:
+        step = max(1, PAIR_CODES // (k * d))
+        keep = np.empty(chosen.shape[1], dtype=bool)
+        for a in range(0, len(keep), step):
+            keep[a:a + step] = admit(rows.take(chosen[:, a:a + step].T, axis=0))
+        chosen = chosen[:, keep]
     return rows.take(chosen.T, axis=0)
 
 
@@ -341,7 +354,8 @@ def build_totally_singular(form, k, family=None):
 
 
 def build_nonsingular_points(form):
-    """All 1-subspaces <v> with Q(v) != 0, for an even-q quadratic form."""
+    """All 1-subspaces <v> with Q(v) != 0, for an even-q quadratic form;
+    enumerate_subspaces keeps only those, a block of points at a time."""
     F = form.field
     if form.kind != "quadratic":
         raise ActionError("non-singular points need a quadratic form")
@@ -349,9 +363,9 @@ def build_nonsingular_points(form):
         raise ActionError("non-singular 1-subspaces arise as a subspace action "
                           "only in even characteristic")
     d = form.dim
-    S = enumerate_subspaces(F, d, 1)
-    return ActionDomain(S[linalg.eval_quadratic_batch(form, S[:, 0]) != 0], F, d,
-                        (1,), form=form)
+    S = enumerate_subspaces(
+        F, d, 1, admit=lambda B: linalg.eval_quadratic_batch(form, B[:, 0]) != 0)
+    return ActionDomain(S, F, d, (1,), form=form)
 
 
 def build_pair_domain(d, q, k, mode):
@@ -417,12 +431,14 @@ def build_quad_forms_domain(m, q, sign):
 
 
 def build_nondegenerate_domain(form, k):
-    """All non-degenerate k-subspaces for the form.  Whether these split
-    into several socle orbits is the caller's concern (run the orbit
-    algorithm downstream); no canonical orbit is selected here."""
+    """All non-degenerate k-subspaces for the form: enumerate_subspaces
+    keeps only the bases is_nondegenerate passes, a block at a time.
+    Whether these split into several socle orbits is the caller's concern
+    (run the orbit algorithm downstream); no canonical orbit is selected
+    here."""
     F = form.field
-    S = enumerate_subspaces(F, form.dim, k)
-    return ActionDomain(S[is_nondegenerate(form, S)], F, form.dim, (k,), form=form)
+    S = enumerate_subspaces(F, form.dim, k, admit=lambda B: is_nondegenerate(form, B))
+    return ActionDomain(S, F, form.dim, (k,), form=form)
 
 
 # -- permutation induction -----------------------------------------------------

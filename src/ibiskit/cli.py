@@ -9,6 +9,11 @@ wall-clock runtime column of the table command.  Every report is
 deterministic: base-find with a size and witness L3.14 take their base
 from the exhaustive enumeration, and --budget counts search nodes for
 every analyze task.
+
+A report is encoded straight to its destination.  With --out it goes to
+a temporary file that replaces the target only once it is whole, and is
+removed on any failure.  On stdout a failure while writing (say, out of
+memory) can leave part of the report before the one-line error.
 """
 
 from __future__ import annotations
@@ -63,23 +68,27 @@ class CliError(ValueError):
 
 
 def _emit(args, payload, text=None):
-    """Write the report (atomically when --out is given)."""
-    if getattr(args, "format", "json") == "json" or text is None:
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        body = text
+    """Write the report (atomically when --out is given).  A JSON report is
+    encoded straight to its stream, never held as one string."""
+    def write(stream):
+        if getattr(args, "format", "json") == "json" or text is None:
+            json.dump(payload, stream, indent=2, sort_keys=True)
+            stream.write("\n")
+        else:
+            stream.write(text)
+
     if getattr(args, "out", None):
         tmp = args.out + ".tmp"
         fh = open(tmp, "w")
         try:
             with fh:
-                fh.write(body)
+                write(fh)
             os.replace(tmp, args.out)
-        except OSError:
+        except BaseException:
             os.remove(tmp)
             raise
     else:
-        sys.stdout.write(body)
+        write(sys.stdout)
 
 
 def _build_job(args, *required, optional=()):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     all_quad_forms_domain, brute_nondegenerate, brute_totally_singular, compose,
@@ -469,6 +471,150 @@ def test_nondegenerate_domain_sp62_oracle():
     brute = sum(1 for B in enumerate_subspaces(F2, 6, 2)
                 if brute_nondegenerate(form, B))
     assert dom.N == brute == 336
+
+
+# (kind, form, q) -> (builds, sha256 of build_domain(desc).codes over the
+# grid below, d then k ascending; a refused descriptor adds its error text):
+# the codes each build gave while it still masked its whole stack of
+# candidates.  Left out: the two builds that took over 1 s then.
+FILTERED_SLOW = {("plus", 6, 5, 4), ("minus", 6, 5, 4)}
+FILTERED_DIGESTS = {
+    ("nondegenerate_k", "symplectic", 2):
+        (9, "e832ad2ca1934ccd547d50131da08d9b732e053ecd4f6f7f25e610567bbb008b"),
+    ("nondegenerate_k", "symplectic", 3):
+        (9, "07639cf8a146aef3e1abc4b0b2771972e25e80a6322c7c1c8734a3c5ff7e0d36"),
+    ("nondegenerate_k", "symplectic", 4):
+        (9, "df4e97c726d3620dec9f29b6653d69cf76f8d2b1dea3a6e06232433266c24997"),
+    ("nondegenerate_k", "symplectic", 5):
+        (8, "db64cda266a151f52301dbcc8a67036f8b7fd133df8ea02711565bde66c93fa9"),
+    ("nondegenerate_k", "hermitian", 2):
+        (15, "64bf999715ee40d5593f69e74def2bbb19a57f1f248e7b07f5d69d5750c7038e"),
+    ("nondegenerate_k", "hermitian", 3):
+        (12, "301d31a0bd505b5dd1ed5c2a91bc5f58e921bd66a310246d9872f2fcfb0deba5"),
+    ("nondegenerate_k", "hermitian", 4):
+        (8, "33ad63d87d28b70445c9ad22827f88f4b6aa9a858b94a186b90a7072bde5566d"),
+    ("nondegenerate_k", "hermitian", 5):
+        (8, "6704d7ad7fe97fad8e3605a0390a7db97b6d355333623c535915af0e9665596c"),
+    ("nondegenerate_k", "plus", 2):
+        (9, "4be10a0ba0e94716271065e9548a157bfc0f7ff80c366367c39ebe9b4172b786"),
+    ("nondegenerate_k", "plus", 3):
+        (9, "8d6eddfa30f05ab4a26983df635969adfd2055a15faf6e697f4ede061e52adab"),
+    ("nondegenerate_k", "plus", 4):
+        (9, "fb312edd6e7a5f5bf261b1f671cdd6a41bc220382988a1b78b438eef6a0a39f8"),
+    ("nondegenerate_k", "plus", 5):
+        (7, "34f02e07699242c2603bb3ec5038076fc64acbd9eb3d98ee459813d085207690"),
+    ("nondegenerate_k", "minus", 2):
+        (9, "b97e07e00092570a727d1f55a9aa00868623d5ef1cd07792491412cd91f7677b"),
+    ("nondegenerate_k", "minus", 3):
+        (9, "ef9766271b7c10b9b44dc6a8011e4daf80ef6e924f96c8430fc122019aad725f"),
+    ("nondegenerate_k", "minus", 4):
+        (9, "57f41dcc630803c690be5fbb83e9000cd40b704f6e4b89395e5fc53a8326921d"),
+    ("nondegenerate_k", "minus", 5):
+        (7, "f492e890dea7d8ec701ce495c80d9cf8d3c80eed0b26c978eec4e3d4ae8efd42"),
+    ("nonsingular_1", "plus", 2):
+        (4, "1f160ed1d918f427e93cefbde37f5c628d4f6da909094065395a3be5668fd20e"),
+    ("nonsingular_1", "plus", 4):
+        (4, "cf2a161321d1f61a471bf6556103d9c2b00bb11fb96ccb4e5cb9f9f8e4ca6799"),
+    ("nonsingular_1", "plus", 8):
+        (3, "2c7e16c671570e37b895f02754a2bfb52d99f088ce727b3ce4ffbf9b52632a71"),
+    ("nonsingular_1", "minus", 2):
+        (4, "af490e50af8ebb515c57eb6a4c8f12b5b5eb91ee35b08d6ae4fe0b3792abf287"),
+    ("nonsingular_1", "minus", 4):
+        (4, "b74f7990d7324bf4c826636ce29035e46dd17746628c5640e68957a8bb295235"),
+    ("nonsingular_1", "minus", 8):
+        (3, "d64dc48fef87a789d4dc34336ba6a80856a83ed7edfaec45217c1d89f62dc2e8"),
+}
+
+
+def filtered_grid(kind, form, q):
+    """The descriptors of one FILTERED_DIGESTS entry: nondegenerate_k at
+    2 <= d <= 6, 1 <= k < d, and nonsingular_1 at d in (2, 4, 6, 8)."""
+    if kind == "nonsingular_1":
+        return [{"kind": kind, "form": form, "d": d, "q": q} for d in (2, 4, 6, 8)]
+    return [{"kind": kind, "form": form, "d": d, "q": q, "k": k}
+            for d in range(2, 7) for k in range(1, d)
+            if (form, d, q, k) not in FILTERED_SLOW]
+
+
+def filtered_digest(kind, form, q):
+    built, digest = 0, hashlib.sha256()
+    for desc in filtered_grid(kind, form, q):
+        try:
+            digest.update(build_domain(desc).codes.tobytes())
+            built += 1
+        except ValueError as exc:       # odd d, or over SIZE_CAP
+            digest.update(str(exc).encode())
+    return built, digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind,form,q", sorted(FILTERED_DIGESTS))
+def test_filtered_domain_codes_are_pinned(kind, form, q):
+    assert filtered_digest(kind, form, q) == FILTERED_DIGESTS[kind, form, q]
+
+
+def test_nondegenerate_build_holds_only_blocks_of_its_candidates():
+    # Sp(6,4) k=2 keeps 69,888 of its 93,093 planes; masking the whole
+    # stack of them peaked at 23.0 MiB traced
+    desc = {"kind": "nondegenerate_k", "form": "symplectic", "d": 6, "q": 4, "k": 2}
+    field_of_order(4)                       # field tables stay out of the peak
+    tracemalloc.start()
+    try:
+        dom = build_domain(desc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dom.N == 69888
+    assert peak < 18 * 2**20, peak / 2**20
+
+
+def _some_form(F, d):
+    """The symplectic form at even d, else Q(x) = sum of x_i x_j, i <= j."""
+    return (symplectic_form(F, d) if d % 2 == 0
+            else linalg.FormSpec("quadratic", F, np.triu(np.ones((d, d), dtype=np.int64))))
+
+
+# name -> mask(F, d, k): a mask over (n, k, d) stacks of bases
+ADMIT_MASKS = {
+    "none": lambda F, d, k: lambda B: np.zeros(len(B), dtype=bool),
+    "all": lambda F, d, k: lambda B: np.ones(len(B), dtype=bool),
+    "digits": lambda F, d, k: lambda B: (
+        B.reshape(len(B), -1) @ np.arange(1, k * d + 1)) % 3 == 1,
+    "nondegenerate": lambda F, d, k: functools.partial(linalg.is_nondegenerate,
+                                                       _some_form(F, d)),
+    "nonsingular": lambda F, d, k: lambda B: linalg.eval_quadratic_batch(
+        linalg.FormSpec("quadratic", F, np.eye(d, dtype=np.int64)), B[:, 0]) != 0,
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from([2, 3, 4, 5]), d=st.integers(2, 5), data=st.data())
+@example(q=3, d=4, data=None)
+def test_admitted_bases_are_the_masked_stack(q, d, data):
+    """enumerate_subspaces(F, d, k, admit=m) is S[m(S)] for the whole stack
+    S, in S's order, while m sees blocks of about PAIR_CODES codes.  The
+    example is k = 1 under a symplectic form: no Gram entry lies above the
+    diagonal and every point is degenerate."""
+    k, mask, codes = (1, "nondegenerate", 8) if data is None else (
+        data.draw(st.integers(1, d - 1)), data.draw(st.sampled_from(sorted(ADMIT_MASKS))),
+        data.draw(st.sampled_from([1, 16, 100, 1 << 16])))
+    F = field_of_order(q)
+    admit = ADMIT_MASKS[mask](F, d, k)
+    S = enumerate_subspaces(F, d, k)
+    blocks = []
+
+    def seen(B):
+        blocks.append(len(B))
+        return admit(B)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(actions, "PAIR_CODES", codes)
+        T = enumerate_subspaces(F, d, k, admit=seen)
+    assert T.dtype == S.dtype and T.tobytes() == S[admit(S)].tobytes()
+    assert T.shape[1:] == S.shape[1:]
+    step = max(1, codes // (k * d))
+    assert blocks == [min(step, len(S) - a) for a in range(0, len(S), step)]
+    if data is None:
+        assert len(S) and not len(T)
 
 
 def test_induce_identity():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -469,9 +470,41 @@ def test_out_of_memory_while_writing_a_report_one_line_error(monkeypatch, capsys
     def exhausted(*args, **kwargs):
         raise MemoryError(text) if text else MemoryError
 
-    monkeypatch.setattr(cli.json, "dumps", exhausted)
+    monkeypatch.setattr(cli.json, "dump", exhausted)
     code = main(["dump-domain", "--action", SL32[3]])
     assert_one_line_error(capsys, code, message)
+
+
+def test_out_of_memory_partway_through_an_out_file_leaves_no_file(monkeypatch, capsys,
+                                                                  tmp_path):
+    def exhausted_partway(payload, fh, **kwargs):
+        fh.write('{\n  "domain": {')
+        raise MemoryError
+
+    out = tmp_path / "d.json"
+    monkeypatch.setattr(cli.json, "dump", exhausted_partway)
+    code = main(["dump-domain", "--action", SL32[3], "--out", str(out)])
+    assert_one_line_error(capsys, code, "error: out of memory")
+    assert list(tmp_path.iterdir()) == []
+
+
+# the sha256 of `ibiskit dump-domain` of Sp(4,3) on its 90 non-degenerate
+# planes, taken while the report was still serialized to one string
+SP43_NONDEGENERATE = '{"kind":"nondegenerate_k","form":"symplectic","d":4,"q":3,"k":2}'
+SP43_NONDEGENERATE_SHA256 = "cc4956054169cef499d617b700b9810fe466bf4735264f2704fabf9a30549621"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_dump_domain_streams_the_pinned_bytes(monkeypatch, capsys, tmp_path, to_file):
+    def no_string(*args, **kwargs):
+        raise AssertionError("the report was built as one string")
+
+    monkeypatch.setattr(cli.json, "dumps", no_string)
+    out = tmp_path / "d.json"
+    argv = ["dump-domain", "--action", SP43_NONDEGENERATE]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+    body = out.read_bytes() if to_file else capsys.readouterr().out.encode()
+    assert hashlib.sha256(body).hexdigest() == SP43_NONDEGENERATE_SHA256
 
 
 @pytest.mark.parametrize("action", [
