@@ -146,7 +146,9 @@ class _Stabilizers:
     subgroup of H_p = G_(F + p), and names H_p when its order is
     |H| / |p^H| (orbit-stabilizer).  find() looks H_p up that way and
     only when no key matches builds it: H.pointwise_stabilizer((p,))
-    builds H's chain based at p with the certified |H| as its target.
+    reads it off H's own chain when p lies in its first basic orbit, and
+    else off a chain of H based at p with the certified |H| as its
+    target; H_p keeps the levels it was read off as its chain.
     """
 
     def __init__(self, G):
@@ -249,9 +251,11 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
     |p^G_(S - s)| is |H| / |p^H|, and only then takes stabilizer steps,
     one for H and one per member.  Steps are read again, so unlike the
     enumeration this search tables them and keeps each group it reaches
-    with its orbit table.  Sizes are read off the nodes with |H| = 1.  A
-    node is counted before the test, so complete=False once the budget
-    runs out, and at node_budget=0 no stabilizer is built.
+    with its orbit table, but not its chain, which would take several
+    times the memory of its generators.  Sizes are read off the nodes
+    with |H| = 1.  A node is counted before the test, so complete=False
+    once the budget runs out, and at node_budget=0 no stabilizer is
+    built.
     """
     if node_budget < 0:
         raise IbisError(f"budget must be >= 0, got {node_budget}")
@@ -272,7 +276,7 @@ def minimal_base_sizes(G, node_budget=DEFAULT_BUDGET):
         if at not in steps:
             steps[at], Hp = store.find(groups[k], k, p, orbits(k)[1][p])
             if Hp is not None:
-                groups.append(Hp)
+                groups.append(Hp.without_chain())
                 tables.append(None)
         return steps[at]
 

@@ -14,9 +14,14 @@ order.  The bound is an order already certified, or for an induced
 classical group the one actions.build_group_action proves from its
 spec.  Orders are exact big integers, never Monte Carlo.
 
-The second way makes pointwise stabilizers cheap: H.pointwise_stabilizer(S)
-builds one chain of H based at S with |H| as its target, and returns the
-stabilizer with its certified order.  The searches in the ibis module
+Pointwise stabilizers are read off certified chains one point at a
+time, and each keeps the levels it was read off as its own chain.  The
+levels below a chain's first level are a certified chain of the
+stabilizer of its first base point beta; conjugated by the transversal
+element u with beta^u = p they are one of H_p, with the same orbit
+lengths.  So a step to a point of the first basic orbit builds no chain.
+For any other point a chain of H based at p is built with |H| as its
+target, which the second way certifies.  The searches in the ibis module
 step from H to H_p this way, name a pointwise stabilizer by its
 fixed-point mask, and read orbits as labels, each orbit's least point.
 
@@ -31,6 +36,7 @@ whose Schreier generator is the identity (see _Chain._close).
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 
@@ -111,6 +117,22 @@ class _Level:
             row = r
         return inv[row]
 
+    def conjugated(self, u, rows, ident):
+        """This level conjugated by the row u: the base point and orbit
+        points x become u[x] and each generator g becomes u g u^-1, read
+        from rows by id(g), while the tree's parent and label lists stay
+        as they are.  The level is complete, so it keeps no images; its
+        inverse rows are built again when first read."""
+        lvl = _Level.__new__(_Level)
+        lvl.beta = int(u[self.beta])
+        lvl.gens = [rows[id(g)] for g in self.gens]
+        lvl.images = None
+        lvl.points = u[self.points].tolist()
+        lvl.orbit = dict(zip(lvl.points, range(len(lvl.points))))
+        lvl.parent, lvl.label = self.parent, self.label
+        lvl.inv = {0: ident}
+        return lvl
+
 
 class _Chain:
     """A base and strong generating set, certified by Schreier closure or
@@ -142,13 +164,32 @@ class _Chain:
         # closure pass.
         return self._target is not None and self.order() == self._target
 
-    def suffix_orders(self):
-        """Order of the stabilizer of the first k base points, k = 0..len."""
-        sizes = [len(lvl.points) for lvl in self.levels]
-        return [math.prod(sizes[k:]) for k in range(len(sizes) + 1)]
-
     def base(self):
         return [lvl.beta for lvl in self.levels]
+
+    def stabilizer(self, row):
+        """A certified chain of the stabilizer of the point of level 0's
+        row, and its strong generators as one (m, N) array, each distinct
+        row once.  Row 0 is beta, and its chain is the levels below level
+        0 as they are.  For another row, u its transversal element, those
+        levels conjugated by u: u maps beta to the point, so it maps a
+        chain of the stabilizer of beta onto one of the point's.  The
+        orbit lengths are unchanged, so the order stays certified."""
+        levels = self.levels[1:]
+        rows = list({id(g): g for lvl in levels for g in lvl.gens}.values())
+        gens = np.array(rows, dtype=np.int32).reshape(len(rows), self.degree)
+        if row:
+            ui = self.levels[0].inverse(row)
+            u = np.empty_like(ui)
+            u[ui] = np.arange(self.degree, dtype=np.int32)
+            gens = u[gens][:, ui]
+            conj = dict(zip(map(id, rows), gens))
+            ident = np.arange(self.degree, dtype=np.int32)
+            levels = [lvl.conjugated(u, conj, ident) for lvl in levels]
+        ch = _Chain.__new__(_Chain)
+        ch.degree, ch._identity, ch.levels = self.degree, self._identity, levels
+        ch._target = ch.order()
+        return ch, gens
 
     # construction -----------------------------------------------------------
 
@@ -258,9 +299,10 @@ class PermGroup:
         """A verified chain whose base starts with base_prefix.
 
         The chain with no prefix is kept, and targets the certified order
-        or else the proven order bound, if either is known.  A prefix chain
-        is built afresh with |G| as its target.  Reaching the target
-        certifies a chain without the closure pass.
+        or else the proven order bound, if either is known; a group read
+        off a chain by a step keeps that chain's levels below the step as
+        it.  A prefix chain is built afresh with |G| as its target.
+        Reaching the target certifies a chain without the closure pass.
         """
         key = tuple(int(b) for b in base_prefix)
         if not all(0 <= b < self.degree for b in key):
@@ -301,7 +343,7 @@ class PermGroup:
         round per point."""
         lab = np.arange(self.degree)
         inv = np.empty_like(self.generators)         # the inverse rows
-        np.put_along_axis(inv, self.generators, lab[None], axis=1)
+        inv[np.arange(len(inv))[:, None], self.generators] = lab
         rows = np.concatenate([lab[None], self.generators, inv])
         while True:
             new = lab[rows].min(0)
@@ -319,21 +361,55 @@ class PermGroup:
         return (self.generators == np.arange(self.degree)).all(axis=0)
 
     def pointwise_stabilizer(self, points):
-        """The pointwise stabilizer of a point sequence, read off one chain
-        based at it: the group of the strong generators below the prefix,
-        with the prefix's suffix order as its certified order."""
-        pts = tuple(int(p) for p in points)
-        if not pts:
-            return self
-        ch, k = self.chain(base_prefix=pts), len(pts)
-        sub = PermGroup(self.degree, [g for lvl in ch.levels[k:] for g in lvl.gens])
-        sub._order = ch.suffix_orders()[k]
-        return sub
+        """The pointwise stabilizer of a point sequence, by one-point
+        steps (see _step): a group that keeps as its chain the levels it
+        was read off, with its certified order."""
+        *_, H = self._walk(points)
+        return H
 
     def chain_orders(self, points):
-        """[|G|, |G_p1|, |G_p1,p2|, ...] along the given point sequence."""
-        pts = tuple(int(p) for p in points)
-        return self.chain(base_prefix=pts).suffix_orders()[: len(pts) + 1]
+        """[|G|, |G_p1|, |G_p1,p2|, ...] along the given point sequence,
+        by the one-point steps of pointwise_stabilizer."""
+        return [H.order() for H in self._walk(points)]
+
+    def without_chain(self):
+        """The same group, with its order if known, keeping no chain: for
+        a caller that holds many groups, whose chains would take several
+        times the memory of their generators.  A step from it builds a
+        chain based at its point."""
+        H = copy.copy(self)
+        H._chain = None
+        return H
+
+    def _walk(self, points):
+        """The group, then its stabilizers along the points, one step
+        each."""
+        H = self
+        yield H
+        for p in points:
+            H = H._step(int(p))
+            yield H
+
+    def _step(self, p):
+        """The stabilizer of the point p, read off a certified chain.
+
+        Its chain is the levels below the first of the group's own chain
+        when p is that chain's first base point, and those levels
+        conjugated into the stabilizer of p when p lies elsewhere in its
+        first basic orbit (see _Chain.stabilizer).  For any other point,
+        or a group that keeps no chain, it is read off a chain of the
+        group based at p, built with |G| as its target."""
+        self.order()
+        ch = self._chain
+        row = ch.levels[0].orbit.get(p) if ch is not None and ch.levels else None
+        if row is None:
+            ch, row = self.chain(base_prefix=(p,)), 0
+        ch, gens = ch.stabilizer(row)
+        gens.setflags(write=False)
+        H = PermGroup.__new__(PermGroup)
+        H.degree, H.generators = self.degree, gens
+        H._chain, H._order, H._order_bound = ch, ch.order(), None
+        return H
 
     def serialize(self):
         return {

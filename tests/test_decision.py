@@ -7,7 +7,7 @@ from conftest import (
     ACTIONS, action_group, named_case, recording_stabilizer_keys,
     unpruned_enumeration,
 )
-from ibiskit import ibis
+from ibiskit import ibis, perm
 from ibiskit.actions import build_domain, build_group_action, build_quad_forms_domain
 from ibiskit.groups import GroupSpec
 from ibiskit.ibis import (
@@ -121,6 +121,49 @@ def test_budget_is_honest(monkeypatch, name):
             assert v.status in ("Unknown", "NotIBIS")
     v = decide_ibis(G, budget=0)
     assert v.status == "Unknown" and v.budget_used == 0 and not v.lengths
+
+
+# Two actions in the regime b >= 6: (group, action, the lengths of the
+# decision's witnesses, its nodes).  Their witness re-checks and base
+# extensions ran the Schreier closure of a chain based at the points, 11
+# and 11 times on SL6(3) and 29 and 20 times on SU(7, 2), before a
+# stabilizer kept the chain it was read from.
+B6_ACTIONS = {
+    "SL6(3) points364": ({"family": "SL", "d": 6, "q": 3},
+                         {"kind": "projective_points", "d": 6, "q": 3},
+                         (9, 10), 665),
+    "SU(7,2) isotropic2709": ({"family": "SU", "d": 7, "q": 2},
+                              {"kind": "totally_singular_k", "form": "hermitian",
+                               "d": 7, "q": 2, "k": 1},
+                              (8, 9), 38_030),
+}
+
+
+@pytest.mark.parametrize("name", [
+    "SL6(3) points364",
+    pytest.param("SU(7,2) isotropic2709", marks=pytest.mark.slow)])
+def test_stabilizer_steps_run_no_closure(monkeypatch, name):
+    # every one-point step of the decision, its re-checks and a base
+    # extension reads a certified chain: G's, one a step kept, or one
+    # built afresh that reaches its target
+    gdesc, adesc, lengths, nodes = B6_ACTIONS[name]
+    G = build_group_action(GroupSpec.deserialize(gdesc), build_domain(adesc))
+    G.order()
+    calls = []
+    close = perm._Chain._close
+
+    def counted(self, i):
+        calls.append(i)
+        return close(self, i)
+
+    monkeypatch.setattr(perm._Chain, "_close", counted)
+    v = decide_ibis(G)
+    assert v.status == "NotIBIS" and v.budget_used == nodes
+    assert tuple(len(w) for w in v.witnesses) == lengths
+    assert calls == []
+    rep = ibis.extend_to_irredundant_base(G)
+    assert rep.is_base and rep.is_irredundant
+    assert calls == []
 
 
 def test_negative_budget_rejected():

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -372,6 +373,55 @@ def test_inverse_rows_of_the_complement_pairs():
     # reaching the order target, the chain built only the rows it sifted by
     lvl = perm._Chain(G.degree, G.generators, known_order=G.order()).levels[0]
     assert 1 <= len(lvl.inv) < len(lvl.points) == 336
+
+
+def fresh_stabilizer(G, points):
+    """The pointwise stabilizer of the points as the group of the strong
+    generators below the prefix of a chain of G built afresh at it, with
+    its suffix order, and that chain's suffix orders along the prefix."""
+    k = len(points)
+    ch = G.chain(base_prefix=points)
+    sizes = [len(lvl.points) for lvl in ch.levels]
+    orders = [math.prod(sizes[i:]) for i in range(k + 1)]
+    H = PermGroup(G.degree, [g for lvl in ch.levels[k:] for g in lvl.gens])
+    H._order = orders[-1]
+    return H, orders
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(G=random_groups(), data=st.data())
+def test_inherited_stabilizers_match_fresh_chains_on_random_groups(G, data):
+    # a one-point step takes the levels below the first of G's chain, as
+    # they are at its base point and conjugated elsewhere in its first
+    # basic orbit, or reads a chain based at the point; at every orbit
+    # minimum and every point of that orbit it gives the group a fresh
+    # chain based at the point gives, and keeps a certified chain of it
+    levels = G.chain().levels
+    first = levels[0].points if levels else []
+    minima = np.flatnonzero(G.orbits() == np.arange(G.degree)).tolist()
+    for p in sorted(set(minima) | set(first)):
+        H, (ref, orders) = G.pointwise_stabilizer((p,)), fresh_stabilizer(G, (p,))
+        assert orders == [G.order(), H.order()] and ref.order() == H.order()
+        assert H.fixed_points().tolist() == ref.fixed_points().tolist()
+        strong = [g for lvl in H.chain().levels for g in lvl.gens]
+        assert all(g[p] == p for g in strong)
+        assert all(H.is_member(g) for g in ref.generators)
+        assert all(ref.is_member(g) for g in H.generators)
+        if p in first[1:]:          # the conjugated levels, and their rows
+            check_inverse_rows(H.chain(), p)
+            for lvl in H.chain().levels:
+                for r in range(len(lvl.points)):
+                    u = transversal(lvl, G.degree, r)
+                    assert u[lvl.beta] == lvl.points[r]
+                    assert lvl.inverse(r).tolist() == np.argsort(u).tolist()
+    # steps along a sequence, each from the chain the last one kept
+    seq = data.draw(st.lists(st.integers(0, max(G.degree - 1, 0)),
+                             max_size=4 if G.degree else 0))
+    H, ref, orders = G.pointwise_stabilizer(seq), *fresh_stabilizer(G, seq)
+    assert G.chain_orders(seq) == orders and H.order() == orders[-1]
+    assert H.fixed_points().tolist() == ref.fixed_points().tolist()
+    assert all(H.is_member(g) for g in ref.generators)
+    assert all(ref.is_member(g) for g in H.generators)
 
 
 # The tracemalloc peak of one chain build with no order target, in MiB,
