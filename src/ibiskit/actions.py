@@ -43,7 +43,7 @@ from .groups import (
     outer_element,
 )
 from .linalg import (
-    annihilator, eval_form, is_nondegenerate, is_totally_singular, mat_mul,
+    annihilator, is_nondegenerate, is_totally_singular, mat_mul,
     quadratic_theta0, rank_stack, row_keys, rref_stack, symplectic_form,
 )
 from .perm import PermGroup, derived_subgroup
@@ -590,16 +590,6 @@ def _order_bound(spec, socle, outer, form, dom):
     else:
         s = int((induce_images(Z, 0, False, dom) == np.arange(dom.N)).all(axis=1).sum())
     return n * matrix_group_order(spec) // s
-
-
-def theta_value(dom, a, u):
-    """theta_a(u) = theta_0(u) + phi(u, a)^2 for a parameter vector a
-    (test and report helper)."""
-    theta0 = dom.form
-    F = theta0.field
-    u = np.asarray(u, dtype=np.int64)
-    cross = linalg.eval_bilinear_batch(theta0, u, np.asarray(a, dtype=np.int64))
-    return int(F.add(eval_form(theta0, u), F.mul(cross, cross)))
 
 
 # -- descriptor dispatch -------------------------------------------------------

@@ -214,15 +214,15 @@ def cmd_table(args):
         if isinstance(res["computed_b"], int) and res["computed_b"] != row[3]:
             raise CliError(f"table row {row[0]} contradicts the expected "
                            f"base size: {res}")
+    if args.format == "json":
+        _emit(args, {"schema": SCHEMA, "rows": results})
+        return 0
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=[
         "group", "degree", "expected_b", "computed_b", "verdict", "runtime"])
     writer.writeheader()
     writer.writerows(results)
-    if args.format == "json":
-        _emit(args, {"schema": SCHEMA, "rows": results})
-    else:
-        _emit(args, None, text=buf.getvalue())
+    _emit(args, None, text=buf.getvalue())
     return 0
 
 

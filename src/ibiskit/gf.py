@@ -213,22 +213,3 @@ def trace_bit(field, code):
     for i in range(field.f):
         acc = field.add(acc, field.frob(code, i))
     return acc
-
-
-def find_special_alpha(q):
-    """An alpha in GF(q^2) with alpha + alpha^q + 1 = 0 whose Galois orbit
-    under Aut(GF(q^2)) has full size 2f, q = p^f.
-
-    The solution set of the trace equation has exactly q elements; a full
-    orbit always exists among them.  Returns the least such alpha's code.
-    """
-    F = field_of_order(q)
-    E = make_field(F.p, 2 * F.f)
-    codes = np.arange(E.q)
-    sols = np.flatnonzero(E.add(E.add(codes, E.frob(codes, F.f)), 1) == 0)
-    assert len(sols) == q, "trace-equation solution count must be q"
-    # a full orbit: no Frobenius power below 2f fixes the code
-    full = np.all([E.frob(sols, k) != sols for k in range(1, 2 * F.f)], axis=0)
-    if not full.any():
-        raise GFError(f"no full-orbit solution for q={q}")  # not reachable per theory
-    return int(sols[full][0])

@@ -17,8 +17,6 @@ at odd q, which would need a spinor-norm test, is not constructed).
 `matrix_group_order` gives the textbook order of each matrix group and
 `in_matrix_group` tests membership in it; the actions module builds its
 proven bound on the order of an induced group from the two.
-`certified_order` compares the order of the induced permutation group
-on nonzero vectors with the formula; only the tests call it.
 
 Projective groups are never formed as abstract quotients: scalars act
 trivially on every subspace domain, so inducing the matrix group on the
@@ -40,7 +38,6 @@ from .linalg import (
     hermitian_form, mat_mul, quadratic_minus, quadratic_plus, rank_stack,
     symplectic_form,
 )
-from .perm import PermGroup
 
 
 class GroupError(ValueError):
@@ -296,9 +293,7 @@ def classical_generators(spec):
     not in the stack: outer_element gives each.
 
     Every generator is checked to preserve the form exactly
-    (_preserving).  The order of the generated group is not checked here:
-    certified_order compares it with the textbook formula, and only the
-    tests call it.
+    (_preserving).
     """
     form = _standard_form(spec)
     if form is None:
@@ -406,41 +401,3 @@ def matrix_group_order(spec):
     # |O| = 2n; SO has index 2 in O at odd q (O = SO in characteristic 2),
     # and Omega has index 2 in SO
     return 2 * n // {"GO": 1, "SO": 1 + q % 2, "Om": 2 + 2 * (q % 2)}[fam[:2]]
-
-
-def induced_on_nonzero_vectors(spec):
-    """The permutation group induced on the nonzero vectors of the natural
-    module (a faithful action of the matrix-plus-Frobenius group)."""
-    socle, _ = classical_generators(spec)
-    outer = [outer_element(ext, spec) for ext in spec.extensions]
-    if any(dual for _, _, dual in outer):
-        raise GroupError("duality elements have no vector action")
-    F = spec.matrix_field()
-    d = spec.d
-    vecs = linalg.all_row_vectors(F, d)[1:]     # drop the zero vector
-    radix = F.q ** np.arange(d, dtype=np.int64)
-    index = np.full(F.q**d, -1, dtype=np.int64)
-    index[vecs @ radix] = np.arange(len(vecs))
-    imgs = np.concatenate([mat_mul(F, vecs, socle)]
-                          + [mat_mul(F, F.frob(vecs, k), M[None]) for M, k, _ in outer])
-    return PermGroup(len(vecs), index[imgs @ radix])
-
-
-@functools.lru_cache(maxsize=None)
-def certified_order(spec):
-    """BSGS order of the induced vector action, checked against the
-    textbook formula; raises on mismatch.  The formula is the chain's
-    target when every generator lies in the matrix group it orders."""
-    if spec.extensions or spec.derived:
-        raise GroupError("certify the plain socle spec")
-    G = induced_on_nonzero_vectors(spec)
-    socle, form = classical_generators(spec)
-    expect = matrix_group_order(spec)
-    if in_matrix_group(spec, form, socle).all():
-        G._order_bound = expect
-    n = G.order()
-    if n != expect:
-        raise GroupError(
-            f"{spec.family}({spec.d},{spec.q}) order {n} != formula {expect}")
-    return n
-

@@ -106,17 +106,20 @@ def is_irredundant(G, seq):
 
 def extend_to_irredundant_base(G, prefix=()):
     """Extend an irredundant prefix to an irredundant base, appending the
-    lowest-index point that strictly shrinks the stabilizer each time."""
-    prefix = tuple(int(p) for p in prefix)
-    if prefix and not is_irredundant(G, prefix):
-        raise IbisError("prefix is not irredundant")
-    points = list(prefix)
-    H = G.pointwise_stabilizer(points)
-    while H.order() > 1:
-        p = int(np.flatnonzero(~H.fixed_points())[0])
-        points.append(p)
+    lowest-index point that strictly shrinks the stabilizer each time.
+    One stabilizer step per point; their orders make the report."""
+    points = [int(p) for p in prefix]
+    H, orders = G, [G.order()]
+    for p in points:
         H = H.pointwise_stabilizer((p,))
-    return base_report(G, points)
+        orders.append(H.order())
+    if not BaseReport(tuple(points), tuple(orders)).is_irredundant:
+        raise IbisError("prefix is not irredundant")
+    while orders[-1] > 1:
+        points.append(int(np.flatnonzero(~H.fixed_points())[0]))
+        H = H.pointwise_stabilizer(points[-1:])
+        orders.append(H.order())
+    return BaseReport(tuple(points), tuple(orders))
 
 
 # -- the stabilizer store ------------------------------------------------------

@@ -1,15 +1,14 @@
-"""Matrices and subspaces over GF(q), form evaluation, the
+"""Matrices and subspaces over GF(q), form evaluation, and the
 totally-singular and non-degenerate subspace predicates as masks over
-stacks of bases, the 4x4 Pfaffian and the Klein map from lines of
-PG(3,q) to points of the Pfaffian quadric.
+stacks of bases.
 
 Vectors and matrices carry integer field codes (see gf) in numpy arrays.
 A subspace is its basis in reduced row echelon form, with no object
 around it, so equality of subspaces is equality of those arrays.
 Elimination runs on a whole stack of matrices at once (`rref_stack`,
-`rank_stack`, `annihilator`), `mat_mul` broadcasts over leading stack
-axes, and the Klein map takes a stack of lines; the one-matrix routines
-(`rref`, `det`, `inverse`) are the stack routines on a stack of one.
+`rank_stack`, `annihilator`), and `mat_mul` broadcasts over leading
+stack axes; the one-matrix routines (`rref`, `det`, `inverse`) are the
+stack routines on a stack of one.
 Sums and meets of subspaces are ranks: dim(U + W) is the rank of the two
 bases together, and dim(U meet W) = dim U + dim W - dim(U + W); for an
 RREF basis U it is also dim U plus the rank of W reduced modulo U's pivot
@@ -230,23 +229,6 @@ class FormSpec:
         return self.field.frob(a, self.field.f // 2)
 
 
-def eval_form(form, u, v=None):
-    """Evaluate the form: one argument for quadratic, two otherwise."""
-    u = np.asarray(u, dtype=np.int64)
-    if form.kind == "quadratic":
-        if v is not None:
-            raise LinalgError("quadratic form takes a single argument")
-        if u.shape != (form.dim,):
-            raise LinalgError("dimension mismatch")
-        return int(eval_quadratic_batch(form, u[None])[0])
-    if v is None:
-        raise LinalgError(f"{form.kind} form takes two arguments")
-    v = np.asarray(v, dtype=np.int64)
-    if u.shape != (form.dim,) or v.shape != (form.dim,):
-        raise LinalgError("dimension mismatch")
-    return int(eval_bilinear_batch(form, u[None], v[None])[0])
-
-
 def _nonzero_terms(gram):
     """The nonzero entries of a Gram matrix as (i, j, gram[i, j]) int triples."""
     return tuple((int(i), int(j), int(gram[i, j])) for i, j in zip(*np.nonzero(gram)))
@@ -434,49 +416,3 @@ def _least_nonsplit_mu(field):
     split = np.zeros(field.q, dtype=bool)
     split[field.neg(field.add(field.mul(t, t), t))] = True
     return int(split.argmin())
-
-
-# -- Pfaffian and the Klein map ----------------------------------------------
-
-def pfaffian4(F, X):
-    """Pf(X) = x12 x34 - x13 x24 + x14 x23 for 4x4 skew X with zero diagonal."""
-    X = np.asarray(X, dtype=np.int64)
-    if X.shape != (4, 4):
-        raise LinalgError("pfaffian4 needs a 4x4 matrix")
-    if np.any(np.diagonal(X)):
-        raise LinalgError("diagonal must be zero")
-    if np.any(F.neg(X.T) != X):
-        raise LinalgError("matrix must be skew-symmetric")
-    t1 = F.mul(X[0, 1], X[2, 3])
-    t2 = F.mul(X[0, 2], X[1, 3])
-    t3 = F.mul(X[0, 3], X[1, 2])
-    return int(F.add(F.sub(t1, t2), t3))
-
-
-PFAFFIAN_COORDS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def pfaffian_quadric_form(field):
-    """The Pfaffian as a quadratic form on coordinates (x12,...,x34)."""
-    g = np.zeros((6, 6), dtype=np.int64)
-    g[0, 5] = 1
-    g[1, 4] = int(field.neg(1))
-    g[2, 3] = 1
-    return FormSpec("quadratic", field, g)
-
-
-def klein_map(F, L):
-    """Map each 2-space <v, w> of GF(q)^4, given as a stack L (n, 2, 4) of
-    bases, to the point spanned by the skew matrix v^T w - w^T v in
-    coordinates (x12, ..., x34): an (n, 1, 6) stack of RREF bases.
-
-    The image does not depend on the chosen basis, and it is a singular
-    point of the Pfaffian quadric.
-    """
-    L = np.asarray(L, dtype=np.int64)
-    if L.ndim != 3 or L.shape[1:] != (2, 4):
-        raise LinalgError("klein_map needs a stack of bases of 2-spaces of GF(q)^4")
-    i, j = np.array(PFAFFIAN_COORDS).T
-    v, w = L[:, 0], L[:, 1]
-    X = F.sub(F.mul(v[:, i], w[:, j]), F.mul(w[:, i], v[:, j]))
-    return rref_stack(F, X[:, None, :])

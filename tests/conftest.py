@@ -16,10 +16,9 @@ from ibiskit.cli import TABLE_ROWS
 from ibiskit.gf import field_of_order
 from ibiskit.groups import GroupSpec, classical_generators, outer_element
 from ibiskit.ibis import DEFAULT_BUDGET, EnumerationResult, IbisError
-from ibiskit.linalg import (
-    eval_form, quadratic_minus, quadratic_plus, symplectic_form,
-)
+from ibiskit.linalg import quadratic_minus, quadratic_plus, symplectic_form
 from ibiskit.perm import PermError, PermGroup
+from oracles import eval_form
 
 ELEMENT_CAP = 200_000
 
@@ -324,15 +323,6 @@ def orbit_lists(G):
                     ob.append(y)
         out.append(sorted(ob))
     return out
-
-
-def stabilizer_per_point(G, points):
-    """Oracle for PermGroup.pointwise_stabilizer: one point stabilizer at
-    a time, each read off its own chain."""
-    H = G
-    for p in points:
-        H = H.pointwise_stabilizer((p,))
-    return H
 
 
 # -- search oracles ---------------------------------------------------------

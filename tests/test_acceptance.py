@@ -10,7 +10,7 @@ from conftest import all_quad_forms_domain, named_case, unpruned_enumeration
 
 from ibiskit.actions import (
     build_quad_forms_domain, build_subspace_domain, enumerate_subspaces,
-    induce_images, theta_value,
+    induce_images,
 )
 from ibiskit.gf import field_of_order, make_field
 from ibiskit.groups import transvection_symplectic
@@ -19,11 +19,11 @@ from ibiskit.ibis import (
     extend_to_irredundant_base, is_base, is_irredundant, minimal_base_sizes,
 )
 from ibiskit.linalg import (
-    all_row_vectors, det, eval_bilinear_batch, eval_quadratic_batch,
-    klein_map, mat_mul, pfaffian4, pfaffian_quadric_form, quadratic_theta0,
-    symplectic_form,
+    all_row_vectors, det, eval_bilinear_batch, eval_quadratic_batch, mat_mul,
+    quadratic_theta0, symplectic_form,
 )
 from ibiskit.witnesses import run_witness
+from oracles import klein_map, pfaffian4, pfaffian_quadric_form, theta_value
 
 
 def announce(criterion, started, detail=""):

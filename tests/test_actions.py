@@ -19,7 +19,7 @@ from ibiskit.actions import (
     ActionError, build_domain, build_group_action, build_nondegenerate_domain,
     build_nonsingular_points, build_pair_domain, build_quad_forms_domain,
     build_subspace_domain, build_totally_singular,
-    enumerate_subspaces, gaussian_binomial, induce_images, theta_value,
+    enumerate_subspaces, gaussian_binomial, induce_images,
 )
 from ibiskit.cli import main
 from ibiskit.gf import field_of_order, make_field, trace_bit
@@ -28,6 +28,7 @@ from ibiskit.groups import (
     transvection_symplectic,
 )
 from ibiskit.linalg import quadratic_minus, quadratic_plus, symplectic_form
+from oracles import theta_value
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)

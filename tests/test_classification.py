@@ -80,7 +80,8 @@ def test_unitary_point_action_chains_q3():
     # chain of length 3 is an irredundant base for the full semilinear
     # group; together they certify NotIBIS
     import numpy as np
-    from ibiskit.gf import field_of_order, find_special_alpha, make_field
+    from ibiskit.gf import field_of_order, make_field
+    from oracles import find_special_alpha
     from ibiskit.linalg import hermitian_form, rref
     from ibiskit.actions import build_totally_singular
     from ibiskit.ibis import base_report
@@ -159,7 +160,8 @@ def test_klein_lines_and_planes_counts():
     # totally singular lines of the Pfaffian quadric match the incident
     # point-plane flags; singular planes split as points + planes
     from ibiskit.gf import field_of_order
-    from ibiskit.linalg import is_totally_singular, pfaffian_quadric_form
+    from ibiskit.linalg import is_totally_singular
+    from oracles import pfaffian_quadric_form
     from ibiskit.actions import enumerate_subspaces
 
     for q in (2, 3):
@@ -181,7 +183,8 @@ def test_minus_type_hermitian_duality_counts():
     from ibiskit.gf import field_of_order, make_field
     from ibiskit.linalg import hermitian_form, quadratic_minus
     from ibiskit.actions import build_totally_singular
-    from ibiskit.groups import GroupSpec as GS, certified_order
+    from ibiskit.groups import GroupSpec as GS
+    from oracles import certified_order
 
     F2 = field_of_order(2)
     E = make_field(2, 2)

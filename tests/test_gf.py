@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import power_by_squaring
-from ibiskit.gf import (
-    GFError, field_of_order, find_special_alpha, make_field, trace_bit,
-)
+from ibiskit.gf import GFError, field_of_order, make_field, trace_bit
+from oracles import find_special_alpha
 
 
 def test_make_field_gf2():

@@ -13,11 +13,11 @@ from ibiskit.actions import _act_subspaces
 from ibiskit.gf import field_of_order, make_field
 from ibiskit.groups import (
     FAMILIES, GroupError, GroupSpec, _preserving, _standard_form, _upper_tri_rep,
-    certified_order, classical_generators, induced_on_nonzero_vectors,
-    matrix_group_order, outer_element, transvection_symplectic,
+    classical_generators, matrix_group_order, outer_element, transvection_symplectic,
 )
-from ibiskit.linalg import eval_form, symplectic_form
+from ibiskit.linalg import symplectic_form
 from ibiskit.perm import derived_subgroup
+from oracles import certified_order, eval_form, induced_on_nonzero_vectors
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)

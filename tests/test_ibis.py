@@ -107,6 +107,24 @@ def test_extend_rejects_redundant_prefix():
         extend_to_irredundant_base(G, (0, 0))
 
 
+@pytest.mark.parametrize("prefix", [(), (0, 1)])
+def test_extend_steps_once_per_base_point(monkeypatch, prefix):
+    # the prefix check, the extension and the report read one walk: one
+    # stabilizer step per point of the base, in its order
+    G, _ = named_case("PSp4_3/proj40")
+    calls = []
+    step = PermGroup._step
+
+    def counted(self, p):
+        calls.append(p)
+        return step(self, p)
+
+    monkeypatch.setattr(PermGroup, "_step", counted)
+    rep = extend_to_irredundant_base(G, prefix)
+    assert rep.points[:len(prefix)] == prefix and len(rep) == 5
+    assert calls == list(rep.points)
+
+
 @pytest.mark.parametrize("point", [-1, 4])
 @pytest.mark.parametrize("call", [
     lambda G, seq: G.chain_orders(seq), base_report, is_base, is_irredundant,

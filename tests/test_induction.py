@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     annihilator_set, compose, generator_triples, induced_rows, vector_set,
 )
-from ibiskit.actions import ActionError, build_domain, build_group_action, theta_value
+from ibiskit.actions import ActionError, build_domain, build_group_action
 from ibiskit.gf import field_of_order
 from ibiskit.groups import GroupSpec
 from ibiskit.linalg import annihilator, rref, rref_stack
+from oracles import theta_value
 
 
 def move(F, g, v):

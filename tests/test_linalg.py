@@ -13,12 +13,14 @@ from ibiskit import linalg
 from ibiskit.actions import enumerate_subspaces, gaussian_binomial
 from ibiskit.gf import GFError, field_of_order, make_field, trace_bit
 from ibiskit.linalg import (
-    PFAFFIAN_COORDS, LinalgError, annihilator, det, eval_form, hermitian_form, inverse,
-    is_nondegenerate, is_totally_singular, klein_map, mat_mul, pfaffian4,
-    pfaffian_quadric_form, quadratic_minus, quadratic_plus, quadratic_theta0,
+    LinalgError, annihilator, det, hermitian_form, inverse, is_nondegenerate,
+    is_totally_singular, mat_mul, quadratic_minus, quadratic_plus, quadratic_theta0,
     rank_stack, symplectic_form,
 )
 from ibiskit.witnesses import _span_and_meet_ok
+from oracles import (
+    PFAFFIAN_COORDS, eval_form, klein_map, pfaffian4, pfaffian_quadric_form,
+)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)

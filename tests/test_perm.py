@@ -1,4 +1,3 @@
-import math
 import random
 import tracemalloc
 
@@ -6,11 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (
-    ACTIONS, action_group, element_table, orbit_lists, stabilizer_per_point,
-)
+from conftest import ACTIONS, action_group, element_table, orbit_lists
 from ibiskit import perm
 from ibiskit.perm import PermError, PermGroup, derived_subgroup
+from oracles import fresh_stabilizer
 
 
 def perm_from_cycles(n, *cycles):
@@ -124,13 +122,13 @@ def test_orbit_labels_of_one_long_cycle(shift):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(G=random_groups(max_degree=10), data=st.data())
 def test_pointwise_stabilizer_matches_the_per_point_loop(G, data):
-    # one chain based at the whole sequence gives the group that one
-    # chain per point gives, repeated points included
+    # the one-point steps give the group that one chain built afresh at
+    # the whole sequence gives, repeated points included
     seq = data.draw(st.lists(st.integers(0, max(G.degree - 1, 0)),
                              max_size=5 if G.degree else 0))
     if seq and data.draw(st.booleans()):
         seq.insert(data.draw(st.integers(0, len(seq))), seq[0])
-    H, ref = G.pointwise_stabilizer(seq), stabilizer_per_point(G, seq)
+    H, (ref, _) = G.pointwise_stabilizer(seq), fresh_stabilizer(G, seq)
     assert H.order() == ref.order()
     assert H.fixed_points().tolist() == ref.fixed_points().tolist()
     assert all(H.fixed_points()[p] for p in seq)
@@ -373,19 +371,6 @@ def test_inverse_rows_of_the_complement_pairs():
     # reaching the order target, the chain built only the rows it sifted by
     lvl = perm._Chain(G.degree, G.generators, known_order=G.order()).levels[0]
     assert 1 <= len(lvl.inv) < len(lvl.points) == 336
-
-
-def fresh_stabilizer(G, points):
-    """The pointwise stabilizer of the points as the group of the strong
-    generators below the prefix of a chain of G built afresh at it, with
-    its suffix order, and that chain's suffix orders along the prefix."""
-    k = len(points)
-    ch = G.chain(base_prefix=points)
-    sizes = [len(lvl.points) for lvl in ch.levels]
-    orders = [math.prod(sizes[i:]) for i in range(k + 1)]
-    H = PermGroup(G.degree, [g for lvl in ch.levels[k:] for g in lvl.gens])
-    H._order = orders[-1]
-    return H, orders
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
